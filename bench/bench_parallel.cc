@@ -1,14 +1,13 @@
 // Parallel-optimizer bench: how much faster does the WatDiv batch
-// workload (Fig 6's 124 templates x N instances) optimize when the
-// optimizer itself runs multi-threaded?
+// workload (Fig 6's 124 templates x N instances) optimize when a
+// ParallelOptimizer spreads independent queries over a worker pool?
 //
-//   (a) inter-query: the whole batch dispatched to a ParallelOptimizer
-//       pool, sweeping worker counts (--threads=1,2,4,8); the 1-thread
-//       row is a plain sequential loop and is the speedup baseline. Every
-//       parallel pass is cross-checked against the baseline: plan costs
-//       must be identical for every query (determinism contract).
-//   (b) intra-query: one large query per shape, sweeping
-//       OptimizeOptions::num_threads through TdCmdCore::RunParallel.
+// The batch is dispatched to a ParallelOptimizer pool, sweeping worker
+// counts (--threads=1,2,4,8); the 1-thread row is a plain sequential loop
+// and is the speedup baseline. Every parallel pass is cross-checked
+// against the baseline: plan costs must be identical for every query
+// (determinism contract). Each query's enumeration is single-threaded;
+// parallelism is across queries only.
 //
 // Every pass re-prepares its queries so no pass inherits another's warm
 // cardinality memo. --json=PATH additionally emits the results machine-
@@ -92,7 +91,6 @@ int Main(int argc, char** argv) {
   json += jbuf;
   bool first_json_row = true;
 
-  std::printf("--- (a) inter-query batch optimization ---\n");
   bool all_match = true;
   for (const auto& [algorithm, name] : kAlgorithms) {
     PrintRow(name, {"threads", "seconds", "speedup", "costs"});
@@ -160,64 +158,6 @@ int Main(int argc, char** argv) {
       json += jbuf;
       first_json_row = false;
     }
-    std::printf("\n");
-  }
-  json += "\n  ],\n  \"intra_query\": [\n";
-
-  std::printf("--- (b) intra-query parallel enumeration ---\n");
-  struct IntraCase {
-    QueryShape shape;
-    int num_tps;
-  };
-  const std::vector<IntraCase> kIntraCases{{QueryShape::kChain, 30},
-                                           {QueryShape::kCycle, 20},
-                                           {QueryShape::kStar, 12},
-                                           {QueryShape::kDense, 12}};
-  first_json_row = true;
-  for (const IntraCase& c : kIntraCases) {
-    Rng rng(flags.seed + c.num_tps);
-    GeneratedQuery q = GenerateRandomQuery(c.shape, c.num_tps, rng);
-    std::string label =
-        std::string(ToString(c.shape)) + "-" + std::to_string(c.num_tps);
-    PrintRow(label, {"threads", "seconds", "speedup", "cost"});
-    PrintRule(10, 4);
-
-    double baseline_seconds = 0;
-    double baseline_cost = -1;
-    bool shape_match = true;
-    for (int t : thread_counts) {
-      // Fresh fixture per run (cold estimator memo).
-      NoLocalityFixture fx(q);
-      OptimizeOptions intra = options;
-      intra.num_threads = t;
-      ParallelOptimizer popt(t);
-      intra.thread_pool = &popt.pool();
-      Stopwatch watch;
-      OptimizeResult r = Optimize(Algorithm::kTdCmd, fx.inputs(), intra);
-      double seconds = watch.ElapsedSeconds();
-      double cost = r.plan != nullptr ? r.plan->total_cost : -1.0;
-      if (t == 1) {
-        baseline_seconds = seconds;
-        baseline_cost = cost;
-      } else if (cost != baseline_cost) {
-        shape_match = false;
-        all_match = false;
-      }
-      double speedup = seconds > 0 ? baseline_seconds / seconds : 0;
-      char sec[32], spd[32];
-      std::snprintf(sec, sizeof(sec), "%.3fs", seconds);
-      std::snprintf(spd, sizeof(spd), "%.2fx", speedup);
-      PrintRow("", {std::to_string(t), sec, spd, CostCell(r)});
-
-      std::snprintf(jbuf, sizeof(jbuf),
-                    "%s    {\"query\": \"%s\", \"threads\": %d, "
-                    "\"seconds\": %.6f, \"speedup\": %.4f}",
-                    first_json_row ? "" : ",\n", label.c_str(), t, seconds,
-                    speedup);
-      json += jbuf;
-      first_json_row = false;
-    }
-    if (!shape_match) PrintRow("", {"", "", "", "COST MISMATCH"});
     std::printf("\n");
   }
   json += "\n  ],\n";

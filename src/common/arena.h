@@ -12,11 +12,8 @@
 //     enforces it — because Reset()/~Arena() run no destructors.
 //   * Reset() is O(#blocks): it retains every block and rewinds the bump
 //     pointer, so a warm arena allocates without touching malloc at all.
-//   * Arenas are single-threaded. Concurrent enumeration gives each
-//     worker its own arena; cross-arena *reads* of published nodes are
-//     fine as long as every arena outlives the run (td_cmd_core keeps
-//     its chunk arenas alive for the lifetime of the core, since memo
-//     entries are handed across workers).
+//   * Arenas are single-threaded. Each TdCmdCore owns one and keeps it
+//     for its lifetime, since the memo points into it.
 //
 // Under AddressSanitizer every block is poisoned on creation and on
 // Reset(), and each allocation unpoisons exactly its own bytes, so

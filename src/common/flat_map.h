@@ -11,8 +11,8 @@
 //   * The empty TpSet is the vacant-slot sentinel — memo keys are
 //     subqueries, which are never empty.
 //   * No erase, therefore no tombstones: probe chains never break, and
-//     first-insert-wins (the memo contract under racing derivations —
-//     callers lock a shard around mutating calls).
+//     first-insert-wins (the estimator's contract under racing
+//     derivations — it locks a shard around mutating calls).
 //   * Growth doubles the slot array and rehashes; pointers INTO the table
 //     are invalidated, so memo values are plan/derivation POINTERS whose
 //     targets live elsewhere (arena / deque) and stay stable.

@@ -112,7 +112,7 @@ namespace parqo {
 // motivating case — must thread top-down through this order:
 //
 //   server session state, then cache shards, then executor recovery,
-//   then optimizer/estimator memo shards, then the thread pool, then
+//   then estimator memo shards, then the thread pool, then
 //   the leaf diagnostics locks (fault, trace, metrics).
 //
 // tools/parqo_lint.py parses this enum (names and values) and enforces
@@ -126,7 +126,6 @@ enum class LockRank : int {
   kCacheShard = 20,      ///< PlanCache::Shard::mu (server/plan_cache.h).
   kHealth = 25,          ///< NodeHealthRegistry::mu_ (exec/health.h).
   kExecRecovery = 30,    ///< Executor fault-recovery state (exec/executor.cc).
-  kMemoShard = 40,       ///< TdCmdCore::MemoShard::mu (optimizer/td_cmd_core.h).
   kEstimatorShard = 42,  ///< CardinalityEstimator::Shard::mu (stats/estimator.h).
   kPool = 50,            ///< ThreadPool queue state (common/thread_pool.h).
   kPoolJoin = 52,        ///< ParallelFor completion latch (common/thread_pool.cc).

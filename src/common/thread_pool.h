@@ -1,14 +1,15 @@
-// Fixed-size worker pool shared by the parallel optimizer paths and the
-// simulated cluster. Workers are started once and reused — submitting work
-// never spawns a thread — which is what lets the batch optimizer sustain a
-// stream of queries (the Partout/PHD-Store workload shape) without
-// thread-churn, and caps the executor's per-node fan-out.
+// Fixed-size worker pool shared by the inter-query optimizer batch, the
+// serving tier and the simulated cluster. Workers are started once and
+// reused — submitting work never spawns a thread — which is what lets the
+// batch optimizer sustain a stream of queries (the Partout/PHD-Store
+// workload shape) without thread-churn, and caps the executor's per-node
+// fan-out.
 //
 // ParallelFor is the only blocking primitive and it is deadlock-free under
 // nesting: the caller drains items itself while pool workers help, so
 // progress never depends on a pool slot being free. This matters because
-// an inter-query batch task may itself run an intra-query parallel
-// enumeration on the same pool.
+// a serving task may itself run node-parallel execution, and a pool task
+// may call ParallelFor on its own pool.
 
 #ifndef PARQO_COMMON_THREAD_POOL_H_
 #define PARQO_COMMON_THREAD_POOL_H_

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "optimizer/grouped_graph.h"
 #include "optimizer/join_graph_reduction.h"
 #include "optimizer/plan_validator.h"
@@ -62,14 +61,7 @@ OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
         return builder.LocalJoinAllIn(arena, grouped.ExpandTps(rels));
       },
       options.timeout_seconds, options.deadline);
-
-  if (options.num_threads > 1) {
-    ThreadPool& pool = options.thread_pool != nullptr ? *options.thread_pool
-                                                      : ThreadPool::Global();
-    result.plan = core.RunParallel(pool, options.num_threads);
-  } else {
-    result.plan = core.Run();
-  }
+  result.plan = core.Run();
 
   if (options.validate && result.plan != nullptr) {
     // Memo keys live in group space; the stored plans cover base
@@ -92,8 +84,6 @@ OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
   result.memo_hits = core.stats().memo_hits;
   result.memo_misses = core.stats().memo_misses;
   result.local_short_circuits = core.stats().local_short_circuits;
-  result.workers = core.stats().workers;
-  result.busy_seconds = core.stats().busy_seconds;
   return result;
 }
 

@@ -57,10 +57,6 @@ void PublishMetrics(const OptimizeResult& result) {
   }
   if (result.fell_back_to_msc) reg.counter("optimizer.msc_fallbacks").Add(1);
   reg.histogram("optimizer.seconds").Observe(result.seconds);
-  if (result.workers > 1 && result.seconds > 0) {
-    reg.gauge("optimizer.worker_utilization")
-        .Set(result.busy_seconds / (result.workers * result.seconds));
-  }
 }
 
 }  // namespace

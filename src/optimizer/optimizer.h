@@ -19,7 +19,6 @@
 #include <string>
 
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "cost/cost_model.h"
 #include "partition/local_query_index.h"
 #include "plan/plan.h"
@@ -66,14 +65,6 @@ struct OptimizeOptions {
   /// OptimizeResult::abort_cause / fell_back_to_msc. With no deadline set
   /// results are bit-identical to a build without this feature.
   Deadline deadline = Deadline::Infinite();
-
-  /// Intra-query enumeration workers for the TD-CMD family (root-level
-  /// cmds fanned out over a shared memo; see td_cmd_core.h). 1 runs the
-  /// lock-free sequential path; parallel runs return plans of identical
-  /// cost. Workers come from `thread_pool`, or the process-global pool
-  /// when null.
-  int num_threads = 1;
-  ThreadPool* thread_pool = nullptr;
 
   /// Runs the structural/cost invariant validator (plan_validator.h) over
   /// the produced plan, every memo entry, and every enumerated division.
@@ -126,10 +117,6 @@ struct OptimizeResult {
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   std::uint64_t local_short_circuits = 0;  ///< Rule-3 pruned subtrees.
-  /// RunParallel fan-out detail: busy_seconds / (workers * seconds) is the
-  /// worker utilization (1 worker => busy_seconds stays 0).
-  int workers = 1;
-  double busy_seconds = 0;
 };
 
 /// Runs the requested algorithm on one query.

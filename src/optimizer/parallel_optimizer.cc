@@ -11,16 +11,11 @@ ParallelOptimizer::ParallelOptimizer(int num_threads)
 std::vector<OptimizeResult> ParallelOptimizer::OptimizeBatch(
     const std::vector<BatchQuery>& batch, const OptimizeOptions& options) {
   std::vector<OptimizeResult> results(batch.size());
-  OptimizeOptions per_query = options;
-  // Intra-query workers come from the batch pool, not a fresh one.
-  if (per_query.num_threads > 1 && per_query.thread_pool == nullptr) {
-    per_query.thread_pool = &pool_;
-  }
   pool_.ParallelFor(static_cast<int>(batch.size()), [&](int i) {
     const BatchQuery& item = batch[static_cast<std::size_t>(i)];
     PARQO_CHECK(item.query != nullptr);
     results[static_cast<std::size_t>(i)] =
-        Optimize(item.algorithm, item.query->inputs(), per_query);
+        Optimize(item.algorithm, item.query->inputs(), options);
   });
   return results;
 }

@@ -6,9 +6,11 @@
 // the distributed engines the paper compares against (Partout, PHD-Store).
 //
 // Each query is optimized exactly as Optimize() would — same inputs, same
-// statistics (estimators are per-query and thread-safe), same options — so
-// batch results are bit-identical in plan cost to a sequential loop,
-// independent of scheduling order.
+// statistics, same options, one thread per query — so batch results are
+// bit-identical in plan cost to a sequential loop, independent of
+// scheduling order. Two entries may share one PreparedQuery: its
+// CardinalityEstimator memo is the only optimizer state two workers can
+// touch at once, and it is shard-locked (stats/estimator.h).
 
 #ifndef PARQO_OPTIMIZER_PARALLEL_OPTIMIZER_H_
 #define PARQO_OPTIMIZER_PARALLEL_OPTIMIZER_H_
@@ -35,12 +37,9 @@ class ParallelOptimizer {
   explicit ParallelOptimizer(int num_threads = 0);
 
   int num_threads() const { return pool_.size(); }
-  ThreadPool& pool() { return pool_; }
 
-  /// Optimizes every entry concurrently; results come back in input
-  /// order. `options.num_threads` additionally enables intra-query
-  /// parallelism per entry (workers are shared with the batch, which is
-  /// safe: ParallelFor callers participate, so nesting cannot deadlock).
+  /// Optimizes every entry concurrently, one worker per entry; results
+  /// come back in input order.
   std::vector<OptimizeResult> OptimizeBatch(
       const std::vector<BatchQuery>& batch, const OptimizeOptions& options);
 

@@ -19,9 +19,8 @@ Algorithm TdAutoChoice(const JoinGraph& jg, const OptimizeOptions& options) {
 
 OptimizeResult RunTdAuto(const OptimizerInputs& inputs,
                          const OptimizeOptions& options) {
-  // options.num_threads flows through to whichever TD-CMD-family
-  // algorithm the decision tree picks; the choice itself only inspects
-  // the join graph, so it is identical across thread counts.
+  // The choice only inspects the join graph; the options flow through
+  // unchanged to whichever TD-CMD-family algorithm it picks.
   Algorithm choice = TdAutoChoice(*inputs.join_graph, options);
   OptimizeResult result;
   switch (choice) {

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "optimizer/plan_validator.h"
 #include "optimizer/td_cmd_core.h"
 
@@ -41,14 +40,7 @@ OptimizeResult RunTdCmdWithRules(const OptimizerInputs& inputs,
         return builder.LocalJoinAllIn(arena, q);
       },
       options.timeout_seconds, options.deadline);
-  PlanNodePtr plan;
-  if (options.num_threads > 1) {
-    ThreadPool& pool = options.thread_pool != nullptr ? *options.thread_pool
-                                                      : ThreadPool::Global();
-    plan = core.RunParallel(pool, options.num_threads);
-  } else {
-    plan = core.Run();
-  }
+  PlanNodePtr plan = core.Run();
 
   if (options.validate && plan != nullptr) {
     // The memo must never be polluted: every entry keys a connected
@@ -76,8 +68,6 @@ OptimizeResult RunTdCmdWithRules(const OptimizerInputs& inputs,
   result.memo_hits = core.stats().memo_hits;
   result.memo_misses = core.stats().memo_misses;
   result.local_short_circuits = core.stats().local_short_circuits;
-  result.workers = core.stats().workers;
-  result.busy_seconds = core.stats().busy_seconds;
   return result;
 }
 

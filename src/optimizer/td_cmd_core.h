@@ -19,37 +19,24 @@
 // Memory management (DESIGN.md §12): enumeration constructs candidates,
 // not shared plan nodes. Every subplan is a PlanCandidate allocated from a
 // bump-pointer Arena via the arena-taking hooks and PlanBuilder::JoinIn,
-// the memo tables are flat open-addressed FlatTpSetMaps storing raw
-// candidate pointers, and only the winning root candidate is deep-copied
+// the memo is a flat open-addressed FlatTpSetMap storing raw candidate
+// pointers, and only the winning root candidate is deep-copied
 // into the PlanNodePtr representation the rest of the system consumes.
 // Losing candidates are never freed individually; they die wholesale with
-// the core's arenas. The sequential path owns one arena; RunParallel gives
-// each chunk its own (workers publish memo entries across arenas, so every
-// arena lives as long as the core). Nothing is reset between runs — a
-// repeated Run() keeps its warm memo, whose entries point into the arenas.
+// the core's arena. Nothing is reset between runs — a repeated Run() keeps
+// its warm memo, whose entries point into the arena.
 //
-// RunParallel fans the root-level cmds out to a worker pool. Workers share
-// a shard-striped memo (kMemoShards mutex-guarded flat maps keyed by
-// TpSetHash) so subproblem plans are reused across branches, the
-// deadline/memo-cap abort is an atomic flag probed on the sequential
-// path's cadence, and the root reduction tie-breaks equal-cost candidates
-// by canonical enumeration index — so parallel and sequential runs return
-// plans of identical cost (and shape) for every query. Racing workers may
-// derive the same subquery twice; both derive the identical plan (the
-// recursion is a pure function of the bitset given the shared,
-// deterministic estimator), so first-insert-wins keeps the memo
-// consistent.
+// The enumeration is single-threaded. Parallelism lives across queries
+// (ParallelOptimizer, QueryServer) and in the executor, never inside one
+// enumeration.
 
 #ifndef PARQO_OPTIMIZER_TD_CMD_CORE_H_
 #define PARQO_OPTIMIZER_TD_CMD_CORE_H_
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -60,8 +47,6 @@
 #include "common/scratch_pool.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "common/tp_set.h"
 #include "optimizer/cmd_enumerator.h"
 #include "optimizer/plan_validator.h"
@@ -103,12 +88,6 @@ struct TdCmdStats {
   std::uint64_t local_short_circuits = 0;
   bool timed_out = false;
   TdAbortCause abort_cause = TdAbortCause::kNone;
-  /// RunParallel only: worker count, chunk count, and the summed busy
-  /// seconds across chunk executions. busy_seconds / (workers * wall)
-  /// is the utilization of the parallel fan-out.
-  int workers = 1;
-  int chunks = 0;
-  double busy_seconds = 0;
 };
 
 template <typename Graph, typename LeafPlanFn, typename IsLocalFn,
@@ -132,366 +111,85 @@ class TdCmdCore {
         timeout_seconds_(timeout_seconds),
         deadline_(deadline) {}
 
-  /// Optimizes the full query single-threaded. Returns nullptr on timeout;
-  /// on deadline expiry returns the best complete plan found so far
-  /// (possibly null when the deadline fired before any plan completed).
+  /// Optimizes the full query. Returns nullptr on timeout; on deadline
+  /// expiry returns the best complete plan found so far (possibly null
+  /// when the deadline fired before any plan completed).
   PlanNodePtr Run() {
     stopwatch_.Restart();
-    ResetRunState();
-    Ctx ctx;
-    ctx.arena = &arena_;
+    // Deliberately keeps the memo and the arena: a repeated run reuses the
+    // warm memo, whose entries point into the arena.
+    stats_ = TdCmdStats{};
+    probe_ = 0;
     const PlanCandidate* plan =
-        GetBestPlan<false>(graph_.AllTps(), /*is_local=*/false, ctx);
-    stats_.enumerated_cmds = ctx.enumerated;
+        GetBestPlan(graph_.AllTps(), /*is_local=*/false);
     stats_.memo_entries = memo_.size();
-    FlushCtx(ctx);
-    FinishStats();
+    stats_.timed_out = Aborted();
     if (!KeepPlanOnAbort() || plan == nullptr) return nullptr;
     return MaterializePlan(*plan);
   }
 
-  /// Optimizes the full query with up to `num_threads` workers drawn from
-  /// `pool` (the caller participates, so nesting inside a pool task is
-  /// safe). Falls back to Run() when num_threads <= 1. Returns a plan of
-  /// cost identical to Run()'s, or nullptr on timeout.
-  PlanNodePtr RunParallel(ThreadPool& pool, int num_threads) {
-    if (num_threads <= 1) return Run();
-    stopwatch_.Restart();
-    ResetRunState();
-    memo_size_.store(0, std::memory_order_relaxed);
-    stats_.workers = num_threads;
-
-    TpSet all = graph_.AllTps();
-    if (all.Count() == 1) {
-      return MaterializePlan(*leaf_plan_(arena_, all.First()));
-    }
-    bool root_local = is_local_(all);
-    if (root_local && rules_.local_short_circuit) {
-      stats_.local_short_circuits = 1;
-      // Rule 3, same as the sequential path.
-      return MaterializePlan(*local_plan_(arena_, all));
-    }
-
-    // Materialize the root-level cmds in canonical enumeration order;
-    // the index into this vector is the determinism tie-breaker.
-    struct RootCmd {
-      std::vector<TpSet> parts;
-      VarId vj;
-    };
-    std::vector<RootCmd> cmds;
-    Ctx root_ctx;
-    root_ctx.arena = &arena_;
-    EnumerateCmds(
-        graph_, all, rules_.cmd_mode,
-        [&](std::span<const TpSet> parts, VarId vj) {
-          ++root_ctx.enumerated;
-          if (!CheckDeadline<true>(root_ctx)) return false;
-          if (rules_.validate) {
-            PARQO_CHECK_OK(ValidateDivision(graph_, all, parts, vj));
-          }
-          cmds.emplace_back(RootCmd{
-              std::vector<TpSet>(parts.begin(), parts.end()), vj});
-          return true;
-        },
-        &root_ctx.enum_scratch);
-    if (Aborted()) {
-      stats_.enumerated_cmds = root_ctx.enumerated;
-      FlushCtx(root_ctx);
-      FinishStats();
-      // Deadline expiry during root materialization mirrors the
-      // sequential path, whose root scan is seeded with the local plan.
-      if (KeepPlanOnAbort() && root_local) {
-        return MaterializePlan(*local_plan_(arena_, all));
-      }
-      return nullptr;
-    }
-
-    // A candidate root operator: (cost, canonical index) orders exactly
-    // like the sequential strict-< "first cheapest wins" scan.
-    struct Candidate {
-      double cost = std::numeric_limits<double>::infinity();
-      std::int64_t index = std::numeric_limits<std::int64_t>::max();
-      const PlanCandidate* plan = nullptr;
-      void Offer(double c, std::int64_t i, const PlanCandidate* p) {
-        if (c < cost || (c == cost && i < index)) {
-          cost = c;
-          index = i;
-          plan = p;
-        }
-      }
-    };
-
-    // Contiguous chunks keep per-chunk winners comparable by global index.
-    const int num_chunks = static_cast<int>(
-        std::min(cmds.size(), static_cast<std::size_t>(num_threads) * 4));
-    std::vector<Candidate> chunk_best(std::max(num_chunks, 1));
-    // validate only: cheapest alternative each chunk saw, for the
-    // "winner is no worse than every recorded alternative" cross-check.
-    std::vector<double> chunk_min(
-        std::max(num_chunks, 1), std::numeric_limits<double>::infinity());
-    std::atomic<std::uint64_t> enumerated{0};
-
-    // One arena per chunk, each kept alive for the lifetime of the core:
-    // memo entries allocated by one chunk are read by every other worker
-    // (and by ForEachMemoEntry after the run). Repeated runs reuse them —
-    // never Reset() here, the warm memo still points into them.
-    while (chunk_arenas_.size() < static_cast<std::size_t>(num_chunks)) {
-      chunk_arenas_.push_back(std::make_unique<Arena>());
-    }
-
-    if (num_chunks > 0) {
-      pool.ParallelFor(
-          num_chunks,
-          [&](int chunk) {
-            Stopwatch chunk_watch;
-            Ctx ctx;
-            ctx.arena = chunk_arenas_[chunk].get();
-            Candidate best;
-            const std::size_t lo = cmds.size() * chunk / num_chunks;
-            const std::size_t hi = cmds.size() * (chunk + 1) / num_chunks;
-            std::vector<const PlanCandidate*> children;
-            for (std::size_t i = lo; i < hi; ++i) {
-              // Root cmds were counted during materialization; only probe.
-              if (!CheckDeadline<true>(ctx)) break;
-              const RootCmd& cmd = cmds[i];
-              children.clear();
-              for (TpSet part : cmd.parts) {
-                children.push_back(GetBestPlan<true>(part, root_local, ctx));
-                if (Aborted()) break;
-              }
-              if (Aborted()) break;
-              bool broadcast_ok = !rules_.binary_broadcast_only ||
-                                  cmd.parts.size() == 2;  // Rule 2
-              if (broadcast_ok) {
-                const PlanCandidate* cand = builder_.JoinIn(
-                    *ctx.arena, JoinMethod::kBroadcast, cmd.vj, children);
-                if (rules_.validate) {
-                  PARQO_CHECK(std::isfinite(cand->total_cost) &&
-                              cand->total_cost >= 0);
-                  chunk_min[chunk] =
-                      std::min(chunk_min[chunk], cand->total_cost);
-                }
-                best.Offer(cand->total_cost, static_cast<std::int64_t>(2 * i),
-                           cand);
-              }
-              const PlanCandidate* cand = builder_.JoinIn(
-                  *ctx.arena, JoinMethod::kRepartition, cmd.vj, children);
-              if (rules_.validate) {
-                PARQO_CHECK(std::isfinite(cand->total_cost) &&
-                            cand->total_cost >= 0);
-                chunk_min[chunk] =
-                    std::min(chunk_min[chunk], cand->total_cost);
-              }
-              best.Offer(cand->total_cost,
-                         static_cast<std::int64_t>(2 * i + 1), cand);
-            }
-            chunk_best[chunk] = std::move(best);
-            enumerated.fetch_add(ctx.enumerated, std::memory_order_relaxed);
-            FlushCtx(ctx);
-            busy_us_acc_.fetch_add(
-                static_cast<std::uint64_t>(chunk_watch.ElapsedSeconds() *
-                                           1e6),
-                std::memory_order_relaxed);
-          },
-          num_threads);
-    }
-
-    Candidate best;
-    if (root_local) {
-      // Algorithm 1 line 10 seeds the scan with the local plan; index -1
-      // reproduces "cmds must be strictly cheaper to displace it".
-      const PlanCandidate* local = local_plan_(arena_, all);
-      best.Offer(local->total_cost, -1, local);
-    }
-    for (Candidate& c : chunk_best) {
-      if (c.plan != nullptr) best.Offer(c.cost, c.index, c.plan);
-    }
-    if (rules_.validate && best.plan != nullptr && !Aborted()) {
-      for (double m : chunk_min) PARQO_CHECK(best.cost <= m);
-    }
-
-    stats_.enumerated_cmds =
-        root_ctx.enumerated + enumerated.load(std::memory_order_relaxed);
-    stats_.memo_entries = memo_size_.load(std::memory_order_relaxed);
-    stats_.chunks = num_chunks;
-    FlushCtx(root_ctx);
-    FinishStats();
-    if (!KeepPlanOnAbort() || best.plan == nullptr) return nullptr;
-    return MaterializePlan(*best.plan);
-  }
-
   const TdCmdStats& stats() const { return stats_; }
 
-  /// Post-run inspection of the memo (both the sequential map and the
-  /// parallel shards), for OptimizeOptions::validate wiring and tests.
-  /// Each candidate entry is materialized into a fresh PlanNodePtr for the
-  /// visitor — this is the validation cold path, never enumeration. Not
-  /// thread-safe against a concurrent run.
+  /// Post-run inspection of the memo, for OptimizeOptions::validate wiring
+  /// and tests. Each candidate entry is materialized into a fresh
+  /// PlanNodePtr for the visitor — this is the validation cold path, never
+  /// enumeration.
   template <typename Fn>
   void ForEachMemoEntry(Fn&& fn) const {
     memo_.ForEach([&](TpSet q, const PlanCandidate* plan) {
       fn(q, plan != nullptr ? MaterializePlan(*plan) : nullptr);
     });
-    for (const MemoShard& shard : shards_) {
-      // Post-run cold path; the lock is uncontended but keeps this read
-      // honest under the thread-safety analysis (and safe if a caller
-      // ever races it with a run despite the documented contract).
-      MutexLock lock(shard.mu);
-      shard.map.ForEach([&](TpSet q, const PlanCandidate* plan) {
-        fn(q, plan != nullptr ? MaterializePlan(*plan) : nullptr);
-      });
-    }
   }
 
  private:
-  /// Per-worker (or per-run, sequentially) mutable state: the worker's
-  /// arena, the reusable enumeration scratch, the deadline probe counter,
-  /// and the local share of the enumeration counter.
-  struct Ctx {
-    Arena* arena = nullptr;
-    CmdEnumScratch enum_scratch;
-    /// Depth-indexed reusable child-plan vectors for BestPlanGen's
-    /// recursion (one live vector per recursion level).
-    ScratchPool<const PlanCandidate*> children_pool;
-    std::uint64_t probe = 0;
-    std::uint64_t enumerated = 0;
-    std::uint64_t memo_hits = 0;
-    std::uint64_t memo_misses = 0;
-    std::uint64_t local_sc = 0;
-  };
-
-  static constexpr std::size_t kMemoShards = 64;  // power of two
-
-  struct MemoShard {
-    /// Held only around the flat-map probe/publish; BestPlanGen's
-    /// recursion (which re-enters sibling shards at this same rank) runs
-    /// strictly outside it. Mutable so the post-run const inspection
-    /// path (ForEachMemoEntry) can lock too.
-    mutable Mutex mu{LockRank::kMemoShard};
-    FlatTpSetMap<const PlanCandidate*> map PARQO_GUARDED_BY(mu);
-  };
-
-  bool Aborted() const { return aborted_.load(std::memory_order_relaxed); }
+  bool Aborted() const { return stats_.abort_cause != TdAbortCause::kNone; }
 
   /// Whether an end-of-run plan may be returned to the caller. Timeout and
   /// memo-cap aborts discard it (pre-deadline semantics, bit-identical for
   /// callers that never set a deadline); a deadline abort keeps the best
   /// complete plan. Candidates only ever enter `best` after all children
-  /// derived cleanly (the enumeration loops re-probe Aborted() after every
+  /// derived cleanly (the enumeration loop re-probes Aborted() after every
   /// child), so a kept plan is always complete and correctly costed.
   bool KeepPlanOnAbort() const {
-    if (!Aborted()) return true;
-    return abort_cause_.load(std::memory_order_relaxed) ==
-           static_cast<int>(TdAbortCause::kDeadline);
+    return !Aborted() || stats_.abort_cause == TdAbortCause::kDeadline;
   }
 
-  /// Folds a worker's (or the sequential run's) counters into the shared
-  /// accumulators. Called once per chunk/run, never on the hot path.
-  void FlushCtx(const Ctx& ctx) {
-    memo_hits_acc_.fetch_add(ctx.memo_hits, std::memory_order_relaxed);
-    memo_misses_acc_.fetch_add(ctx.memo_misses, std::memory_order_relaxed);
-    local_sc_acc_.fetch_add(ctx.local_sc, std::memory_order_relaxed);
-  }
-
-  /// Copies the accumulators and abort state into stats_ at end of run.
-  void FinishStats() {
-    stats_.memo_hits = memo_hits_acc_.load(std::memory_order_relaxed);
-    stats_.memo_misses = memo_misses_acc_.load(std::memory_order_relaxed);
-    stats_.local_short_circuits =
-        local_sc_acc_.load(std::memory_order_relaxed);
-    stats_.busy_seconds =
-        static_cast<double>(busy_us_acc_.load(std::memory_order_relaxed)) *
-        1e-6;
-    stats_.timed_out = Aborted();
-    stats_.abort_cause = static_cast<TdAbortCause>(
-        abort_cause_.load(std::memory_order_relaxed));
-  }
-
-  void ResetRunState() {
-    aborted_.store(false, std::memory_order_relaxed);
-    abort_cause_.store(static_cast<int>(TdAbortCause::kNone),
-                       std::memory_order_relaxed);
-    memo_hits_acc_.store(0, std::memory_order_relaxed);
-    memo_misses_acc_.store(0, std::memory_order_relaxed);
-    local_sc_acc_.store(0, std::memory_order_relaxed);
-    busy_us_acc_.store(0, std::memory_order_relaxed);
-    stats_ = TdCmdStats{};
-    // Deliberately does NOT touch the memos or the arenas: a repeated run
-    // reuses the warm memo, whose entries point into the arenas.
-  }
-
-  template <bool kParallel>
-  bool CheckDeadline(Ctx& ctx) {
+  /// Every 1024th call probes the deadline, the timeout and the memo cap
+  /// and records the first that fired. False once the run is aborted.
+  bool CheckDeadline() {
     if (Aborted()) return false;
-    if ((++ctx.probe & 0x3ff) == 0) {
-      std::size_t memo_size =
-          kParallel ? memo_size_.load(std::memory_order_relaxed)
-                    : memo_.size();
+    if ((++probe_ & 0x3ff) == 0) {
       if (deadline_.Expired()) {
-        abort_cause_.store(static_cast<int>(TdAbortCause::kDeadline),
-                           std::memory_order_relaxed);
-        aborted_.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      if (stopwatch_.ElapsedSeconds() > timeout_seconds_) {
-        abort_cause_.store(static_cast<int>(TdAbortCause::kTimeout),
-                           std::memory_order_relaxed);
-        aborted_.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      if (memo_size > rules_.memo_cap) {
-        abort_cause_.store(static_cast<int>(TdAbortCause::kMemoCap),
-                           std::memory_order_relaxed);
-        aborted_.store(true, std::memory_order_relaxed);
-        return false;
+        stats_.abort_cause = TdAbortCause::kDeadline;
+      } else if (stopwatch_.ElapsedSeconds() > timeout_seconds_) {
+        stats_.abort_cause = TdAbortCause::kTimeout;
+      } else if (memo_.size() > rules_.memo_cap) {
+        stats_.abort_cause = TdAbortCause::kMemoCap;
       }
     }
-    return true;
+    return !Aborted();
   }
 
-  template <bool kParallel>
-  const PlanCandidate* GetBestPlan(TpSet q, bool is_local, Ctx& ctx) {
-    if constexpr (kParallel) {
-      MemoShard& shard = shards_[TpSetHash{}(q) & (kMemoShards - 1)];
-      {
-        MutexLock lock(shard.mu);
-        if (const PlanCandidate* const* hit = shard.map.Find(q)) {
-          ++ctx.memo_hits;
-          return *hit;
-        }
-      }
-      ++ctx.memo_misses;
-      if (!is_local) is_local = is_local_(q);
-      const PlanCandidate* plan = BestPlanGen<true>(q, is_local, ctx);
-      if (!Aborted()) {
-        MutexLock lock(shard.mu);
-        if (shard.map.EmplaceFirstWins(q, plan).second) {
-          memo_size_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      return plan;
-    } else {
-      if (const PlanCandidate* const* hit = memo_.Find(q)) {
-        ++ctx.memo_hits;
-        return *hit;
-      }
-      ++ctx.memo_misses;
-      if (!is_local) is_local = is_local_(q);
-      const PlanCandidate* plan = BestPlanGen<false>(q, is_local, ctx);
-      if (!Aborted()) memo_.EmplaceFirstWins(q, plan);
-      return plan;
+  const PlanCandidate* GetBestPlan(TpSet q, bool is_local) {
+    if (const PlanCandidate* const* hit = memo_.Find(q)) {
+      ++stats_.memo_hits;
+      return *hit;
     }
+    ++stats_.memo_misses;
+    if (!is_local) is_local = is_local_(q);
+    const PlanCandidate* plan = BestPlanGen(q, is_local);
+    if (!Aborted()) memo_.EmplaceFirstWins(q, plan);
+    return plan;
   }
 
-  template <bool kParallel>
-  const PlanCandidate* BestPlanGen(TpSet q, bool is_local, Ctx& ctx) {
-    if (q.Count() == 1) return leaf_plan_(*ctx.arena, q.First());
+  const PlanCandidate* BestPlanGen(TpSet q, bool is_local) {
+    if (q.Count() == 1) return leaf_plan_(arena_, q.First());
 
     const PlanCandidate* best = nullptr;
     if (is_local) {
-      best = local_plan_(*ctx.arena, q);
+      best = local_plan_(arena_, q);
       if (rules_.local_short_circuit) {  // Rule 3
-        ++ctx.local_sc;
+        ++stats_.local_short_circuits;
         return best;
       }
     }
@@ -509,34 +207,33 @@ class TdCmdCore {
     };
 
     typename ScratchPool<const PlanCandidate*>::Lease children(
-        ctx.children_pool);
+        children_pool_);
     EnumerateCmds(
         graph_, q, rules_.cmd_mode,
         [&](std::span<const TpSet> parts, VarId vj) {
-          ++ctx.enumerated;
-          if (!CheckDeadline<kParallel>(ctx)) return false;
+          ++stats_.enumerated_cmds;
+          if (!CheckDeadline()) return false;
           if (rules_.validate) {
             PARQO_CHECK_OK(ValidateDivision(graph_, q, parts, vj));
           }
 
           children->clear();
           for (TpSet part : parts) {
-            children->push_back(
-                GetBestPlan<kParallel>(part, is_local, ctx));
+            children->push_back(GetBestPlan(part, is_local));
             if (Aborted()) return false;
           }
           // Line 15-19: try each distributed join algorithm on this cmd.
           bool broadcast_ok =
               !rules_.binary_broadcast_only || parts.size() == 2;  // Rule 2
           if (broadcast_ok) {
-            consider(builder_.JoinIn(*ctx.arena, JoinMethod::kBroadcast,
-                                     vj, *children));
+            consider(builder_.JoinIn(arena_, JoinMethod::kBroadcast, vj,
+                                     *children));
           }
-          consider(builder_.JoinIn(*ctx.arena, JoinMethod::kRepartition,
-                                   vj, *children));
+          consider(builder_.JoinIn(arena_, JoinMethod::kRepartition, vj,
+                                   *children));
           return true;
         },
-        &ctx.enum_scratch);
+        &enum_scratch_);
     if (rules_.validate && best != nullptr && !Aborted()) {
       // The plan this subquery memoizes must be no worse than every
       // alternative recorded during its enumeration.
@@ -555,24 +252,15 @@ class TdCmdCore {
   Deadline deadline_;
 
   Stopwatch stopwatch_;
-  std::atomic<bool> aborted_{false};
-  std::atomic<int> abort_cause_{0};
-  std::atomic<std::uint64_t> memo_hits_acc_{0};
-  std::atomic<std::uint64_t> memo_misses_acc_{0};
-  std::atomic<std::uint64_t> local_sc_acc_{0};
-  std::atomic<std::uint64_t> busy_us_acc_{0};
+  /// Counters and the abort cause of the current run.
   TdCmdStats stats_;
-  /// Sequential-path arena and memo: no locking on the hot lookup.
+  std::uint64_t probe_ = 0;  ///< CheckDeadline calls this run.
   Arena arena_;
   FlatTpSetMap<const PlanCandidate*> memo_;
-  /// Parallel-path memo: shard-striped, shared by all workers. Values are
-  /// candidate pointers into the chunk arenas below.
-  std::array<MemoShard, kMemoShards> shards_;
-  std::atomic<std::size_t> memo_size_{0};
-  /// One arena per parallel chunk, created on demand and retained for the
-  /// core's lifetime (memo entries are handed across workers and read
-  /// after the run by ForEachMemoEntry).
-  std::vector<std::unique_ptr<Arena>> chunk_arenas_;
+  CmdEnumScratch enum_scratch_;
+  /// Depth-indexed reusable child-plan vectors for BestPlanGen's
+  /// recursion (one live vector per recursion level).
+  ScratchPool<const PlanCandidate*> children_pool_;
 };
 
 }  // namespace parqo

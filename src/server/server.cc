@@ -32,7 +32,8 @@ QueryServer::QueryServer(const RdfGraph& graph, const Cluster& cluster,
                                  config_.admission_queue_wait_seconds,
                                  config_.shed_p99_seconds},
                  health_.get()),
-      optimizer_(config_.num_threads) {}
+      pool_(config_.num_threads > 0 ? config_.num_threads
+                                    : ThreadPool::DefaultConcurrency()) {}
 
 ServeResult QueryServer::Serve(const std::vector<TriplePattern>& patterns,
                                double deadline_seconds) {
@@ -105,9 +106,6 @@ ServeResult QueryServer::ServeAdmitted(
                                          : deadline_seconds;
     options.deadline = budget > 0 ? Deadline::AfterSeconds(budget)
                                   : Deadline::Infinite();
-    if (options.num_threads > 1 && options.thread_pool == nullptr) {
-      options.thread_pool = &optimizer_.pool();
-    }
     OptimizeResult opt =
         Optimize(config_.algorithm, prepared.inputs(), options);
     out.optimize_seconds = opt.seconds;
@@ -182,7 +180,7 @@ void QueryServer::ServeConcurrent(
     const std::vector<std::vector<TriplePattern>>& stream, int clients,
     const std::function<void(std::size_t, ServeResult)>& consume) {
   PARQO_CHECK(clients >= 1);
-  optimizer_.pool().ParallelFor(
+  pool_.ParallelFor(
       static_cast<int>(stream.size()),
       [&](int i) { consume(static_cast<std::size_t>(i), Serve(stream[i])); },
       clients);

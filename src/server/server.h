@@ -52,11 +52,11 @@
 
 #include "common/fault.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "exec/binding_table.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
 #include "exec/health.h"
-#include "optimizer/parallel_optimizer.h"
 #include "optimizer/prepared_query.h"
 #include "rdf/graph.h"
 #include "server/admission.h"
@@ -81,8 +81,8 @@ struct ServerConfig {
   /// poisons future requests that have budget) and upgrades the entry
   /// when the re-optimization completes cleanly.
   bool reoptimize_degraded_hits = true;
-  /// Serving pool size (ServeConcurrent workers and intra-query
-  /// optimizer threads); <= 0 selects hardware_concurrency.
+  /// Serving pool size (ServeConcurrent workers); <= 0 selects
+  /// hardware_concurrency.
   int num_threads = 0;
   /// Executor knobs; `retry` bounds fault recovery under a FaultScope.
   bool parallel_exec_nodes = false;
@@ -174,7 +174,6 @@ class QueryServer {
 
   PlanCache& cache() { return cache_; }
   AdmissionController& admission() { return admission_; }
-  ThreadPool& pool() { return optimizer_.pool(); }
   const ServerConfig& config() const { return config_; }
   /// Null when the matching config knob is off.
   NodeHealthRegistry* health() { return health_.get(); }
@@ -194,8 +193,8 @@ class QueryServer {
   std::unique_ptr<RetryBudget> retry_budget_;
   PlanCache cache_;
   AdmissionController admission_;
-  /// Owns the serving pool; also used for batch optimization.
-  ParallelOptimizer optimizer_;
+  /// Runs ServeConcurrent's sessions.
+  ThreadPool pool_;
 };
 
 }  // namespace parqo

@@ -7,8 +7,9 @@
 // the subquery bitset, so every optimizer sees identical statistics and
 // memoized plans can be compared across algorithms.
 //
-// The memo is striped over mutex-guarded shards so concurrent enumeration
-// workers (see td_cmd_core.h) share one estimator. Each shard pairs a flat
+// The memo is striped over mutex-guarded shards because one estimator can
+// serve several optimizer runs at once: ParallelOptimizer::OptimizeBatch
+// may hand the same PreparedQuery to two workers. Each shard pairs a flat
 // open-addressed index (FlatTpSetMap, bitset keys probed inline — no
 // per-node allocation, no pointer chase) with a deque that owns the
 // derived entries: deque growth never moves existing elements, so a

@@ -575,23 +575,6 @@ TEST(ChaosDeadlineTest, ExpiredDeadlineStillYieldsExecutablePlan) {
                   .ok());
 }
 
-TEST(ChaosDeadlineTest, ExpiredDeadlineParallelEnumerator) {
-  Rng rng(11);
-  GeneratedQuery q = GenerateRandomQuery(QueryShape::kDense, 12, rng);
-  testing::QueryFixture fixture(q, /*use_hash_locality=*/false);
-
-  OptimizeOptions options;
-  options.timeout_seconds = 60;
-  options.num_threads = 2;
-  options.deadline = Deadline::AfterSeconds(0);
-  OptimizeResult r = Optimize(Algorithm::kTdCmd, fixture.inputs(), options);
-  ASSERT_NE(r.plan, nullptr);
-  EXPECT_EQ(r.abort_cause, AbortCause::kDeadline);
-  EXPECT_TRUE(ValidatePlan(*r.plan, fixture.jg(),
-                           fixture.inputs().local_index)
-                  .ok());
-}
-
 TEST(ChaosDeadlineTest, MscFallbackCoversEveryAlgorithm) {
   // MSC under an expired deadline aborts before its first flat plan; the
   // Optimize() wrapper must re-run it with the deadline lifted so the

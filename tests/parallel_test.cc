@@ -1,10 +1,9 @@
-// The parallel-optimizer determinism contract and the thread-pool
-// plumbing. The load-bearing property: for every query and every
-// algorithm, a parallel run (intra-query workers, inter-query batch, or
-// both nested) returns a plan of cost identical to the sequential run —
-// tie-breaking is by canonical enumeration order, never arrival order.
-// These tests are also the ThreadSanitizer surface for the sharded memo,
-// the shared estimator, and the pool itself (see the CI tsan job).
+// The inter-query batch optimizer and the thread-pool plumbing. The
+// load-bearing property: an OptimizeBatch entry returns a plan of cost
+// identical to a sequential Optimize() of the same query, whatever the
+// scheduling. These tests are also the ThreadSanitizer surface for the
+// estimator memo shared by batch entries and for the pool itself (see
+// the CI tsan job).
 
 #include "optimizer/parallel_optimizer.h"
 
@@ -21,17 +20,10 @@
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
-#include "sparql/parser.h"
-#include "tests/optimizer_test_util.h"
-#include "workload/benchmark_queries.h"
-#include "workload/lubm.h"
 #include "workload/random_query.h"
-#include "workload/uniprot.h"
 
 namespace parqo {
 namespace {
-
-using testing::QueryFixture;
 
 const std::vector<Algorithm> kTdFamily{Algorithm::kTdCmd, Algorithm::kTdCmdp,
                                        Algorithm::kHgrTdCmd,
@@ -80,91 +72,6 @@ TEST(ThreadPoolTest, MaxWorkersCapIsRespected) {
   std::atomic<int> total{0};
   pool.ParallelFor(100, [&](int) { total.fetch_add(1); }, /*max_workers=*/2);
   EXPECT_EQ(total.load(), 100);
-}
-
-// --- Intra-query determinism -------------------------------------------
-
-OptimizeResult RunWithThreads(const QueryFixture& fx, Algorithm algorithm,
-                              int num_threads) {
-  OptimizeOptions options;
-  options.num_threads = num_threads;
-  return Optimize(algorithm, fx.inputs(), options);
-}
-
-TEST(ParallelDeterminismTest, FiftyRandomQueriesAllAlgorithms) {
-  // 50 random queries spanning every shape; every TD-family algorithm;
-  // parallel (4 workers) vs sequential must agree on plan cost exactly.
-  const QueryShape kShapes[] = {QueryShape::kStar, QueryShape::kChain,
-                                QueryShape::kCycle, QueryShape::kTree,
-                                QueryShape::kDense};
-  Rng rng(20170547);
-  for (int i = 0; i < 50; ++i) {
-    QueryShape shape = kShapes[i % 5];
-    int n = 5 + static_cast<int>(rng.Uniform(0, 5));  // 5..9 patterns
-    GeneratedQuery q = GenerateRandomQuery(shape, n, rng);
-    for (Algorithm algorithm : kTdFamily) {
-      QueryFixture seq_fx(q), par_fx(q);
-      OptimizeResult seq = RunWithThreads(seq_fx, algorithm, 1);
-      OptimizeResult par = RunWithThreads(par_fx, algorithm, 4);
-      ASSERT_NE(seq.plan, nullptr)
-          << ToString(algorithm) << " query " << i;
-      ASSERT_NE(par.plan, nullptr)
-          << ToString(algorithm) << " query " << i;
-      EXPECT_EQ(par.plan->total_cost, seq.plan->total_cost)
-          << ToString(algorithm) << " query " << i << " shape "
-          << ToString(shape) << " n=" << n;
-      // The tie-break argument gives identical plan *shape* too.
-      EXPECT_EQ(PlanToCompactString(*par.plan),
-                PlanToCompactString(*seq.plan))
-          << ToString(algorithm) << " query " << i;
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, BenchmarkQueriesOnRealStatistics) {
-  // L1-L10 / U1-U5 with exact statistics from generated data — the
-  // Table IV setting — across all four algorithms, sequential vs 4
-  // workers.
-  LubmConfig lubm_cfg;
-  lubm_cfg.universities = 2;
-  RdfGraph lubm = GenerateLubm(lubm_cfg);
-  UniprotConfig uni_cfg;
-  uni_cfg.proteins = 400;
-  RdfGraph uniprot = GenerateUniprot(uni_cfg);
-  HashSoPartitioner hash;
-
-  OptimizeOptions seq_opts;
-  seq_opts.timeout_seconds = 120;
-  OptimizeOptions par_opts = seq_opts;
-  par_opts.num_threads = 4;
-
-  for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
-    auto parsed = ParseSparql(bq.sparql);
-    ASSERT_TRUE(parsed.ok()) << bq.name;
-    const RdfGraph& data = bq.lubm ? lubm : uniprot;
-    PreparedQuery seq_q(parsed->patterns, hash, StatsFromData(data));
-    PreparedQuery par_q(parsed->patterns, hash, StatsFromData(data));
-    for (Algorithm algorithm : kTdFamily) {
-      OptimizeResult seq = Optimize(algorithm, seq_q.inputs(), seq_opts);
-      OptimizeResult par = Optimize(algorithm, par_q.inputs(), par_opts);
-      if (seq.timed_out || par.timed_out) continue;  // can't compare
-      ASSERT_NE(seq.plan, nullptr) << bq.name << " " << ToString(algorithm);
-      ASSERT_NE(par.plan, nullptr) << bq.name << " " << ToString(algorithm);
-      EXPECT_EQ(par.plan->total_cost, seq.plan->total_cost)
-          << bq.name << " " << ToString(algorithm);
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, ParallelTimeoutReturnsNoPlan) {
-  Rng rng(4);
-  QueryFixture fx(GenerateRandomQuery(QueryShape::kDense, 24, rng));
-  OptimizeOptions options;
-  options.timeout_seconds = 1e-4;
-  options.num_threads = 4;
-  OptimizeResult r = Optimize(Algorithm::kTdCmd, fx.inputs(), options);
-  EXPECT_TRUE(r.timed_out);
-  EXPECT_EQ(r.plan, nullptr);
 }
 
 // --- Inter-query batch --------------------------------------------------
@@ -231,38 +138,55 @@ TEST(ParallelOptimizerTest, MixedAlgorithmBatch) {
 
 // --- Concurrency smoke (the TSan target) --------------------------------
 
-TEST(ConcurrencySmokeTest, NestedBatchAndIntraQueryWorkers) {
-  // Inter-query batch on 8 workers where every query also enables
-  // intra-query workers from the same pool: the nesting stresses the
-  // sharded plan memo, the sharded estimator memo, the atomic abort, and
-  // ParallelFor's caller-participation (deadlock-freedom) all at once.
+TEST(ConcurrencySmokeTest, BatchEntriesSharePreparedQueries) {
+  // Every query appears once per TD-family algorithm in one batch on 8
+  // workers, so several workers optimize the same PreparedQuery at once
+  // and race on its estimator's sharded memo. Each round prepares fresh
+  // queries so the estimator starts cold and the racing derivations
+  // happen again. Every plan must cost exactly what a sequential run on
+  // a private PreparedQuery costs.
   Rng rng(2017);
   HashSoPartitioner hash;
   std::vector<GeneratedQuery> generated;
   const QueryShape kShapes[] = {QueryShape::kTree, QueryShape::kDense,
                                 QueryShape::kCycle};
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 6; ++i) {
     generated.push_back(
         GenerateRandomQuery(kShapes[i % 3], 7 + i % 4, rng));
   }
-  std::vector<std::unique_ptr<PreparedQuery>> prepared;
-  std::vector<const PreparedQuery*> queries;
-  for (const GeneratedQuery& q : generated) {
-    prepared.push_back(std::make_unique<PreparedQuery>(
+  auto prepare = [&](const GeneratedQuery& q) {
+    return std::make_unique<PreparedQuery>(
         q.patterns, hash,
-        [&q](const JoinGraph& jg) { return q.MakeStats(jg); }));
-    queries.push_back(prepared.back().get());
-  }
+        [&q](const JoinGraph& jg) { return q.MakeStats(jg); });
+  };
 
   OptimizeOptions options;
-  options.num_threads = 2;  // nested intra-query workers
+  std::vector<double> sequential_costs;
+  for (const GeneratedQuery& q : generated) {
+    for (Algorithm algorithm : kTdFamily) {
+      OptimizeResult r = Optimize(algorithm, prepare(q)->inputs(), options);
+      ASSERT_NE(r.plan, nullptr);
+      sequential_costs.push_back(r.plan->total_cost);
+    }
+  }
+
   ParallelOptimizer popt(8);
   for (int round = 0; round < 3; ++round) {  // pool reuse across batches
-    std::vector<OptimizeResult> results =
-        popt.OptimizeBatch(Algorithm::kTdCmd, queries, options);
+    std::vector<std::unique_ptr<PreparedQuery>> prepared;
+    std::vector<BatchQuery> batch;
+    for (const GeneratedQuery& q : generated) {
+      prepared.push_back(prepare(q));
+      for (Algorithm algorithm : kTdFamily) {
+        batch.push_back({algorithm, prepared.back().get()});
+      }
+    }
+    std::vector<OptimizeResult> results = popt.OptimizeBatch(batch, options);
+    ASSERT_EQ(results.size(), sequential_costs.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_NE(results[i].plan, nullptr) << "round " << round << " " << i;
-      EXPECT_GT(results[i].plan->total_cost, 0) << i;
+      EXPECT_EQ(results[i].plan->total_cost, sequential_costs[i])
+          << "round " << round << " " << i << " "
+          << ToString(batch[i].algorithm);
     }
   }
 }

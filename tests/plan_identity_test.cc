@@ -1,11 +1,11 @@
 // Plan-identity sweep: every benchmark query (L1-L10, U1-U5) through all
-// seven algorithms, serial and parallel, with and without the validator,
-// must produce a plan whose (cost, shape) is bit-identical to the golden
-// recorded before the arena/flat-memo refactor of the enumeration hot
-// path. The golden file (plan_identity_golden.inc) was generated from the
-// pre-arena tree with PARQO_DUMP_PLAN_IDENTITY=1, so this test is the
-// "before vs after" proof that routing candidate construction through the
-// arena and replacing the memo tables changed nothing about plan choice.
+// seven algorithms, with and without the validator, must produce a plan
+// whose (cost, shape) is bit-identical to the golden recorded before the
+// arena/flat-memo refactor of the enumeration hot path. The golden file
+// (plan_identity_golden.inc) was generated from the pre-arena tree with
+// PARQO_DUMP_PLAN_IDENTITY=1, so this test is the "before vs after" proof
+// that routing candidate construction through the arena and replacing
+// the memo tables changed nothing about plan choice.
 //
 // Regenerating (only legitimate after an intentional cost-model or
 // estimator change):
@@ -86,32 +86,21 @@ TEST(PlanIdentityTest, AllAlgorithmsMatchPreArenaGolden) {
     PreparedQuery prepared(parsed->patterns, hash, StatsFromData(data));
 
     for (Algorithm algorithm : kAllAlgorithms) {
-      // The four configurations that must all agree: serial/parallel x
-      // validator off/on. Any divergence between them is a determinism
-      // bug; any divergence from the golden is a hot-path refactor
-      // changing plan choice.
-      struct Config {
-        const char* label;
-        int threads;
-        bool validate;
-      };
-      const Config kConfigs[] = {{"serial", 1, false},
-                                 {"parallel", 4, false},
-                                 {"serial+validate", 1, true},
-                                 {"parallel+validate", 4, true}};
-
+      // The validator must not change plan choice: validate off and on
+      // must agree. Any divergence from the golden is a hot-path
+      // refactor changing plan choice.
       std::string cost, shape;
-      for (const Config& config : kConfigs) {
+      for (bool validate : {false, true}) {
+        const char* label = validate ? "validate" : "plain";
         OptimizeOptions options;
         options.timeout_seconds = 120;
-        options.num_threads = config.threads;
-        options.validate = config.validate;
+        options.validate = validate;
         OptimizeResult result =
             Optimize(algorithm, prepared.inputs(), options);
         ASSERT_FALSE(result.timed_out)
-            << bq.name << " " << ToString(algorithm) << " " << config.label;
+            << bq.name << " " << ToString(algorithm) << " " << label;
         ASSERT_NE(result.plan, nullptr)
-            << bq.name << " " << ToString(algorithm) << " " << config.label;
+            << bq.name << " " << ToString(algorithm) << " " << label;
         std::string c = FormatCost(result.plan->total_cost);
         std::string s = PlanToCompactString(*result.plan);
         if (cost.empty()) {
@@ -119,9 +108,9 @@ TEST(PlanIdentityTest, AllAlgorithmsMatchPreArenaGolden) {
           shape = s;
         } else {
           EXPECT_EQ(c, cost) << bq.name << " " << ToString(algorithm)
-                             << " diverges in config " << config.label;
+                             << " diverges in config " << label;
           EXPECT_EQ(s, shape) << bq.name << " " << ToString(algorithm)
-                              << " diverges in config " << config.label;
+                              << " diverges in config " << label;
         }
       }
 

@@ -360,14 +360,14 @@ TEST(PlanValidatorCostTest, DetectsTamperedCostsAndCardinalities) {
 }
 
 //===--------------------------------------------------------------------===//
-// Full workloads under validation, multi-threaded
+// Full workloads under validation
 //===--------------------------------------------------------------------===//
 
 TEST(ValidatorWorkloadTest, AllAlgorithmsAllBenchmarkQueriesValidate) {
   // L1-L10 / U1-U5 on exact statistics from generated data, every
-  // algorithm, 4 intra-query workers, validation ON: Optimize() aborts
-  // the process if any plan, memo entry, or division violates an
-  // invariant, so merely completing this loop is the assertion.
+  // algorithm, validation ON: Optimize() aborts the process if any plan,
+  // memo entry, or division violates an invariant, so merely completing
+  // this loop is the assertion.
   LubmConfig lubm_cfg;
   lubm_cfg.universities = 2;
   RdfGraph lubm = GenerateLubm(lubm_cfg);
@@ -384,7 +384,6 @@ TEST(ValidatorWorkloadTest, AllAlgorithmsAllBenchmarkQueriesValidate) {
 
   OptimizeOptions options;
   options.validate = true;
-  options.num_threads = 4;  // the sharded memo must also validate
   options.timeout_seconds = 120;
 
   for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
