@@ -79,8 +79,11 @@ std::vector<TriplePattern> ScrambleEvent(
   for (const TriplePattern& tp : patterns) {
     for (const std::string& v : tp.Variables()) {
       if (!names.count(v)) {
-        names[v] = "v" + std::to_string(rng.Next() % 1000000) + "_" +
-                   std::to_string(names.size());
+        std::string name = "v";
+        name += std::to_string(rng.Next() % 1000000);
+        name += "_";
+        name += std::to_string(names.size());
+        names[v] = std::move(name);
       }
     }
   }

@@ -95,6 +95,38 @@ void CrashNode(Recovery& rec, ExecMetrics& m, int node) {
   RehomeLocked(rec, node);
 }
 
+// The executor's one retry loop. Each round runs `precheck()` first (a
+// non-OK status ends the loop with it), then asks for another attempt;
+// out of attempts it fails kUnavailable with "<what>: cluster retry
+// budget exhausted" or "<what> <verb> after N attempts". `on_retry()`
+// accounts every attempt after the first, then `attempt(n)` runs the
+// 0-based attempt n: true ends the loop OK, false backs off and goes
+// round again.
+template <typename What, typename Precheck, typename OnRetry,
+          typename Attempt>
+Status RetryLoop(const RetryPolicy& policy, std::uint64_t seed,
+                 What&& what, const char* verb, Precheck&& precheck,
+                 OnRetry&& on_retry, Attempt&& attempt) {
+  Retry retry(policy, seed);
+  for (;;) {
+    Status st = precheck();
+    if (!st.ok()) return st;
+    if (!retry.ShouldRetry()) {
+      if (retry.budget_exhausted()) {
+        return Status::Unavailable(what() +
+                                   ": cluster retry budget exhausted");
+      }
+      return Status::Unavailable(
+          what() + " " + verb + " after " +
+          std::to_string(retry.attempts_started()) + " attempts");
+    }
+    const int n = retry.BeginAttempt();
+    if (n > 0) on_retry();
+    if (attempt(n)) return Status::Ok();
+    SleepSeconds(retry.NextBackoffSeconds());
+  }
+}
+
 // Runs logical partition `part`'s work item for one operator with crash
 // detection: the hosting node is probed before the work runs, so a fired
 // crash loses the whole item (nothing partial is observed) and the item
@@ -103,89 +135,78 @@ void CrashNode(Recovery& rec, ExecMetrics& m, int node) {
 template <typename Work>
 Status RunOnePartition(Recovery& rec, ExecMetrics& m, const char* op,
                        int part, Work& work) {
-  Retry retry(rec.policy,
-              0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(part));
-  for (;;) {
-    int host;
-    {
-      MutexLock lock(rec.mu);
-      if (rec.alive_count == 0) {
-        return Status::Unavailable(
-            std::string(op) + ": no surviving node can host partition " +
-            std::to_string(part));
-      }
-      host = rec.host[part];
-    }
-    if (!retry.ShouldRetry()) {
-      if (retry.budget_exhausted()) {
-        return Status::Unavailable(
-            std::string(op) + " on partition " + std::to_string(part) +
-            ": cluster retry budget exhausted");
-      }
-      return Status::Unavailable(
-          std::string(op) + " on partition " + std::to_string(part) +
-          " failed after " + std::to_string(retry.attempts_started()) +
-          " attempts");
-    }
-    int attempt = retry.BeginAttempt();
-    if (attempt > 0) {
-      MutexLock lock(rec.mu);
-      ++m.recovery_attempts;
-    }
-    // Hedged straggler mitigation. The attempt's in-flight time on the
-    // simulated cluster IS its injected delay, known at dispatch
-    // (FaultPlan::PeekDelaySeconds), so the "elapsed > threshold, launch
-    // a speculative copy" watchdog collapses to a deterministic check.
-    // Winner rule: the copy with the strictly smaller in-flight delay
-    // completes first; ties keep the primary. Both copies would read the
-    // same durable partition (work(part) is keyed on the LOGICAL
-    // partition; the host only decides whose fault schedule is probed),
-    // so the winner's rows are bit-identical to the non-hedged run.
-    if (rec.health != nullptr && rec.fault != nullptr) {
-      double delay = rec.fault->PeekDelaySeconds(host);
-      if (delay > rec.health->HedgeThresholdSeconds()) {
-        int hedge = -1;
-        double hedge_delay = delay;
+  int host = -1;
+  return RetryLoop(
+      rec.policy, 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(part),
+      [&] { return std::string(op) + " on partition " + std::to_string(part); },
+      "failed",
+      [&] {
         MutexLock lock(rec.mu);
-        for (std::size_t i = 0; i < rec.alive.size(); ++i) {
-          int cand = static_cast<int>(i);
-          if (!rec.alive[i] || cand == host) continue;
-          double d = rec.fault->PeekDelaySeconds(cand);
-          if (d <= delay) {
-            hedge = cand;
-            hedge_delay = d;
-            break;
+        if (rec.alive_count == 0) {
+          return Status::Unavailable(
+              std::string(op) + ": no surviving node can host partition " +
+              std::to_string(part));
+        }
+        host = rec.host[part];
+        return Status::Ok();
+      },
+      [&] {
+        MutexLock lock(rec.mu);
+        ++m.recovery_attempts;
+      },
+      [&](int attempt) {
+        // Hedged straggler mitigation. The attempt's in-flight time on
+        // the simulated cluster IS its injected delay, known at dispatch
+        // (FaultPlan::PeekDelaySeconds), so the "elapsed > threshold,
+        // launch a speculative copy" watchdog collapses to a
+        // deterministic check. Winner rule: the copy with the strictly
+        // smaller in-flight delay completes first; ties keep the primary.
+        // Both copies would read the same durable partition (work(part)
+        // is keyed on the LOGICAL partition; the host only decides whose
+        // fault schedule is probed), so the winner's rows are
+        // bit-identical to the non-hedged run.
+        if (rec.health != nullptr && rec.fault != nullptr) {
+          double delay = rec.fault->PeekDelaySeconds(host);
+          if (delay > rec.health->HedgeThresholdSeconds()) {
+            int hedge = -1;
+            double hedge_delay = delay;
+            MutexLock lock(rec.mu);
+            for (std::size_t i = 0; i < rec.alive.size(); ++i) {
+              int cand = static_cast<int>(i);
+              if (!rec.alive[i] || cand == host) continue;
+              double d = rec.fault->PeekDelaySeconds(cand);
+              if (d <= delay) {
+                hedge = cand;
+                hedge_delay = d;
+                break;
+              }
+            }
+            if (hedge >= 0) {
+              ++m.hedged_ops;
+              if (hedge_delay < delay) {
+                ++m.hedge_wins;
+                host = hedge;  // the hedge wins; the straggler is dropped
+              }
+            }
           }
         }
-        if (hedge >= 0) {
-          ++m.hedged_ops;
-          if (hedge_delay < delay) {
-            ++m.hedge_wins;
-            host = hedge;  // the hedge wins; the straggler copy is dropped
+        Stopwatch op_watch;
+        if (rec.fault != nullptr && !rec.fault->BeginNodeOp(host)) {
+          if (rec.health != nullptr) rec.health->RecordNodeFailure(host);
+          {
+            MutexLock lock(rec.mu);
+            ++m.node_failures[host];
           }
+          CrashNode(rec, m, host);
+          return false;
         }
-      }
-    }
-    Stopwatch op_watch;
-    if (rec.fault != nullptr && !rec.fault->BeginNodeOp(host)) {
-      if (rec.health != nullptr) rec.health->RecordNodeFailure(host);
-      {
+        work(part);
         MutexLock lock(rec.mu);
-        ++m.node_failures[host];
-      }
-      CrashNode(rec, m, host);
-      SleepSeconds(retry.NextBackoffSeconds());
-      continue;
-    }
-    work(part);
-    {
-      MutexLock lock(rec.mu);
-      m.node_busy_seconds[host] += op_watch.ElapsedSeconds();
-      ++m.node_ops[host];
-      if (attempt > 0) ++m.operators_reexecuted;
-    }
-    return Status::Ok();
-  }
+        m.node_busy_seconds[host] += op_watch.ElapsedSeconds();
+        ++m.node_ops[host];
+        if (attempt > 0) ++m.operators_reexecuted;
+        return true;
+      });
 }
 
 // Fans one operator's per-partition work over the simulated nodes. The
@@ -220,30 +241,22 @@ Status DeliverBatch(Recovery& rec, ExecMetrics& m, const char* op,
     m.node_rows_received[target] += rows;
     return Status::Ok();
   }
-  Retry retry(rec.policy,
-              0x2545f4914f6cdd1dULL ^ static_cast<std::uint64_t>(target));
-  for (;;) {
-    if (!retry.ShouldRetry()) {
-      if (retry.budget_exhausted()) {
-        return Status::Unavailable(
-            std::string(op) + " shipment to node " +
-            std::to_string(target) + ": cluster retry budget exhausted");
-      }
-      return Status::Unavailable(
-          std::string(op) + " shipment to node " + std::to_string(target) +
-          " lost after " + std::to_string(retry.attempts_started()) +
-          " attempts");
-    }
-    int attempt = retry.BeginAttempt();
-    if (attempt > 0) ++m.recovery_attempts;
-    if (rec.fault->DeliverShipment()) {
-      m.node_rows_received[target] += rows;
-      return Status::Ok();
-    }
-    ++m.shipments_dropped;
-    m.rows_reshipped += rows;
-    SleepSeconds(retry.NextBackoffSeconds());
-  }
+  return RetryLoop(
+      rec.policy, 0x2545f4914f6cdd1dULL ^ static_cast<std::uint64_t>(target),
+      [&] {
+        return std::string(op) + " shipment to node " +
+               std::to_string(target);
+      },
+      "lost", [] { return Status::Ok(); }, [&] { ++m.recovery_attempts; },
+      [&](int) {
+        if (rec.fault->DeliverShipment()) {
+          m.node_rows_received[target] += rows;
+          return true;
+        }
+        ++m.shipments_dropped;
+        m.rows_reshipped += rows;
+        return false;
+      });
 }
 
 const char* SpanName(const PlanNode& node) {

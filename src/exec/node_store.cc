@@ -25,8 +25,8 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
   BindingTable out(pattern.schema);
   if (pattern.unmatchable) return out;
 
-  const DatasetIndex::RangeChoice rc =
-      DatasetIndex::ChooseRange(pattern.s, pattern.p, pattern.o);
+  const PermutationIndex::RangeChoice rc =
+      PermutationIndex::ChooseRange(pattern.s, pattern.p, pattern.o);
   const CompressedKeyIndex& idx = index_.perm(rc.perm);
   const auto [first_page, end_page] = idx.PageSpan(rc.lo, rc.hi);
   const std::size_t num_pages = end_page - first_page;

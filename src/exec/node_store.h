@@ -1,11 +1,12 @@
-// Per-node triple storage of the simulated cluster, backed by the
-// compressed storage subsystem (storage/dataset_index.h): four clustered
-// permutation indexes answer every constant combination of a triple
-// pattern with one contiguous prefix-range scan — including variable
-// predicates, which seek SPO/OSP instead of degenerating to a linear
-// filter pass. Scans decompress page-at-a-time directly into
-// BindingTable columns. This plays the role RDF-3X plays on each worker
-// in the paper's prototype.
+// Per-node triple storage of the simulated cluster: one PermutationIndex
+// (storage/permutation_index.h) — four clustered permutation indexes and
+// nothing else. Every constant combination of a triple pattern is one
+// contiguous prefix-range scan, including variable predicates, which
+// seek SPO/OSP instead of degenerating to a linear filter pass. Scans
+// decompress page-at-a-time directly into BindingTable columns. This
+// plays the role RDF-3X plays on each worker in the paper's prototype;
+// the statistics the optimizer reads come from the one dataset-wide
+// index (RdfGraph::Index()), never from a node.
 
 #ifndef PARQO_EXEC_NODE_STORE_H_
 #define PARQO_EXEC_NODE_STORE_H_
@@ -15,7 +16,7 @@
 #include "exec/binding_table.h"
 #include "query/join_graph.h"
 #include "rdf/triple.h"
-#include "storage/dataset_index.h"
+#include "storage/permutation_index.h"
 
 namespace parqo {
 
@@ -56,14 +57,13 @@ class NodeStore {
   BindingTable Scan(const ResolvedPattern& pattern,
                     std::size_t morsel_rows = 0, bool parallel = false) const;
 
-  /// Compressed footprint of this node's indexes, for the bytes-per-triple
-  /// storage report (the dual-vector layout this replaced was 24 B).
+  /// Compressed footprint of this node's four permutations, for the
+  /// bytes-per-triple storage report (the dual-vector layout this
+  /// replaced was 24 B).
   std::size_t IndexBytes() const { return index_.ByteSize(); }
 
-  const DatasetIndex& index() const { return index_; }
-
  private:
-  DatasetIndex index_;
+  PermutationIndex index_;
 };
 
 }  // namespace parqo

@@ -1,7 +1,9 @@
 // The RDF graph G_R = (V_R, E_R) of Section II-A: vertices are all subjects
 // and objects, directed labeled edges are the triples. Partitioners' combine
 // functions (Section II-C) need fast per-vertex out/in edge access, so the
-// graph keeps CSR-style adjacency over the triple array.
+// graph keeps CSR-style adjacency over the triple array. The statistics
+// layer reads |tp| and B(tp, v) from one lazily built dataset-wide index
+// (Index()).
 
 #ifndef PARQO_RDF_GRAPH_H_
 #define PARQO_RDF_GRAPH_H_
@@ -56,10 +58,12 @@ class RdfGraph {
   std::size_t OutDegree(TermId v) const { return OutEdges(v).size(); }
   std::size_t InDegree(TermId v) const { return InEdges(v).size(); }
 
-  /// The dataset-wide storage index (permutations + aggregated counts),
-  /// built lazily on first use — graphs that never consult statistics
-  /// never pay for it — and cached for the graph's lifetime. Thread-safe;
-  /// the returned reference is valid as long as the graph lives.
+  /// The dataset-wide statistics index (permutations + aggregated counts)
+  /// and the only place one is built: node stores keep permutations
+  /// alone. Built lazily on first use — graphs that never consult
+  /// statistics never pay for it — and cached for the graph's lifetime.
+  /// Thread-safe; the returned reference is valid as long as the graph
+  /// lives.
   const DatasetIndex& Index() const {
     std::call_once(*index_once_,
                    [&] { index_ = std::make_unique<DatasetIndex>(triples_); });

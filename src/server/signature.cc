@@ -97,7 +97,8 @@ std::string ColorEntry(const Decomposition& d, int pattern, int pos,
                        const std::vector<int>& color) {
   int node = d.pattern_nodes[pattern][pos];
   if (node < 0) return (*d.patterns)[pattern].p.term.ToNTriples();
-  return (d.nodes[node].is_var ? "V" : "K") + std::to_string(color[node]);
+  return std::string(d.nodes[node].is_var ? "V" : "K") +
+         std::to_string(color[node]);
 }
 
 // One round of Weisfeiler–Lehman refinement: each node's new color is the
@@ -201,9 +202,9 @@ CanonicalBgp Render(const Decomposition& d, const std::vector<int>& color,
     int node = d.pattern_nodes[pattern][pos];
     if (node < 0) return patterns[pattern].p.term.ToNTriples();
     if (d.nodes[node].is_var) {
-      return "?x" + std::to_string(var_num[node]);
+      return std::string("?x") + std::to_string(var_num[node]);
     }
-    return "$" + std::to_string(const_num[node]);
+    return std::string("$") + std::to_string(const_num[node]);
   };
 
   std::vector<std::pair<std::string, int>> rendered;
@@ -255,7 +256,7 @@ CanonicalBgp Render(const Decomposition& d, const std::vector<int>& color,
     const TriplePattern& tp = patterns[pattern];
     const PatternTerm& orig = pos == 0 ? tp.s : (pos == 1 ? tp.p : tp.o);
     if (node < 0 || !d.nodes[node].is_var) return orig;
-    return PatternTerm::Var("x" + std::to_string(var_num[node]));
+    return PatternTerm::Var(std::string("x") + std::to_string(var_num[node]));
   };
   for (const auto& [text, orig] : rendered) {
     (void)text;

@@ -14,14 +14,9 @@
 namespace parqo {
 namespace {
 
-// Resolves a constant pattern term against the dictionary;
-// kInvalidTermId means "cannot match anything".
-TermId ResolveConst(const PatternTerm& t, const Dictionary& dict) {
-  return dict.Lookup(t.term);
-}
-
 // One pattern's constants and shape, resolved once and shared between the
-// per-pattern aggregates and the pairwise join measurement.
+// per-pattern aggregates and the pairwise join measurement. A constant
+// absent from the dictionary (kInvalidTermId) cannot match anything.
 struct ResolvedStats {
   TermId s = kInvalidTermId;
   TermId p = kInvalidTermId;
@@ -35,15 +30,15 @@ ResolvedStats ResolvePattern(const TriplePattern& pat,
                              const Dictionary& dict) {
   ResolvedStats r;
   if (!pat.s.IsVar()) {
-    r.s = ResolveConst(pat.s, dict);
+    r.s = dict.Lookup(pat.s.term);
     if (r.s == kInvalidTermId) r.unmatchable = true;
   }
   if (!pat.p.IsVar()) {
-    r.p = ResolveConst(pat.p, dict);
+    r.p = dict.Lookup(pat.p.term);
     if (r.p == kInvalidTermId) r.unmatchable = true;
   }
   if (!pat.o.IsVar()) {
-    r.o = ResolveConst(pat.o, dict);
+    r.o = dict.Lookup(pat.o.term);
     if (r.o == kInvalidTermId) r.unmatchable = true;
   }
   r.repeated =
@@ -117,7 +112,7 @@ std::uint64_t PackKey(const std::vector<int>& fields, const Triple& t) {
 // side's shared-variable bindings from an index range scan, then stream
 // the larger side and sum the matches. fields_* give each side's triple
 // position (0=s, 1=p, 2=o) per shared variable, in a common order.
-std::uint64_t ExactPairJoin(const DatasetIndex& index,
+std::uint64_t ExactPairJoin(const PermutationIndex& index,
                             const ResolvedStats& ri,
                             const std::vector<int>& fields_i,
                             const ResolvedStats& rj,
@@ -201,7 +196,8 @@ void ComputePairwiseJoins(const JoinGraph& jg, const DatasetIndex& index,
       stats.SetJoinCardinality(
           i, j,
           static_cast<double>(
-              ExactPairJoin(index, ri, fields_of(i), rj, fields_of(j))));
+              ExactPairJoin(index.perms(), ri, fields_of(i), rj,
+                            fields_of(j))));
     }
   }
 }
@@ -280,11 +276,6 @@ QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
     ComputePairwiseJoins(jg, index, resolved, opts, stats);
   }
   return stats;
-}
-
-QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
-                                           const RdfGraph& graph) {
-  return ComputeStatisticsFromGraph(jg, graph, DataStatsOptions{});
 }
 
 }  // namespace parqo

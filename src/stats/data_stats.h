@@ -1,8 +1,9 @@
 // Exact statistics computed from a loaded dataset: |tp| is the number of
 // matching triples and B(tp, v) the number of distinct bindings of v among
 // them. The paper's prototype gets these from RDF-3X's statistics; this
-// reproduction answers them from the graph's aggregated permutation
-// indexes (storage/dataset_index.h) in O(log n) per pattern — no scans —
+// reproduction answers them from the aggregate count tables of the one
+// dataset-wide index, RdfGraph::Index() (storage/dataset_index.h), in
+// O(log n) per pattern — no scans, and never from a per-node store —
 // falling back to a brute-force pass only for repeated-variable patterns
 // the aggregates cannot express. The values are identical to an exact
 // scan either way.
@@ -35,15 +36,12 @@ struct DataStatsOptions {
   std::size_t pairwise_cap = 4u << 20;
 };
 
-/// Computes |tp| and B(tp, v) for all patterns of `jg` against `graph`.
-/// Patterns with no matches get cardinality 1 (the estimator's floor).
-QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
-                                           const RdfGraph& graph);
-
-/// As above, plus the optional pairwise join cardinalities.
-QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
-                                           const RdfGraph& graph,
-                                           const DataStatsOptions& opts);
+/// Computes |tp| and B(tp, v) for all patterns of `jg` against `graph`,
+/// plus the optional pairwise join cardinalities. Patterns with no
+/// matches get cardinality 1 (the estimator's floor).
+QueryStatistics ComputeStatisticsFromGraph(
+    const JoinGraph& jg, const RdfGraph& graph,
+    const DataStatsOptions& opts = DataStatsOptions{});
 
 }  // namespace parqo
 

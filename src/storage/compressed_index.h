@@ -38,8 +38,8 @@ namespace parqo {
 /// Largest representable TermId; open range bounds use it as +infinity.
 inline constexpr TermId kMaxTermId = 0xffffffffu;
 
-/// A key in index component order (NOT triple order; dataset_index.h maps
-/// permutations). Aggregated tables store a count as k3.
+/// A key in index component order (NOT triple order; permutation_index.h
+/// maps permutations). Aggregated tables store a count as k3.
 struct IndexKey {
   TermId k1 = 0;
   TermId k2 = 0;

@@ -4,183 +4,86 @@
 #include <utility>
 
 namespace parqo {
+namespace {
+
+// Two-constant count from a pair table: its (a, b, count) entry's count.
+std::uint64_t PairCount(const CompressedKeyIndex& pairs, TermId a,
+                        TermId b) {
+  CompressedKeyIndex::Scratch scratch;
+  std::uint64_t out = 0;
+  pairs.ScanRange({a, b, 0}, {a, b, kMaxTermId}, scratch,
+                  [&](std::span<const IndexKey> run) { out = run[0].k3; });
+  return out;
+}
+
+// One (k1, k2, count) entry per distinct (k1, k2) of a permutation, in
+// key order: the pair table keyed on its leading two components.
+std::vector<IndexKey> Pairs(const CompressedKeyIndex& perm) {
+  std::vector<IndexKey> out;
+  CompressedKeyIndex::Scratch scratch;
+  perm.ScanRange({0, 0, 0}, {kMaxTermId, kMaxTermId, kMaxTermId}, scratch,
+                 [&](std::span<const IndexKey> run) {
+                   for (const IndexKey& k : run) {
+                     if (!out.empty() && out.back().k1 == k.k1 &&
+                         out.back().k2 == k.k2) {
+                       ++out.back().k3;
+                     } else {
+                       out.push_back({k.k1, k.k2, 1});
+                     }
+                   }
+                 });
+  return out;
+}
+
+// (a, b, count) pairs re-keyed as (b, a, count), sorted.
+std::vector<IndexKey> Swapped(std::vector<IndexKey> pairs) {
+  for (IndexKey& k : pairs) std::swap(k.k1, k.k2);
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+// The unary table of the keys leading `a` and `b` (the same key set):
+// count sums a's pair counts, distinct_a counts a's pairs per key and
+// distinct_b counts b's.
+std::vector<DatasetIndex::UnaryStats> Unary(const std::vector<IndexKey>& a,
+                                            const std::vector<IndexKey>& b) {
+  std::vector<DatasetIndex::UnaryStats> out;
+  for (const IndexKey& k : a) {
+    if (out.empty() || out.back().key != k.k1) out.push_back({k.k1});
+    out.back().count += k.k3;
+    ++out.back().distinct_a;
+  }
+  std::size_t u = 0;
+  for (const IndexKey& k : b) {
+    while (u < out.size() && out[u].key < k.k1) ++u;
+    PARQO_CHECK(u < out.size() && out[u].key == k.k1);
+    ++out[u].distinct_b;
+  }
+  return out;
+}
+
+}  // namespace
 
 DatasetIndex::DatasetIndex(std::span<const Triple> triples)
-    : n_(triples.size()) {
-  std::vector<IndexKey> keys(n_);
-  auto fill_sort = [&](Perm perm) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      keys[i] = PermKey(perm, triples[i]);
-    }
-    std::sort(keys.begin(), keys.end());
-  };
-
-  // One aggregation pass over a sorted permutation: per k1 run the total
-  // count and the number of distinct k2 values (distinct_a), plus one
-  // (k1, k2, run-length) pair entry per distinct (k1, k2) — already in
-  // sorted order, ready for CompressedKeyIndex::Build.
-  auto pass = [&](std::vector<UnaryEntry>* unary,
-                  std::vector<IndexKey>* pairs) {
-    if (unary != nullptr) unary->clear();
-    if (pairs != nullptr) pairs->clear();
-    std::size_t i = 0;
-    while (i < n_) {
-      const TermId k1 = keys[i].k1;
-      UnaryEntry e;
-      e.key = k1;
-      std::size_t j = i;
-      while (j < n_ && keys[j].k1 == k1) {
-        const TermId k2 = keys[j].k2;
-        std::size_t r = j;
-        while (r < n_ && keys[r].k1 == k1 && keys[r].k2 == k2) ++r;
-        ++e.distinct_a;
-        if (pairs != nullptr) {
-          pairs->push_back({k1, k2, static_cast<TermId>(r - j)});
-        }
-        j = r;
-      }
-      e.count = static_cast<std::uint32_t>(j - i);
-      if (unary != nullptr) unary->push_back(e);
-      i = j;
-    }
-  };
-
-  // Re-keys (a, b, count) pair entries to (b, a, count) and writes each
-  // b's pair-run length — the distinct count of a per b — into the
-  // aligned unary table (both sorted by key, same key set).
-  auto fill_distinct_b = [](std::vector<IndexKey>& pairs,
-                            std::vector<UnaryEntry>& unary) {
-    for (IndexKey& k : pairs) std::swap(k.k1, k.k2);
-    std::sort(pairs.begin(), pairs.end());
-    std::size_t i = 0;
-    std::size_t u = 0;
-    while (i < pairs.size()) {
-      const TermId b = pairs[i].k1;
-      std::size_t j = i;
-      while (j < pairs.size() && pairs[j].k1 == b) ++j;
-      while (u < unary.size() && unary[u].key < b) ++u;
-      PARQO_CHECK(u < unary.size() && unary[u].key == b);
-      unary[u].distinct_b = static_cast<std::uint32_t>(j - i);
-      i = j;
-    }
-  };
-
-  std::vector<IndexKey> pairs;
-  std::vector<UnaryEntry> s_unary, p_unary, o_unary;
-
-  fill_sort(Perm::kSpo);
-  spo_.Build(keys);
-  pass(&s_unary, nullptr);  // count + distinct p per s
-
-  fill_sort(Perm::kPso);
-  pso_.Build(keys);
-  pass(&p_unary, &pairs);  // count + distinct s per p
-  ps_counts_.Build(pairs);
-
-  fill_sort(Perm::kPos);
-  pos_.Build(keys);
-  std::vector<UnaryEntry> pos_unary;
-  pass(&pos_unary, &pairs);  // distinct o per p
-  po_counts_.Build(pairs);
-  PARQO_CHECK(pos_unary.size() == p_unary.size());
-  for (std::size_t i = 0; i < p_unary.size(); ++i) {
-    p_unary[i].distinct_b = pos_unary[i].distinct_a;
-  }
-  // (p, o) pairs re-keyed by o give distinct p per o — but the o table
-  // does not exist yet; keep the pair list and fill after the OSP pass.
-  std::vector<IndexKey> po_pairs = std::move(pairs);
-  pairs.clear();
-
-  fill_sort(Perm::kOsp);
-  osp_.Build(keys);
-  pass(&o_unary, &pairs);  // count + distinct s per o
-  os_counts_.Build(pairs);
-  fill_distinct_b(pairs, s_unary);     // (o,s) -> (s,o): distinct o per s
-  fill_distinct_b(po_pairs, o_unary);  // (p,o) -> (o,p): distinct p per o
-
-  s_stats_.Build(s_unary);
-  p_stats_.Build(p_unary);
-  o_stats_.Build(o_unary);
+    : perms_(triples) {
+  std::vector<IndexKey> os = Pairs(perms_.perm(Perm::kOsp));
+  s_stats_ = Unary(Pairs(perms_.perm(Perm::kSpo)), Swapped(os));
+  std::vector<IndexKey> po = Pairs(perms_.perm(Perm::kPos));
+  o_stats_ = Unary(os, Swapped(po));
+  os_counts_.Build(os);
+  os = {};
+  std::vector<IndexKey> ps = Pairs(perms_.perm(Perm::kPso));
+  p_stats_ = Unary(ps, po);
+  ps_counts_.Build(ps);
+  po_counts_.Build(po);
 }
 
-void DatasetIndex::UnaryTable::Build(std::span<const UnaryEntry> sorted) {
-  n_ = sorted.size();
-  data_.clear();
-  dir_.clear();
-  dir_.reserve((n_ + kBlockEntries - 1) / kBlockEntries);
-  for (std::size_t begin = 0; begin < n_; begin += kBlockEntries) {
-    const std::size_t end = std::min(n_, begin + kBlockEntries);
-    dir_.push_back(
-        {sorted[begin].key, static_cast<std::uint32_t>(data_.size())});
-    TermId prev = sorted[begin].key;
-    for (std::size_t i = begin; i < end; ++i) {
-      const UnaryEntry& e = sorted[i];
-      VarbyteEncode(i == begin ? e.key : e.key - prev, data_);
-      VarbyteEncode(e.count, data_);
-      VarbyteEncode(e.distinct_a, data_);
-      VarbyteEncode(e.distinct_b, data_);
-      prev = e.key;
-    }
-  }
-}
-
-DatasetIndex::UnaryStats DatasetIndex::UnaryTable::Find(TermId key) const {
-  auto it = std::upper_bound(
-      dir_.begin(), dir_.end(), key,
-      [](TermId k, const BlockRef& b) { return k < b.first; });
-  if (it == dir_.begin()) return {};
-  const std::size_t block = static_cast<std::size_t>(it - dir_.begin()) - 1;
-  const std::size_t begin = block * kBlockEntries;
-  const std::size_t end = std::min(n_, begin + kBlockEntries);
-  const std::uint8_t* p = data_.data() + dir_[block].offset;
-  TermId k = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    k += VarbyteDecode32(p);
-    const std::uint64_t count = VarbyteDecode(p);
-    const std::uint64_t da = VarbyteDecode(p);
-    const std::uint64_t db = VarbyteDecode(p);
-    if (k == key) return {count, da, db};
-    if (k > key) break;
-  }
-  return {};
-}
-
-DatasetIndex::RangeChoice DatasetIndex::ChooseRange(TermId s, TermId p,
-                                                    TermId o) {
-  const bool bs = s != kInvalidTermId;
-  const bool bp = p != kInvalidTermId;
-  const bool bo = o != kInvalidTermId;
-  RangeChoice rc;
-  if (bp && bs) {
-    rc.perm = Perm::kPso;
-    rc.lo = {p, s, bo ? o : 0};
-    rc.hi = {p, s, bo ? o : kMaxTermId};
-  } else if (bp && bo) {
-    rc.perm = Perm::kPos;
-    rc.lo = {p, o, 0};
-    rc.hi = {p, o, kMaxTermId};
-  } else if (bp) {
-    rc.perm = Perm::kPso;
-    rc.lo = {p, 0, 0};
-    rc.hi = {p, kMaxTermId, kMaxTermId};
-  } else if (bs && bo) {
-    rc.perm = Perm::kOsp;
-    rc.lo = {o, s, 0};
-    rc.hi = {o, s, kMaxTermId};
-  } else if (bs) {
-    rc.perm = Perm::kSpo;
-    rc.lo = {s, 0, 0};
-    rc.hi = {s, kMaxTermId, kMaxTermId};
-  } else if (bo) {
-    rc.perm = Perm::kOsp;
-    rc.lo = {o, 0, 0};
-    rc.hi = {o, kMaxTermId, kMaxTermId};
-  } else {
-    rc.perm = Perm::kSpo;
-    rc.lo = {0, 0, 0};
-    rc.hi = {kMaxTermId, kMaxTermId, kMaxTermId};
-  }
-  return rc;
+DatasetIndex::UnaryStats DatasetIndex::Find(
+    const std::vector<UnaryStats>& table, TermId key) {
+  auto it = std::lower_bound(
+      table.begin(), table.end(), key,
+      [](const UnaryStats& e, TermId k) { return e.key < k; });
+  return it != table.end() && it->key == key ? *it : UnaryStats{};
 }
 
 std::uint64_t DatasetIndex::CountPattern(TermId s, TermId p,
@@ -190,7 +93,8 @@ std::uint64_t DatasetIndex::CountPattern(TermId s, TermId p,
   const bool bo = o != kInvalidTermId;
   if (bp && bs && bo) {
     CompressedKeyIndex::Scratch scratch;
-    return pso_.CountRange({p, s, o}, {p, s, o}, scratch);
+    return perms_.perm(Perm::kPso).CountRange({p, s, o}, {p, s, o},
+                                              scratch);
   }
   if (bp && bs) return PairCount(ps_counts_, p, s);
   if (bp && bo) return PairCount(po_counts_, p, o);
@@ -198,23 +102,14 @@ std::uint64_t DatasetIndex::CountPattern(TermId s, TermId p,
   if (bp) return StatsForP(p).count;
   if (bs) return StatsForS(s).count;
   if (bo) return StatsForO(o).count;
-  return n_;
-}
-
-std::uint64_t DatasetIndex::PairCount(const CompressedKeyIndex& pairs,
-                                      TermId a, TermId b) {
-  CompressedKeyIndex::Scratch scratch;
-  std::uint64_t out = 0;
-  pairs.ScanRange({a, b, 0}, {a, b, kMaxTermId}, scratch,
-                  [&](std::span<const IndexKey> run) { out = run[0].k3; });
-  return out;
+  return NumTriples();
 }
 
 std::size_t DatasetIndex::ByteSize() const {
-  return spo_.ByteSize() + pso_.ByteSize() + pos_.ByteSize() +
-         osp_.ByteSize() + ps_counts_.ByteSize() + po_counts_.ByteSize() +
-         os_counts_.ByteSize() + s_stats_.ByteSize() +
-         p_stats_.ByteSize() + o_stats_.ByteSize();
+  return perms_.ByteSize() + ps_counts_.ByteSize() + po_counts_.ByteSize() +
+         os_counts_.ByteSize() +
+         (s_stats_.size() + p_stats_.size() + o_stats_.size()) *
+             sizeof(UnaryStats);
 }
 
 }  // namespace parqo

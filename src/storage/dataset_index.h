@@ -1,17 +1,16 @@
-// RDF-3X-grade storage for one triple set (DESIGN.md section 17): four
-// clustered permutation indexes (SPO, PSO, POS, OSP — every constant
-// combination of a triple pattern maps to a contiguous prefix range of
-// exactly one of them) plus aggregated count indexes that answer exact
-// per-pattern cardinalities |tp| and distinct-binding counts B(tp, v) in
-// O(log n) without touching permutation leaves:
+// Dataset-wide statistics index (DESIGN.md section 17): exact per-pattern
+// cardinalities |tp| and distinct-binding counts B(tp, v) — the Eq. 10–11
+// inputs — in O(log n) without touching permutation leaves:
 //
 //   PS -> count, PO -> count, OS -> count   (compressed pair tables)
 //   S/P/O -> (count, distinct counts of the other two positions)
 //   global: |T|, distinct S / P / O
 //
-// NodeStore builds one DatasetIndex per simulated node for scans;
-// RdfGraph lazily builds one over the whole dataset for the statistics
-// layer (stats/data_stats.cc).
+// plus the four permutations (storage/permutation_index.h) that the
+// all-constant count and the exact pairwise join measurement scan.
+// RdfGraph::Index() builds exactly one, lazily, over the whole graph;
+// per-node stores hold only a PermutationIndex, as RDF-3X does on each
+// host while the statistics sit at the coordinator.
 
 #ifndef PARQO_STORAGE_DATASET_INDEX_H_
 #define PARQO_STORAGE_DATASET_INDEX_H_
@@ -22,162 +21,59 @@
 
 #include "rdf/triple.h"
 #include "storage/compressed_index.h"
+#include "storage/permutation_index.h"
 
 namespace parqo {
 
-/// The four clustered sort orders. Names give key component order: kPso
-/// stores (p, s, o) as (k1, k2, k3).
-enum class Perm { kSpo, kPso, kPos, kOsp };
-
-/// Triple -> key in `perm` component order.
-inline IndexKey PermKey(Perm perm, const Triple& t) {
-  switch (perm) {
-    case Perm::kSpo: return {t.s, t.p, t.o};
-    case Perm::kPso: return {t.p, t.s, t.o};
-    case Perm::kPos: return {t.p, t.o, t.s};
-    case Perm::kOsp: return {t.o, t.s, t.p};
-  }
-  return {};
-}
-
-/// Key in `perm` component order -> triple.
-inline Triple PermTriple(Perm perm, const IndexKey& k) {
-  switch (perm) {
-    case Perm::kSpo: return {k.k1, k.k2, k.k3};
-    case Perm::kPso: return {k.k2, k.k1, k.k3};
-    case Perm::kPos: return {k.k3, k.k1, k.k2};
-    case Perm::kOsp: return {k.k2, k.k3, k.k1};
-  }
-  return {};
-}
-
 class DatasetIndex {
  public:
-  /// Builds all permutations and aggregates. `triples` may be a multiset
-  /// in any order; order and multiplicity are preserved per permutation.
+  /// Builds the permutations and all aggregates. `triples` may be a
+  /// multiset in any order; counts include every copy.
   explicit DatasetIndex(std::span<const Triple> triples);
 
-  DatasetIndex(const DatasetIndex&) = delete;
-  DatasetIndex& operator=(const DatasetIndex&) = delete;
-  DatasetIndex(DatasetIndex&&) = default;
-  DatasetIndex& operator=(DatasetIndex&&) = default;
+  std::size_t NumTriples() const { return perms_.NumTriples(); }
 
-  std::size_t NumTriples() const { return n_; }
-
-  const CompressedKeyIndex& perm(Perm p) const {
-    switch (p) {
-      case Perm::kSpo: return spo_;
-      case Perm::kPso: return pso_;
-      case Perm::kPos: return pos_;
-      case Perm::kOsp: return osp_;
-    }
-    return spo_;
-  }
-
-  /// The permutation and key range answering a pattern with the given
-  /// constants (kInvalidTermId = free position): every constant is pinned
-  /// by the range prefix, so scans never re-filter on constants.
-  struct RangeChoice {
-    Perm perm = Perm::kSpo;
-    IndexKey lo;
-    IndexKey hi;
-  };
-  static RangeChoice ChooseRange(TermId s, TermId p, TermId o);
+  /// The dataset's permutations, for range scans over the whole graph.
+  const PermutationIndex& perms() const { return perms_; }
 
   /// Exact number of matches of the constant mask (kInvalidTermId =
   /// free). Pure aggregate/directory lookups except the all-constant
   /// case, which decodes one boundary page.
   std::uint64_t CountPattern(TermId s, TermId p, TermId o) const;
 
-  /// Aggregated per-key statistics; zeros when the key does not occur.
-  /// The distinct counts cover the other two triple positions in (s,p,o)
-  /// order: StatsForS(s) = {count, distinct p, distinct o}, StatsForP(p)
-  /// = {count, distinct s, distinct o}, StatsForO(o) = {count, distinct
-  /// s, distinct p}.
+  /// Aggregated per-key statistics; all zeros when the key does not
+  /// occur. The distinct counts cover the other two triple positions in
+  /// (s,p,o) order: StatsForS(s) = {count, distinct p, distinct o},
+  /// StatsForP(p) = {count, distinct s, distinct o}, StatsForO(o) =
+  /// {count, distinct s, distinct p}.
   struct UnaryStats {
-    std::uint64_t count = 0;
-    std::uint64_t distinct_a = 0;
-    std::uint64_t distinct_b = 0;
-  };
-  UnaryStats StatsForS(TermId s) const { return s_stats_.Find(s); }
-  UnaryStats StatsForP(TermId p) const { return p_stats_.Find(p); }
-  UnaryStats StatsForO(TermId o) const { return o_stats_.Find(o); }
-
-  std::uint64_t distinct_s() const { return s_stats_.size(); }
-  std::uint64_t distinct_p() const { return p_stats_.size(); }
-  std::uint64_t distinct_o() const { return o_stats_.size(); }
-
-  /// Ordered decode of every triple matching the constant mask
-  /// (kInvalidTermId = free); fn(const Triple&) in the chosen
-  /// permutation's key order.
-  template <typename Fn>
-  void ForEachMatch(TermId s, TermId p, TermId o,
-                    CompressedKeyIndex::Scratch& scratch, Fn&& fn) const {
-    const RangeChoice rc = ChooseRange(s, p, o);
-    perm(rc.perm).ScanRange(rc.lo, rc.hi, scratch,
-                            [&](std::span<const IndexKey> run) {
-                              for (const IndexKey& k : run) {
-                                fn(PermTriple(rc.perm, k));
-                              }
-                            });
-  }
-
-  /// Total compressed bytes: permutation pages + directories + aggregated
-  /// pair tables + unary tables. The dual-sorted-vector layout this
-  /// replaced was 2 * sizeof(Triple) = 24 bytes per triple.
-  std::size_t ByteSize() const;
-  std::size_t num_pages() const {
-    return spo_.num_pages() + pso_.num_pages() + pos_.num_pages() +
-           osp_.num_pages();
-  }
-
- private:
-  struct UnaryEntry {
     TermId key = 0;
     std::uint32_t count = 0;
     std::uint32_t distinct_a = 0;
     std::uint32_t distinct_b = 0;
   };
+  UnaryStats StatsForS(TermId s) const { return Find(s_stats_, s); }
+  UnaryStats StatsForP(TermId p) const { return Find(p_stats_, p); }
+  UnaryStats StatsForO(TermId o) const { return Find(o_stats_, o); }
 
-  /// Delta+varbyte compressed (key -> count, distinct_a, distinct_b)
-  /// table: blocks of 64 entries, keys gap-encoded inside a block, with
-  /// an uncompressed (first key, byte offset) directory for binary
-  /// search. A typical entry is 4-6 bytes against the 16 of a raw
-  /// UnaryEntry — on sparse per-node stores the unary tables hold nearly
-  /// one entry per triple, so this is what keeps the whole index under
-  /// the dual-vector 24 B/triple.
-  class UnaryTable {
-   public:
-    void Build(std::span<const UnaryEntry> sorted);
-    UnaryStats Find(TermId key) const;
-    std::size_t size() const { return n_; }
-    std::size_t ByteSize() const {
-      return data_.size() + dir_.size() * sizeof(BlockRef);
-    }
+  std::uint64_t distinct_s() const { return s_stats_.size(); }
+  std::uint64_t distinct_p() const { return p_stats_.size(); }
+  std::uint64_t distinct_o() const { return o_stats_.size(); }
 
-   private:
-    struct BlockRef {
-      TermId first = 0;
-      std::uint32_t offset = 0;
-    };
-    static constexpr std::size_t kBlockEntries = 64;
+  /// Total bytes: permutations + aggregated pair tables + unary tables.
+  std::size_t ByteSize() const;
 
-    std::size_t n_ = 0;
-    std::vector<std::uint8_t> data_;
-    std::vector<BlockRef> dir_;
-  };
+ private:
+  static UnaryStats Find(const std::vector<UnaryStats>& table, TermId key);
 
-  static std::uint64_t PairCount(const CompressedKeyIndex& pairs, TermId a,
-                                 TermId b);
-
-  std::size_t n_ = 0;
-  CompressedKeyIndex spo_, pso_, pos_, osp_;
+  PermutationIndex perms_;
   /// Aggregated pair tables: entries (a, b, count) keyed on the leading
   /// two components of the matching permutation.
   CompressedKeyIndex ps_counts_;  // (p, s) -> count
   CompressedKeyIndex po_counts_;  // (p, o) -> count
   CompressedKeyIndex os_counts_;  // (o, s) -> count
-  UnaryTable s_stats_, p_stats_, o_stats_;
+  /// Unary tables, sorted by key.
+  std::vector<UnaryStats> s_stats_, p_stats_, o_stats_;
 };
 
 }  // namespace parqo

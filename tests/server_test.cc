@@ -88,8 +88,11 @@ std::vector<TriplePattern> Scramble(const std::vector<TriplePattern>& patterns,
   for (const TriplePattern& tp : patterns) {
     for (const std::string& v : tp.Variables()) {
       if (!names.count(v)) {
-        names[v] = "r" + std::to_string(rng.Next() % 100000) + "_" +
-                   std::to_string(names.size());
+        std::string name = "r";
+        name += std::to_string(rng.Next() % 100000);
+        name += "_";
+        name += std::to_string(names.size());
+        names[v] = std::move(name);
       }
     }
   }
@@ -291,8 +294,9 @@ TEST(ServerTest, HotShardEvictionNeverDanglesPlans) {
     for (int i = 0; i < 20000; ++i) {
       CachedPlan filler;
       filler.plan = make_plan(i % 64, 1.0);
-      cache.Insert(PlanCache::MakeKey("f" + std::to_string(i), "hash-so"),
-                   std::move(filler));
+      std::string key = "f";
+      key += std::to_string(i);
+      cache.Insert(PlanCache::MakeKey(key, "hash-so"), std::move(filler));
       if (i % 16 == 0) cache.Insert(hot_key, hot);
     }
     stop.store(true, std::memory_order_release);

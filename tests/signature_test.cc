@@ -123,7 +123,7 @@ TEST(SignatureTest, VarNamesAndPermRoundTrip) {
   // pattern list exactly.
   std::map<std::string, std::string> undo;
   for (std::size_t k = 0; k < c.var_names.size(); ++k) {
-    undo["x" + std::to_string(k)] = c.var_names[k];
+    undo[std::string("x") + std::to_string(k)] = c.var_names[k];
   }
   for (std::size_t i = 0; i < c.patterns.size(); ++i) {
     std::vector<TriplePattern> restored = Rename({c.patterns[i]}, undo);
@@ -208,7 +208,7 @@ TEST(SignatureTest, CanonicalVarNumbersMatchJoinGraphVarIds) {
   JoinGraph jg(canon.patterns);
   ASSERT_EQ(jg.num_vars(), static_cast<int>(canon.var_names.size()));
   for (VarId v = 0; v < jg.num_vars(); ++v) {
-    EXPECT_EQ(jg.var_name(v), "x" + std::to_string(v));
+    EXPECT_EQ(jg.var_name(v), std::string("x") + std::to_string(v));
   }
   // Sweep the WatDiv templates too: every canonical form must intern in
   // ?x0, ?x1, ... order.
@@ -219,7 +219,7 @@ TEST(SignatureTest, CanonicalVarNumbersMatchJoinGraphVarIds) {
     ASSERT_EQ(g.num_vars(), static_cast<int>(c.var_names.size()))
         << "template " << t.id;
     for (VarId v = 0; v < g.num_vars(); ++v) {
-      ASSERT_EQ(g.var_name(v), "x" + std::to_string(v))
+      ASSERT_EQ(g.var_name(v), std::string("x") + std::to_string(v))
           << "template " << t.id;
     }
   }

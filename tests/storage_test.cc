@@ -21,6 +21,7 @@
 #include "stats/estimator.h"
 #include "storage/compressed_index.h"
 #include "storage/dataset_index.h"
+#include "storage/permutation_index.h"
 #include "storage/varbyte.h"
 #include "tests/test_util.h"
 
@@ -148,11 +149,11 @@ std::multiset<std::array<TermId, 3>> AsMultiset(
   return out;
 }
 
-TEST(DatasetIndexTest, AllPermutationsAgreeOnTheTripleMultiset) {
+TEST(PermutationIndexTest, AllPermutationsAgreeOnTheTripleMultiset) {
   // Includes duplicate triples: per-node stores are multisets.
   std::vector<Triple> triples = RandomTriples(11, 5000, 300, 8, 400);
   triples.insert(triples.end(), triples.begin(), triples.begin() + 100);
-  DatasetIndex index(triples);
+  PermutationIndex index(triples);
   EXPECT_EQ(index.NumTriples(), triples.size());
 
   const auto want = AsMultiset(triples);
@@ -241,14 +242,27 @@ TEST(DatasetIndexTest, CountPatternMatchesBruteForceOnRandomGraphs) {
   }
 }
 
-TEST(DatasetIndexTest, CompressedFootprintBeatsDualVectors) {
+TEST(PermutationIndexTest, CompressedFootprintBeatsDualVectors) {
   std::vector<Triple> triples = RandomTriples(5, 100000, 5000, 40, 8000);
-  DatasetIndex index(triples);
+  PermutationIndex index(triples);
   const double bytes_per_triple =
       static_cast<double>(index.ByteSize()) / triples.size();
   // The replaced layout stored two sorted vector<Triple> = 24 B/triple;
-  // four compressed permutations plus aggregates must still beat it.
+  // four compressed permutations must beat it.
   EXPECT_LT(bytes_per_triple, 24.0);
+}
+
+TEST(NodeStoreTest, IndexBytesCountOnlyTheFourPermutations) {
+  // Count tables live only in the dataset-wide index: a node store's
+  // footprint is its four permutations, and any per-node aggregate shows
+  // up as extra bytes.
+  std::vector<Triple> triples = RandomTriples(9, 20000, 2000, 12, 3000);
+  PermutationIndex perms(triples);
+  std::size_t perm_bytes = 0;
+  for (Perm perm : {Perm::kSpo, Perm::kPso, Perm::kPos, Perm::kOsp}) {
+    perm_bytes += perms.perm(perm).ByteSize();
+  }
+  EXPECT_EQ(NodeStore(triples).IndexBytes(), perm_bytes);
 }
 
 // ---------------------------------------------------------------------------

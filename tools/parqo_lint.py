@@ -52,12 +52,12 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         (src/exec/): a std::vector<Triple> data member —
                         the pre-storage dual-sorted-vector layout — or any
                         use of legacy pso_/pos_/spo_/osp_ vector members.
-                        Triples live in storage/DatasetIndex (compressed
-                        clustered permutation indexes, DESIGN.md §17);
-                        scans and counts go through ForEachMatch/
-                        CountPattern so every pattern is answered from the
-                        right permutation's contiguous range instead of a
-                        hand-rolled binary search over a raw vector. A
+                        A node's triples live in storage/PermutationIndex
+                        (DESIGN.md §17); scans go through ChooseRange so
+                        every pattern is answered from the right
+                        permutation's contiguous range instead of a
+                        hand-rolled binary search over a raw vector.
+                        Counts come from RdfGraph::Index(), not nodes. A
                         deliberate raw buffer (test staging, build-time
                         chunking locals are already exempt by the member
                         naming convention) carries an allow().
@@ -598,15 +598,16 @@ class Linter:
             msg = None
             if TRIPLE_VECTOR_MEMBER_RE.search(code):
                 msg = ("std::vector<Triple> member in the execution layer: "
-                       "store triples in a storage/DatasetIndex "
+                       "store triples in a storage/PermutationIndex "
                        "(compressed permutation indexes, "
-                       "src/storage/dataset_index.h) instead of raw sorted "
+                       "src/storage/permutation_index.h) instead of raw "
+                       "sorted "
                        "vectors, or justify a deliberate buffer with "
                        "allow(%s)" % rule)
             elif PERM_VECTOR_IDENT_RE.search(code):
                 msg = ("raw permutation-vector identifier in the execution "
-                       "layer: scans and counts go through "
-                       "DatasetIndex::ForEachMatch/CountPattern, not "
+                       "layer: scans go through "
+                       "PermutationIndex::ChooseRange/ForEachMatch, not "
                        "hand-rolled pso_/pos_ iteration")
             if msg is None or allowed(lineno, rule):
                 continue

@@ -114,7 +114,7 @@ class ExistingRules(LintHarness):
                           rel="src/exec/executor.cc")
         # The storage layer itself owns the permutation members.
         self.assert_clean("raw-triple-storage", member,
-                          rel="src/storage/dataset_index.h")
+                          rel="src/storage/permutation_index.h")
         # Locals/parameters (no trailing underscore) while building a
         # store are fine, as is an allow()ed deliberate buffer.
         local = "void Build(std::vector<Triple> triples);\n"
