@@ -1,9 +1,11 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,108 @@
 
 namespace parqo {
 namespace {
+
+// Sideways information passing (DESIGN.md section 13): a join builds a
+// key filter for a later child only when the sibling feeding it has at
+// most 1/kFilterRatio of the child's estimated rows. A filter from a
+// sibling of comparable size tends to remove nothing and still costs a
+// probe per scanned row.
+constexpr double kFilterRatio = 4;
+
+// A query's variables as a bitmask over VarIds (at most three per
+// pattern).
+using VarSet = std::bitset<3 * TpSet::kMaxSize>;
+
+// What sideways information passing needs to know about a plan node,
+// computed once per Execute in pre-order.
+struct PlanInfo {
+  VarSet vars;              // every variable the subtree binds
+  bool node_local = true;   // only scans and local joins: rows never move
+  std::size_t size = 1;     // plan nodes in the subtree
+};
+
+void Annotate(const PlanNode& node, const JoinGraph& jg,
+              std::vector<PlanInfo>& info) {
+  const std::size_t at = info.size();
+  info.emplace_back();
+  if (node.kind == PlanNode::Kind::kScan) {
+    for (VarId v : jg.VarsOf(node.tp)) info[at].vars.set(v);
+    return;
+  }
+  bool node_local = node.method == JoinMethod::kLocal;
+  VarSet vars;
+  for (const PlanNodePtr& c : node.children) {
+    const std::size_t child = info.size();
+    Annotate(*c, jg, info);
+    vars |= info[child].vars;
+    node_local = node_local && info[child].node_local;
+  }
+  info[at].vars = vars;
+  info[at].node_local = node_local;
+  info[at].size = info.size() - at;
+}
+
+// A key filter pushed from a join into a child subtree: rows whose `var`
+// binding is not a key can never reach the join's output. One set for
+// every node, or one per node when rows cannot move between nodes.
+struct KeyFilter {
+  VarId var = kInvalidVarId;
+  std::vector<KeySet> sets;
+  const KeySet& For(int node) const {
+    return sets.size() == 1 ? sets[0] : sets[node];
+  }
+};
+
+// Sorted distinct bindings of `var` over `tables`.
+std::vector<TermId> DistinctKeys(std::span<const BindingTable> tables,
+                                 VarId var) {
+  std::vector<TermId> keys;
+  for (const BindingTable& t : tables) {
+    const int col = t.ColumnOf(var);
+    PARQO_DCHECK(col >= 0);
+    const std::vector<TermId>& c = t.Column(col);
+    keys.insert(keys.end(), c.begin(), c.end());
+  }
+  // A scan sorted on `var` hands over a sorted column.
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    std::sort(keys.begin(), keys.end());
+  }
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// The filter a join pushes into a child: on the variable of `shared`
+// with the fewest distinct keys in the sibling's `tables`, one key set
+// per node or one for all. No variable in `shared` means no filter
+// (var == kInvalidVarId).
+KeyFilter BuildFilter(const std::vector<BindingTable>& tables,
+                      const std::vector<VarId>& schema, const VarSet& shared,
+                      bool per_node) {
+  KeyFilter f;
+  std::vector<std::vector<TermId>> best;
+  std::size_t best_size = 0;
+  for (VarId v : schema) {
+    if (!shared.test(v)) continue;
+    std::vector<std::vector<TermId>> keys;
+    std::size_t size = 0;
+    if (per_node) {
+      for (const BindingTable& t : tables) {
+        keys.push_back(DistinctKeys({&t, 1}, v));
+        size += keys.back().size();
+      }
+    } else {
+      keys.push_back(DistinctKeys(tables, v));
+      size = keys.back().size();
+    }
+    if (f.var == kInvalidVarId || size < best_size) {
+      f.var = v;
+      best = std::move(keys);
+      best_size = size;
+    }
+  }
+  for (std::vector<TermId>& k : best) f.sets.emplace_back(std::move(k));
+  return f;
+}
 
 // Concurrency cap for simulated-node work: beyond this many workers the
 // extra threads only add scheduling overhead (cluster sizes in the
@@ -410,8 +514,16 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
     oc.actual = g.NumRows();
     m.op_cards.push_back(std::move(oc));
   };
-  std::function<Status(const PlanNode&, Frame*)> eval =
-      [&](const PlanNode& node, Frame* frame) -> Status {
+  // Sideways information passing needs each plan node's variables; the
+  // recording pass runs unfiltered, so it skips the annotation.
+  std::vector<PlanInfo> info;
+  if (!record_op_cards_) Annotate(plan, jg_, info);
+
+  std::function<Status(const PlanNode&, std::size_t,
+                       std::span<const KeyFilter* const>, Frame*)>
+      eval = [&](const PlanNode& node, std::size_t at,
+                 std::span<const KeyFilter* const> filters,
+                 Frame* frame) -> Status {
     // The span covers the whole subtree; nested operator spans on the
     // same thread render as a flame graph in the trace viewer.
     TraceSpan span(SpanName(node), "exec");
@@ -422,11 +534,20 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
       frame->table.per_node.resize(n);
       PARQO_RETURN_IF_ERROR(RunPartitioned(
           rec, m, "scan", n, parallel_nodes_, [&](int i) {
+            // Several filters can reach one leaf; the fewest keys prune
+            // the most.
+            ScanFilter sf;
+            for (const KeyFilter* f : filters) {
+              const KeySet& keys = f->For(i);
+              if (sf.keys == nullptr || keys.size() < sf.keys->size()) {
+                sf = {f->var, &keys};
+              }
+            }
             frame->table.per_node[i] =
                 engine_ != ExecEngine::kRow
                     ? cluster_.node(i).Scan(rp, kDefaultMorselRows,
-                                            parallel_nodes_)
-                    : cluster_.node(i).Scan(rp);
+                                            parallel_nodes_, sf)
+                    : cluster_.node(i).Scan(rp, 0, false, sf);
           }));
       for (int i = 0; i < n; ++i) {
         std::uint64_t rows = frame->table.per_node[i].NumRows();
@@ -438,17 +559,66 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
       return Status::Ok();
     }
 
-    // Evaluate children.
-    std::vector<Frame> children;
-    children.reserve(node.children.size());
+    // Evaluate children, smallest estimate first, each later child
+    // filtered by the keys of a smaller evaluated sibling. The join and
+    // Eq. 3 still see the children in plan order. The recording pass
+    // keeps plan order and runs unfiltered, so op_cards report the
+    // unreduced cardinalities the estimator predicts.
+    const std::size_t k = node.children.size();
+    std::vector<Frame> children(k);
+    std::vector<std::size_t> order(k);
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<std::size_t> pos(k);
+    if (!record_op_cards_) {
+      pos[0] = at + 1;
+      for (std::size_t c = 1; c < k; ++c) {
+        pos[c] = pos[c - 1] + info[pos[c - 1]].size;
+      }
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return node.children[a]->cardinality <
+                                node.children[b]->cardinality;
+                       });
+    }
+    auto child_rows = [&](std::size_t c) {
+      return children[c].table.GlobalRows();
+    };
+    std::vector<const KeyFilter*> child_filters;
+    for (std::size_t idx = 0; idx < k; ++idx) {
+      const std::size_t c = order[idx];
+      child_filters.clear();
+      KeyFilter own;
+      if (!record_op_cards_) {
+        for (const KeyFilter* f : filters) {
+          if (info[pos[c]].vars.test(f->var)) child_filters.push_back(f);
+        }
+        // The smallest evaluated sibling lends its keys when it is well
+        // below the child's estimate.
+        std::size_t sib = order[0];
+        for (std::size_t e = 1; e < idx; ++e) {
+          if (child_rows(order[e]) < child_rows(sib)) sib = order[e];
+        }
+        if (idx > 0 && static_cast<double>(child_rows(sib)) * kFilterRatio <=
+                           node.children[c]->cardinality) {
+          // Per-node key sets are exact for a local join whose child
+          // keeps every row on its node; anything else needs one global
+          // set.
+          own = BuildFilter(children[sib].table.per_node,
+                            children[sib].table.schema,
+                            info[pos[c]].vars & info[pos[sib]].vars,
+                            node.method == JoinMethod::kLocal &&
+                                info[pos[c]].node_local);
+          if (own.var != kInvalidVarId) child_filters.push_back(&own);
+        }
+      }
+      PARQO_RETURN_IF_ERROR(
+          eval(*node.children[c], pos[c], child_filters, &children[c]));
+    }
     double max_child_cost = 0;
     std::vector<double> input_cards;
-    for (const PlanNodePtr& c : node.children) {
-      Frame f;
-      PARQO_RETURN_IF_ERROR(eval(*c, &f));
+    for (const Frame& f : children) {
       max_child_cost = std::max(max_child_cost, f.cost);
       input_cards.push_back(static_cast<double>(f.table.GlobalRows()));
-      children.push_back(std::move(f));
     }
 
     if (node.method != JoinMethod::kLocal) ++m.distributed_joins;
@@ -583,7 +753,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
   };
 
   Frame root;
-  Status st = eval(plan, &root);
+  Status st = eval(plan, 0, {}, &root);
   if (!st.ok()) {
     // Partial per-operator sums must never leak into reports: zero
     // everything (per-node vectors stay sized so sums still reconcile

@@ -6,7 +6,10 @@
 // decompress page-at-a-time directly into BindingTable columns. This
 // plays the role RDF-3X plays on each worker in the paper's prototype;
 // the statistics the optimizer reads come from the one dataset-wide
-// index (RdfGraph::Index()), never from a node.
+// index (RdfGraph::Index()), never from a node. A scan can also take a
+// key filter (sideways information passing, DESIGN.md section 13): the
+// executor passes the keys a join sibling produced, and the scan returns
+// only rows whose binding of the filter variable is one of them.
 
 #ifndef PARQO_EXEC_NODE_STORE_H_
 #define PARQO_EXEC_NODE_STORE_H_
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "exec/binding_table.h"
+#include "exec/join_kernel.h"
 #include "query/join_graph.h"
 #include "rdf/triple.h"
 #include "storage/permutation_index.h"
@@ -36,6 +40,37 @@ struct ResolvedPattern {
   bool unmatchable = false;
 };
 
+/// A sorted, distinct set of TermIds with an open-addressed hash table
+/// for unordered membership probes. Immutable once built, so one set can
+/// be shared read-only by every node's scan.
+class KeySet {
+ public:
+  /// `sorted` must be ascending and duplicate-free.
+  explicit KeySet(std::vector<TermId> sorted);
+
+  const std::vector<TermId>& keys() const { return keys_; }
+  std::size_t size() const { return keys_.size(); }
+
+  bool Contains(TermId t) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = JoinKeyHash(t) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == t) return true;
+      if (slots_[i] == kInvalidTermId) return false;
+    }
+  }
+
+ private:
+  std::vector<TermId> keys_;
+  std::vector<TermId> slots_;  // kInvalidTermId marks a vacant slot
+};
+
+/// Keep only rows whose binding of `var` is in `*keys`. A null `keys`
+/// means no filter.
+struct ScanFilter {
+  VarId var = kInvalidVarId;
+  const KeySet* keys = nullptr;
+};
+
 class NodeStore {
  public:
   explicit NodeStore(std::vector<Triple> triples);
@@ -54,8 +89,18 @@ class NodeStore {
   /// morsel). The result carries sorted-by metadata for the first free
   /// key component, which is what lets the batch engine merge-join
   /// co-ordered inputs.
+  ///
+  /// With a `filter`, the result is the unfiltered scan restricted to
+  /// rows whose `filter.var` binding is a key. When there are no more
+  /// keys than pages in the unfiltered range, each key runs one bound
+  /// seek (the key substituted as a constant), keys ascending, so the
+  /// rows come out sorted by the filter variable. Otherwise the range is
+  /// decoded once and rows are dropped during decode: a merge against
+  /// the sorted keys when rows arrive sorted on the filter variable, a
+  /// KeySet::Contains probe when they do not.
   BindingTable Scan(const ResolvedPattern& pattern,
-                    std::size_t morsel_rows = 0, bool parallel = false) const;
+                    std::size_t morsel_rows = 0, bool parallel = false,
+                    const ScanFilter& filter = {}) const;
 
   /// Compressed footprint of this node's four permutations, for the
   /// bytes-per-triple storage report (the dual-vector layout this

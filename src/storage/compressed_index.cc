@@ -87,6 +87,9 @@ std::uint64_t CompressedKeyIndex::CountRange(const IndexKey& lo,
 
 void CompressedKeyIndex::DecodePage(std::size_t page,
                                     Scratch& scratch) const {
+  if (scratch.index == this && scratch.page == page) return;
+  scratch.index = this;
+  scratch.page = page;
   const PageRef& ref = pages_[page];
   scratch.keys.clear();
   scratch.keys.reserve(ref.count);

@@ -56,9 +56,12 @@ class CompressedKeyIndex {
  public:
   /// Reusable per-caller decode buffer: one decoded page. Never shared
   /// across threads (the index itself is immutable after Build and safe
-  /// for concurrent readers).
+  /// for concurrent readers). It remembers which page it holds, so
+  /// consecutive seeks that land in one page decode it once.
   struct Scratch {
     std::vector<IndexKey> keys;
+    const CompressedKeyIndex* index = nullptr;  // owner of `keys`' page
+    std::size_t page = 0;
   };
 
   CompressedKeyIndex() = default;

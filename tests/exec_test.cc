@@ -4,16 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/fault.h"
 #include "exec/binding_table.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
 #include "exec/join_kernel.h"
 #include "exec/reference_join.h"
+#include "optimizer/optimizer.h"
+#include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
+#include "query/match.h"
 #include "rdf/ntriples.h"
+#include "sparql/parser.h"
 #include "stats/data_stats.h"
 #include "tests/test_util.h"
+#include "workload/benchmark_queries.h"
+#include "workload/lubm.h"
+#include "workload/watdiv.h"
 
 namespace parqo {
 namespace {
@@ -312,6 +327,143 @@ TEST(NodeStoreTest, RepeatedVariableFiltersRows) {
   EXPECT_EQ(t.At(0, 0), a);
 }
 
+// ---------------------------------------------------------------------------
+// Key-filtered scans (sideways information passing): a filtered scan must
+// equal the unfiltered scan restricted to the keys, as a multiset, on
+// both the seek path (no more keys than pages) and the decode-filter
+// path.
+
+// Rows as a sorted multiset of schema-ordered vectors.
+std::vector<std::vector<TermId>> Multiset(const BindingTable& t) {
+  std::vector<std::vector<TermId>> rows(t.NumRows());
+  for (std::size_t r = 0; r < t.NumRows(); ++r) {
+    for (int c = 0; c < t.num_cols(); ++c) rows[r].push_back(t.At(r, c));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::vector<std::vector<TermId>> Restrict(const BindingTable& t, VarId var,
+                                          const std::vector<TermId>& keys) {
+  const int col = t.ColumnOf(var);
+  std::vector<std::vector<TermId>> rows;
+  for (std::vector<TermId>& row : Multiset(t)) {
+    if (std::binary_search(keys.begin(), keys.end(), row[col])) {
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+class FilteredScanTest : public ::testing::Test {
+ protected:
+  static constexpr TermId kP = 5, kQ = 6;
+
+  FilteredScanTest() : store_(Triples()) {}
+
+  // Seven pages of predicate kP, including subject 7 whose 3501 rows
+  // (distinct objects, then 1100 copies of one triple) span page
+  // boundaries, plus ?x kQ ?x self-loops and kQ edges between them.
+  static std::vector<Triple> Triples() {
+    std::vector<Triple> t;
+    for (TermId s = 1; s <= 3000; ++s) t.push_back({s, kP, s % 53 + 100});
+    for (TermId o = 1; o <= 2400; ++o) t.push_back({7, kP, 5000 + o});
+    for (int i = 0; i < 1100; ++i) t.push_back({7, kP, 9999});
+    for (TermId s = 1; s <= 400; ++s) {
+      t.push_back({s, kQ, s % 3 == 0 ? s : s + 1});
+    }
+    return t;
+  }
+
+  static ResolvedPattern XPY(TermId p) {  // ?x <p> ?y
+    ResolvedPattern r;
+    r.p = p;
+    r.var_s = 0;
+    r.var_o = 1;
+    r.schema = {0, 1};
+    return r;
+  }
+
+  // Filtered == restricted unfiltered (multiset); every morsel size and
+  // parallel run == the serial single-morsel filtered scan, row for row.
+  // Returns the serial filtered table.
+  BindingTable Check(const ResolvedPattern& pat, VarId var,
+                     std::vector<TermId> keys) {
+    const KeySet set(keys);
+    const ScanFilter f{var, &set};
+    BindingTable filtered = store_.Scan(pat, 0, false, f);
+    EXPECT_EQ(Multiset(filtered), Restrict(store_.Scan(pat), var, keys));
+    for (std::size_t morsel : {1u, 1024u, 4096u}) {
+      for (bool parallel : {false, true}) {
+        EXPECT_EQ(store_.Scan(pat, morsel, parallel, f), filtered)
+            << morsel << (parallel ? " parallel" : " serial");
+      }
+    }
+    return filtered;
+  }
+
+  NodeStore store_;
+};
+
+TEST_F(FilteredScanTest, SeekPathSortsByFilterVariable) {
+  const ResolvedPattern pat = XPY(kP);
+  // 6500 kP rows span seven pages: up to seven keys take the seek path.
+  BindingTable by_x = Check(pat, 0, {3, 7, 2999});
+  EXPECT_EQ(by_x.NumRows(), 1u + 3501u + 1u);
+  EXPECT_EQ(by_x.sorted_by(), 0);
+  BindingTable by_y = Check(pat, 1, {100, 152, 9999});
+  EXPECT_EQ(by_y.sorted_by(), 1);  // seeks POS, keys ascending
+  EXPECT_GT(by_y.NumRows(), 1100u);
+  EXPECT_TRUE(std::is_sorted(by_y.Column(1).begin(), by_y.Column(1).end()));
+}
+
+TEST_F(FilteredScanTest, DecodePathMergesOrProbes) {
+  const ResolvedPattern pat = XPY(kP);
+  std::vector<TermId> xs, ys;
+  for (TermId v = 1; v <= 3000; v += 97) xs.push_back(v);
+  for (TermId v = 100; v <= 130; ++v) ys.push_back(v);
+  ys.push_back(9999);
+  // Rows arrive sorted on ?x: merge; on ?y they do not: hash probe.
+  // Either way the scan order (and so sorted_by) is the unfiltered one.
+  EXPECT_EQ(Check(pat, 0, xs).sorted_by(), 0);
+  BindingTable probed = Check(pat, 1, ys);
+  EXPECT_EQ(probed.sorted_by(), 0);
+  EXPECT_GT(probed.NumRows(), 1100u);
+}
+
+TEST_F(FilteredScanTest, RepeatedAndVariablePredicatePatterns) {
+  ResolvedPattern loop;  // ?x <q> ?x
+  loop.p = kQ;
+  loop.var_s = 0;
+  loop.var_o = 0;
+  loop.schema = {0};
+  EXPECT_EQ(Check(loop, 0, {4}).NumRows(), 0u);  // 4 -> 5 is no loop
+  EXPECT_EQ(Check(loop, 0, {6}).NumRows(), 1u);
+  std::vector<TermId> many;
+  for (TermId v = 1; v <= 400; ++v) many.push_back(v);
+  EXPECT_EQ(Check(loop, 0, many).NumRows(), 133u);
+
+  ResolvedPattern all;  // ?s ?p ?o
+  all.var_s = 0;
+  all.var_p = 2;
+  all.var_o = 1;
+  all.schema = {0, 1, 2};
+  EXPECT_EQ(Check(all, 2, {kQ}).NumRows(), 400u);
+  EXPECT_EQ(Check(all, 0, {7}).NumRows(), 3501u + 1u);
+  EXPECT_EQ(Check(all, 1, {9999}).NumRows(), 1100u);
+  Check(all, 0, many);
+  Check(all, 1, many);
+}
+
+TEST_F(FilteredScanTest, EmptyAndAbsentKeys) {
+  const ResolvedPattern pat = XPY(kP);
+  EXPECT_EQ(Check(pat, 0, {}).NumRows(), 0u);
+  EXPECT_EQ(Check(pat, 1, {42, 4242, 424242}).NumRows(), 0u);
+  std::vector<TermId> absent;
+  for (TermId v = 100000; v < 100100; ++v) absent.push_back(v);
+  EXPECT_EQ(Check(pat, 0, absent).NumRows(), 0u);
+}
+
 class ExecutorTest : public ::testing::Test {
  protected:
   ExecutorTest() {
@@ -532,6 +684,243 @@ TEST_F(ExecutorTest, ProjectionSelectsQueryVariables) {
   EXPECT_EQ(result->num_cols(), 1);
   // Matches: (s1,d1,u1,s2) and (s2,d1,u1,s3); the only university is u1.
   EXPECT_EQ(result->NumRows(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Sideways information passing end to end: LUBM L1-L10 and the WatDiv
+// templates, planned by every algorithm and run serial and parallel on 4
+// nodes. The filtered run must return exactly the rows of the unfiltered
+// recording run and of MatchBgp, and the recording run's op_cards must
+// report the unreduced cardinalities PlanNode::cardinality predicts.
+
+constexpr int kSipNodes = 4;
+
+const std::vector<Algorithm> kAllAlgorithms{
+    Algorithm::kTdCmd,  Algorithm::kTdCmdp,  Algorithm::kHgrTdCmd,
+    Algorithm::kTdAuto, Algorithm::kMsc,     Algorithm::kDpBushy,
+    Algorithm::kBinaryDp};
+
+// Rows over VarIds 0..num_vars-1, sorted: a multiset, so a duplicated
+// row shows.
+std::vector<std::vector<TermId>> SortedRows(const BindingTable& t,
+                                            const JoinGraph& jg) {
+  std::vector<std::vector<TermId>> rows(t.NumRows());
+  for (std::size_t r = 0; r < t.NumRows(); ++r) {
+    for (VarId v = 0; v < jg.num_vars(); ++v) {
+      const int c = t.ColumnOf(v);
+      rows[r].push_back(c < 0 ? kInvalidTermId : t.At(r, c));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Distinct MatchBgp bindings of `patterns`, sorted.
+std::vector<std::vector<TermId>> MatchRows(
+    const std::vector<TriplePattern>& patterns, const RdfGraph& graph) {
+  std::vector<std::vector<TermId>> rows;
+  for (BgpMatch& m : MatchBgp(JoinGraph(patterns), graph, 0)) {
+    rows.push_back(std::move(m.bindings));
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+class SipSweepTest : public ::testing::Test {
+ protected:
+  struct World {
+    std::unique_ptr<RdfGraph> graph;
+    std::unique_ptr<Cluster> cluster;
+  };
+
+  static World MakeWorld(RdfGraph graph) {
+    World w;
+    w.graph = std::make_unique<RdfGraph>(std::move(graph));
+    w.cluster = std::make_unique<Cluster>(
+        *w.graph, HashSoPartitioner().PartitionData(*w.graph, kSipNodes));
+    return w;
+  }
+
+  static const World& Lubm() {
+    // parqo-lint: allow(naked-new) leaked cached dataset
+    static const World& w = *new World(MakeWorld([] {
+      LubmConfig cfg;
+      cfg.universities = 2;
+      return GenerateLubm(cfg);
+    }()));
+    return w;
+  }
+
+  static const World& Watdiv() {
+    // parqo-lint: allow(naked-new) leaked cached dataset
+    static const World& w = *new World(MakeWorld([] {
+      WatdivDataConfig cfg;
+      cfg.entities_per_class = 100;
+      cfg.density = 1.0;
+      return GenerateWatdivData(cfg);
+    }()));
+    return w;
+  }
+
+  // Runs every algorithm's plan serial and parallel, filtered and
+  // recording. Returns whether every filtered run scanned strictly fewer
+  // rows than its unfiltered twin.
+  bool Sweep(const std::vector<TriplePattern>& patterns, const World& w) {
+    HashSoPartitioner hash;
+    PreparedQuery pq(patterns, hash, StatsFromData(*w.graph));
+    const JoinGraph& jg = pq.join_graph();
+    const std::vector<std::vector<TermId>> truth =
+        MatchRows(patterns, *w.graph);
+    OptimizeOptions options;
+    options.cost_params.num_nodes = kSipNodes;
+    options.timeout_seconds = 60;
+    std::map<std::vector<int>, std::uint64_t> sub_counts;
+    std::set<std::string> seen_plans;
+    bool all_pruned = true;
+    for (Algorithm algorithm : kAllAlgorithms) {
+      OptimizeResult r = Optimize(algorithm, pq.inputs(), options);
+      if (r.plan == nullptr) {
+        ADD_FAILURE() << ToString(algorithm) << ": no plan";
+        continue;
+      }
+      // Algorithms often agree on a plan; sweep each plan once.
+      if (!seen_plans.insert(PlanToString(*r.plan, jg)).second) continue;
+      for (bool parallel : {false, true}) {
+        SCOPED_TRACE(ToString(algorithm) + (parallel ? " parallel" : " serial"));
+        Executor recording(*w.cluster, jg, options.cost_params, parallel);
+        recording.set_record_op_cardinalities(true);
+        Executor filtered(*w.cluster, jg, options.cost_params, parallel);
+        ExecMetrics mr, mf;
+        Result<BindingTable> rr = recording.Execute(*r.plan, &mr);
+        Result<BindingTable> rf = filtered.Execute(*r.plan, &mf);
+        if (!rr.ok() || !rf.ok()) {
+          ADD_FAILURE() << rr.status().ToString() << " / "
+                        << rf.status().ToString();
+          continue;
+        }
+        EXPECT_EQ(SortedRows(*rf, jg), truth);
+        EXPECT_EQ(SortedRows(*rr, jg), truth);
+        EXPECT_LE(mf.rows_scanned, mr.rows_scanned);
+        all_pruned = all_pruned && mf.rows_scanned < mr.rows_scanned;
+        EXPECT_TRUE(mf.op_cards.empty());
+        // Recording runs unfiltered: each operator's actual is the
+        // distinct solution count of its sub-BGP.
+        for (const ExecMetrics::OpCardinality& oc : mr.op_cards) {
+          auto [it, fresh] = sub_counts.try_emplace(oc.tps, 0);
+          if (fresh) {
+            std::vector<TriplePattern> sub;
+            for (int tp : oc.tps) sub.push_back(jg.pattern(tp));
+            it->second = MatchRows(sub, *w.graph).size();
+          }
+          EXPECT_EQ(oc.actual, it->second) << oc.op;
+        }
+      }
+    }
+    return all_pruned;
+  }
+};
+
+TEST_F(SipSweepTest, LubmQueriesMatchUnfilteredAndMatchBgp) {
+  for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
+    if (!bq.lubm) continue;
+    SCOPED_TRACE(bq.name);
+    Result<ParsedQuery> parsed = ParseSparql(bq.sparql);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const bool all_pruned = Sweep(parsed->patterns, Lubm());
+    // The filters must fire where a tiny input meets big scans: every
+    // plan of L3 and L10, serial and parallel, scans strictly less.
+    if (bq.name == "L3" || bq.name == "L10") {
+      EXPECT_TRUE(all_pruned);
+    }
+  }
+}
+
+TEST_F(SipSweepTest, WatdivTemplatesMatchUnfilteredAndMatchBgp) {
+  Rng rng(2017);
+  for (const WatdivTemplate& t : GenerateWatdivTemplates(124, rng)) {
+    std::string name = "T";
+    name += std::to_string(t.id);
+    SCOPED_TRACE(name);
+    Sweep(t.patterns, Watdiv());
+  }
+}
+
+// A sibling that returns zero rows pushes an empty key set: the later
+// children scan nothing, every engine agrees row for row, and seeded
+// faults still recover to the same (empty) result or fail cleanly.
+TEST_F(SipSweepTest, EmptySiblingFilterAcrossEnginesAndFaults) {
+  const World& w = Lubm();
+  Result<ParsedQuery> parsed = ParseSparql(
+      "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+      "SELECT * WHERE {\n"
+      "  ?x ub:advisor <http://www.Department0.University0.edu> .\n"
+      "  ?x ub:takesCourse ?y .\n"
+      "  ?y rdf:type ub:GraduateCourse .\n"
+      "  ?x rdf:type ub:GraduateStudent . }");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  HashSoPartitioner hash;
+  PreparedQuery pq(parsed->patterns, hash, StatsFromData(*w.graph));
+  OptimizeOptions options;
+  options.cost_params.num_nodes = kSipNodes;
+  for (Algorithm algorithm : kAllAlgorithms) {
+    PlanNodePtr plan = Optimize(algorithm, pq.inputs(), options).plan;
+    ASSERT_NE(plan, nullptr);
+    SCOPED_TRACE(ToString(algorithm));
+    Executor recording(*w.cluster, pq.join_graph(), options.cost_params);
+    recording.set_record_op_cardinalities(true);
+    ExecMetrics mr;
+    ASSERT_TRUE(recording.Execute(*plan, &mr).ok());
+    EXPECT_EQ(mr.result_rows, 0u);
+    for (bool parallel : {false, true}) {
+      std::vector<BindingTable> results;
+      std::vector<ExecMetrics> metrics(3);
+      for (ExecEngine engine :
+           {ExecEngine::kRow, ExecEngine::kBatch, ExecEngine::kBatchHash}) {
+        Executor exec(*w.cluster, pq.join_graph(), options.cost_params,
+                      parallel, RetryPolicy{}, engine);
+        Result<BindingTable> r = exec.Execute(*plan, &metrics[results.size()]);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        results.push_back(std::move(*r));
+      }
+      EXPECT_EQ(results[0].NumRows(), 0u);
+      EXPECT_TRUE(results[0] == results[1] && results[1] == results[2]);
+      EXPECT_EQ(metrics[0].rows_scanned, metrics[1].rows_scanned);
+      EXPECT_EQ(metrics[1].rows_scanned, metrics[2].rows_scanned);
+      EXPECT_LT(metrics[1].rows_scanned, mr.rows_scanned);
+    }
+
+    RetryPolicy retry;
+    retry.max_attempts = 6;
+    FaultPlanConfig config;
+    config.crash_probability = 0.3;
+    config.slow_probability = 0.25;
+    config.slow_seconds = 1e-4;
+    config.drop_probability = 0.1;
+    for (std::uint64_t seed : {2017ull, 31337ull, 987654321ull}) {
+      SCOPED_TRACE(seed);
+      std::vector<Result<BindingTable>> runs;
+      for (ExecEngine engine :
+           {ExecEngine::kRow, ExecEngine::kBatch, ExecEngine::kBatchHash}) {
+        FaultPlan fault(seed, kSipNodes, config);
+        Executor exec(*w.cluster, pq.join_graph(), options.cost_params,
+                      /*parallel_nodes=*/false, retry, engine);
+        FaultScope scope(&fault);
+        ExecMetrics m;
+        runs.push_back(exec.Execute(*plan, &m));
+        EXPECT_EQ(m.failed, !runs.back().ok());
+      }
+      for (const Result<BindingTable>& r : runs) {
+        ASSERT_EQ(r.ok(), runs[0].ok());
+        if (r.ok()) {
+          EXPECT_EQ(r->NumRows(), 0u);
+        } else {
+          EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
