@@ -26,6 +26,7 @@
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "partition/local_query_index.h"
+#include "query/match.h"
 #include "query/query_graph.h"
 #include "query/shape.h"
 #include "sparql/parser.h"
@@ -190,17 +191,15 @@ std::string ToJson(const Record& r) {
 }
 
 /// One entry of the execute-side stress set (DESIGN.md section 13): a
-/// synthetic join-heavy query run through BOTH execution engines, so the
-/// batch kernels' before/after walls live in the same BENCH_main.json
-/// the optimizer numbers do. `engines_rows_match` is operator== on the
-/// two result tables — bit-identical, not set-equal.
+/// synthetic join-heavy query whose execute wall lives in the same
+/// BENCH_main.json the optimizer numbers do. `rows_match` means the
+/// result holds exactly the distinct MatchBgp bindings, each once.
 struct ExecStressRecord {
   std::string name;
   std::uint64_t triples = 0;
   std::uint64_t result_rows = 0;
-  double row_wall_seconds = 0;
   double batch_wall_seconds = 0;
-  bool engines_rows_match = false;
+  bool rows_match = false;
 };
 
 std::string ExecStressToJson(const ExecStressRecord& r) {
@@ -208,17 +207,30 @@ std::string ExecStressToJson(const ExecStressRecord& r) {
   out += "\"name\": \"" + r.name + "\", ";
   out += "\"triples\": " + std::to_string(r.triples) + ", ";
   out += "\"result_rows\": " + std::to_string(r.result_rows) + ", ";
-  out += "\"row_wall_seconds\": " + JsonNum(r.row_wall_seconds) + ", ";
   out += "\"batch_wall_seconds\": " + JsonNum(r.batch_wall_seconds) + ", ";
-  out += "\"speedup\": " +
-         JsonNum(r.batch_wall_seconds > 0
-                     ? r.row_wall_seconds / r.batch_wall_seconds
-                     : 0) +
-         ", ";
-  out += std::string("\"engines_rows_match\": ") +
-         (r.engines_rows_match ? "true" : "false");
+  out += std::string("\"rows_match\": ") + (r.rows_match ? "true" : "false");
   out += "}";
   return out;
+}
+
+/// Does `rows` hold exactly the distinct MatchBgp bindings of `jg`, each
+/// once?
+bool MatchesGroundTruth(const BindingTable& rows, const JoinGraph& jg,
+                        const RdfGraph& graph) {
+  std::vector<std::vector<TermId>> truth, got(rows.NumRows());
+  for (BgpMatch& m : MatchBgp(jg, graph, 0)) {
+    truth.push_back(std::move(m.bindings));
+  }
+  std::sort(truth.begin(), truth.end());
+  truth.erase(std::unique(truth.begin(), truth.end()), truth.end());
+  for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+    for (VarId v = 0; v < jg.num_vars(); ++v) {
+      const int c = rows.ColumnOf(v);
+      got[r].push_back(c < 0 ? kInvalidTermId : rows.At(r, c));
+    }
+  }
+  std::sort(got.begin(), got.end());
+  return got == truth;
 }
 
 /// Random edge set over `entities` subjects/objects per predicate p0..pk:
@@ -272,27 +284,20 @@ ExecStressRecord RunExecStress(const std::string& name,
       Optimize(Algorithm::kTdAuto, prepared.inputs(), options);
   PARQO_CHECK(best.plan != nullptr);
 
-  // Best-of-N walls on the SAME plan: the engines differ only in the
-  // per-node kernels.
+  // Best-of-N walls on the same plan.
   const int reps = flags.quick ? 1 : 3;
-  auto run = [&](ExecEngine engine, double* wall) {
-    Executor exec(cluster, prepared.join_graph(), options.cost_params,
-                  /*parallel_nodes=*/true, RetryPolicy{}, engine);
-    Result<BindingTable> rows = Status::Unavailable("unrun");
-    *wall = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < reps; ++i) {
-      ExecMetrics m;
-      rows = exec.Execute(*best.plan, &m);
-      PARQO_CHECK(rows.ok());
-      *wall = std::min(*wall, m.wall_seconds);
-    }
-    return rows;
-  };
-  Result<BindingTable> row_rows = run(ExecEngine::kRow, &rec.row_wall_seconds);
-  Result<BindingTable> batch_rows =
-      run(ExecEngine::kBatch, &rec.batch_wall_seconds);
-  rec.result_rows = batch_rows->NumRows();
-  rec.engines_rows_match = *row_rows == *batch_rows;
+  Executor exec(cluster, prepared.join_graph(), options.cost_params,
+                /*parallel_nodes=*/true);
+  Result<BindingTable> rows = Status::Unavailable("unrun");
+  rec.batch_wall_seconds = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < reps; ++i) {
+    ExecMetrics m;
+    rows = exec.Execute(*best.plan, &m);
+    PARQO_CHECK(rows.ok());
+    rec.batch_wall_seconds = std::min(rec.batch_wall_seconds, m.wall_seconds);
+  }
+  rec.result_rows = rows->NumRows();
+  rec.rows_match = MatchesGroundTruth(*rows, prepared.join_graph(), graph);
   return rec;
 }
 
@@ -569,8 +574,7 @@ int Main(int argc, char** argv) {
   }
 
   // Execute-side stress set: join-heavy dense and cycle queries over
-  // synthetic random graphs, run through BOTH engines (EXPERIMENTS.md's
-  // before/after execute-cost table).
+  // synthetic random graphs, checked against MatchBgp.
   std::vector<ExecStressRecord> exec_stress;
   {
     // Edge/entity ratio ~6 keeps the intermediate join inputs large (the
@@ -595,14 +599,9 @@ int Main(int argc, char** argv) {
         "?d <p3> ?e . ?e <p4> ?f . ?f <p5> ?a . }",
         graph, flags));
     for (const ExecStressRecord& r : exec_stress) {
-      std::printf(
-          "  %-8s row %.4fs  batch %.4fs  (%.2fx)  %s rows  %s\n",
-          r.name.c_str(), r.row_wall_seconds, r.batch_wall_seconds,
-          r.batch_wall_seconds > 0
-              ? r.row_wall_seconds / r.batch_wall_seconds
-              : 0.0,
-          WithThousandsSep(r.result_rows).c_str(),
-          r.engines_rows_match ? "bit-identical" : "MISMATCH");
+      std::printf("  %-8s batch %.4fs  %s rows  %s\n", r.name.c_str(),
+                  r.batch_wall_seconds, WithThousandsSep(r.result_rows).c_str(),
+                  r.rows_match ? "match MatchBgp" : "MISMATCH");
     }
   }
 

@@ -17,7 +17,6 @@
 #include "common/trace.h"
 #include "exec/health.h"
 #include "exec/join_kernel.h"
-#include "exec/reference_join.h"
 #include "partition/partitioner.h"
 
 namespace parqo {
@@ -418,29 +417,25 @@ struct Executor::DistTable {
 
 Executor::Executor(const Cluster& cluster, const JoinGraph& jg,
                    CostParams cost_params, bool parallel_nodes,
-                   RetryPolicy retry, ExecEngine engine,
+                   RetryPolicy retry, ExecEngine /*engine*/,
                    NodeHealthRegistry* health)
     : cluster_(cluster),
       jg_(jg),
       cost_model_(cost_params),
       parallel_nodes_(parallel_nodes),
       retry_(retry),
-      engine_(engine),
       health_(health) {}
 
 BindingTable Executor::Join(const BindingTable& left,
                             const BindingTable& right) const {
-  if (engine_ == ExecEngine::kRow) return ReferenceHashJoin(left, right);
   BatchJoinOptions opts;
   // Morsel parallelism composes with the per-node ForEachNode fan-out:
   // both run on the same nest-safe pool.
   opts.parallel = parallel_nodes_;
   // Merge kernel when both inputs arrive sorted on the single shared
   // variable (index scans establish the order; order-preserving
-  // operators propagate it). Bit-identical to the hash kernel, so
-  // kBatchHash keeps the hash path as an equivalence witness.
-  if (engine_ == ExecEngine::kBatch &&
-      MergeJoinKey(left, right) != kInvalidVarId) {
+  // operators propagate it). Bit-identical to the hash kernel.
+  if (MergeJoinKey(left, right) != kInvalidVarId) {
     merge_joins_.fetch_add(1, std::memory_order_relaxed);
     return BatchMergeJoin(left, right, opts);
   }
@@ -543,11 +538,8 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
                 sf = {f->var, &keys};
               }
             }
-            frame->table.per_node[i] =
-                engine_ != ExecEngine::kRow
-                    ? cluster_.node(i).Scan(rp, kDefaultMorselRows,
-                                            parallel_nodes_, sf)
-                    : cluster_.node(i).Scan(rp, 0, false, sf);
+            frame->table.per_node[i] = cluster_.node(i).Scan(
+                rp, kDefaultMorselRows, parallel_nodes_, sf);
           }));
       for (int i = 0; i < n; ++i) {
         std::uint64_t rows = frame->table.per_node[i].NumRows();

@@ -55,11 +55,10 @@ struct ExecMetrics {
   std::uint64_t result_rows = 0;  ///< After global deduplication.
   double wall_seconds = 0;
 
-  /// Node-local joins the batch engine ran with the merge kernel instead
-  /// of the hash kernel (both inputs sorted on the single shared
-  /// variable). Purely an implementation-choice counter: outputs are
-  /// bit-identical either way, so engine-equivalence comparisons exclude
-  /// it.
+  /// Joins that ran the merge kernel instead of the hash kernel because
+  /// both inputs arrived sorted on their single shared variable. The
+  /// kernels emit bit-identical tables, so this counts a choice made from
+  /// observed sortedness and changes no result.
   std::uint64_t merge_joins = 0;
 
   /// Per-operator estimated-vs-measured cardinality, recorded only when
@@ -132,16 +131,9 @@ struct ExecMetrics {
 ResolvedPattern BindPattern(const TriplePattern& pattern,
                             const JoinGraph& jg, const Dictionary& dict);
 
-/// Which per-node join/scan implementation Execute() runs. kBatch is the
-/// production path (columnar morsel-driven kernels, exec/join_kernel.h)
-/// and picks the merge kernel whenever both inputs are known-sorted on
-/// the single shared variable; kBatchHash is the same batch path with the
-/// merge kernel disabled (hash joins only), kept as an equivalence
-/// witness and for before/after benchmarks; kRow is the row-at-a-time
-/// reference path (exec/reference_join.h) kept for golden equivalence
-/// testing. All three produce bit-identical BindingTables (DESIGN.md
-/// sections 13 and 17).
-enum class ExecEngine { kRow, kBatch, kBatchHash };
+/// There is one engine. The type remains because callers, perfbench among
+/// them, still pass ServerConfig::engine to the Executor constructor.
+enum class ExecEngine { kBatch };
 
 class NodeHealthRegistry;  // exec/health.h
 
@@ -154,7 +146,8 @@ class Executor {
   /// FaultScope. `health` (optional, not owned) attaches the cross-query
   /// resilience layer: open-breaker nodes are quarantined at dispatch,
   /// straggling work is hedged against the registry's threshold, and
-  /// mid-query crash detections are reported back immediately.
+  /// mid-query crash detections are reported back immediately. `engine`
+  /// is ignored (see ExecEngine).
   Executor(const Cluster& cluster, const JoinGraph& jg,
            CostParams cost_params, bool parallel_nodes = false,
            RetryPolicy retry = RetryPolicy{},
@@ -174,7 +167,8 @@ class Executor {
  private:
   struct DistTable;  // per-node tables; defined in the .cc
 
-  /// Joins two node-local inputs with the configured engine.
+  /// Joins two node-local inputs: the merge kernel when both arrive
+  /// sorted on their single shared variable, else the hash kernel.
   BindingTable Join(const BindingTable& left,
                     const BindingTable& right) const;
 
@@ -183,7 +177,6 @@ class Executor {
   CostModel cost_model_;
   bool parallel_nodes_;
   RetryPolicy retry_;
-  ExecEngine engine_;
   NodeHealthRegistry* health_;
   bool record_op_cards_ = false;
   /// Merge-kernel picks this run; workers bump it concurrently, Execute()

@@ -1,13 +1,14 @@
 #include "query/match.h"
 
-#include <functional>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 
 namespace parqo {
 namespace {
 
+// A pattern position: a constant, or a variable when var is set.
 struct Slot {
-  bool is_const = false;
   TermId constant = kInvalidTermId;
   VarId var = kInvalidVarId;
 };
@@ -16,116 +17,139 @@ struct CompiledPattern {
   Slot s, p, o;
 };
 
+// Backtracking state of one MatchBgp call.
+class Matcher {
+ public:
+  Matcher(const JoinGraph& jg, const RdfGraph& graph, std::size_t limit)
+      : graph_(graph), limit_(limit) {
+    const Dictionary& dict = graph.dict();
+    for (int i = 0; i < jg.num_tps(); ++i) {
+      const TriplePattern& tp = jg.pattern(i);
+      auto slot = [&](const PatternTerm& t) {
+        Slot s;
+        if (t.IsVar()) {
+          s.var = jg.FindVar(t.var);
+        } else {
+          s.constant = dict.Lookup(t.term);
+          if (s.constant == kInvalidTermId) unmatchable_ = true;
+        }
+        return s;
+      };
+      pats_.push_back(CompiledPattern{slot(tp.s), slot(tp.p), slot(tp.o)});
+    }
+    binding_.assign(jg.num_vars(), kInvalidTermId);
+    matched_.resize(pats_.size());
+    done_.assign(pats_.size(), false);
+  }
+
+  std::vector<BgpMatch> Run() {
+    if (!unmatchable_) Recurse(0);
+    return std::move(results_);
+  }
+
+ private:
+  TermId Value(const Slot& s) const {
+    return s.var == kInvalidVarId ? s.constant : binding_[s.var];
+  }
+
+  // The triples that can match `pat` under the current bindings, from the
+  // narrowest index its bound positions allow.
+  std::span<const TripleIdx> Candidates(const CompiledPattern& pat) {
+    const TermId s = Value(pat.s), p = Value(pat.p), o = Value(pat.o);
+    if (s != kInvalidTermId && o != kInvalidTermId) {
+      std::span<const TripleIdx> out = graph_.OutEdges(s);
+      std::span<const TripleIdx> in = graph_.InEdges(o);
+      return out.size() <= in.size() ? out : in;
+    }
+    if (s != kInvalidTermId) return graph_.OutEdges(s);
+    if (o != kInvalidTermId) return graph_.InEdges(o);
+    if (p != kInvalidTermId) return WithPredicate(p);
+    if (all_.size() != graph_.NumTriples()) {
+      all_.resize(graph_.NumTriples());
+      std::iota(all_.begin(), all_.end(), TripleIdx{0});
+    }
+    return all_;
+  }
+
+  // Triples with predicate `p`, collected on first use.
+  const std::vector<TripleIdx>& WithPredicate(TermId p) {
+    auto [it, fresh] = by_predicate_.try_emplace(p);
+    if (fresh) {
+      const std::vector<Triple>& triples = graph_.triples();
+      for (TripleIdx i = 0; i < triples.size(); ++i) {
+        if (triples[i].p == p) it->second.push_back(i);
+      }
+    }
+    return it->second;
+  }
+
+  // Extends the current bindings by the remaining patterns, the one with
+  // the fewest candidates first. Returns false once `limit_` is reached.
+  bool Recurse(std::size_t depth) {
+    if (depth == pats_.size()) {
+      results_.push_back(BgpMatch{binding_, matched_});
+      return limit_ == 0 || results_.size() < limit_;
+    }
+    std::size_t best = pats_.size();
+    std::span<const TripleIdx> candidates;
+    for (std::size_t i = 0; i < pats_.size(); ++i) {
+      if (done_[i]) continue;
+      std::span<const TripleIdx> c = Candidates(pats_[i]);
+      if (best == pats_.size() || c.size() < candidates.size()) {
+        best = i;
+        candidates = c;
+      }
+    }
+    const CompiledPattern& pat = pats_[best];
+    done_[best] = true;
+    bool keep_going = true;
+    for (TripleIdx ti : candidates) {
+      const Triple& t = graph_.triples()[ti];
+      // Bind fresh variables left to right; a variable repeated within
+      // the pattern (?x p ?x) is bound by its first slot and checked by
+      // the next.
+      VarId fresh[3];
+      int num_fresh = 0;
+      bool ok = true;
+      for (auto [slot, value] : {std::pair{&pat.s, t.s}, std::pair{&pat.p, t.p},
+                                 std::pair{&pat.o, t.o}}) {
+        const TermId cur = Value(*slot);
+        if (cur == kInvalidTermId) {
+          binding_[slot->var] = value;
+          fresh[num_fresh++] = slot->var;
+        } else if (cur != value) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok) {
+        matched_[best] = t;
+        keep_going = Recurse(depth + 1);
+      }
+      for (int k = 0; k < num_fresh; ++k) binding_[fresh[k]] = kInvalidTermId;
+      if (!keep_going) break;
+    }
+    done_[best] = false;
+    return keep_going;
+  }
+
+  const RdfGraph& graph_;
+  const std::size_t limit_;
+  std::vector<CompiledPattern> pats_;
+  bool unmatchable_ = false;
+  std::vector<TermId> binding_;
+  std::vector<Triple> matched_;
+  std::vector<bool> done_;
+  std::unordered_map<TermId, std::vector<TripleIdx>> by_predicate_;
+  std::vector<TripleIdx> all_;
+  std::vector<BgpMatch> results_;
+};
+
 }  // namespace
 
 std::vector<BgpMatch> MatchBgp(const JoinGraph& jg, const RdfGraph& graph,
                                std::size_t limit) {
-  const Dictionary& dict = graph.dict();
-
-  std::unordered_map<TermId, std::vector<const Triple*>> by_predicate;
-  for (const Triple& t : graph.triples()) by_predicate[t.p].push_back(&t);
-
-  bool unmatchable = false;
-  std::vector<CompiledPattern> pats;
-  for (int i = 0; i < jg.num_tps(); ++i) {
-    const TriplePattern& tp = jg.pattern(i);
-    auto slot = [&](const PatternTerm& t) {
-      Slot s;
-      if (t.IsVar()) {
-        s.var = jg.FindVar(t.var);
-      } else {
-        s.is_const = true;
-        s.constant = dict.Lookup(t.term);
-        if (s.constant == kInvalidTermId) unmatchable = true;
-      }
-      return s;
-    };
-    pats.push_back(CompiledPattern{slot(tp.s), slot(tp.p), slot(tp.o)});
-  }
-  std::vector<BgpMatch> results;
-  if (unmatchable) return results;
-
-  std::vector<TermId> binding(jg.num_vars(), kInvalidTermId);
-  std::vector<Triple> matched(pats.size());
-  std::vector<bool> done(pats.size(), false);
-
-  auto bound = [&](const Slot& s) {
-    return s.is_const ||
-           (s.var != kInvalidVarId && binding[s.var] != kInvalidTermId);
-  };
-  auto pick = [&]() {
-    int best = -1, best_score = -1;
-    for (std::size_t i = 0; i < pats.size(); ++i) {
-      if (done[i]) continue;
-      int score = (bound(pats[i].p) ? 4 : 0) + (bound(pats[i].s) ? 2 : 0) +
-                  (bound(pats[i].o) ? 2 : 0);
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
-  };
-
-  std::function<bool(int)> recurse = [&](int depth) -> bool {
-    if (depth == static_cast<int>(pats.size())) {
-      BgpMatch m;
-      m.bindings = binding;
-      m.triples = matched;
-      results.push_back(std::move(m));
-      return limit == 0 || results.size() < limit;
-    }
-    int i = pick();
-    done[i] = true;
-    const CompiledPattern& pat = pats[i];
-
-    bool keep_going = true;
-    auto try_triple = [&](const Triple& t) {
-      std::vector<std::pair<VarId, TermId>> newly;
-      auto unify = [&](const Slot& s, TermId value) {
-        if (s.is_const) return s.constant == value;
-        if (binding[s.var] != kInvalidTermId) {
-          return binding[s.var] == value;
-        }
-        for (auto& [v, val] : newly) {
-          if (v == s.var) return val == value;
-        }
-        newly.emplace_back(s.var, value);
-        return true;
-      };
-      if (unify(pat.s, t.s) && unify(pat.p, t.p) && unify(pat.o, t.o)) {
-        for (auto& [v, val] : newly) binding[v] = val;
-        matched[i] = t;
-        keep_going = recurse(depth + 1);
-        for (auto& [v, val] : newly) binding[v] = kInvalidTermId;
-      }
-    };
-
-    TermId p_id = kInvalidTermId;
-    if (pat.p.is_const) {
-      p_id = pat.p.constant;
-    } else if (binding[pat.p.var] != kInvalidTermId) {
-      p_id = binding[pat.p.var];
-    }
-    if (p_id != kInvalidTermId) {
-      auto it = by_predicate.find(p_id);
-      if (it != by_predicate.end()) {
-        for (const Triple* t : it->second) {
-          if (!keep_going) break;
-          try_triple(*t);
-        }
-      }
-    } else {
-      for (const Triple& t : graph.triples()) {
-        if (!keep_going) break;
-        try_triple(t);
-      }
-    }
-    done[i] = false;
-    return keep_going;
-  };
-  recurse(0);
-  return results;
+  return Matcher(jg, graph, limit).Run();
 }
 
 }  // namespace parqo

@@ -9,9 +9,9 @@
 #include "optimizer/dp_bushy.h"
 #include "optimizer/msc.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/td_auto.h"
 #include "optimizer/td_cmd.h"
-#include "plan/validate.h"
 #include <functional>
 
 #include "tests/optimizer_test_util.h"
@@ -31,7 +31,7 @@ TEST(MscTest, ChainHasExactlyOneFlatPlan) {
   OptimizeResult r = RunMsc(fx.inputs(), OptimizeOptions{});
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.enumerated, 1u);
-  EXPECT_TRUE(ValidatePlan(*r.plan, fx.jg(), nullptr).ok());
+  EXPECT_TRUE(PlanValidator(fx.jg(), nullptr).ValidatePlan(*r.plan).ok());
   // Flat: 8 -> 4 -> 2 -> 1 relations = 3 join levels.
   EXPECT_EQ(r.plan->JoinDepth(), 3);
 }
@@ -41,8 +41,9 @@ TEST(MscTest, PlansAreFlatterThanLeftDeep) {
   QueryFixture fx(GenerateRandomQuery(QueryShape::kTree, 9, rng));
   OptimizeResult r = RunMsc(fx.inputs(), OptimizeOptions{});
   ASSERT_NE(r.plan, nullptr);
-  EXPECT_TRUE(
-      ValidatePlan(*r.plan, fx.jg(), fx.inputs().local_index).ok());
+  EXPECT_TRUE(PlanValidator(fx.jg(), fx.inputs().local_index)
+                  .ValidatePlan(*r.plan)
+                  .ok());
   // A flat plan of a 9-pattern query needs at most ceil(log2(9)) + 1
   // levels of k-way joins.
   EXPECT_LE(r.plan->JoinDepth(), 5);
@@ -82,8 +83,9 @@ TEST(DpBushyTest, ProducesValidPlans) {
     QueryFixture fx(GenerateRandomQuery(shape, 8, rng));
     OptimizeResult r = RunDpBushy(fx.inputs(), OptimizeOptions{});
     ASSERT_NE(r.plan, nullptr) << ToString(shape);
-    EXPECT_TRUE(
-        ValidatePlan(*r.plan, fx.jg(), fx.inputs().local_index).ok())
+    EXPECT_TRUE(PlanValidator(fx.jg(), fx.inputs().local_index)
+                    .ValidatePlan(*r.plan)
+                    .ok())
         << ToString(shape);
     EXPECT_GT(r.enumerated, 0u);
   }
@@ -181,7 +183,8 @@ TEST_P(OptimalityTest, TdCmdLowerBoundsEveryAlgorithm) {
     QueryFixture fx(q);
     OptimizeResult r = Optimize(algo, fx.inputs(), options);
     ASSERT_NE(r.plan, nullptr) << ToString(algo);
-    EXPECT_TRUE(ValidatePlan(*r.plan, fx.jg(), fx.inputs().local_index)
+    EXPECT_TRUE(PlanValidator(fx.jg(), fx.inputs().local_index)
+                    .ValidatePlan(*r.plan)
                     .ok())
         << ToString(algo);
     EXPECT_GE(r.plan->total_cost, reference.plan->total_cost - 1e-9)

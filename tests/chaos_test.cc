@@ -26,10 +26,10 @@
 #include "exec/cluster.h"
 #include "exec/executor.h"
 #include "exec/health.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
-#include "plan/validate.h"
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
 #include "stats/data_stats.h"
@@ -415,30 +415,26 @@ TEST_F(ChaosExecutorTest, StragglerDelaysButNeverDegrades) {
 TEST_F(ChaosExecutorTest, StragglerPlusCrashOnSameNode) {
   // The nastiest single-node failure mode: a node limps (straggler
   // delay on every op) and then dies mid-plan. Recovery must still
-  // produce bit-identical rows, for both engines, serial and parallel.
+  // produce bit-identical rows, serial and parallel.
   PlanNodePtr plan = RepartitionPlan();
-  for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kBatch}) {
-    for (bool parallel : {false, true}) {
-      SCOPED_TRACE(std::string(engine == ExecEngine::kRow ? "row" : "batch") +
-                   (parallel ? " parallel" : " serial"));
-      FaultPlan fault(3);
-      fault.SlowNode(1, 1e-4);
-      fault.CrashNodeAtOp(1, 2);  // limps through two ops, then dies
-      Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
-                    engine);
-      ExecMetrics m;
-      Result<BindingTable> result = [&] {
-        FaultScope scope(&fault);
-        return exec.Execute(*plan, &m);
-      }();
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectExactRecovery(*result, m, Expected(), *jg_);
-      EXPECT_EQ(fault.crashes_fired(), 1u);
-      ASSERT_EQ(m.degraded_nodes.size(), 1u);
-      EXPECT_EQ(m.degraded_nodes[0], 1);
-      EXPECT_GT(fault.slow_ops(), 0u);  // the limp was real, not skipped
-      EXPECT_GE(m.recovery_attempts, 1u);
-    }
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    FaultPlan fault(3);
+    fault.SlowNode(1, 1e-4);
+    fault.CrashNodeAtOp(1, 2);  // limps through two ops, then dies
+    Executor exec(*cluster_, *jg_, CostParams{}, parallel);
+    ExecMetrics m;
+    Result<BindingTable> result = [&] {
+      FaultScope scope(&fault);
+      return exec.Execute(*plan, &m);
+    }();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectExactRecovery(*result, m, Expected(), *jg_);
+    EXPECT_EQ(fault.crashes_fired(), 1u);
+    ASSERT_EQ(m.degraded_nodes.size(), 1u);
+    EXPECT_EQ(m.degraded_nodes[0], 1);
+    EXPECT_GT(fault.slow_ops(), 0u);  // the limp was real, not skipped
+    EXPECT_GE(m.recovery_attempts, 1u);
   }
 }
 
@@ -447,58 +443,54 @@ TEST_F(ChaosExecutorTest, FlappingNodeCrashRecoverCrash) {
   // consecutive executions sharing one fault plan and one health
   // registry (threshold high enough that the breaker only observes; the
   // breaker-driven quarantine path is covered in health_test). Every
-  // phase must uphold the chaos invariant for both engines, serial and
-  // parallel.
+  // phase must uphold the chaos invariant, serial and parallel.
   PlanNodePtr plan = RepartitionPlan();
-  for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kBatch}) {
-    for (bool parallel : {false, true}) {
-      SCOPED_TRACE(std::string(engine == ExecEngine::kRow ? "row" : "batch") +
-                   (parallel ? " parallel" : " serial"));
-      FaultPlan fault(3);
-      HealthConfig hc;
-      hc.failure_threshold = 1000;  // observe, never trip
-      NodeHealthRegistry health(3, hc);
-      Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
-                    engine, &health);
-      FaultScope scope(&fault);
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    FaultPlan fault(3);
+    HealthConfig hc;
+    hc.failure_threshold = 1000;  // observe, never trip
+    NodeHealthRegistry health(3, hc);
+    Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
+                  ExecEngine::kBatch, &health);
+    FaultScope scope(&fault);
 
-      // Phase 1: node 1 is sick; every probe on it is refused until the
-      // executor re-homes its partition.
-      fault.SickNode(1);
-      ExecMetrics m1;
-      auto r1 = exec.Execute(*plan, &m1);
-      ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-      ExpectExactRecovery(*r1, m1, Expected(), *jg_);
-      ASSERT_EQ(m1.degraded_nodes.size(), 1u);
-      EXPECT_EQ(m1.degraded_nodes[0], 1);
-      EXPECT_GT(fault.sick_refusals(), 0u);
-      EXPECT_GE(health.consecutive_failures(1), 1);
-      health.RecordSession(m1);
+    // Phase 1: node 1 is sick; every probe on it is refused until the
+    // executor re-homes its partition.
+    fault.SickNode(1);
+    ExecMetrics m1;
+    auto r1 = exec.Execute(*plan, &m1);
+    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+    ExpectExactRecovery(*r1, m1, Expected(), *jg_);
+    ASSERT_EQ(m1.degraded_nodes.size(), 1u);
+    EXPECT_EQ(m1.degraded_nodes[0], 1);
+    EXPECT_GT(fault.sick_refusals(), 0u);
+    EXPECT_GE(health.consecutive_failures(1), 1);
+    health.RecordSession(m1);
 
-      // Phase 2: cured. The node serves again; nothing degrades and the
-      // success feedback clears its failure streak.
-      fault.CureNode(1);
-      ExecMetrics m2;
-      auto r2 = exec.Execute(*plan, &m2);
-      ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-      ExpectExactRecovery(*r2, m2, Expected(), *jg_);
-      EXPECT_TRUE(m2.degraded_nodes.empty());
-      EXPECT_EQ(m2.recovery_attempts, 0u);
-      EXPECT_GT(m2.node_ops[1], 0u);
-      health.RecordSession(m2);
-      EXPECT_EQ(health.consecutive_failures(1), 0);
+    // Phase 2: cured. The node serves again; nothing degrades and the
+    // success feedback clears its failure streak.
+    fault.CureNode(1);
+    ExecMetrics m2;
+    auto r2 = exec.Execute(*plan, &m2);
+    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+    ExpectExactRecovery(*r2, m2, Expected(), *jg_);
+    EXPECT_TRUE(m2.degraded_nodes.empty());
+    EXPECT_EQ(m2.recovery_attempts, 0u);
+    EXPECT_GT(m2.node_ops[1], 0u);
+    health.RecordSession(m2);
+    EXPECT_EQ(health.consecutive_failures(1), 0);
 
-      // Phase 3: sick again — the flap. Detection and recovery repeat.
-      fault.SickNode(1);
-      ExecMetrics m3;
-      auto r3 = exec.Execute(*plan, &m3);
-      ASSERT_TRUE(r3.ok()) << r3.status().ToString();
-      ExpectExactRecovery(*r3, m3, Expected(), *jg_);
-      ASSERT_EQ(m3.degraded_nodes.size(), 1u);
-      EXPECT_EQ(m3.degraded_nodes[0], 1);
-      EXPECT_GE(health.consecutive_failures(1), 1);
-      health.RecordSession(m3);
-    }
+    // Phase 3: sick again — the flap. Detection and recovery repeat.
+    fault.SickNode(1);
+    ExecMetrics m3;
+    auto r3 = exec.Execute(*plan, &m3);
+    ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+    ExpectExactRecovery(*r3, m3, Expected(), *jg_);
+    ASSERT_EQ(m3.degraded_nodes.size(), 1u);
+    EXPECT_EQ(m3.degraded_nodes[0], 1);
+    EXPECT_GE(health.consecutive_failures(1), 1);
+    health.RecordSession(m3);
   }
 }
 
@@ -570,8 +562,8 @@ TEST(ChaosDeadlineTest, ExpiredDeadlineStillYieldsExecutablePlan) {
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.abort_cause, AbortCause::kDeadline);
   EXPECT_FALSE(r.timed_out);  // degradation is not failure
-  EXPECT_TRUE(ValidatePlan(*r.plan, fixture.jg(),
-                           fixture.inputs().local_index)
+  EXPECT_TRUE(PlanValidator(fixture.jg(), fixture.inputs().local_index)
+                  .ValidatePlan(*r.plan)
                   .ok());
 }
 
@@ -592,8 +584,8 @@ TEST(ChaosDeadlineTest, MscFallbackCoversEveryAlgorithm) {
     SCOPED_TRACE(ToString(a));
     OptimizeResult r = Optimize(a, fixture.inputs(), options);
     ASSERT_NE(r.plan, nullptr);
-    EXPECT_TRUE(ValidatePlan(*r.plan, fixture.jg(),
-                             fixture.inputs().local_index)
+    EXPECT_TRUE(PlanValidator(fixture.jg(), fixture.inputs().local_index)
+                    .ValidatePlan(*r.plan)
                     .ok());
     if (r.fell_back_to_msc) {
       EXPECT_EQ(r.abort_cause, AbortCause::kDeadline);

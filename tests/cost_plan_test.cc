@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cost/cost_model.h"
+#include "optimizer/plan_validator.h"
 #include "plan/plan.h"
-#include "plan/validate.h"
 #include "tests/test_util.h"
 
 namespace parqo {
@@ -121,14 +121,14 @@ TEST_F(PlanTest, ValidateAcceptsWellFormedPlan) {
   PlanNodePtr root = builder_.Join(JoinMethod::kBroadcast,
                                    jg_.FindVar("z"),
                                    {left, builder_.Scan(2)});
-  EXPECT_TRUE(ValidatePlan(*root, jg_, nullptr).ok());
+  EXPECT_TRUE(PlanValidator(jg_, nullptr).ValidatePlan(*root).ok());
 }
 
 TEST_F(PlanTest, ValidateRejectsPartialPlans) {
   PlanNodePtr left = builder_.Join(
       JoinMethod::kRepartition, jg_.FindVar("y"),
       {builder_.Scan(0), builder_.Scan(1)});
-  Status st = ValidatePlan(*left, jg_, nullptr);
+  Status st = PlanValidator(jg_, nullptr).ValidatePlan(*left);
   EXPECT_FALSE(st.ok());
 }
 
@@ -141,7 +141,7 @@ TEST_F(PlanTest, ValidateRejectsCartesianJoinVariable) {
   PlanNodePtr root = builder_.Join(JoinMethod::kRepartition,
                                    jg_.FindVar("z"),
                                    {bad, builder_.Scan(1)});
-  EXPECT_FALSE(ValidatePlan(*root, jg_, nullptr).ok());
+  EXPECT_FALSE(PlanValidator(jg_, nullptr).ValidatePlan(*root).ok());
 }
 
 TEST_F(PlanTest, ValidateChecksLocalityWhenIndexGiven) {
@@ -154,10 +154,10 @@ TEST_F(PlanTest, ValidateChecksLocalityWhenIndexGiven) {
                                    {local, builder_.Scan(2)});
   // With an index that says nothing is local, the plan is invalid.
   LocalQueryIndex none = LocalQueryIndex::None(jg_.num_tps());
-  EXPECT_FALSE(ValidatePlan(*root, jg_, &none).ok());
+  EXPECT_FALSE(PlanValidator(jg_, &none).ValidatePlan(*root).ok());
   // With an index making {tp0, tp1} local, it passes.
   LocalQueryIndex index({pair});
-  EXPECT_TRUE(ValidatePlan(*root, jg_, &index).ok());
+  EXPECT_TRUE(PlanValidator(jg_, &index).ValidatePlan(*root).ok());
 }
 
 TEST_F(PlanTest, PrintingContainsStructure) {

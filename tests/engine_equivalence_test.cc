@@ -1,15 +1,12 @@
-// Golden equivalence sweep for the vectorized execution path (DESIGN.md
-// sections 13 and 17): every benchmark query, planned by all seven
-// algorithms and executed serial and parallel, must produce a
-// BindingTable from the batch engine (merge joins enabled) AND from the
-// hash-only batch engine that is BIT-IDENTICAL (schema, rows, row order)
-// to the row-at-a-time reference engine — operator==, not set
-// comparison. The
-// same must hold under seeded fault plans: with identical fault
-// schedules, both engines recover to identical tables or fail with the
-// same typed status, because the fault probe sequence (one BeginNodeOp
-// per partition per operator, one DeliverShipment per batch) does not
-// depend on join internals.
+// Golden equivalence sweep for the executor (DESIGN.md sections 13 and
+// 17): every benchmark query, planned by all seven algorithms, must
+// return the distinct MatchBgp bindings as a multiset (a duplicated row
+// fails), and the serial and parallel runs must produce BIT-IDENTICAL
+// BindingTables (schema, rows, row order; operator==, not set
+// comparison) with identical metrics. Under a seeded fault plan, two
+// runs replay to identical tables or fail with the same typed status,
+// because the fault probe sequence (one BeginNodeOp per partition per
+// operator, one DeliverShipment per batch) depends only on the plan.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +23,7 @@
 #include "plan/plan.h"
 #include "sparql/parser.h"
 #include "stats/data_stats.h"
+#include "tests/test_util.h"
 #include "workload/benchmark_queries.h"
 #include "workload/lubm.h"
 #include "workload/uniprot.h"
@@ -60,24 +58,25 @@ const RdfGraph& UniprotGraph() {
   return g;
 }
 
-// Metrics both engines must agree on exactly: every field is a function
-// of the (identical) intermediate tables, never of kernel internals.
-void ExpectSameMetrics(const ExecMetrics& row, const ExecMetrics& batch) {
-  EXPECT_EQ(row.measured_cost, batch.measured_cost);
-  EXPECT_EQ(row.total_work, batch.total_work);
-  EXPECT_EQ(row.rows_scanned, batch.rows_scanned);
-  EXPECT_EQ(row.rows_transferred, batch.rows_transferred);
-  EXPECT_EQ(row.bytes_shipped, batch.bytes_shipped);
-  EXPECT_EQ(row.distributed_joins, batch.distributed_joins);
-  EXPECT_EQ(row.result_rows, batch.result_rows);
-  EXPECT_EQ(row.node_rows_scanned, batch.node_rows_scanned);
-  EXPECT_EQ(row.node_rows_received, batch.node_rows_received);
-  EXPECT_EQ(row.node_rows_joined, batch.node_rows_joined);
-  ASSERT_EQ(row.edges.size(), batch.edges.size());
-  for (std::size_t i = 0; i < row.edges.size(); ++i) {
-    EXPECT_EQ(row.edges[i].op, batch.edges[i].op);
-    EXPECT_EQ(row.edges[i].rows, batch.edges[i].rows);
-    EXPECT_EQ(row.edges[i].bytes, batch.edges[i].bytes);
+// Metrics two runs of one plan must agree on exactly: every field is a
+// function of the (identical) intermediate tables.
+void ExpectSameMetrics(const ExecMetrics& a, const ExecMetrics& b) {
+  EXPECT_EQ(a.measured_cost, b.measured_cost);
+  EXPECT_EQ(a.total_work, b.total_work);
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+  EXPECT_EQ(a.rows_transferred, b.rows_transferred);
+  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
+  EXPECT_EQ(a.distributed_joins, b.distributed_joins);
+  EXPECT_EQ(a.merge_joins, b.merge_joins);
+  EXPECT_EQ(a.result_rows, b.result_rows);
+  EXPECT_EQ(a.node_rows_scanned, b.node_rows_scanned);
+  EXPECT_EQ(a.node_rows_received, b.node_rows_received);
+  EXPECT_EQ(a.node_rows_joined, b.node_rows_joined);
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t i = 0; i < a.edges.size(); ++i) {
+    EXPECT_EQ(a.edges[i].op, b.edges[i].op);
+    EXPECT_EQ(a.edges[i].rows, b.edges[i].rows);
+    EXPECT_EQ(a.edges[i].bytes, b.edges[i].bytes);
   }
 }
 
@@ -110,42 +109,32 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<BenchmarkQuery> {
 };
 
 TEST_P(EngineEquivalenceTest, AllAlgorithmsSerialAndParallel) {
+  const JoinGraph& jg = prepared_->join_graph();
+  const std::vector<std::vector<TermId>> truth =
+      testing::MatchRows(jg, *graph_);
   for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(ToString(algorithm));
     PlanNodePtr plan = Plan(algorithm);
-    ASSERT_NE(plan, nullptr) << ToString(algorithm);
-    for (bool parallel : {false, true}) {
-      SCOPED_TRACE(ToString(algorithm) +
-                   (parallel ? " parallel" : " serial"));
-      Executor row(*cluster_, prepared_->join_graph(), options_.cost_params,
-                   parallel, RetryPolicy{}, ExecEngine::kRow);
-      Executor batch(*cluster_, prepared_->join_graph(),
-                     options_.cost_params, parallel, RetryPolicy{},
-                     ExecEngine::kBatch);
-      Executor batch_hash(*cluster_, prepared_->join_graph(),
-                          options_.cost_params, parallel, RetryPolicy{},
-                          ExecEngine::kBatchHash);
-      ExecMetrics mr, mb, mh;
-      auto rr = row.Execute(*plan, &mr);
-      auto rb = batch.Execute(*plan, &mb);
-      auto rh = batch_hash.Execute(*plan, &mh);
-      ASSERT_TRUE(rr.ok()) << rr.status().ToString();
-      ASSERT_TRUE(rb.ok()) << rb.status().ToString();
-      ASSERT_TRUE(rh.ok()) << rh.status().ToString();
-      EXPECT_TRUE(*rr == *rb) << "engines diverge: row " << rr->NumRows()
-                              << " rows vs batch " << rb->NumRows();
-      EXPECT_TRUE(*rb == *rh)
-          << "merge joins diverge from hash joins: batch " << rb->NumRows()
-          << " rows vs batch-hash " << rh->NumRows();
-      ExpectSameMetrics(mr, mb);
-      ExpectSameMetrics(mb, mh);
-      EXPECT_EQ(mh.merge_joins, 0u);
-    }
+    ASSERT_NE(plan, nullptr);
+    Executor serial(*cluster_, jg, options_.cost_params);
+    Executor parallel(*cluster_, jg, options_.cost_params,
+                      /*parallel_nodes=*/true);
+    ExecMetrics ms, mp;
+    auto rs = serial.Execute(*plan, &ms);
+    auto rp = parallel.Execute(*plan, &mp);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ASSERT_TRUE(rp.ok()) << rp.status().ToString();
+    EXPECT_EQ(testing::SortedRows(*rs, jg), truth);
+    EXPECT_TRUE(*rs == *rp) << "serial " << rs->NumRows()
+                            << " rows vs parallel " << rp->NumRows();
+    ExpectSameMetrics(ms, mp);
   }
 }
 
 TEST_P(EngineEquivalenceTest, FaultSeedsProduceIdenticalOutcomes) {
   PlanNodePtr plan = Plan(Algorithm::kTdAuto);
   ASSERT_NE(plan, nullptr);
+  const JoinGraph& jg = prepared_->join_graph();
   RetryPolicy retry;
   retry.max_attempts = 6;
 
@@ -155,44 +144,33 @@ TEST_P(EngineEquivalenceTest, FaultSeedsProduceIdenticalOutcomes) {
   config.slow_seconds = 1e-4;
   config.drop_probability = 0.1;
 
-  // The CI chaos seeds; a fresh FaultPlan per engine replays the same
-  // schedule for both.
+  // The CI chaos seeds; a fresh FaultPlan per run replays the same
+  // schedule.
   for (std::uint64_t seed : {2017ull, 31337ull, 987654321ull}) {
     SCOPED_TRACE(seed);
-    auto run = [&](ExecEngine engine, ExecMetrics* m) {
+    auto run = [&](ExecMetrics* m) {
       FaultPlan fault(seed, kNodes, config);
-      Executor exec(*cluster_, prepared_->join_graph(),
-                    options_.cost_params, /*parallel_nodes=*/false, retry,
-                    engine);
+      Executor exec(*cluster_, jg, options_.cost_params,
+                    /*parallel_nodes=*/false, retry);
       FaultScope scope(&fault);
       return exec.Execute(*plan, m);
     };
-    ExecMetrics mr, mb, mh;
-    Result<BindingTable> rr = run(ExecEngine::kRow, &mr);
-    Result<BindingTable> rb = run(ExecEngine::kBatch, &mb);
-    Result<BindingTable> rh = run(ExecEngine::kBatchHash, &mh);
-    ASSERT_EQ(rr.ok(), rb.ok())
-        << "row: " << rr.status().ToString()
-        << " batch: " << rb.status().ToString();
-    ASSERT_EQ(rb.ok(), rh.ok())
-        << "batch: " << rb.status().ToString()
-        << " batch-hash: " << rh.status().ToString();
-    if (rr.ok()) {
-      EXPECT_TRUE(*rr == *rb);
-      EXPECT_TRUE(*rb == *rh);
-      ExpectSameMetrics(mr, mb);
-      ExpectSameMetrics(mb, mh);
-      EXPECT_EQ(mr.recovery_attempts, mb.recovery_attempts);
-      EXPECT_EQ(mr.rows_reshipped, mb.rows_reshipped);
-      EXPECT_EQ(mr.degraded_nodes, mb.degraded_nodes);
-      EXPECT_EQ(mb.recovery_attempts, mh.recovery_attempts);
-      EXPECT_EQ(mb.degraded_nodes, mh.degraded_nodes);
+    ExecMetrics ma, mb;
+    Result<BindingTable> ra = run(&ma);
+    Result<BindingTable> rb = run(&mb);
+    ASSERT_EQ(ra.ok(), rb.ok()) << "first: " << ra.status().ToString()
+                                << " replay: " << rb.status().ToString();
+    if (ra.ok()) {
+      EXPECT_EQ(testing::SortedRows(*ra, jg), testing::MatchRows(jg, *graph_));
+      EXPECT_TRUE(*ra == *rb);
+      ExpectSameMetrics(ma, mb);
+      EXPECT_EQ(ma.recovery_attempts, mb.recovery_attempts);
+      EXPECT_EQ(ma.rows_reshipped, mb.rows_reshipped);
+      EXPECT_EQ(ma.degraded_nodes, mb.degraded_nodes);
     } else {
-      EXPECT_EQ(rr.status().code(), rb.status().code());
-      EXPECT_EQ(rb.status().code(), rh.status().code());
-      EXPECT_TRUE(mr.failed);
+      EXPECT_EQ(ra.status().code(), rb.status().code());
+      EXPECT_TRUE(ma.failed);
       EXPECT_TRUE(mb.failed);
-      EXPECT_TRUE(mh.failed);
     }
   }
 }

@@ -16,7 +16,6 @@
 #include "exec/cluster.h"
 #include "exec/executor.h"
 #include "exec/join_kernel.h"
-#include "exec/reference_join.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
@@ -25,6 +24,7 @@
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
 #include "stats/data_stats.h"
+#include "tests/reference_join.h"
 #include "tests/test_util.h"
 #include "workload/benchmark_queries.h"
 #include "workload/lubm.h"
@@ -128,7 +128,7 @@ TEST(JoinKernelTest, EmptyBuildSide) {
   BindingTable batch = BatchHashJoin(left, right);
   EXPECT_EQ(batch.NumRows(), 0u);
   EXPECT_EQ(batch.schema(), (std::vector<VarId>{0, 1, 2}));
-  EXPECT_EQ(batch, ReferenceHashJoin(left, right));
+  EXPECT_EQ(batch, testing::ReferenceHashJoin(left, right));
 }
 
 TEST(JoinKernelTest, EmptyProbeSide) {
@@ -136,7 +136,7 @@ TEST(JoinKernelTest, EmptyProbeSide) {
   BindingTable right({1, 2});  // empty: the larger left would probe
   BindingTable batch = BatchHashJoin(left, right);
   EXPECT_EQ(batch.NumRows(), 0u);
-  EXPECT_EQ(batch, ReferenceHashJoin(left, right));
+  EXPECT_EQ(batch, testing::ReferenceHashJoin(left, right));
 }
 
 TEST(JoinKernelTest, FullySharedSchemas) {
@@ -145,7 +145,7 @@ TEST(JoinKernelTest, FullySharedSchemas) {
   BindingTable left = MakeTable({0, 1}, {{1, 2}, {3, 4}, {5, 6}, {1, 2}});
   BindingTable right = MakeTable({0, 1}, {{3, 4}, {1, 2}, {7, 8}});
   BindingTable batch = BatchHashJoin(left, right);
-  EXPECT_EQ(batch, ReferenceHashJoin(left, right));
+  EXPECT_EQ(batch, testing::ReferenceHashJoin(left, right));
   // right built (3 < 4 rows); probe = left rows in order, {5,6} unmatched.
   EXPECT_EQ(batch,
             MakeTable({0, 1}, {{1, 2}, {3, 4}, {1, 2}}));
@@ -155,7 +155,7 @@ TEST(JoinKernelTest, CrossProductWhenNoSharedVars) {
   BindingTable left = MakeTable({0}, {{1}, {2}});
   BindingTable right = MakeTable({1}, {{10}, {20}, {30}});
   BindingTable batch = BatchHashJoin(left, right);
-  EXPECT_EQ(batch, ReferenceHashJoin(left, right));
+  EXPECT_EQ(batch, testing::ReferenceHashJoin(left, right));
   // Left-row-major order.
   EXPECT_EQ(batch, MakeTable({0, 1}, {{1, 10}, {1, 20}, {1, 30},
                                       {2, 10}, {2, 20}, {2, 30}}));
@@ -169,7 +169,7 @@ TEST(JoinKernelTest, MultiKeyJoinMatchesReference) {
   BindingTable right =
       MakeTable({0, 1, 3}, {{1, 2, 100}, {4, 2, 200}, {9, 9, 300}});
   BindingTable batch = BatchHashJoin(left, right);
-  EXPECT_EQ(batch, ReferenceHashJoin(left, right));
+  EXPECT_EQ(batch, testing::ReferenceHashJoin(left, right));
   EXPECT_EQ(batch.NumRows(), 3u);
 }
 
@@ -188,7 +188,7 @@ TEST(JoinKernelTest, MorselBoundaryRowCounts) {
       right.AppendRow(std::vector<TermId>{static_cast<TermId>(r % 3 + 1),
                                           static_cast<TermId>(r)});
     }
-    BindingTable oracle = ReferenceHashJoin(left, right);
+    BindingTable oracle = testing::ReferenceHashJoin(left, right);
     for (bool parallel : {false, true}) {
       BatchJoinOptions opts;
       opts.morsel_rows = kMorsel;
@@ -227,7 +227,7 @@ TEST(JoinKernelTest, SingleKeyCollisionsStaySeparate) {
   BindingTable left = MakeTable({0, 1}, {{k1, 10}, {k2, 20}, {k1, 30}});
   BindingTable right = MakeTable({0, 2}, {{k2, 1}, {k1, 2}, {k1, 3}, {9, 4}});
   BindingTable batch = BatchHashJoin(left, right);
-  EXPECT_EQ(batch, ReferenceHashJoin(left, right));
+  EXPECT_EQ(batch, testing::ReferenceHashJoin(left, right));
   EXPECT_EQ(batch.NumRows(), 5u);  // k1: 2x2 pairings, k2: 1x1
 }
 
@@ -242,7 +242,7 @@ TEST(JoinKernelTest, GenericKernelMatchesSpecialized) {
   generic.force_generic_kernel = true;
   BindingTable fast = BatchHashJoin(left, right);
   EXPECT_EQ(fast, BatchHashJoin(left, right, generic));
-  EXPECT_EQ(fast, ReferenceHashJoin(left, right));
+  EXPECT_EQ(fast, testing::ReferenceHashJoin(left, right));
 }
 
 TEST(NodeStoreTest, ScansByPatternShape) {
@@ -700,33 +700,6 @@ const std::vector<Algorithm> kAllAlgorithms{
     Algorithm::kTdAuto, Algorithm::kMsc,     Algorithm::kDpBushy,
     Algorithm::kBinaryDp};
 
-// Rows over VarIds 0..num_vars-1, sorted: a multiset, so a duplicated
-// row shows.
-std::vector<std::vector<TermId>> SortedRows(const BindingTable& t,
-                                            const JoinGraph& jg) {
-  std::vector<std::vector<TermId>> rows(t.NumRows());
-  for (std::size_t r = 0; r < t.NumRows(); ++r) {
-    for (VarId v = 0; v < jg.num_vars(); ++v) {
-      const int c = t.ColumnOf(v);
-      rows[r].push_back(c < 0 ? kInvalidTermId : t.At(r, c));
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-// Distinct MatchBgp bindings of `patterns`, sorted.
-std::vector<std::vector<TermId>> MatchRows(
-    const std::vector<TriplePattern>& patterns, const RdfGraph& graph) {
-  std::vector<std::vector<TermId>> rows;
-  for (BgpMatch& m : MatchBgp(JoinGraph(patterns), graph, 0)) {
-    rows.push_back(std::move(m.bindings));
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return rows;
-}
-
 class SipSweepTest : public ::testing::Test {
  protected:
   struct World {
@@ -771,7 +744,7 @@ class SipSweepTest : public ::testing::Test {
     PreparedQuery pq(patterns, hash, StatsFromData(*w.graph));
     const JoinGraph& jg = pq.join_graph();
     const std::vector<std::vector<TermId>> truth =
-        MatchRows(patterns, *w.graph);
+        testing::MatchRows(JoinGraph(patterns), *w.graph);
     OptimizeOptions options;
     options.cost_params.num_nodes = kSipNodes;
     options.timeout_seconds = 60;
@@ -799,8 +772,8 @@ class SipSweepTest : public ::testing::Test {
                         << rf.status().ToString();
           continue;
         }
-        EXPECT_EQ(SortedRows(*rf, jg), truth);
-        EXPECT_EQ(SortedRows(*rr, jg), truth);
+        EXPECT_EQ(testing::SortedRows(*rf, jg), truth);
+        EXPECT_EQ(testing::SortedRows(*rr, jg), truth);
         EXPECT_LE(mf.rows_scanned, mr.rows_scanned);
         all_pruned = all_pruned && mf.rows_scanned < mr.rows_scanned;
         EXPECT_TRUE(mf.op_cards.empty());
@@ -811,7 +784,7 @@ class SipSweepTest : public ::testing::Test {
           if (fresh) {
             std::vector<TriplePattern> sub;
             for (int tp : oc.tps) sub.push_back(jg.pattern(tp));
-            it->second = MatchRows(sub, *w.graph).size();
+            it->second = testing::MatchRows(JoinGraph(sub), *w.graph).size();
           }
           EXPECT_EQ(oc.actual, it->second) << oc.op;
         }
@@ -847,9 +820,10 @@ TEST_F(SipSweepTest, WatdivTemplatesMatchUnfilteredAndMatchBgp) {
 }
 
 // A sibling that returns zero rows pushes an empty key set: the later
-// children scan nothing, every engine agrees row for row, and seeded
-// faults still recover to the same (empty) result or fail cleanly.
-TEST_F(SipSweepTest, EmptySiblingFilterAcrossEnginesAndFaults) {
+// children scan nothing, serial and parallel runs agree row for row, and
+// a seeded fault plan replays to the same (empty) result or fails
+// cleanly.
+TEST_F(SipSweepTest, EmptySiblingFilterSerialParallelAndFaults) {
   const World& w = Lubm();
   Result<ParsedQuery> parsed = ParseSparql(
       "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
@@ -873,23 +847,19 @@ TEST_F(SipSweepTest, EmptySiblingFilterAcrossEnginesAndFaults) {
     ExecMetrics mr;
     ASSERT_TRUE(recording.Execute(*plan, &mr).ok());
     EXPECT_EQ(mr.result_rows, 0u);
+    std::vector<BindingTable> results;
+    std::vector<ExecMetrics> metrics(2);
     for (bool parallel : {false, true}) {
-      std::vector<BindingTable> results;
-      std::vector<ExecMetrics> metrics(3);
-      for (ExecEngine engine :
-           {ExecEngine::kRow, ExecEngine::kBatch, ExecEngine::kBatchHash}) {
-        Executor exec(*w.cluster, pq.join_graph(), options.cost_params,
-                      parallel, RetryPolicy{}, engine);
-        Result<BindingTable> r = exec.Execute(*plan, &metrics[results.size()]);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        results.push_back(std::move(*r));
-      }
-      EXPECT_EQ(results[0].NumRows(), 0u);
-      EXPECT_TRUE(results[0] == results[1] && results[1] == results[2]);
-      EXPECT_EQ(metrics[0].rows_scanned, metrics[1].rows_scanned);
-      EXPECT_EQ(metrics[1].rows_scanned, metrics[2].rows_scanned);
-      EXPECT_LT(metrics[1].rows_scanned, mr.rows_scanned);
+      Executor exec(*w.cluster, pq.join_graph(), options.cost_params,
+                    parallel);
+      Result<BindingTable> r = exec.Execute(*plan, &metrics[results.size()]);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      results.push_back(std::move(*r));
     }
+    EXPECT_EQ(results[0].NumRows(), 0u);
+    EXPECT_TRUE(results[0] == results[1]);
+    EXPECT_EQ(metrics[0].rows_scanned, metrics[1].rows_scanned);
+    EXPECT_LT(metrics[0].rows_scanned, mr.rows_scanned);
 
     RetryPolicy retry;
     retry.max_attempts = 6;
@@ -901,11 +871,10 @@ TEST_F(SipSweepTest, EmptySiblingFilterAcrossEnginesAndFaults) {
     for (std::uint64_t seed : {2017ull, 31337ull, 987654321ull}) {
       SCOPED_TRACE(seed);
       std::vector<Result<BindingTable>> runs;
-      for (ExecEngine engine :
-           {ExecEngine::kRow, ExecEngine::kBatch, ExecEngine::kBatchHash}) {
+      for (int replay = 0; replay < 2; ++replay) {
         FaultPlan fault(seed, kSipNodes, config);
         Executor exec(*w.cluster, pq.join_graph(), options.cost_params,
-                      /*parallel_nodes=*/false, retry, engine);
+                      /*parallel_nodes=*/false, retry);
         FaultScope scope(&fault);
         ExecMetrics m;
         runs.push_back(exec.Execute(*plan, &m));

@@ -4,16 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "partition/hot_query.h"
 #include "plan/export.h"
-#include "plan/validate.h"
 #include "query/match.h"
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
@@ -60,6 +64,117 @@ TEST(MatchBgpTest, UnmatchableConstantIsEmpty) {
   ASSERT_TRUE(g.ok());
   JoinGraph jg({Tp("?x", "nosuch", "?y")});
   EXPECT_TRUE(MatchBgp(jg, *g, 0).empty());
+}
+
+// The oracle's oracle: every tuple of graph triples, one per pattern,
+// that unifies with the patterns under a single binding.
+std::set<std::vector<TermId>> CrossProductMatches(const JoinGraph& jg,
+                                                  const RdfGraph& g) {
+  const std::vector<Triple>& triples = g.triples();
+  std::set<std::vector<TermId>> out;
+  std::vector<std::size_t> pick(jg.num_tps(), 0);
+  for (;;) {
+    std::vector<TermId> binding(jg.num_vars(), kInvalidTermId);
+    bool ok = true;
+    for (int i = 0; i < jg.num_tps() && ok; ++i) {
+      const TriplePattern& tp = jg.pattern(i);
+      const Triple& t = triples[pick[i]];
+      for (auto [term, value] : {std::pair{&tp.s, t.s}, std::pair{&tp.p, t.p},
+                                 std::pair{&tp.o, t.o}}) {
+        if (!term->IsVar()) {
+          ok = ok && g.dict().Lookup(term->term) == value;
+          continue;
+        }
+        TermId& b = binding[jg.FindVar(term->var)];
+        if (b == kInvalidTermId) b = value;
+        ok = ok && b == value;
+      }
+    }
+    if (ok) out.insert(binding);
+    std::size_t i = 0;
+    while (i < pick.size() && ++pick[i] == triples.size()) pick[i++] = 0;
+    if (i == pick.size()) return out;
+  }
+}
+
+// Random graphs of a dozen triples over a handful of terms, so self
+// loops (?x p ?x) and predicates in subject or object position occur,
+// against a random 1-3 pattern BGP and fixed ones covering ?x p ?x,
+// variable predicates (shared, and in subject or object position) and a
+// constant the dictionary lacks. `limit` must return exactly
+// min(limit, total) distinct matches, each one in the full set.
+TEST(MatchBgpTest, AgreesWithCrossProductOnRandomGraphs) {
+  Rng rng(2017);
+  const std::vector<std::string> nodes{"e0", "e1", "e2", "p0"};
+  const std::vector<std::string> preds{"p0", "p1"};
+  const std::vector<std::string> vars{"?a", "?b", "?c", "?p"};
+  auto draw = [&](const std::vector<std::string>& v) {
+    return v[rng.Uniform(0, static_cast<std::int64_t>(v.size()) - 1)];
+  };
+  int nonempty = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string text;
+    for (int i = rng.Uniform(4, 12); i > 0; --i) {
+      text += "<" + draw(nodes) + "> <" + draw(preds) + "> <" + draw(nodes) +
+              "> .\n";
+    }
+    auto g = ParseNTriplesString(text);
+    ASSERT_TRUE(g.ok());
+    auto term = [&](const std::vector<std::string>& constants) {
+      const std::int64_t roll = rng.Uniform(0, 19);
+      if (roll == 0) return std::string("missing");
+      return roll < 12 ? draw(vars) : draw(constants);
+    };
+    std::vector<TriplePattern> random;
+    for (int i = rng.Uniform(1, 3); i > 0; --i) {
+      random.push_back(Tp(term(nodes), term(preds), term(nodes)));
+    }
+    const std::vector<std::vector<TriplePattern>> queries{
+        random,
+        {Tp("?a", "p0", "?a")},
+        {Tp("?a", "?p", "?b"), Tp("?b", "?p", "?c")},
+        {Tp("?a", "p1", "?p"), Tp("?b", "?p", "?a")},
+        {Tp("?a", "p0", "?b"), Tp("?b", "missing", "?c")},
+    };
+    for (const std::vector<TriplePattern>& patterns : queries) {
+      JoinGraph jg(patterns);
+      SCOPED_TRACE(text + "round " + std::to_string(round) + ", " +
+                   std::to_string(patterns.size()) + " patterns");
+
+      const std::set<std::vector<TermId>> truth =
+          CrossProductMatches(jg, *g);
+      const std::vector<BgpMatch> all = MatchBgp(jg, *g, 0);
+      std::set<std::vector<TermId>> found;
+      for (const BgpMatch& m : all) {
+        found.insert(m.bindings);
+        // The matched triples are the patterns under the binding.
+        ASSERT_EQ(m.triples.size(), patterns.size());
+        for (std::size_t i = 0; i < patterns.size(); ++i) {
+          auto value = [&](const PatternTerm& t) {
+            return t.IsVar() ? m.bindings[jg.FindVar(t.var)]
+                             : g->dict().Lookup(t.term);
+          };
+          EXPECT_EQ(m.triples[i], (Triple{value(patterns[i].s),
+                                          value(patterns[i].p),
+                                          value(patterns[i].o)}));
+        }
+      }
+      EXPECT_EQ(found.size(), all.size()) << "duplicate matches";
+      EXPECT_EQ(found, truth);
+      nonempty += truth.empty() ? 0 : 1;
+
+      for (std::size_t limit = 1; limit <= truth.size() + 1; ++limit) {
+        std::set<std::vector<TermId>> capped;
+        for (const BgpMatch& m : MatchBgp(jg, *g, limit)) {
+          EXPECT_TRUE(truth.count(m.bindings)) << "limit " << limit;
+          capped.insert(m.bindings);
+        }
+        EXPECT_EQ(capped.size(), std::min(limit, truth.size()))
+            << "limit " << limit;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 500);  // the sweep exercises real matches
 }
 
 TEST(HotQueryTest, IntersectionDetection) {
@@ -189,7 +304,7 @@ TEST(BinaryDpTest, PlansAreBinaryOnly) {
       Optimize(Algorithm::kBinaryDp, fx.inputs(), OptimizeOptions{});
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.algorithm_used, Algorithm::kBinaryDp);
-  EXPECT_TRUE(ValidatePlan(*r.plan, fx.jg(), nullptr).ok());
+  EXPECT_TRUE(PlanValidator(fx.jg(), nullptr).ValidatePlan(*r.plan).ok());
   std::function<void(const PlanNode&)> check = [&](const PlanNode& n) {
     if (n.kind == PlanNode::Kind::kJoin) {
       EXPECT_EQ(n.children.size(), 2u);

@@ -502,23 +502,20 @@ TEST_F(HealthExecutorTest, OpenBreakerQuarantinesPreemptively) {
   ASSERT_EQ(health.state(1), BreakerState::kOpen);
 
   PlanNodePtr plan = RepartitionPlan();
-  for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kBatch}) {
-    for (bool parallel : {false, true}) {
-      SCOPED_TRACE(std::string(engine == ExecEngine::kRow ? "row" : "batch") +
-                   (parallel ? " parallel" : " serial"));
-      Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
-                    engine, &health);
-      ExecMetrics m;
-      auto result = exec.Execute(*plan, &m);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(Normalize(*result), Expected());
-      ASSERT_EQ(m.quarantined_nodes.size(), 1u);
-      EXPECT_EQ(m.quarantined_nodes[0], 1);
-      EXPECT_TRUE(m.degraded_nodes.empty());
-      EXPECT_EQ(m.recovery_attempts, 0u);
-      EXPECT_EQ(m.node_ops[1], 0u);  // never dispatched to the open node
-      for (std::uint64_t f : m.node_failures) EXPECT_EQ(f, 0u);
-    }
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
+                  ExecEngine::kBatch, &health);
+    ExecMetrics m;
+    auto result = exec.Execute(*plan, &m);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Normalize(*result), Expected());
+    ASSERT_EQ(m.quarantined_nodes.size(), 1u);
+    EXPECT_EQ(m.quarantined_nodes[0], 1);
+    EXPECT_TRUE(m.degraded_nodes.empty());
+    EXPECT_EQ(m.recovery_attempts, 0u);
+    EXPECT_EQ(m.node_ops[1], 0u);  // never dispatched to the open node
+    for (std::uint64_t f : m.node_failures) EXPECT_EQ(f, 0u);
   }
 }
 
@@ -556,28 +553,25 @@ TEST_F(HealthExecutorTest, HedgedStragglerKeepsRowsBitIdentical) {
 
   const double delay = 4 * threshold;
   PlanNodePtr plan = RepartitionPlan();
-  for (ExecEngine engine : {ExecEngine::kRow, ExecEngine::kBatch}) {
-    for (bool parallel : {false, true}) {
-      SCOPED_TRACE(std::string(engine == ExecEngine::kRow ? "row" : "batch") +
-                   (parallel ? " parallel" : " serial"));
-      FaultPlan fault(3);
-      fault.SlowNode(2, delay);
-      Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
-                    engine, &health);
-      ExecMetrics m;
-      Result<BindingTable> result = [&] {
-        FaultScope scope(&fault);
-        return exec.Execute(*plan, &m);
-      }();
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(Normalize(*result), Expected());
-      EXPECT_GT(m.hedged_ops, 0u);
-      EXPECT_EQ(m.hedge_wins, m.hedged_ops);  // peers are strictly faster
-      EXPECT_EQ(m.node_ops[2], 0u);   // every straggler op re-homed
-      EXPECT_EQ(fault.slow_ops(), 0u);  // the delay was never paid
-      EXPECT_TRUE(m.degraded_nodes.empty());
-      EXPECT_EQ(m.recovery_attempts, 0u);
-    }
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    FaultPlan fault(3);
+    fault.SlowNode(2, delay);
+    Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
+                  ExecEngine::kBatch, &health);
+    ExecMetrics m;
+    Result<BindingTable> result = [&] {
+      FaultScope scope(&fault);
+      return exec.Execute(*plan, &m);
+    }();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Normalize(*result), Expected());
+    EXPECT_GT(m.hedged_ops, 0u);
+    EXPECT_EQ(m.hedge_wins, m.hedged_ops);  // peers are strictly faster
+    EXPECT_EQ(m.node_ops[2], 0u);   // every straggler op re-homed
+    EXPECT_EQ(fault.slow_ops(), 0u);  // the delay was never paid
+    EXPECT_TRUE(m.degraded_nodes.empty());
+    EXPECT_EQ(m.recovery_attempts, 0u);
   }
 }
 

@@ -10,10 +10,10 @@
 #include "optimizer/cbd_enumerator.h"
 #include "optimizer/grouped_graph.h"
 #include "optimizer/join_graph_reduction.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/td_cmd.h"
 #include "partition/hash_so.h"
 #include "partition/path_bmc.h"
-#include "plan/validate.h"
 #include "tests/optimizer_test_util.h"
 #include "tests/test_util.h"
 
@@ -186,8 +186,9 @@ TEST(HgrTest, ProducesValidPlansAndShrinksSearchSpace) {
     OptimizeOptions options;
     OptimizeResult hgr = RunHgrTdCmd(fx.inputs(), options);
     ASSERT_NE(hgr.plan, nullptr) << ToString(shape);
-    EXPECT_TRUE(
-        ValidatePlan(*hgr.plan, fx.jg(), fx.inputs().local_index).ok())
+    EXPECT_TRUE(PlanValidator(fx.jg(), fx.inputs().local_index)
+                    .ValidatePlan(*hgr.plan)
+                    .ok())
         << ToString(shape);
 
     QueryFixture fx2(q);
@@ -227,7 +228,7 @@ TEST(HgrTest, FullyLocalQueryCollapsesToOneGroup) {
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.plan->method, JoinMethod::kLocal);
   EXPECT_EQ(r.enumerated, 0u);
-  EXPECT_TRUE(ValidatePlan(*r.plan, jg, &index).ok());
+  EXPECT_TRUE(PlanValidator(jg, &index).ValidatePlan(*r.plan).ok());
 }
 
 }  // namespace

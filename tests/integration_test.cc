@@ -12,12 +12,12 @@
 
 #include "exec/cluster.h"
 #include "exec/executor.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "partition/min_edge_cut.h"
 #include "partition/path_bmc.h"
 #include "partition/two_hop.h"
-#include "plan/validate.h"
 #include "sparql/parser.h"
 #include "tests/test_util.h"
 #include "workload/benchmark_queries.h"
@@ -110,8 +110,9 @@ TEST_P(IntegrationTest, AllAlgorithmsAndPartitioningsAgree) {
                      StatsFromData(graph));
     OptimizeResult r = Optimize(combo.algorithm, pq.inputs(), options);
     ASSERT_NE(r.plan, nullptr);
-    ASSERT_TRUE(
-        ValidatePlan(*r.plan, pq.join_graph(), &pq.local_index()).ok());
+    ASSERT_TRUE(PlanValidator(pq.join_graph(), &pq.local_index())
+                    .ValidatePlan(*r.plan)
+                    .ok());
     if (combo.algorithm == Algorithm::kTdCmd) {
       tdcmd_cost = r.plan->total_cost;
     } else if (combo.partitioner == &hash && tdcmd_cost >= 0) {

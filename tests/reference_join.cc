@@ -1,4 +1,4 @@
-#include "exec/reference_join.h"
+#include "tests/reference_join.h"
 
 #include <cstdint>
 #include <unordered_map>
@@ -6,7 +6,7 @@
 
 #include "exec/join_kernel.h"
 
-namespace parqo {
+namespace parqo::testing {
 
 BindingTable ReferenceHashJoin(const BindingTable& left,
                                const BindingTable& right) {
@@ -82,4 +82,4 @@ BindingTable ReferenceHashJoin(const BindingTable& left,
   return out;
 }
 
-}  // namespace parqo
+}  // namespace parqo::testing

@@ -24,11 +24,15 @@
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
+#include "query/match.h"
 #include "server/admission.h"
 #include "server/plan_cache.h"
 #include "server/server.h"
 #include "server/signature.h"
+#include "sparql/parser.h"
 #include "tests/test_util.h"
+#include "workload/benchmark_queries.h"
+#include "workload/lubm.h"
 #include "workload/random_query.h"
 #include "workload/watdiv.h"
 
@@ -445,6 +449,53 @@ TEST(ServerTest, ChaosSeedsKeepBitIdenticalOrTypedErrorPerSession) {
     ++recovered_or_clean;
   }
   EXPECT_EQ(recovered_or_clean, static_cast<int>(results.size()));
+}
+
+// Ground truth at the scale the benchmark serves: LUBM-200 L1-L10 on a
+// 10-node hash-partitioned cluster through QueryServer::Serve. Each
+// result must hold exactly the distinct MatchBgp bindings, each once.
+TEST(ServerTest, Lubm200ServedRowsMatchMatchBgp) {
+  constexpr int kLubmNodes = 10;
+  LubmConfig lubm;
+  lubm.universities = 200;
+  const RdfGraph graph = GenerateLubm(lubm);
+  HashSoPartitioner hash;
+  const Cluster cluster(graph, hash.PartitionData(graph, kLubmNodes));
+  ServerConfig config;
+  config.options.cost_params.num_nodes = kLubmNodes;
+  QueryServer server(graph, cluster, hash, config);
+  for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
+    if (!bq.lubm) continue;
+    SCOPED_TRACE(bq.name);
+    Result<ParsedQuery> parsed = ParseSparql(bq.sparql);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ServeResult served = server.Serve(parsed->patterns);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+
+    // MatchBgp rows, reordered into the served canonical variable order.
+    const JoinGraph jg(parsed->patterns);
+    std::vector<std::vector<TermId>> truth;
+    for (const BgpMatch& m : MatchBgp(jg, graph, 0)) {
+      std::vector<TermId> row;
+      for (const std::string& name : served.var_names) {
+        row.push_back(m.bindings[jg.FindVar(name)]);
+      }
+      truth.push_back(std::move(row));
+    }
+    std::sort(truth.begin(), truth.end());
+    truth.erase(std::unique(truth.begin(), truth.end()), truth.end());
+
+    std::vector<std::vector<TermId>> rows(served.rows.NumRows());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (VarId v = 0; v < static_cast<VarId>(served.var_names.size());
+           ++v) {
+        const int c = served.rows.ColumnOf(v);
+        rows[r].push_back(c < 0 ? kInvalidTermId : served.rows.At(r, c));
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    EXPECT_EQ(rows, truth);
+  }
 }
 
 }  // namespace

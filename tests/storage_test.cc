@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "exec/join_kernel.h"
 #include "exec/node_store.h"
-#include "exec/reference_join.h"
 #include "rdf/ntriples.h"
 #include "stats/data_stats.h"
 #include "stats/estimator.h"
@@ -23,6 +22,7 @@
 #include "storage/dataset_index.h"
 #include "storage/permutation_index.h"
 #include "storage/varbyte.h"
+#include "tests/reference_join.h"
 #include "tests/test_util.h"
 
 namespace parqo {
@@ -370,7 +370,7 @@ TEST(MergeJoinTest, BitIdenticalToHashJoinIncludingDuplicates) {
   BindingTable merged = BatchMergeJoin(left, right);
   BindingTable hashed = BatchHashJoin(left, right);
   EXPECT_TRUE(merged == hashed);
-  EXPECT_TRUE(merged == ReferenceHashJoin(left, right));
+  EXPECT_TRUE(merged == testing::ReferenceHashJoin(left, right));
   EXPECT_EQ(merged.sorted_by(), hashed.sorted_by());
 
   // Parallel morsels with a tiny morsel size cross run boundaries.

@@ -1,10 +1,9 @@
 #include "tests/test_util.h"
 
 #include <functional>
-#include <map>
-#include <unordered_map>
 
 #include "common/status.h"
+#include "query/match.h"
 
 namespace parqo::testing {
 
@@ -122,118 +121,34 @@ std::set<std::pair<std::vector<std::uint64_t>, VarId>> BruteForceCmds(
   return out;
 }
 
+std::vector<std::vector<TermId>> MatchRows(const JoinGraph& jg,
+                                           const RdfGraph& graph) {
+  std::vector<std::vector<TermId>> rows;
+  for (BgpMatch& m : MatchBgp(jg, graph, 0)) {
+    rows.push_back(std::move(m.bindings));
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
 std::set<std::vector<TermId>> ReferenceEvaluate(const JoinGraph& jg,
                                                 const RdfGraph& graph) {
-  // Pre-bucket triples by predicate id (0 bucket = all, for var
-  // predicates).
-  std::unordered_map<TermId, std::vector<const Triple*>> by_predicate;
-  for (const Triple& t : graph.triples()) {
-    by_predicate[t.p].push_back(&t);
+  const std::vector<std::vector<TermId>> rows = MatchRows(jg, graph);
+  return {rows.begin(), rows.end()};
+}
+
+std::vector<std::vector<TermId>> SortedRows(const BindingTable& t,
+                                            const JoinGraph& jg) {
+  std::vector<std::vector<TermId>> rows(t.NumRows());
+  for (std::size_t r = 0; r < t.NumRows(); ++r) {
+    for (VarId v = 0; v < jg.num_vars(); ++v) {
+      const int c = t.ColumnOf(v);
+      rows[r].push_back(c < 0 ? kInvalidTermId : t.At(r, c));
+    }
   }
-
-  const Dictionary& dict = graph.dict();
-  auto resolve = [&](const PatternTerm& t) -> std::pair<bool, TermId> {
-    if (t.IsVar()) return {false, kInvalidTermId};
-    return {true, dict.Lookup(t.term)};
-  };
-
-  struct Slot {
-    bool is_const;
-    TermId constant;
-    VarId var;
-  };
-  struct Pat {
-    Slot s, p, o;
-  };
-  std::vector<Pat> pats;
-  for (int i = 0; i < jg.num_tps(); ++i) {
-    const TriplePattern& tp = jg.pattern(i);
-    auto slot = [&](const PatternTerm& t) {
-      auto [is_const, id] = resolve(t);
-      Slot s;
-      s.is_const = is_const;
-      s.constant = id;
-      s.var = t.IsVar() ? jg.FindVar(t.var) : kInvalidVarId;
-      return s;
-    };
-    pats.push_back(Pat{slot(tp.s), slot(tp.p), slot(tp.o)});
-  }
-
-  std::vector<TermId> binding(jg.num_vars(), kInvalidTermId);
-  std::vector<bool> done(pats.size(), false);
-  std::set<std::vector<TermId>> results;
-
-  // Pick the next pattern greedily: prefer bound predicates and the most
-  // bound/constant positions.
-  auto pick = [&]() {
-    int best = -1;
-    int best_score = -1;
-    for (std::size_t i = 0; i < pats.size(); ++i) {
-      if (done[i]) continue;
-      int score = 0;
-      auto bound = [&](const Slot& s) {
-        return s.is_const ||
-               (s.var != kInvalidVarId && binding[s.var] != kInvalidTermId);
-      };
-      if (bound(pats[i].p)) score += 4;
-      if (bound(pats[i].s)) score += 2;
-      if (bound(pats[i].o)) score += 2;
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
-  };
-
-  std::function<void(int)> recurse = [&](int depth) {
-    if (depth == static_cast<int>(pats.size())) {
-      results.insert(binding);
-      return;
-    }
-    int i = pick();
-    done[i] = true;
-    const Pat& pat = pats[i];
-
-    auto each = [&](const Triple& t) {
-      std::vector<std::pair<VarId, TermId>> newly;
-      auto unify = [&](const Slot& s, TermId value) {
-        if (s.is_const) return s.constant == value;
-        if (binding[s.var] != kInvalidTermId) {
-          return binding[s.var] == value;
-        }
-        // Also handle two slots with the same fresh var in one pattern.
-        for (auto& [v, val] : newly) {
-          if (v == s.var) return val == value;
-        }
-        newly.emplace_back(s.var, value);
-        return true;
-      };
-      if (unify(pat.s, t.s) && unify(pat.p, t.p) && unify(pat.o, t.o)) {
-        for (auto& [v, val] : newly) binding[v] = val;
-        recurse(depth + 1);
-        for (auto& [v, val] : newly) binding[v] = kInvalidTermId;
-      }
-    };
-
-    TermId p_id = kInvalidTermId;
-    if (pat.p.is_const) {
-      p_id = pat.p.constant;
-    } else if (binding[pat.p.var] != kInvalidTermId) {
-      p_id = binding[pat.p.var];
-    }
-    if (p_id != kInvalidTermId) {
-      auto it = by_predicate.find(p_id);
-      if (it != by_predicate.end()) {
-        for (const Triple* t : it->second) each(*t);
-      }
-    } else {
-      for (const Triple& t : graph.triples()) each(t);
-    }
-    done[i] = false;
-  };
-  recurse(0);
-  return results;
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 }  // namespace parqo::testing

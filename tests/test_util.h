@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/binding_table.h"
 #include "query/join_graph.h"
 #include "rdf/graph.h"
 #include "sparql/query.h"
@@ -45,11 +46,20 @@ std::set<std::pair<std::uint64_t, std::uint64_t>> BruteForceCbds(
 std::set<std::pair<std::vector<std::uint64_t>, VarId>> BruteForceCmds(
     const JoinGraph& jg, TpSet q);
 
-/// Reference evaluator: all matches of the query against the full graph
-/// by backtracking, returned as sorted rows over the join graph's
-/// variables in ascending VarId order.
+/// All matches of the query against the full graph (MatchBgp), as rows
+/// over the join graph's variables in ascending VarId order.
 std::set<std::vector<TermId>> ReferenceEvaluate(const JoinGraph& jg,
                                                 const RdfGraph& graph);
+
+/// The distinct MatchBgp bindings of `jg`'s patterns, sorted: the ground
+/// truth an execution's SortedRows must equal.
+std::vector<std::vector<TermId>> MatchRows(const JoinGraph& jg,
+                                           const RdfGraph& graph);
+
+/// `t`'s rows over VarIds 0..jg.num_vars()-1, sorted but not
+/// deduplicated: a multiset, so a duplicated row shows.
+std::vector<std::vector<TermId>> SortedRows(const BindingTable& t,
+                                            const JoinGraph& jg);
 
 }  // namespace parqo::testing
 

@@ -44,9 +44,10 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         std::unordered_multimap join state, or per-row
                         AppendRow calls. The batch engine's contract is
                         one hash probe and one gather per morsel, not a
-                        node allocation or a row copy per tuple;
-                        reference_join.cc is the sanctioned row-at-a-time
-                        oracle and is exempt. Cold paths carry an allow().
+                        node allocation or a row copy per tuple; the
+                        test-only tests/reference_join.cc, the kernels'
+                        row-at-a-time oracle, is outside the listed
+                        files. Cold paths carry an allow().
 
   raw-triple-storage    Raw permutation storage in the execution layer
                         (src/exec/): a std::vector<Triple> data member —
@@ -176,9 +177,9 @@ ARENA_HOT_PATH_FILES = {
 # Files on the per-node execution hot path (DESIGN.md §13). Joins here go
 # through the open-addressed kernels in join_kernel.cc and rows move in
 # columnar gathers; a std::unordered_multimap or a per-row AppendRow call
-# reintroduces the row-at-a-time engine this path replaced. The oracle
-# (reference_join.cc) and the cold-path API definition (binding_table.h)
-# are deliberately not listed.
+# reintroduces the row-at-a-time engine this path replaced. The test-only
+# kernel oracle (tests/reference_join.cc) and the cold-path API
+# definition (binding_table.h) are deliberately not listed.
 EXEC_HOT_PATH_FILES = {
     "src/exec/executor.cc",
     "src/exec/node_store.cc",

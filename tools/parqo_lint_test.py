@@ -97,7 +97,7 @@ class ExistingRules(LintHarness):
         self.assert_fires("exec-row-hot-path", src,
                           rel="src/exec/join_kernel.cc")
         self.assert_clean("exec-row-hot-path", src,
-                          rel="src/exec/reference_join.cc")
+                          rel="tests/reference_join.cc")
 
     def test_raw_triple_storage(self):
         member = ("class NodeStore {\n"
