@@ -30,7 +30,6 @@
 #include "query/query_graph.h"
 #include "query/shape.h"
 #include "sparql/parser.h"
-#include "stats/data_stats.h"
 #include "workload/benchmark_queries.h"
 #include "workload/lubm.h"
 #include "workload/random_query.h"
@@ -65,16 +64,10 @@ struct Record {
   /// (crashes + stragglers + dropped shipments). "recovered" means the
   /// run returned OK; "rows_match" means its result was row-for-row
   /// identical to the fault-free run — the chaos invariant.
-  /// Cardinality-estimation accuracy: per-operator q-error of the
-  /// baseline plan (Eq. 10-11 independence over exact per-pattern stats)
-  /// and of a re-planned run whose estimator also sees measured pairwise
-  /// join cardinalities from the aggregated indexes. Geometric mean and
-  /// max over the operators whose true cardinality is nonzero.
-  bool qerror_run = false;
-  double qerr_base_geo = 0, qerr_base_max = 0;
-  double qerr_pair_geo = 0, qerr_pair_max = 0;
-  double qerr_base_log_sum = 0, qerr_pair_log_sum = 0;
-  std::uint64_t qerr_base_ops = 0, qerr_pair_ops = 0;
+  /// Cardinality-estimation accuracy: per-operator q-error of the plan
+  /// (Eq. 10-11 over exact per-pattern stats) from a recording pass; no
+  /// operators counted when that pass did not run.
+  QErrorSummary qerror;
 
   bool fault_run = false;
   bool fault_recovered = false;
@@ -113,26 +106,10 @@ std::string JsonNum(double v) {
   return buf;
 }
 
-/// Per-operator q-error summary over one execution's recorded
-/// estimated/actual cardinalities. Operators whose true cardinality is
-/// zero are skipped (q-error is undefined there).
-struct QErrorStats {
-  double geo = 0, max = 0, log_sum = 0;
-  std::uint64_t ops = 0;
-};
-
-QErrorStats QErrorOf(const std::vector<ExecMetrics::OpCardinality>& ops) {
-  QErrorStats s;
-  for (const ExecMetrics::OpCardinality& oc : ops) {
-    if (oc.actual == 0 || oc.estimated <= 0) continue;
-    const double act = static_cast<double>(oc.actual);
-    const double q = std::max(oc.estimated / act, act / oc.estimated);
-    s.log_sum += std::log(q);
-    s.max = std::max(s.max, q);
-    ++s.ops;
-  }
-  if (s.ops > 0) s.geo = std::exp(s.log_sum / static_cast<double>(s.ops));
-  return s;
+std::string QErrorJson(const QErrorSummary& q) {
+  return "{\"geomean\": " + JsonNum(q.geomean()) +
+         ", \"max\": " + JsonNum(q.max) +
+         ", \"ops\": " + std::to_string(q.ops) + "}";
 }
 
 std::string ToJson(const Record& r) {
@@ -156,16 +133,7 @@ std::string ToJson(const Record& r) {
   out += std::string("\"executed\": ") + (r.executed ? "true" : "false");
   out += std::string(", \"optimize_only\": ") +
          (r.optimize_only ? "true" : "false");
-  if (r.qerror_run) {
-    out += ", \"qerror\": {";
-    out += "\"baseline_geomean\": " + JsonNum(r.qerr_base_geo) + ", ";
-    out += "\"baseline_max\": " + JsonNum(r.qerr_base_max) + ", ";
-    out += "\"pairwise_geomean\": " + JsonNum(r.qerr_pair_geo) + ", ";
-    out += "\"pairwise_max\": " + JsonNum(r.qerr_pair_max) + ", ";
-    out += "\"baseline_ops\": " + std::to_string(r.qerr_base_ops) + ", ";
-    out += "\"pairwise_ops\": " + std::to_string(r.qerr_pair_ops);
-    out += "}";
-  }
+  if (r.qerror.ops > 0) out += ", \"qerror\": " + QErrorJson(r.qerror);
   if (r.fault_run) {
     out += ", \"fault\": {";
     out += std::string("\"recovered\": ") +
@@ -381,45 +349,14 @@ Record RunQuery(const std::string& workload, const std::string& name,
   rec.distributed_joins = metrics.distributed_joins;
   rec.wall_seconds = metrics.wall_seconds;
 
-  // Cardinality-estimation study: record per-operator estimated vs
-  // actual rows for the plan above, then re-plan with measured pairwise
-  // join cardinalities (exact |tp_i JOIN tp_j| from the aggregated
-  // indexes) and record that plan too. Both plans' q-errors land in the
-  // JSON, so the gain of the pairwise statistics over the Eq. 10-11
-  // independence baseline is tracked run over run.
+  // Cardinality-estimation study: per-operator estimated vs actual rows
+  // for the plan above.
   Executor recorder(cluster, prepared.join_graph(), options.cost_params,
                     /*parallel_nodes=*/true);
   recorder.set_record_op_cardinalities(true);
   ExecMetrics card_metrics;
   if (recorder.Execute(*best.plan, &card_metrics).ok()) {
-    DataStatsOptions stats_opts;
-    stats_opts.pairwise_joins = true;
-    PreparedQuery pair_prepared(parsed.patterns, partitioner,
-                                StatsFromData(graph, stats_opts));
-    OptimizeResult pair_best =
-        Optimize(Algorithm::kTdAuto, pair_prepared.inputs(), options);
-    if (pair_best.plan != nullptr) {
-      Executor pair_exec(cluster, pair_prepared.join_graph(),
-                         options.cost_params, /*parallel_nodes=*/true);
-      pair_exec.set_record_op_cardinalities(true);
-      ExecMetrics pair_metrics;
-      Result<BindingTable> pair_rows =
-          ExecuteAndProject(pair_exec, *pair_best.plan, parsed,
-                            pair_prepared.join_graph(), &pair_metrics);
-      if (pair_rows.ok()) {
-        const QErrorStats base = QErrorOf(card_metrics.op_cards);
-        const QErrorStats pair = QErrorOf(pair_metrics.op_cards);
-        rec.qerror_run = base.ops > 0 && pair.ops > 0;
-        rec.qerr_base_geo = base.geo;
-        rec.qerr_base_max = base.max;
-        rec.qerr_base_log_sum = base.log_sum;
-        rec.qerr_base_ops = base.ops;
-        rec.qerr_pair_geo = pair.geo;
-        rec.qerr_pair_max = pair.max;
-        rec.qerr_pair_log_sum = pair.log_sum;
-        rec.qerr_pair_ops = pair.ops;
-      }
-    }
+    rec.qerror = card_metrics.SummarizeQError();
   }
 
   if (flags.faults) {
@@ -473,13 +410,17 @@ int Main(int argc, char** argv) {
 
   // Compressed-storage footprint across every workload cluster: the
   // permutation indexes' bytes per stored triple, against the 24 B/triple
-  // of the dual sorted Triple vectors they replaced.
+  // of the dual sorted Triple vectors they replaced; and the dataset-wide
+  // statistics index's bytes per graph triple.
   std::uint64_t storage_index_bytes = 0, storage_stored_triples = 0;
-  auto add_storage = [&](const Cluster& cluster) {
+  std::uint64_t graph_index_bytes = 0, graph_triples = 0;
+  auto add_storage = [&](const RdfGraph& graph, const Cluster& cluster) {
     for (int n = 0; n < cluster.num_nodes(); ++n) {
       storage_index_bytes += cluster.node(n).IndexBytes();
       storage_stored_triples += cluster.node(n).NumTriples();
     }
+    graph_index_bytes += graph.Index().ByteSize();
+    graph_triples += graph.NumTriples();
   };
 
   {
@@ -487,7 +428,7 @@ int Main(int argc, char** argv) {
     config.universities = flags.quick ? 7 : flags.lubm_universities;
     RdfGraph graph = GenerateLubm(config);
     Cluster cluster(graph, hash.PartitionData(graph, flags.nodes));
-    add_storage(cluster);
+    add_storage(graph, cluster);
     std::printf("LUBM: %s triples\n",
                 WithThousandsSep(graph.NumTriples()).c_str());
     for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
@@ -504,7 +445,7 @@ int Main(int argc, char** argv) {
     config.proteins = flags.quick ? 800 : flags.uniprot_proteins;
     RdfGraph graph = GenerateUniprot(config);
     Cluster cluster(graph, hash.PartitionData(graph, flags.nodes));
-    add_storage(cluster);
+    add_storage(graph, cluster);
     std::printf("UniProt: %s triples\n",
                 WithThousandsSep(graph.NumTriples()).c_str());
     for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
@@ -521,7 +462,7 @@ int Main(int argc, char** argv) {
     if (flags.quick) config.entities_per_class = 300;
     RdfGraph graph = GenerateWatdivData(config);
     Cluster cluster(graph, hash.PartitionData(graph, flags.nodes));
-    add_storage(cluster);
+    add_storage(graph, cluster);
     std::printf("WatDiv: %s triples\n",
                 WithThousandsSep(graph.NumTriples()).c_str());
     Rng rng(flags.seed);
@@ -635,32 +576,16 @@ int Main(int argc, char** argv) {
               totals.optimize_seconds);
 
   // Q-error rollup: geometric mean over every counted operator of every
-  // query, for the baseline and pairwise-stat plans.
-  QErrorStats qerr_base, qerr_pair;
+  // query.
+  QErrorSummary qerror;
   for (const Record& r : records) {
-    if (!r.qerror_run) continue;
-    qerr_base.log_sum += r.qerr_base_log_sum;
-    qerr_base.ops += r.qerr_base_ops;
-    qerr_base.max = std::max(qerr_base.max, r.qerr_base_max);
-    qerr_pair.log_sum += r.qerr_pair_log_sum;
-    qerr_pair.ops += r.qerr_pair_ops;
-    qerr_pair.max = std::max(qerr_pair.max, r.qerr_pair_max);
+    qerror.log_sum += r.qerror.log_sum;
+    qerror.ops += r.qerror.ops;
+    qerror.max = std::max(qerror.max, r.qerror.max);
   }
-  if (qerr_base.ops > 0) {
-    qerr_base.geo =
-        std::exp(qerr_base.log_sum / static_cast<double>(qerr_base.ops));
-  }
-  if (qerr_pair.ops > 0) {
-    qerr_pair.geo =
-        std::exp(qerr_pair.log_sum / static_cast<double>(qerr_pair.ops));
-  }
-  if (qerr_base.ops > 0) {
-    std::printf(
-        "q-error: baseline geo %.3f max %.1f (%llu ops) -> "
-        "pairwise geo %.3f max %.1f (%llu ops)\n",
-        qerr_base.geo, qerr_base.max,
-        static_cast<unsigned long long>(qerr_base.ops), qerr_pair.geo,
-        qerr_pair.max, static_cast<unsigned long long>(qerr_pair.ops));
+  if (qerror.ops > 0) {
+    std::printf("q-error: geo %.3f max %.1f (%llu ops)\n", qerror.geomean(),
+                qerror.max, static_cast<unsigned long long>(qerror.ops));
   }
 
   const double bytes_per_triple =
@@ -668,11 +593,17 @@ int Main(int argc, char** argv) {
           ? static_cast<double>(storage_index_bytes) /
                 static_cast<double>(storage_stored_triples)
           : 0.0;
+  const double graph_index_bytes_per_triple =
+      graph_triples > 0 ? static_cast<double>(graph_index_bytes) /
+                              static_cast<double>(graph_triples)
+                        : 0.0;
   std::printf(
       "storage: %s index bytes over %s stored triples = %.2f B/triple "
-      "(dual-vector baseline 24.00)\n",
+      "(dual-vector baseline 24.00); statistics index %.2f B/graph "
+      "triple\n",
       WithThousandsSep(storage_index_bytes).c_str(),
-      WithThousandsSep(storage_stored_triples).c_str(), bytes_per_triple);
+      WithThousandsSep(storage_stored_triples).c_str(), bytes_per_triple,
+      graph_index_bytes_per_triple);
 
   std::size_t fault_runs = 0, recovered = 0, rows_matched = 0;
   std::uint64_t attempts = 0, reshipped = 0, crashes = 0;
@@ -734,15 +665,11 @@ int Main(int argc, char** argv) {
   json += "\"stored_triples\": " + std::to_string(storage_stored_triples) +
           ", ";
   json += "\"bytes_per_triple\": " + JsonNum(bytes_per_triple) + ", ";
+  json += "\"graph_index_bytes_per_triple\": " +
+          JsonNum(graph_index_bytes_per_triple) + ", ";
   json += "\"baseline_bytes_per_triple\": 24.0";
-  json += "},\n  \"qerror\": {";
-  json += "\"baseline_geomean\": " + JsonNum(qerr_base.geo) + ", ";
-  json += "\"baseline_max\": " + JsonNum(qerr_base.max) + ", ";
-  json += "\"baseline_ops\": " + std::to_string(qerr_base.ops) + ", ";
-  json += "\"pairwise_geomean\": " + JsonNum(qerr_pair.geo) + ", ";
-  json += "\"pairwise_max\": " + JsonNum(qerr_pair.max) + ", ";
-  json += "\"pairwise_ops\": " + std::to_string(qerr_pair.ops);
-  json += "},\n  \"metrics\": ";
+  json += "},\n  \"qerror\": " + QErrorJson(qerror);
+  json += ",\n  \"metrics\": ";
   json += MetricsRegistry::Global().Snapshot().ToJson();
   json += "\n}\n";
 

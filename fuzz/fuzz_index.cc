@@ -4,16 +4,16 @@
 // [1, kMaxTermId) so kInvalidTermId (the wildcard marker) never appears
 // as data. Properties under fuzz:
 //
-//   1. No crash / sanitizer report building a DatasetIndex (and so its
-//      PermutationIndex) from an arbitrary triple multiset — duplicates,
-//      runs of identical keys spanning many leaf pages, and adversarial
-//      gap patterns included.
+//   1. No crash / sanitizer report building a PermutationIndex and a
+//      DatasetIndex from an arbitrary triple multiset — duplicates, runs
+//      of identical keys spanning many leaf pages, and adversarial gap
+//      patterns included.
 //   2. Round-trip: a full-range ScanRange of every PermutationIndex
 //      permutation decodes exactly the input multiset in that
 //      permutation's sorted key order (delta+varbyte pages lose nothing).
 //   3. DatasetIndex::CountPattern / StatsFor* agree with brute force over
-//      the input for every constant mask, on a bounded sample of data
-//      triples.
+//      the input for every constant mask with a free position, on a
+//      bounded sample of data triples.
 //   4. ByteSize / num_pages sanity.
 //
 // Build: cmake -DPARQO_FUZZ=ON. Under clang this links libFuzzer;
@@ -33,7 +33,7 @@
 
 namespace {
 
-// Bounds build cost per input: 4096 triples x 4 sorts stays well under
+// Bounds build cost per input: 4096 triples x 8 sorts stays well under
 // the libFuzzer per-input timeout even with ASan.
 constexpr std::size_t kMaxTriples = 4096;
 
@@ -64,15 +64,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     triples[i] = {FoldId(raw[0]), FoldId(raw[1]), FoldId(raw[2])};
   }
 
+  PermutationIndex perms(triples);
   DatasetIndex index(triples);
-  const PermutationIndex& perms = index.perms();
   PARQO_CHECK(perms.NumTriples() == n);
   PARQO_CHECK(index.NumTriples() == n);
   if (n == 0) return 0;
   for (Perm perm : {Perm::kSpo, Perm::kPso, Perm::kPos, Perm::kOsp}) {
     PARQO_CHECK(perms.perm(perm).num_pages() >= 1);
   }
-  PARQO_CHECK(index.ByteSize() > perms.ByteSize());
+  PARQO_CHECK(index.ByteSize() > 0);
 
   // Property 2: every permutation round-trips the input multiset in
   // sorted key order.
@@ -99,7 +99,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   // Property 3: aggregated counts match brute force for every constant
-  // mask, sampled over the data so runtime stays O(n) per mask.
+  // mask with a free position (an all-constant mask has no aggregate),
+  // sampled over the data so runtime stays O(n) per mask.
   auto brute = [&](TermId s, TermId p, TermId o) {
     std::uint64_t c = 0;
     for (const Triple& t : triples) {
@@ -113,7 +114,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::size_t step = std::max<std::size_t>(std::size_t{1}, n / 16);
   for (std::size_t i = 0; i < n; i += step) {
     const Triple& t = triples[i];
-    PARQO_CHECK(index.CountPattern(t.s, t.p, t.o) == brute(t.s, t.p, t.o));
     PARQO_CHECK(index.CountPattern(t.s, t.p, none) == brute(t.s, t.p, none));
     PARQO_CHECK(index.CountPattern(none, t.p, t.o) == brute(none, t.p, t.o));
     PARQO_CHECK(index.CountPattern(t.s, none, t.o) == brute(t.s, none, t.o));

@@ -11,11 +11,11 @@
 //   * The empty TpSet is the vacant-slot sentinel — memo keys are
 //     subqueries, which are never empty.
 //   * No erase, therefore no tombstones: probe chains never break, and
-//     first-insert-wins (the estimator's contract under racing
-//     derivations — it locks a shard around mutating calls).
+//     an insert never overwrites: the first value stored under a key
+//     stays. Not thread-safe: one thread at a time uses each memo.
 //   * Growth doubles the slot array and rehashes; pointers INTO the table
-//     are invalidated, so memo values are plan/derivation POINTERS whose
-//     targets live elsewhere (arena / deque) and stay stable.
+//     are invalidated, so memo values are handles (plan pointers into an
+//     arena, offsets into the estimator's array) that stay valid.
 
 #ifndef PARQO_COMMON_FLAT_MAP_H_
 #define PARQO_COMMON_FLAT_MAP_H_

@@ -22,11 +22,11 @@
 //     switchable at runtime for tests).
 //
 // Usage contract (enforced by parqo_lint):
-//   - declare mutexes as parqo::Mutex / parqo::SharedMutex with an
-//     explicit rank: `Mutex mu_{LockRank::kMetrics};` — raw std::mutex /
+//   - declare mutexes as parqo::Mutex with an explicit rank:
+//     `Mutex mu_{LockRank::kMetrics};` — raw std::mutex /
 //     std::shared_mutex members are banned outside this header;
-//   - acquire only through the RAII guards (MutexLock / SharedMutexLock);
-//     naked Lock()/Unlock() calls are banned outside this header;
+//   - acquire only through the RAII guard MutexLock; naked
+//     Lock()/Unlock() calls are banned outside this header;
 //   - every mutable field of a type that owns a mutex carries
 //     PARQO_GUARDED_BY(mu) or a written allow(guarded-field) reason;
 //   - PARQO_NO_THREAD_SAFETY_ANALYSIS requires an allow(tsa-escape)
@@ -39,7 +39,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/check.h"
 
@@ -65,19 +64,12 @@
 /// Caller must hold the capability exclusively.
 #define PARQO_REQUIRES(...) \
   PARQO_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-/// Caller must hold the capability at least shared.
-#define PARQO_REQUIRES_SHARED(...) \
-  PARQO_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 /// Function acquires the capability (exclusively) and does not release it.
 #define PARQO_ACQUIRE(...) \
   PARQO_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define PARQO_ACQUIRE_SHARED(...) \
-  PARQO_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 /// Function releases the capability.
 #define PARQO_RELEASE(...) \
   PARQO_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define PARQO_RELEASE_SHARED(...) \
-  PARQO_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 /// Function acquires the capability iff it returns `b`.
 #define PARQO_TRY_ACQUIRE(...) \
   PARQO_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
@@ -111,9 +103,9 @@ namespace parqo {
 // online repartitioner mutating layout under a warm cache is the
 // motivating case — must thread top-down through this order:
 //
-//   server session state, then cache shards, then executor recovery,
-//   then estimator memo shards, then the thread pool, then
-//   the leaf diagnostics locks (fault, trace, metrics).
+//   admission, then cache shards, then node health, then executor
+//   recovery, then the thread pool, then the leaf diagnostics locks
+//   (fault, trace, metrics).
 //
 // tools/parqo_lint.py parses this enum (names and values) and enforces
 // that every mutex declaration carries a registered rank and that
@@ -121,12 +113,10 @@ namespace parqo {
 // numeric gaps: they leave room to slot new subsystems between layers
 // without renumbering.
 enum class LockRank : int {
-  kServer = 10,          ///< Reserved: QueryServer session/layout state.
   kAdmission = 12,       ///< AdmissionController wait-queue (server/admission.h).
   kCacheShard = 20,      ///< PlanCache::Shard::mu (server/plan_cache.h).
   kHealth = 25,          ///< NodeHealthRegistry::mu_ (exec/health.h).
   kExecRecovery = 30,    ///< Executor fault-recovery state (exec/executor.cc).
-  kEstimatorShard = 42,  ///< CardinalityEstimator::Shard::mu (stats/estimator.h).
   kPool = 50,            ///< ThreadPool queue state (common/thread_pool.h).
   kPoolJoin = 52,        ///< ParallelFor completion latch (common/thread_pool.cc).
   kFault = 60,           ///< FaultPlan::drop_mu_ (common/fault.h).
@@ -219,39 +209,6 @@ class PARQO_CAPABILITY("mutex") Mutex {
   const int rank_;
 };
 
-/// std::shared_mutex twin, for future reader-heavy state (none of the
-/// current subsystems use one; the linter ranks it the same way).
-class PARQO_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) : rank_(static_cast<int>(rank)) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() PARQO_ACQUIRE() {
-    if (LockRankCheckingEnabled()) lock_rank_internal::PushRank(rank_);
-    mu_.lock();
-  }
-  void Unlock() PARQO_RELEASE() {
-    mu_.unlock();
-    lock_rank_internal::PopRank(rank_);
-  }
-  void LockShared() PARQO_ACQUIRE_SHARED() {
-    if (LockRankCheckingEnabled()) lock_rank_internal::PushRank(rank_);
-    mu_.lock_shared();
-  }
-  void UnlockShared() PARQO_RELEASE_SHARED() {
-    mu_.unlock_shared();
-    lock_rank_internal::PopRank(rank_);
-  }
-
-  int rank() const { return rank_; }
-
- private:
-  std::shared_mutex mu_;
-  const int rank_;
-};
-
 /// RAII exclusive guard — the only sanctioned way to hold a Mutex.
 class PARQO_SCOPED_CAPABILITY MutexLock {
  public:
@@ -293,22 +250,6 @@ class PARQO_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII shared (reader) guard for SharedMutex.
-class PARQO_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) PARQO_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~SharedMutexLock() PARQO_RELEASE_SHARED() { mu_.UnlockShared(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace parqo

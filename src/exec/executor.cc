@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bitset>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -414,6 +415,24 @@ struct Executor::DistTable {
     return sum;
   }
 };
+
+double ExecMetrics::OpCardinality::QError() const {
+  if (actual == 0 || estimated <= 0) return 0.0;
+  const double act = static_cast<double>(actual);
+  return std::max(estimated / act, act / estimated);
+}
+
+QErrorSummary ExecMetrics::SummarizeQError() const {
+  QErrorSummary s;
+  for (const OpCardinality& oc : op_cards) {
+    const double q = oc.QError();
+    if (q == 0) continue;
+    s.log_sum += std::log(q);
+    s.max = std::max(s.max, q);
+    ++s.ops;
+  }
+  return s;
+}
 
 Executor::Executor(const Cluster& cluster, const JoinGraph& jg,
                    CostParams cost_params, bool parallel_nodes,

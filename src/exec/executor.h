@@ -28,6 +28,7 @@
 #define PARQO_EXEC_EXECUTOR_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,6 +42,19 @@
 #include "sparql/query.h"
 
 namespace parqo {
+
+/// Estimation error over a set of operators: the geometric mean and max
+/// of each operator's q-error max(estimated/actual, actual/estimated).
+/// Summaries of several executions roll up by adding log_sum and ops and
+/// taking the larger max.
+struct QErrorSummary {
+  double log_sum = 0;  ///< Sum of ln(q) over the counted operators.
+  double max = 0;
+  std::uint64_t ops = 0;
+  double geomean() const {
+    return ops == 0 ? 0.0 : std::exp(log_sum / static_cast<double>(ops));
+  }
+};
 
 struct ExecMetrics {
   /// Eq. 3 plan time with measured input/output cardinalities.
@@ -71,8 +85,13 @@ struct ExecMetrics {
     std::vector<int> tps;  ///< Pattern indexes the subtree covers.
     double estimated = 0;  ///< PlanNode::cardinality at planning time.
     std::uint64_t actual = 0;
+    /// max(estimated/actual, actual/estimated), or 0 where the q-error
+    /// is undefined (no true rows, or no estimate).
+    double QError() const;
   };
   std::vector<OpCardinality> op_cards;
+  /// q-error over op_cards, skipping operators where it is undefined.
+  QErrorSummary SummarizeQError() const;
 
   /// Sum of every operator's Eq. 3 cost, ignoring the max over children:
   /// the total work. measured_cost is the critical path, so

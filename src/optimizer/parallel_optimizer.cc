@@ -1,5 +1,8 @@
 #include "optimizer/parallel_optimizer.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "common/status.h"
 
 namespace parqo {
@@ -10,10 +13,21 @@ ParallelOptimizer::ParallelOptimizer(int num_threads)
 
 std::vector<OptimizeResult> ParallelOptimizer::OptimizeBatch(
     const std::vector<BatchQuery>& batch, const OptimizeOptions& options) {
+  // One PreparedQuery per entry: its estimator memo is single-threaded.
+  std::vector<const PreparedQuery*> queries;
+  queries.reserve(batch.size());
+  for (const BatchQuery& item : batch) {
+    PARQO_CHECK(item.query != nullptr);
+    queries.push_back(item.query);
+  }
+  std::sort(queries.begin(), queries.end(), std::less<>());
+  const bool no_shared_prepared_query =
+      std::adjacent_find(queries.begin(), queries.end()) == queries.end();
+  PARQO_CHECK(no_shared_prepared_query);
+
   std::vector<OptimizeResult> results(batch.size());
   pool_.ParallelFor(static_cast<int>(batch.size()), [&](int i) {
     const BatchQuery& item = batch[static_cast<std::size_t>(i)];
-    PARQO_CHECK(item.query != nullptr);
     results[static_cast<std::size_t>(i)] =
         Optimize(item.algorithm, item.query->inputs(), options);
   });

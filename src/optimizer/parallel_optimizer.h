@@ -8,9 +8,9 @@
 // Each query is optimized exactly as Optimize() would — same inputs, same
 // statistics, same options, one thread per query — so batch results are
 // bit-identical in plan cost to a sequential loop, independent of
-// scheduling order. Two entries may share one PreparedQuery: its
-// CardinalityEstimator memo is the only optimizer state two workers can
-// touch at once, and it is shard-locked (stats/estimator.h).
+// scheduling order. Entries must not share a PreparedQuery: its
+// CardinalityEstimator memo is single-threaded (stats/estimator.h), so
+// OptimizeBatch aborts on a batch that names one PreparedQuery twice.
 
 #ifndef PARQO_OPTIMIZER_PARALLEL_OPTIMIZER_H_
 #define PARQO_OPTIMIZER_PARALLEL_OPTIMIZER_H_
@@ -39,7 +39,8 @@ class ParallelOptimizer {
   int num_threads() const { return pool_.size(); }
 
   /// Optimizes every entry concurrently, one worker per entry; results
-  /// come back in input order.
+  /// come back in input order. PARQO_CHECKs that every entry names a
+  /// distinct, non-null PreparedQuery.
   std::vector<OptimizeResult> OptimizeBatch(
       const std::vector<BatchQuery>& batch, const OptimizeOptions& options);
 

@@ -12,13 +12,6 @@ StatsSource StatsFromData(const RdfGraph& graph) {
   };
 }
 
-StatsSource StatsFromData(const RdfGraph& graph,
-                          const DataStatsOptions& opts) {
-  return [&graph, opts](const JoinGraph& jg) {
-    return ComputeStatisticsFromGraph(jg, graph, opts);
-  };
-}
-
 PreparedQuery::PreparedQuery(std::vector<TriplePattern> patterns,
                              const Partitioner& partitioner,
                              const StatsSource& stats) {

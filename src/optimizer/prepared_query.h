@@ -28,11 +28,6 @@ using StatsSource = std::function<QueryStatistics(const JoinGraph&)>;
 /// A StatsSource computing exact statistics from a dataset.
 StatsSource StatsFromData(const RdfGraph& graph);
 
-/// As above with explicit options (e.g. measured pairwise join
-/// cardinalities for the estimator's refined selectivities).
-StatsSource StatsFromData(const RdfGraph& graph,
-                          const DataStatsOptions& opts);
-
 class PreparedQuery {
  public:
   PreparedQuery(std::vector<TriplePattern> patterns,

@@ -58,12 +58,11 @@ class RdfGraph {
   std::size_t OutDegree(TermId v) const { return OutEdges(v).size(); }
   std::size_t InDegree(TermId v) const { return InEdges(v).size(); }
 
-  /// The dataset-wide statistics index (permutations + aggregated counts)
-  /// and the only place one is built: node stores keep permutations
-  /// alone. Built lazily on first use — graphs that never consult
-  /// statistics never pay for it — and cached for the graph's lifetime.
-  /// Thread-safe; the returned reference is valid as long as the graph
-  /// lives.
+  /// The dataset-wide statistics index (aggregated counts only) and the
+  /// only place one is built: node stores keep permutations alone. Built
+  /// lazily on first use — graphs that never consult statistics never
+  /// pay for it — and cached for the graph's lifetime. Thread-safe; the
+  /// returned reference is valid as long as the graph lives.
   const DatasetIndex& Index() const {
     std::call_once(*index_once_,
                    [&] { index_ = std::make_unique<DatasetIndex>(triples_); });

@@ -1,11 +1,7 @@
 #include "stats/data_stats.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -14,16 +10,14 @@
 namespace parqo {
 namespace {
 
-// One pattern's constants and shape, resolved once and shared between the
-// per-pattern aggregates and the pairwise join measurement. A constant
-// absent from the dictionary (kInvalidTermId) cannot match anything.
+// One pattern's constants and shape. A constant absent from the
+// dictionary (kInvalidTermId) cannot match anything.
 struct ResolvedStats {
   TermId s = kInvalidTermId;
   TermId p = kInvalidTermId;
   TermId o = kInvalidTermId;
   bool unmatchable = false;
-  bool repeated = false;    // a variable occurs in 2+ positions
-  std::uint64_t count = 0;  // exact |tp|; 0 when unmatchable
+  bool repeated = false;  // a variable occurs in 2+ positions
 };
 
 ResolvedStats ResolvePattern(const TriplePattern& pat,
@@ -51,10 +45,9 @@ ResolvedStats ResolvePattern(const TriplePattern& pat,
 // Brute-force scan for repeated-variable patterns (?x p ?x): the
 // aggregated indexes cannot express the equality constraint, and such
 // patterns are rare enough that one pass is fine.
-std::uint64_t BruteForcePattern(const JoinGraph& jg, const RdfGraph& graph,
-                                int tp, const TriplePattern& pat,
-                                const ResolvedStats& r,
-                                QueryStatistics& stats) {
+void BruteForcePattern(const JoinGraph& jg, const RdfGraph& graph, int tp,
+                       const TriplePattern& pat, const ResolvedStats& r,
+                       QueryStatistics& stats) {
   std::size_t count = 0;
   const std::vector<VarId>& vars = jg.VarsOf(tp);
   std::vector<std::unordered_set<TermId>> distinct(vars.size());
@@ -92,132 +85,28 @@ std::uint64_t BruteForcePattern(const JoinGraph& jg, const RdfGraph& graph,
                                    : static_cast<double>(distinct[i].size());
     stats.SetBindings(tp, vars[i], b);
   }
-  return count;
-}
-
-TermId FieldOf(const Triple& t, int field) {
-  return field == 0 ? t.s : field == 1 ? t.p : t.o;
-}
-
-// Packs the (at most two) shared-variable bindings of a triple into one
-// 64-bit key. Both sides of a pair use the same shared-variable order, so
-// packed keys compare exactly.
-std::uint64_t PackKey(const std::vector<int>& fields, const Triple& t) {
-  std::uint64_t k = FieldOf(t, fields[0]);
-  if (fields.size() == 2) k = (k << 32) | FieldOf(t, fields[1]);
-  return k;
-}
-
-// Exact |tp_i JOIN tp_j| on the shared variables: hash-count the smaller
-// side's shared-variable bindings from an index range scan, then stream
-// the larger side and sum the matches. fields_* give each side's triple
-// position (0=s, 1=p, 2=o) per shared variable, in a common order.
-std::uint64_t ExactPairJoin(const PermutationIndex& index,
-                            const ResolvedStats& ri,
-                            const std::vector<int>& fields_i,
-                            const ResolvedStats& rj,
-                            const std::vector<int>& fields_j) {
-  const bool build_i = ri.count <= rj.count;
-  const ResolvedStats& rb = build_i ? ri : rj;
-  const ResolvedStats& rp = build_i ? rj : ri;
-  const std::vector<int>& fb = build_i ? fields_i : fields_j;
-  const std::vector<int>& fp = build_i ? fields_j : fields_i;
-
-  CompressedKeyIndex::Scratch scratch;
-  std::uint64_t total = 0;
-  if (fb.size() <= 2) {
-    std::unordered_map<std::uint64_t, std::uint64_t> counts;
-    counts.reserve(static_cast<std::size_t>(rb.count));
-    index.ForEachMatch(rb.s, rb.p, rb.o, scratch,
-                       [&](const Triple& t) { ++counts[PackKey(fb, t)]; });
-    index.ForEachMatch(rp.s, rp.p, rp.o, scratch, [&](const Triple& t) {
-      auto it = counts.find(PackKey(fp, t));
-      if (it != counts.end()) total += it->second;
-    });
-  } else {
-    // Three shared variables (both patterns all-variable): too wide for a
-    // packed key, rare enough for an ordered map.
-    auto key3 = [](const std::vector<int>& fields, const Triple& t) {
-      return std::array<TermId, 3>{FieldOf(t, fields[0]),
-                                   FieldOf(t, fields[1]),
-                                   FieldOf(t, fields[2])};
-    };
-    std::map<std::array<TermId, 3>, std::uint64_t> counts;
-    index.ForEachMatch(rb.s, rb.p, rb.o, scratch,
-                       [&](const Triple& t) { ++counts[key3(fb, t)]; });
-    index.ForEachMatch(rp.s, rp.p, rp.o, scratch, [&](const Triple& t) {
-      auto it = counts.find(key3(fp, t));
-      if (it != counts.end()) total += it->second;
-    });
-  }
-  return total;
-}
-
-void ComputePairwiseJoins(const JoinGraph& jg, const DatasetIndex& index,
-                          const std::vector<ResolvedStats>& resolved,
-                          const DataStatsOptions& opts,
-                          QueryStatistics& stats) {
-  for (int i = 0; i < jg.num_tps(); ++i) {
-    for (int j = i + 1; j < jg.num_tps(); ++j) {
-      const ResolvedStats& ri = resolved[i];
-      const ResolvedStats& rj = resolved[j];
-      // Repeated-variable patterns are left unknown (estimator falls
-      // back); unmatchable sides make the join exactly empty.
-      if (ri.repeated || rj.repeated) continue;
-      std::vector<VarId> shared;
-      const std::vector<VarId>& vars_j = jg.VarsOf(j);
-      for (VarId v : jg.VarsOf(i)) {
-        if (std::find(vars_j.begin(), vars_j.end(), v) != vars_j.end()) {
-          shared.push_back(v);
-        }
-      }
-      if (shared.empty()) continue;
-      if (ri.unmatchable || rj.unmatchable) {
-        stats.SetJoinCardinality(i, j, 0.0);
-        continue;
-      }
-      if (std::min(ri.count, rj.count) > opts.pairwise_cap) continue;
-
-      auto fields_of = [&](int tp) {
-        const TriplePattern& pat = jg.pattern(tp);
-        std::vector<int> fields;
-        for (VarId v : shared) {
-          const std::string& name = jg.var_name(v);
-          if (pat.s.IsVar() && pat.s.var == name) {
-            fields.push_back(0);
-          } else if (pat.p.IsVar() && pat.p.var == name) {
-            fields.push_back(1);
-          } else {
-            fields.push_back(2);
-          }
-        }
-        return fields;
-      };
-      stats.SetJoinCardinality(
-          i, j,
-          static_cast<double>(
-              ExactPairJoin(index.perms(), ri, fields_of(i), rj,
-                            fields_of(j))));
-    }
-  }
 }
 
 }  // namespace
 
 QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
-                                           const RdfGraph& graph,
-                                           const DataStatsOptions& opts) {
+                                           const RdfGraph& graph) {
   QueryStatistics stats(jg);
   const Dictionary& dict = graph.dict();
   const DatasetIndex& index = graph.Index();
-  std::vector<ResolvedStats> resolved(jg.num_tps());
 
   for (int tp = 0; tp < jg.num_tps(); ++tp) {
     const TriplePattern& pat = jg.pattern(tp);
-    ResolvedStats& r = resolved[tp];
-    r = ResolvePattern(pat, dict);
+    const bool vs = pat.s.IsVar();
+    const bool vp = pat.p.IsVar();
+    const bool vo = pat.o.IsVar();
+    const int nvars = static_cast<int>(vs) + vp + vo;
+    // All-constant: over the deduplicated graph |tp| is 0 or 1, and the
+    // estimator's floor makes both 1 — the statistics' default.
+    if (nvars == 0) continue;
+    const ResolvedStats r = ResolvePattern(pat, dict);
     if (r.repeated) {
-      r.count = BruteForcePattern(jg, graph, tp, pat, r, stats);
+      BruteForcePattern(jg, graph, tp, pat, r, stats);
       continue;
     }
 
@@ -226,13 +115,10 @@ QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
     // scan this replaced — graph triples are deduplicated, so with two
     // positions pinned the free position's bindings are pairwise
     // distinct (distinct == count).
+    std::uint64_t count = 0;
     std::uint64_t dpos[3] = {0, 0, 0};
     if (!r.unmatchable) {
-      r.count = index.CountPattern(r.s, r.p, r.o);
-      const bool vs = pat.s.IsVar();
-      const bool vp = pat.p.IsVar();
-      const bool vo = pat.o.IsVar();
-      const int nvars = static_cast<int>(vs) + vp + vo;
+      count = index.CountPattern(r.s, r.p, r.o);
       if (nvars == 3) {
         dpos[0] = index.distinct_s();
         dpos[1] = index.distinct_p();
@@ -251,13 +137,12 @@ QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
           dpos[0] = u.distinct_a;
           dpos[1] = u.distinct_b;
         }
-      } else if (nvars == 1) {
-        dpos[vs ? 0 : vp ? 1 : 2] = r.count;
+      } else {
+        dpos[vs ? 0 : vp ? 1 : 2] = count;
       }
     }
 
-    stats.SetCardinality(
-        tp, r.count == 0 ? 1.0 : static_cast<double>(r.count));
+    stats.SetCardinality(tp, count == 0 ? 1.0 : static_cast<double>(count));
     for (VarId v : jg.VarsOf(tp)) {
       const std::string& name = jg.var_name(v);
       std::uint64_t d = 0;
@@ -270,10 +155,6 @@ QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
       }
       stats.SetBindings(tp, v, d == 0 ? 1.0 : static_cast<double>(d));
     }
-  }
-
-  if (opts.pairwise_joins) {
-    ComputePairwiseJoins(jg, index, resolved, opts, stats);
   }
   return stats;
 }

@@ -7,18 +7,9 @@
 // falling back to a brute-force pass only for repeated-variable patterns
 // the aggregates cannot express. The values are identical to an exact
 // scan either way.
-//
-// DataStatsOptions::pairwise_joins additionally measures the EXACT join
-// cardinality |tp_i JOIN tp_j| of every pattern pair sharing a variable
-// (hash-join over index range scans, smaller side builds). The estimator
-// uses these to replace Eq. 11's independence assumption with measured
-// pairwise selectivities; without them it reproduces the baseline
-// estimate bit-for-bit.
 
 #ifndef PARQO_STATS_DATA_STATS_H_
 #define PARQO_STATS_DATA_STATS_H_
-
-#include <cstddef>
 
 #include "query/join_graph.h"
 #include "rdf/graph.h"
@@ -26,22 +17,10 @@
 
 namespace parqo {
 
-struct DataStatsOptions {
-  /// Also fill QueryStatistics::JoinCardinality for every pattern pair
-  /// sharing at least one variable (repeated-variable patterns excluded).
-  bool pairwise_joins = false;
-  /// Skip a pair when its SMALLER side matches more rows than this (the
-  /// build table would not stay cheap); the estimator falls back to
-  /// Eq. 11 for skipped pairs.
-  std::size_t pairwise_cap = 4u << 20;
-};
-
-/// Computes |tp| and B(tp, v) for all patterns of `jg` against `graph`,
-/// plus the optional pairwise join cardinalities. Patterns with no
-/// matches get cardinality 1 (the estimator's floor).
-QueryStatistics ComputeStatisticsFromGraph(
-    const JoinGraph& jg, const RdfGraph& graph,
-    const DataStatsOptions& opts = DataStatsOptions{});
+/// Computes |tp| and B(tp, v) for all patterns of `jg` against `graph`.
+/// Patterns with no matches get cardinality 1 (the estimator's floor).
+QueryStatistics ComputeStatisticsFromGraph(const JoinGraph& jg,
+                                           const RdfGraph& graph);
 
 }  // namespace parqo
 

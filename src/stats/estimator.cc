@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/metrics.h"
 #include "common/status.h"
 
 namespace parqo {
@@ -12,98 +11,65 @@ CardinalityEstimator::CardinalityEstimator(const JoinGraph& jg,
                                            QueryStatistics stats)
     : jg_(&jg), stats_(std::move(stats)) {}
 
-const CardinalityEstimator::Derived& CardinalityEstimator::Derive(
-    TpSet sq) const {
+std::size_t CardinalityEstimator::Derive(TpSet sq) const {
   PARQO_CHECK(!sq.Empty());
-  Shard& shard = shards_[TpSetHash{}(sq) & (kShards - 1)];
-  {
-    MutexLock lock(shard.mu);
-    if (const Derived* const* hit = shard.map.Find(sq)) {
-      if (MetricsEnabled()) {
-        memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return **hit;
-    }
+  if (const std::size_t* hit = memo_.Find(sq)) {
+    ++memo_hits_;
+    return *hit;
   }
-  if (MetricsEnabled()) {
-    memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  ++memo_misses_;
 
-  // Derive outside the lock — the recursion below re-enters this shard
-  // table for prefixes of sq.
-  Derived d;
-  d.bindings.assign(jg_->num_vars(), 0.0);
+  // Eq. 11 folds the highest-index pattern into the rest, so derive the
+  // rest first (every prefix is memoized: deriving all subqueries of a
+  // query costs O(#subqueries * #vars)). Offsets, not pointers: the
+  // append below may move entries_.
+  int last = -1;
+  for (int tp : sq) last = tp;
+  TpSet rest = sq;
+  rest.Remove(last);
+  const std::size_t lhs = rest.Empty() ? 0 : Derive(rest);
 
-  if (sq.Count() == 1) {
-    int tp = sq.First();
-    d.cardinality = stats_.Cardinality(tp);
-    for (VarId v : jg_->VarsOf(tp)) {
-      d.bindings[v] = std::min(stats_.Bindings(tp, v), d.cardinality);
+  const std::size_t at = entries_.size();
+  entries_.resize(at + 1 + jg_->num_vars(), 0.0);
+  double* d = &entries_[at];
+  double* d_bind = d + 1;
+  const double tp_card = stats_.Cardinality(last);
+  if (rest.Empty()) {
+    d[0] = tp_card;
+    for (VarId v : jg_->VarsOf(last)) {
+      d_bind[v] = std::min(stats_.Bindings(last, v), tp_card);
     }
   } else {
-    // Eq. 11: fold the highest-index pattern into the rest. The recursion
-    // bottoms out at singletons and every prefix is memoized, so deriving
-    // all subqueries of a query costs O(#subqueries * #vars).
-    TpSet rest = sq;
-    // Remove the highest-index pattern: iterate to find it.
-    int last = -1;
-    for (int tp : sq) last = tp;
-    rest.Remove(last);
-    const Derived& lhs = Derive(rest);
-
-    double tp_card = stats_.Cardinality(last);
+    const double* l = &entries_[lhs];
+    const double* l_bind = l + 1;
+    std::copy(l_bind, l_bind + jg_->num_vars(), d_bind);
     double denom = 1.0;
-    d.bindings = lhs.bindings;
-    const std::vector<VarId>& last_vars = jg_->VarsOf(last);
-    for (VarId v : last_vars) {
-      double b_tp = std::min(stats_.Bindings(last, v), tp_card);
-      if (lhs.bindings[v] > 0) {
-        denom *= std::max(lhs.bindings[v], b_tp);  // shared variable
-        d.bindings[v] = std::min(lhs.bindings[v], b_tp);
+    for (VarId v : jg_->VarsOf(last)) {
+      const double b_tp = std::min(stats_.Bindings(last, v), tp_card);
+      if (l_bind[v] > 0) {
+        denom *= std::max(l_bind[v], b_tp);  // shared variable
+        d_bind[v] = std::min(l_bind[v], b_tp);
       } else {
-        d.bindings[v] = b_tp;
+        d_bind[v] = b_tp;
       }
     }
-
-    // Exact-pairwise refinement: a two-pattern subquery IS a measured
-    // pair — when the statistics carry |tp_j JOIN tp_last|, that value is
-    // the true cardinality, not an estimate, so use it directly. Larger
-    // subqueries keep the Eq. 11 fold but now recurse into exact
-    // two-pattern seeds. Deliberately NO multi-pattern selectivity
-    // product: the predicates linking a pattern to the rest of a star or
-    // cycle are strongly correlated, and treating measured pairwise
-    // selectivities as independent drives estimates to the floor, orders
-    // of magnitude under the truth. Without pairwise statistics the
-    // baseline fold is reproduced bit-for-bit.
-    const double pair_exact =
-        stats_.has_pairwise() && rest.Count() == 1
-            ? stats_.JoinCardinality(rest.First(), last)
-            : -1.0;
-    d.cardinality = pair_exact >= 0
-                        ? pair_exact
-                        : lhs.cardinality * tp_card / denom;
-    if (d.cardinality < 1.0) d.cardinality = 1.0;
+    d[0] = l[0] * tp_card / denom;
+    if (d[0] < 1.0) d[0] = 1.0;
     // Distinct bindings can never exceed the result cardinality.
-    for (double& b : d.bindings) b = std::min(b, d.cardinality);
+    for (int v = 0; v < jg_->num_vars(); ++v) {
+      d_bind[v] = std::min(d_bind[v], d[0]);
+    }
   }
-
-  // A racing thread may have inserted sq meanwhile; first insert wins,
-  // and both derivations are identical anyway. The deque owns the entry
-  // (stable address), the flat map only indexes it.
-  MutexLock lock(shard.mu);
-  if (const Derived* const* hit = shard.map.Find(sq)) return **hit;
-  shard.storage.push_back(std::move(d));
-  const Derived* entry = &shard.storage.back();
-  shard.map.EmplaceFirstWins(sq, entry);
-  return *entry;
+  memo_.EmplaceFirstWins(sq, at);
+  return at;
 }
 
 double CardinalityEstimator::Cardinality(TpSet sq) const {
-  return Derive(sq).cardinality;
+  return entries_[Derive(sq)];
 }
 
 double CardinalityEstimator::Bindings(TpSet sq, VarId v) const {
-  return Derive(sq).bindings[v];
+  return entries_[Derive(sq) + 1 + v];
 }
 
 }  // namespace parqo

@@ -7,28 +7,23 @@
 // the subquery bitset, so every optimizer sees identical statistics and
 // memoized plans can be compared across algorithms.
 //
-// The memo is striped over mutex-guarded shards because one estimator can
-// serve several optimizer runs at once: ParallelOptimizer::OptimizeBatch
-// may hand the same PreparedQuery to two workers. Each shard pairs a flat
+// The memo is single-threaded: an estimator belongs to one PreparedQuery,
+// and one optimizer run uses it at a time (ParallelOptimizer::OptimizeBatch
+// checks that no two batch entries share a PreparedQuery). A flat
 // open-addressed index (FlatTpSetMap, bitset keys probed inline — no
-// per-node allocation, no pointer chase) with a deque that owns the
-// derived entries: deque growth never moves existing elements, so a
-// pointer obtained under the shard lock stays valid after it is released.
-// Racing derivations of the same subquery compute identical values (the
-// derivation is a pure function of the bitset) and the first insert wins.
+// per-node allocation, no pointer chase) maps each derived subquery to
+// its entry in one flat array of doubles. Deriving a subquery allocates
+// nothing of its own: a heap-allocated binding vector per entry let
+// glibc trim and re-fault the heap between optimizer runs, which
+// quadrupled the p90 of perfbench plan_cold's smallest queries.
 
 #ifndef PARQO_STATS_ESTIMATOR_H_
 #define PARQO_STATS_ESTIMATOR_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/thread_annotations.h"
-
 #include "common/tp_set.h"
 #include "query/join_graph.h"
 #include "stats/statistics.h"
@@ -43,7 +38,7 @@ class CardinalityEstimator {
   CardinalityEstimator& operator=(const CardinalityEstimator&) = delete;
 
   /// Estimated cardinality of the join of the subquery's patterns.
-  /// Memoized and safe to call concurrently; `sq` must be non-empty.
+  /// Memoized; `sq` must be non-empty. Not safe to call concurrently.
   double Cardinality(TpSet sq) const;
 
   /// Estimated distinct bindings of variable v in the subquery's result.
@@ -53,41 +48,20 @@ class CardinalityEstimator {
   const JoinGraph& join_graph() const { return *jg_; }
 
   /// Memo hit/miss counts across all Cardinality()/Bindings() calls.
-  /// Only collected while MetricsEnabled() (zero otherwise), so the hot
-  /// lookup stays a single branch in the default configuration.
-  std::uint64_t memo_hits() const {
-    return memo_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t memo_misses() const {
-    return memo_misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t memo_hits() const { return memo_hits_; }
+  std::uint64_t memo_misses() const { return memo_misses_; }
 
  private:
-  struct Derived {
-    double cardinality = 1.0;
-    std::vector<double> bindings;  // per VarId; 0 when var absent
-  };
-
-  static constexpr std::size_t kShards = 16;  // power of two
-
-  struct Shard {
-    /// Never held across the Derive recursion (which re-enters other
-    /// shards at the same rank): lookups and inserts lock, the
-    /// derivation itself runs unlocked.
-    Mutex mu{LockRank::kEstimatorShard};
-    FlatTpSetMap<const Derived*> map PARQO_GUARDED_BY(mu);
-    // Element addresses are stable (deque growth never moves entries), so
-    // a pointer published through `map` outlives the lock that minted it.
-    std::deque<Derived> storage PARQO_GUARDED_BY(mu);
-  };
-
-  const Derived& Derive(TpSet sq) const;
+  /// Offset of sq's entry in entries_: the cardinality, then B(sq, v)
+  /// per VarId (0 when v is absent).
+  std::size_t Derive(TpSet sq) const;
 
   const JoinGraph* jg_;
   QueryStatistics stats_;
-  mutable std::array<Shard, kShards> shards_;
-  mutable std::atomic<std::uint64_t> memo_hits_{0};
-  mutable std::atomic<std::uint64_t> memo_misses_{0};
+  mutable FlatTpSetMap<std::size_t> memo_;
+  mutable std::vector<double> entries_;
+  mutable std::uint64_t memo_hits_ = 0;
+  mutable std::uint64_t memo_misses_ = 0;
 };
 
 }  // namespace parqo

@@ -17,8 +17,7 @@ class QueryStatistics {
  public:
   /// Initializes all cardinalities to 1.
   explicit QueryStatistics(const JoinGraph& jg)
-      : num_tps_(jg.num_tps()),
-        num_vars_(jg.num_vars()),
+      : num_vars_(jg.num_vars()),
         cardinality_(jg.num_tps(), 1.0),
         bindings_(static_cast<std::size_t>(jg.num_tps()) * jg.num_vars(),
                   1.0) {}
@@ -36,40 +35,14 @@ class QueryStatistics {
   }
   double Bindings(int tp, VarId v) const { return bindings_[Index(tp, v)]; }
 
-  /// Exact pairwise join cardinality |tp_a JOIN tp_b| over the patterns'
-  /// shared variables, or -1 when unknown. Optional refinement beyond the
-  /// paper's per-pattern statistics: only data-backed statistics built
-  /// with DataStatsOptions::pairwise_joins fill these (from the
-  /// aggregated indexes), and the estimator falls back to the Eq. 10/11
-  /// independence fold whenever a needed pair is missing. Symmetric;
-  /// lazily allocated so synthetic-stats workloads pay nothing.
-  void SetJoinCardinality(int a, int b, double card) {
-    if (pair_card_.empty()) {
-      pair_card_.assign(static_cast<std::size_t>(num_tps_) * num_tps_,
-                        -1.0);
-    }
-    pair_card_[PairIndex(a, b)] = card;
-    pair_card_[PairIndex(b, a)] = card;
-  }
-  double JoinCardinality(int a, int b) const {
-    return pair_card_.empty() ? -1.0 : pair_card_[PairIndex(a, b)];
-  }
-  /// True when any pairwise join cardinality has been set.
-  bool has_pairwise() const { return !pair_card_.empty(); }
-
  private:
   std::size_t Index(int tp, VarId v) const {
     return static_cast<std::size_t>(tp) * num_vars_ + v;
   }
-  std::size_t PairIndex(int a, int b) const {
-    return static_cast<std::size_t>(a) * num_tps_ + b;
-  }
 
-  int num_tps_;
   int num_vars_;
   std::vector<double> cardinality_;
-  std::vector<double> bindings_;   // row-major [tp][var]
-  std::vector<double> pair_card_;  // row-major [tp][tp]; empty = none set
+  std::vector<double> bindings_;  // row-major [tp][var]
 };
 
 }  // namespace parqo

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
+
+#include "storage/permutation_index.h"
 
 namespace parqo {
 namespace {
@@ -16,22 +19,25 @@ std::uint64_t PairCount(const CompressedKeyIndex& pairs, TermId a,
   return out;
 }
 
-// One (k1, k2, count) entry per distinct (k1, k2) of a permutation, in
-// key order: the pair table keyed on its leading two components.
-std::vector<IndexKey> Pairs(const CompressedKeyIndex& perm) {
+// One (k1, k2, count) entry per distinct leading pair (k1, k2) of the
+// triples' keys in `perm` order, sorted: the pair table of that
+// permutation. The packed 64-bit sort keys are freed on return.
+std::vector<IndexKey> Pairs(std::span<const Triple> triples, Perm perm) {
+  std::vector<std::uint64_t> keys(triples.size());
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    const IndexKey k = PermKey(perm, triples[i]);
+    keys[i] = (std::uint64_t{k.k1} << 32) | k.k2;
+  }
+  std::sort(keys.begin(), keys.end());
   std::vector<IndexKey> out;
-  CompressedKeyIndex::Scratch scratch;
-  perm.ScanRange({0, 0, 0}, {kMaxTermId, kMaxTermId, kMaxTermId}, scratch,
-                 [&](std::span<const IndexKey> run) {
-                   for (const IndexKey& k : run) {
-                     if (!out.empty() && out.back().k1 == k.k1 &&
-                         out.back().k2 == k.k2) {
-                       ++out.back().k3;
-                     } else {
-                       out.push_back({k.k1, k.k2, 1});
-                     }
-                   }
-                 });
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i] == keys[i - 1]) {
+      ++out.back().k3;
+    } else {
+      out.push_back({static_cast<TermId>(keys[i] >> 32),
+                     static_cast<TermId>(keys[i]), 1});
+    }
+  }
   return out;
 }
 
@@ -65,14 +71,14 @@ std::vector<DatasetIndex::UnaryStats> Unary(const std::vector<IndexKey>& a,
 }  // namespace
 
 DatasetIndex::DatasetIndex(std::span<const Triple> triples)
-    : perms_(triples) {
-  std::vector<IndexKey> os = Pairs(perms_.perm(Perm::kOsp));
-  s_stats_ = Unary(Pairs(perms_.perm(Perm::kSpo)), Swapped(os));
-  std::vector<IndexKey> po = Pairs(perms_.perm(Perm::kPos));
+    : num_triples_(triples.size()) {
+  std::vector<IndexKey> os = Pairs(triples, Perm::kOsp);
+  s_stats_ = Unary(Pairs(triples, Perm::kSpo), Swapped(os));
+  std::vector<IndexKey> po = Pairs(triples, Perm::kPos);
   o_stats_ = Unary(os, Swapped(po));
   os_counts_.Build(os);
   os = {};
-  std::vector<IndexKey> ps = Pairs(perms_.perm(Perm::kPso));
+  std::vector<IndexKey> ps = Pairs(triples, Perm::kPso);
   p_stats_ = Unary(ps, po);
   ps_counts_.Build(ps);
   po_counts_.Build(po);
@@ -91,11 +97,7 @@ std::uint64_t DatasetIndex::CountPattern(TermId s, TermId p,
   const bool bs = s != kInvalidTermId;
   const bool bp = p != kInvalidTermId;
   const bool bo = o != kInvalidTermId;
-  if (bp && bs && bo) {
-    CompressedKeyIndex::Scratch scratch;
-    return perms_.perm(Perm::kPso).CountRange({p, s, o}, {p, s, o},
-                                              scratch);
-  }
+  PARQO_CHECK(!(bs && bp && bo));
   if (bp && bs) return PairCount(ps_counts_, p, s);
   if (bp && bo) return PairCount(po_counts_, p, o);
   if (bs && bo) return PairCount(os_counts_, o, s);
@@ -106,7 +108,7 @@ std::uint64_t DatasetIndex::CountPattern(TermId s, TermId p,
 }
 
 std::size_t DatasetIndex::ByteSize() const {
-  return perms_.ByteSize() + ps_counts_.ByteSize() + po_counts_.ByteSize() +
+  return ps_counts_.ByteSize() + po_counts_.ByteSize() +
          os_counts_.ByteSize() +
          (s_stats_.size() + p_stats_.size() + o_stats_.size()) *
              sizeof(UnaryStats);

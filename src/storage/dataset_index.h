@@ -6,11 +6,11 @@
 //   S/P/O -> (count, distinct counts of the other two positions)
 //   global: |T|, distinct S / P / O
 //
-// plus the four permutations (storage/permutation_index.h) that the
-// all-constant count and the exact pairwise join measurement scan.
-// RdfGraph::Index() builds exactly one, lazily, over the whole graph;
-// per-node stores hold only a PermutationIndex, as RDF-3X does on each
-// host while the statistics sit at the coordinator.
+// and nothing else: the tables are folded from sorted key vectors that
+// die with the constructor, so no permutation of the whole graph is
+// kept. RdfGraph::Index() builds exactly one, lazily, over the whole
+// graph; per-node stores hold only a PermutationIndex, as RDF-3X does on
+// each host while the statistics sit at the coordinator.
 
 #ifndef PARQO_STORAGE_DATASET_INDEX_H_
 #define PARQO_STORAGE_DATASET_INDEX_H_
@@ -21,24 +21,20 @@
 
 #include "rdf/triple.h"
 #include "storage/compressed_index.h"
-#include "storage/permutation_index.h"
 
 namespace parqo {
 
 class DatasetIndex {
  public:
-  /// Builds the permutations and all aggregates. `triples` may be a
-  /// multiset in any order; counts include every copy.
+  /// Builds all aggregates. `triples` may be a multiset in any order;
+  /// counts include every copy.
   explicit DatasetIndex(std::span<const Triple> triples);
 
-  std::size_t NumTriples() const { return perms_.NumTriples(); }
-
-  /// The dataset's permutations, for range scans over the whole graph.
-  const PermutationIndex& perms() const { return perms_; }
+  std::size_t NumTriples() const { return num_triples_; }
 
   /// Exact number of matches of the constant mask (kInvalidTermId =
-  /// free). Pure aggregate/directory lookups except the all-constant
-  /// case, which decodes one boundary page.
+  /// free), by aggregate/directory lookups alone. At least one position
+  /// must be free: an all-constant pattern has no aggregate to answer it.
   std::uint64_t CountPattern(TermId s, TermId p, TermId o) const;
 
   /// Aggregated per-key statistics; all zeros when the key does not
@@ -60,13 +56,13 @@ class DatasetIndex {
   std::uint64_t distinct_p() const { return p_stats_.size(); }
   std::uint64_t distinct_o() const { return o_stats_.size(); }
 
-  /// Total bytes: permutations + aggregated pair tables + unary tables.
+  /// Total bytes: aggregated pair tables + unary tables.
   std::size_t ByteSize() const;
 
  private:
   static UnaryStats Find(const std::vector<UnaryStats>& table, TermId key);
 
-  PermutationIndex perms_;
+  std::size_t num_triples_;
   /// Aggregated pair tables: entries (a, b, count) keyed on the leading
   /// two components of the matching permutation.
   CompressedKeyIndex ps_counts_;  // (p, s) -> count

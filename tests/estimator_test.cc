@@ -138,6 +138,22 @@ TEST(DataStatsTest, UnmatchableConstantsGetFloorCardinality) {
   EXPECT_DOUBLE_EQ(stats.Cardinality(0), 1);
 }
 
+TEST(DataStatsTest, AllConstantPatternsGetFloorCardinality) {
+  // Over a deduplicated graph an all-constant pattern matches 0 or 1
+  // triples; both floor to 1 without asking the index, which has no
+  // aggregate for a fully bound mask.
+  auto g = ParseNTriplesString(
+      "<a> <p> <b> .\n"
+      "<a> <p> <c> .\n");
+  ASSERT_TRUE(g.ok());
+  JoinGraph jg({Tp("a", "p", "b"), Tp("a", "p", "nosuch"),
+                Tp("?s", "p", "?o")});
+  QueryStatistics stats = ComputeStatisticsFromGraph(jg, *g);
+  EXPECT_DOUBLE_EQ(stats.Cardinality(0), 1);
+  EXPECT_DOUBLE_EQ(stats.Cardinality(1), 1);
+  EXPECT_DOUBLE_EQ(stats.Cardinality(2), 2);
+}
+
 TEST(DataStatsTest, RepeatedVariableRequiresEquality) {
   auto g = ParseNTriplesString(
       "<a> <p> <a> .\n"

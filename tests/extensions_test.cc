@@ -115,8 +115,14 @@ TEST(MatchBgpTest, AgreesWithCrossProductOnRandomGraphs) {
   for (int round = 0; round < 300; ++round) {
     std::string text;
     for (int i = rng.Uniform(4, 12); i > 0; --i) {
-      text += "<" + draw(nodes) + "> <" + draw(preds) + "> <" + draw(nodes) +
-              "> .\n";
+      // Object, predicate, subject: the order the draws have always run
+      // in. Appends rather than "<" + std::string&&, which GCC 12's
+      // -Wrestrict misreports at -O3.
+      const std::string o = draw(nodes);
+      const std::string p = draw(preds);
+      const std::string s = draw(nodes);
+      text.append("<").append(s).append("> <").append(p).append("> <");
+      text.append(o).append("> .\n");
     }
     auto g = ParseNTriplesString(text);
     ASSERT_TRUE(g.ok());

@@ -1,9 +1,9 @@
 // The inter-query batch optimizer and the thread-pool plumbing. The
 // load-bearing property: an OptimizeBatch entry returns a plan of cost
 // identical to a sequential Optimize() of the same query, whatever the
-// scheduling. These tests are also the ThreadSanitizer surface for the
-// estimator memo shared by batch entries and for the pool itself (see
-// the CI tsan job).
+// scheduling. These tests are also the ThreadSanitizer surface for
+// concurrent optimizer runs and for the pool itself (see the CI tsan
+// job).
 
 #include "optimizer/parallel_optimizer.h"
 
@@ -138,13 +138,13 @@ TEST(ParallelOptimizerTest, MixedAlgorithmBatch) {
 
 // --- Concurrency smoke (the TSan target) --------------------------------
 
-TEST(ConcurrencySmokeTest, BatchEntriesSharePreparedQueries) {
+TEST(ConcurrencySmokeTest, BatchEntriesOptimizeTheSameQueriesAtOnce) {
   // Every query appears once per TD-family algorithm in one batch on 8
-  // workers, so several workers optimize the same PreparedQuery at once
-  // and race on its estimator's sharded memo. Each round prepares fresh
-  // queries so the estimator starts cold and the racing derivations
-  // happen again. Every plan must cost exactly what a sequential run on
-  // a private PreparedQuery costs.
+  // workers, each entry with a PreparedQuery of its own: workers run
+  // the same queries at once and share only immutable inputs (patterns,
+  // partitioner, the statistics source) and the pool. Each round
+  // prepares afresh so every estimator starts cold. Every plan must cost
+  // exactly what a sequential run on a private PreparedQuery costs.
   Rng rng(2017);
   HashSoPartitioner hash;
   std::vector<GeneratedQuery> generated;
@@ -175,8 +175,8 @@ TEST(ConcurrencySmokeTest, BatchEntriesSharePreparedQueries) {
     std::vector<std::unique_ptr<PreparedQuery>> prepared;
     std::vector<BatchQuery> batch;
     for (const GeneratedQuery& q : generated) {
-      prepared.push_back(prepare(q));
       for (Algorithm algorithm : kTdFamily) {
+        prepared.push_back(prepare(q));
         batch.push_back({algorithm, prepared.back().get()});
       }
     }
@@ -189,6 +189,32 @@ TEST(ConcurrencySmokeTest, BatchEntriesSharePreparedQueries) {
           << ToString(batch[i].algorithm);
     }
   }
+}
+
+TEST(ParallelOptimizerDeathTest, RejectsEntriesSharingAPreparedQuery) {
+  // The estimator memo is single-threaded, so one PreparedQuery named by
+  // two entries must abort before any worker touches it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(7);
+  HashSoPartitioner hash;
+  GeneratedQuery q = GenerateRandomQuery(QueryShape::kChain, 5, rng);
+  PreparedQuery shared(q.patterns, hash,
+                       [&q](const JoinGraph& jg) { return q.MakeStats(jg); });
+  PreparedQuery other(q.patterns, hash,
+                      [&q](const JoinGraph& jg) { return q.MakeStats(jg); });
+  ParallelOptimizer popt(2);
+  EXPECT_DEATH(popt.OptimizeBatch({{Algorithm::kTdCmd, &shared},
+                                   {Algorithm::kTdCmd, &other},
+                                   {Algorithm::kTdAuto, &shared}},
+                                  OptimizeOptions{}),
+               "no_shared_prepared_query");
+  // Distinct PreparedQueries of the same patterns are fine.
+  std::vector<OptimizeResult> ok = popt.OptimizeBatch(
+      {{Algorithm::kTdCmd, &shared}, {Algorithm::kTdAuto, &other}},
+      OptimizeOptions{});
+  ASSERT_EQ(ok.size(), 2u);
+  EXPECT_NE(ok[0].plan, nullptr);
+  EXPECT_NE(ok[1].plan, nullptr);
 }
 
 }  // namespace

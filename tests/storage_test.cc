@@ -1,23 +1,19 @@
 // Compressed storage subsystem tests (DESIGN.md section 17): varbyte and
 // leaf-page round-trips, page-boundary seeks, permutation agreement,
 // aggregated counts vs brute force, NodeStore scan regressions for the
-// patterns that used to degenerate to full filter passes, merge-join vs
-// hash-join bit-identity, and exact pairwise join statistics.
+// patterns that used to degenerate to full filter passes, and merge-join
+// vs hash-join bit-identity.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <set>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/join_kernel.h"
 #include "exec/node_store.h"
-#include "rdf/ntriples.h"
-#include "stats/data_stats.h"
-#include "stats/estimator.h"
 #include "storage/compressed_index.h"
 #include "storage/dataset_index.h"
 #include "storage/permutation_index.h"
@@ -27,8 +23,6 @@
 
 namespace parqo {
 namespace {
-
-using testing::Tp;
 
 TEST(VarbyteTest, RoundTripsBoundaryValues) {
   const std::uint64_t values[] = {0,
@@ -204,6 +198,10 @@ TEST(DatasetIndexTest, CountPatternMatchesBruteForceOnRandomGraphs) {
       TermId o = rng.Bernoulli(0.5)
                      ? static_cast<TermId>(rng.Uniform(1, 90))
                      : kInvalidTermId;
+      // No aggregate answers an all-constant mask (see the death test).
+      if (s != kInvalidTermId && p != kInvalidTermId && o != kInvalidTermId) {
+        continue;
+      }
       std::uint64_t brute = 0;
       for (const Triple& t : triples) {
         brute += (s == kInvalidTermId || t.s == s) &&
@@ -240,6 +238,14 @@ TEST(DatasetIndexTest, CountPatternMatchesBruteForceOnRandomGraphs) {
     EXPECT_EQ(index.distinct_p(), all_p.size());
     EXPECT_EQ(index.distinct_o(), all_o.size());
   }
+}
+
+TEST(DatasetIndexDeathTest, CountPatternNeedsAFreePosition) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Triple> triples{{1, 2, 3}};
+  DatasetIndex index(triples);
+  EXPECT_EQ(index.CountPattern(1, 2, kInvalidTermId), 1u);
+  EXPECT_DEATH(index.CountPattern(1, 2, 3), "PARQO_CHECK failed");
 }
 
 TEST(PermutationIndexTest, CompressedFootprintBeatsDualVectors) {
@@ -438,99 +444,6 @@ TEST(MergeJoinTest, AppendInvalidatesSortedMetadata) {
   BindingTable w = SortedTable({0, 1}, {{1, 2}, {3, 4}}, 0);
   EXPECT_EQ(w.Project({0}).sorted_by(), 0);
   EXPECT_EQ(w.Project({1}).sorted_by(), kInvalidVarId);
-}
-
-// ---------------------------------------------------------------------------
-// Pairwise join statistics and the estimator's exact two-pattern path.
-
-TEST(PairwiseStatsTest, MeasuredJoinCardinalityIsExact) {
-  auto g = ParseNTriplesString(
-      "<a> <p> <b> .\n"
-      "<a> <p> <c> .\n"
-      "<d> <p> <c> .\n"
-      "<b> <q> <e> .\n"
-      "<c> <q> <e> .\n"
-      "<c> <q> <f> .\n");
-  ASSERT_TRUE(g.ok());
-  JoinGraph jg({Tp("?s", "p", "?x"), Tp("?x", "q", "?y")});
-  DataStatsOptions opts;
-  opts.pairwise_joins = true;
-  QueryStatistics stats = ComputeStatisticsFromGraph(jg, *g, opts);
-  ASSERT_TRUE(stats.has_pairwise());
-  // Join on ?x: (a,b)x(b,e); (a,c)x{(c,e),(c,f)}; (d,c)x{(c,e),(c,f)} = 5.
-  EXPECT_DOUBLE_EQ(stats.JoinCardinality(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(stats.JoinCardinality(1, 0), 5.0);
-
-  // The estimator's two-pattern estimate becomes exact:
-  // |tp0| * |tp1| * jc / (|tp0| * |tp1|) = jc.
-  CardinalityEstimator est(jg, std::move(stats));
-  EXPECT_DOUBLE_EQ(est.Cardinality(TpSet::FullSet(2)), 5.0);
-}
-
-TEST(PairwiseStatsTest, BaselineStatisticsUnchangedWithoutPairwise) {
-  auto g = ParseNTriplesString(
-      "<a> <p> <b> .\n"
-      "<b> <q> <c> .\n");
-  ASSERT_TRUE(g.ok());
-  JoinGraph jg({Tp("?s", "p", "?x"), Tp("?x", "q", "?y")});
-  QueryStatistics base = ComputeStatisticsFromGraph(jg, *g);
-  EXPECT_FALSE(base.has_pairwise());
-  EXPECT_DOUBLE_EQ(base.JoinCardinality(0, 1), -1.0);
-
-  // The pairwise overload leaves the per-pattern values untouched.
-  DataStatsOptions opts;
-  opts.pairwise_joins = true;
-  QueryStatistics pw = ComputeStatisticsFromGraph(jg, *g, opts);
-  for (int tp = 0; tp < jg.num_tps(); ++tp) {
-    EXPECT_DOUBLE_EQ(pw.Cardinality(tp), base.Cardinality(tp));
-    for (VarId v : jg.VarsOf(tp)) {
-      EXPECT_DOUBLE_EQ(pw.Bindings(tp, v), base.Bindings(tp, v));
-    }
-  }
-}
-
-TEST(PairwiseStatsTest, RandomizedPairsMatchBruteForceJoin) {
-  for (std::uint64_t seed : {4ull, 5ull}) {
-    // Small random graph through the dictionary-backed path.
-    Rng rng(seed);
-    std::string nt;
-    for (int i = 0; i < 400; ++i) {
-      nt += "<s" + std::to_string(rng.Uniform(0, 25)) + "> <p" +
-            std::to_string(rng.Uniform(0, 3)) + "> <s" +
-            std::to_string(rng.Uniform(0, 25)) + "> .\n";
-    }
-    auto g = ParseNTriplesString(nt);
-    ASSERT_TRUE(g.ok());
-    JoinGraph jg({Tp("?x", "p0", "?y"), Tp("?y", "p1", "?z"),
-                  Tp("?x", "p2", "?z")});
-    DataStatsOptions opts;
-    opts.pairwise_joins = true;
-    QueryStatistics stats = ComputeStatisticsFromGraph(jg, *g, opts);
-
-    // Brute-force every pair over the raw triples.
-    const Dictionary& dict = g->dict();
-    auto matches = [&](const char* p) {
-      std::vector<Triple> out;
-      TermId pid = dict.LookupIri(p);
-      for (const Triple& t : g->triples()) {
-        if (t.p == pid) out.push_back(t);
-      }
-      return out;
-    };
-    std::vector<Triple> m0 = matches("p0"), m1 = matches("p1"),
-                        m2 = matches("p2");
-    std::uint64_t j01 = 0, j12 = 0, j02 = 0;
-    for (const Triple& a : m0) {
-      for (const Triple& b : m1) j01 += a.o == b.s;  // shared ?y
-      for (const Triple& b : m2) j02 += a.s == b.s;  // shared ?x
-    }
-    for (const Triple& a : m1) {
-      for (const Triple& b : m2) j12 += a.o == b.o;  // shared ?z
-    }
-    EXPECT_DOUBLE_EQ(stats.JoinCardinality(0, 1), j01) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(stats.JoinCardinality(1, 2), j12) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(stats.JoinCardinality(0, 2), j02) << "seed " << seed;
-  }
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         Safety Analysis sees every acquisition and the
                         runtime rank checker audits ordering.
 
-  mutex-rank            A parqo::Mutex/SharedMutex declared without a
+  mutex-rank            A parqo::Mutex declared without a
                         LockRank::k* position in the static hierarchy, or
                         with a rank name the registry (the LockRank enum in
                         thread_annotations.h) does not define. Unranked
@@ -117,7 +117,7 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         reason why it needs no lock (immutable after
                         construction, per-element atomics, ...). Exempt
                         member types: std::atomic, std::condition_variable,
-                        std::once_flag, Mutex/SharedMutex, const/constexpr.
+                        std::once_flag, Mutex, const/constexpr.
 
   lock-rank-order       A lexically nested MutexLock acquisition whose rank
                         is not strictly greater than the lock already held.
@@ -127,9 +127,9 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         thread_annotations.h.
 
   naked-lock            A bare .lock()/.unlock()/.Lock()/.Unlock() call:
-                        critical sections are RAII-only (MutexLock /
-                        SharedMutexLock), so no early return or exception
-                        can leak a held lock past its scope.
+                        critical sections are RAII-only (MutexLock), so
+                        no early return or exception can leak a held lock
+                        past its scope.
 
   tsa-escape            PARQO_NO_THREAD_SAFETY_ANALYSIS without an
                         allow(tsa-escape) justification. Every analysis
@@ -249,22 +249,22 @@ RAW_MUTEX_RE = re.compile(
     r"std::(?:recursive_|timed_|recursive_timed_|shared_)?mutex\b"
     r"|std::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"
 )
-# A by-value Mutex/SharedMutex declaration ("Mutex mu{LockRank::kPool};").
+# A by-value Mutex declaration ("Mutex mu{LockRank::kPool};").
 # References and pointers ("Mutex& mu") do not match: they alias a lock
 # ranked at its declaration site. Ordering attributes may sit between the
 # declarator and the initializer ("Mutex b PARQO_ACQUIRED_AFTER(a) = ...").
 MUTEX_DECL_RE = re.compile(
-    r"\b(?:mutable\s+)?(?:Shared)?Mutex\s+\w+\s*"
+    r"\b(?:mutable\s+)?Mutex\s+\w+\s*"
     r"(?:PARQO_\w+\s*\([^)]*\)\s*)*[;={(]"
 )
 MUTEX_RANK_REF_RE = re.compile(
-    r"\b(?:Shared)?Mutex\s+(\w+)\s*(?:PARQO_\w+\s*\([^)]*\)\s*)*"
-    r"(?:[{(]|=\s*(?:Shared)?Mutex\s*[({])\s*LockRank::(k\w+)\s*[)}]"
+    r"\bMutex\s+(\w+)\s*(?:PARQO_\w+\s*\([^)]*\)\s*)*"
+    r"(?:[{(]|=\s*Mutex\s*[({])\s*LockRank::(k\w+)\s*[)}]"
 )
-ACQUIRE_RE = re.compile(r"\b(?:Shared)?MutexLock\s+\w+\s*[({]([^;{}]*)[)}]")
+ACQUIRE_RE = re.compile(r"\bMutexLock\s+\w+\s*[({]([^;{}]*)[)}]")
 NAKED_LOCK_RE = re.compile(
     r"[.>]\s*(?:try_lock|lock|unlock|lock_shared|unlock_shared|"
-    r"TryLock|Lock|Unlock|LockShared|UnlockShared)\s*\(\s*\)"
+    r"TryLock|Lock|Unlock)\s*\(\s*\)"
 )
 TSA_ESCAPE_RE = re.compile(r"\bPARQO_NO_THREAD_SAFETY_ANALYSIS\b")
 CLASS_HEAD_RE = re.compile(
@@ -274,7 +274,7 @@ CLASS_HEAD_RE = re.compile(
 # lock itself, or CV/once_flag (which synchronize through their own API).
 GUARDED_EXEMPT_RE = re.compile(
     r"^(?:mutable\s+)?(?:std::atomic\b|std::condition_variable\b|"
-    r"std::once_flag\b|(?:Shared)?Mutex\b|const\b|constexpr\b|static\b)"
+    r"std::once_flag\b|Mutex\b|const\b|constexpr\b|static\b)"
 )
 ACCESS_SPEC_RE = re.compile(r"^\s*(?:public|private|protected)\s*:\s*")
 
@@ -732,7 +732,7 @@ class Linter:
                 self.report(
                     rel, lineno, "naked-lock",
                     "naked lock()/unlock(): critical sections are "
-                    "RAII-only (MutexLock/SharedMutexLock) so early "
+                    "RAII-only (MutexLock) so early "
                     "returns and exceptions cannot leak a held lock",
                 )
             if TSA_ESCAPE_RE.search(code) and not allowed(lineno,
@@ -751,7 +751,7 @@ class Linter:
         A lexical scope walk: class/struct bodies are tracked through a
         stack, member statements are accumulated across lines, and
         function bodies / nested enums are skipped wholesale. Only classes
-        that directly declare a Mutex/SharedMutex member are audited —
+        that directly declare a Mutex member are audited —
         a class whose locking lives in a nested shard struct is audited
         at the shard."""
         rule = "guarded-field"
@@ -771,7 +771,7 @@ class Linter:
                 text = ACCESS_SPEC_RE.sub("", text)
             if text and scopes:
                 scope = scopes[-1]
-                if re.match(r"(?:mutable\s+)?(?:Shared)?Mutex\b", text):
+                if re.match(r"(?:mutable\s+)?Mutex\b", text):
                     scope["mutex"] = True
                 else:
                     scope["fields"].append((stmt_line, text))

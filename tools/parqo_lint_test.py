@@ -182,6 +182,10 @@ class LockDisciplineRules(LintHarness):
         self.assert_fires("raw-std-mutex", "std::mutex mu;\n")
         self.assert_fires("raw-std-mutex",
                           "std::lock_guard<std::mutex> l(mu);\n")
+        # There is no ranked reader-writer lock; a raw one is a finding.
+        self.assert_fires("raw-std-mutex", "std::shared_mutex mu;\n")
+        self.assert_fires("raw-std-mutex",
+                          "std::shared_lock<std::shared_mutex> l(mu);\n")
         self.assert_clean("raw-std-mutex",
                           "Mutex mu{LockRank::kLeaf};\n")
         # Out of scope: tests and tools may use raw primitives.
@@ -299,6 +303,7 @@ class LockDisciplineRules(LintHarness):
     def test_naked_lock(self):
         self.assert_fires("naked-lock", "void F() { mu_.Lock(); }\n")
         self.assert_fires("naked-lock", "void F() { mu_.unlock(); }\n")
+        self.assert_fires("naked-lock", "void F() { mu_.lock_shared(); }\n")
         self.assert_clean("naked-lock", "void F() { MutexLock l(mu_); }\n")
         # Named locked-helper calls are not acquisitions.
         self.assert_clean("naked-lock",

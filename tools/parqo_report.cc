@@ -22,7 +22,6 @@
 //   parqo_report --workload=watdiv --template=17 --trace=trace.json
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -43,7 +42,6 @@
 #include "partition/two_hop.h"
 #include "plan/export.h"
 #include "sparql/parser.h"
-#include "stats/data_stats.h"
 #include "workload/benchmark_queries.h"
 #include "workload/lubm.h"
 #include "workload/uniprot.h"
@@ -128,29 +126,6 @@ bool WriteFile(const std::string& path, const std::string& content) {
 double Pct(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) /
                                 static_cast<double>(whole);
-}
-
-/// Geometric-mean and max per-operator q-error over one execution's
-/// recorded cardinalities (operators with true cardinality 0 skipped).
-struct QErrorSummary {
-  double geo = 0, max = 0;
-  std::uint64_t ops = 0;
-};
-
-QErrorSummary SummarizeQError(
-    const std::vector<ExecMetrics::OpCardinality>& ops) {
-  QErrorSummary s;
-  double log_sum = 0;
-  for (const ExecMetrics::OpCardinality& oc : ops) {
-    if (oc.actual == 0 || oc.estimated <= 0) continue;
-    const double act = static_cast<double>(oc.actual);
-    const double q = std::max(oc.estimated / act, act / oc.estimated);
-    log_sum += std::log(q);
-    s.max = std::max(s.max, q);
-    ++s.ops;
-  }
-  if (s.ops > 0) s.geo = std::exp(log_sum / static_cast<double>(s.ops));
-  return s;
 }
 
 }  // namespace
@@ -407,48 +382,14 @@ int main(int argc, char** argv) {
       if (!tps.empty()) tps += ",";
       tps += std::to_string(tp);
     }
-    const double act = static_cast<double>(oc.actual);
-    const double q = oc.actual == 0 || oc.estimated <= 0
-                         ? 0.0
-                         : std::max(oc.estimated / act, act / oc.estimated);
     std::printf("  %-14s {%-14s %14.1f %14s %8.2f\n", oc.op.c_str(),
                 (tps + "}").c_str(), oc.estimated,
-                WithThousandsSep(oc.actual).c_str(), q);
+                WithThousandsSep(oc.actual).c_str(), oc.QError());
   }
-  QErrorSummary base_q = SummarizeQError(card_metrics.op_cards);
-  std::printf("  baseline (Eq. 10-11)  geo-mean q %.3f, max q %.1f over "
-              "%s ops\n",
-              base_q.geo, base_q.max,
-              WithThousandsSep(base_q.ops).c_str());
-  // Re-plan with exact pairwise join cardinalities from the aggregated
-  // indexes and execute once more, so the report shows what the extra
-  // statistics buy on this query.
-  {
-    DataStatsOptions pair_opts;
-    pair_opts.pairwise_joins = true;
-    PreparedQuery pair_prepared(patterns, *partitioner,
-                                StatsFromData(graph, pair_opts));
-    OptimizeResult pair_best =
-        Optimize(algorithm, pair_prepared.inputs(), options);
-    if (pair_best.plan != nullptr) {
-      Executor pair_exec(cluster, pair_prepared.join_graph(),
-                         options.cost_params,
-                         /*parallel_nodes=*/opts.threads > 1);
-      pair_exec.set_record_op_cardinalities(true);
-      ExecMetrics pair_metrics;
-      Result<BindingTable> pair_rows =
-          ExecuteAndProject(pair_exec, *pair_best.plan,
-                            parsed, pair_prepared.join_graph(),
-                            &pair_metrics);
-      if (pair_rows.ok()) {
-        QErrorSummary pair_q = SummarizeQError(pair_metrics.op_cards);
-        std::printf("  pairwise-exact stats  geo-mean q %.3f, max q %.1f "
-                    "over %s ops\n",
-                    pair_q.geo, pair_q.max,
-                    WithThousandsSep(pair_q.ops).c_str());
-      }
-    }
-  }
+  const QErrorSummary q = card_metrics.SummarizeQError();
+  std::printf("  Eq. 10-11 estimates  geo-mean q %.3f, max q %.1f over %s "
+              "ops\n",
+              q.geomean(), q.max, WithThousandsSep(q.ops).c_str());
 
   std::printf("\n== per-node traffic ==\n");
   std::printf("  %-6s %12s %12s %12s %12s\n", "node", "stored", "scanned",
