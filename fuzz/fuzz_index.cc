@@ -15,6 +15,10 @@
 //      the input for every constant mask with a free position, on a
 //      bounded sample of data triples.
 //   4. ByteSize / num_pages sanity.
+//   5. Random ranges: ScanRange and CountRange over [lo, hi] return
+//      exactly the brute-force slice of the sorted keys, with bounds
+//      drawn from stored keys (block anchors and duplicate runs
+//      included) and nudged one step off them.
 //
 // Build: cmake -DPARQO_FUZZ=ON. Under clang this links libFuzzer;
 // under other compilers fuzz/standalone_main.cc replays the seed corpus.
@@ -95,6 +99,49 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       PARQO_CHECK(got[i].k1 == expected[i].k1 &&
                   got[i].k2 == expected[i].k2 &&
                   got[i].k3 == expected[i].k3);
+    }
+  }
+
+  // Property 5: random ranges against the sorted keys. The draws are a
+  // deterministic function of the input, so a crash replays.
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL ^ n;
+  for (std::size_t i = 0; i < size; ++i) rng = (rng ^ data[i]) * 0x100000001b3ULL;
+  auto draw = [&](std::size_t bound) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return static_cast<std::size_t>(rng % bound);
+  };
+  auto nudge = [&](IndexKey k) {
+    switch (draw(3)) {
+      case 0: k.k3 = k.k3 == 0 ? 0 : k.k3 - 1; break;
+      case 1: k.k3 = k.k3 == kMaxTermId ? kMaxTermId : k.k3 + 1; break;
+      default: break;
+    }
+    return k;
+  };
+  for (Perm perm : {Perm::kSpo, Perm::kPso, Perm::kPos, Perm::kOsp}) {
+    const CompressedKeyIndex& idx = perms.perm(perm);
+    std::vector<IndexKey> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = PermKey(perm, triples[i]);
+    std::sort(sorted.begin(), sorted.end());
+    for (int probe = 0; probe < 32; ++probe) {
+      const IndexKey lo = nudge(sorted[draw(n)]);
+      const IndexKey hi = nudge(sorted[draw(n)]);
+      auto first = std::lower_bound(sorted.begin(), sorted.end(), lo);
+      auto last = std::upper_bound(sorted.begin(), sorted.end(), hi);
+      const std::size_t want =
+          hi < lo ? 0 : static_cast<std::size_t>(last - first);
+      std::size_t got = 0;
+      idx.ScanRange(lo, hi, scratch, [&](std::span<const IndexKey> run) {
+        for (const IndexKey& k : run) {
+          PARQO_CHECK(got < want);
+          PARQO_CHECK(k == first[static_cast<std::ptrdiff_t>(got)]);
+          ++got;
+        }
+      });
+      PARQO_CHECK(got == want);
+      PARQO_CHECK(idx.CountRange(lo, hi, scratch) == want);
     }
   }
 

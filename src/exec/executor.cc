@@ -378,6 +378,25 @@ std::uint64_t RowBytes(const std::vector<VarId>& schema) {
   return static_cast<std::uint64_t>(schema.size()) * sizeof(TermId);
 }
 
+// Deduplicates `t` unless `distinct` proves it holds no duplicate row
+// (DESIGN.md section 13, "Dedup elision"). A keep-first dedup that
+// removes nothing leaves the table as it was, so skipping it changes no
+// row and no row order. Checked builds deduplicate a copy to prove it.
+// `dedup_rows` counts the rows actually hashed.
+void DedupUnlessDistinct(BindingTable& t, bool distinct,
+                         std::uint64_t& dedup_rows) {
+  if (distinct) {
+#if PARQO_DCHECK_ENABLED
+    BindingTable copy = t;
+    copy.Deduplicate();
+    PARQO_DCHECK(copy.NumRows() == t.NumRows());
+#endif
+    return;
+  }
+  dedup_rows += t.NumRows();
+  t.Deduplicate();
+}
+
 }  // namespace
 
 ResolvedPattern BindPattern(const TriplePattern& pattern,
@@ -408,6 +427,10 @@ ResolvedPattern BindPattern(const TriplePattern& pattern,
 struct Executor::DistTable {
   std::vector<BindingTable> per_node;
   std::vector<VarId> schema;
+  /// No row appears on two nodes. Every per-node table is duplicate-free
+  /// (node stores are sets and a join of sets is a set), so a disjoint
+  /// table's concatenation is already deduplicated.
+  bool disjoint = false;
 
   std::uint64_t GlobalRows() const {
     std::uint64_t sum = 0;
@@ -513,14 +536,20 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
     double cost = 0;
   };
 
+  // The distinct rows of a distributed table, in node order.
+  auto gather = [&](const DistTable& table) {
+    BindingTable g(table.schema);
+    for (const BindingTable& t : table.per_node) g.AppendFrom(t);
+    DedupUnlessDistinct(g, table.disjoint, m.dedup_rows);
+    return g;
+  };
+
   // Opt-in estimated-vs-measured cardinality per operator. Driver-thread
   // only (eval recursion runs on the driver; workers only fill tables).
   auto record_card = [&](const PlanNode& node, const DistTable& table,
                          const char* op) {
     if (!record_op_cards_) return;
-    BindingTable g(table.schema);
-    for (const BindingTable& t : table.per_node) g.AppendFrom(t);
-    g.Deduplicate();
+    const BindingTable g = gather(table);
     ExecMetrics::OpCardinality oc;
     oc.op = op;
     for (int tp : node.tps) oc.tps.push_back(tp);
@@ -546,6 +575,9 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
           BindPattern(jg_.pattern(node.tp), jg_, cluster_.graph().dict());
       frame->table.schema = rp.schema;
       frame->table.per_node.resize(n);
+      // Partitioners replicate triples, so only a single node's scan is
+      // known to be disjoint.
+      frame->table.disjoint = n == 1;
       PARQO_RETURN_IF_ERROR(RunPartitioned(
           rec, m, "scan", n, parallel_nodes_, [&](int i) {
             // Several filters can reach one leaf; the fewest keys prune
@@ -646,6 +678,11 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
               }
               out.per_node[i] = std::move(acc);
             }));
+        // A row repeated on two nodes would repeat its projection onto
+        // every child.
+        for (const Frame& f : children) {
+          out.disjoint = out.disjoint || f.table.disjoint;
+        }
         break;
       }
       case JoinMethod::kBroadcast: {
@@ -660,11 +697,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
         std::vector<BindingTable> gathered;
         for (std::size_t c = 0; c < children.size(); ++c) {
           if (c == largest) continue;
-          BindingTable g(children[c].table.schema);
-          for (const BindingTable& t : children[c].table.per_node) {
-            g.AppendFrom(t);
-          }
-          g.Deduplicate();
+          BindingTable g = gather(children[c].table);
           // One copy of the gathered input lands on every node; each
           // copy is one shipment the flaky network may eat.
           std::uint64_t rows = g.NumRows() * static_cast<std::uint64_t>(n);
@@ -686,6 +719,9 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
               }
               out.per_node[i] = std::move(acc);
             }));
+        // Every node joins the same gathered rows, so output rows are
+        // disjoint when the partitioned input's are.
+        out.disjoint = children[largest].table.disjoint;
         break;
       }
       case JoinMethod::kRepartition: {
@@ -730,8 +766,11 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
           m.rows_transferred += edge_rows;
           m.bytes_shipped += edge_bytes;
           m.edges.push_back({"repartition", edge_rows, edge_bytes});
-          // Replicated source rows can meet at the target; dedup there.
-          for (BindingTable& t : routed[c]) t.Deduplicate();
+          // Replicated source rows can meet at the target; dedup there
+          // unless the source had none.
+          for (BindingTable& t : routed[c]) {
+            DedupUnlessDistinct(t, in.disjoint, m.dedup_rows);
+          }
         }
         PARQO_RETURN_IF_ERROR(RunPartitioned(
             rec, m, "repartition_join", n, parallel_nodes_, [&](int i) {
@@ -741,6 +780,9 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
               }
               out.per_node[i] = std::move(acc);
             }));
+        // Every output row lives on the node its join-variable binding
+        // hashes to.
+        out.disjoint = true;
         break;
       }
     }
@@ -788,12 +830,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
   m.measured_cost = root.cost;
   m.merge_joins = merge_joins_.load(std::memory_order_relaxed);
 
-  // Gather and deduplicate the global result.
-  BindingTable result(root.table.schema);
-  for (const BindingTable& t : root.table.per_node) {
-    result.AppendFrom(t);
-  }
-  result.Deduplicate();
+  BindingTable result = gather(root.table);
   m.result_rows = result.NumRows();
   m.wall_seconds = watch.ElapsedSeconds();
 
@@ -802,6 +839,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
     reg.counter("exec.queries").Add(1);
     reg.counter("exec.rows_scanned").Add(m.rows_scanned);
     reg.counter("exec.rows_transferred").Add(m.rows_transferred);
+    reg.counter("exec.dedup_rows").Add(m.dedup_rows);
     reg.counter("exec.bytes_shipped").Add(m.bytes_shipped);
     reg.counter("exec.distributed_joins").Add(m.distributed_joins);
     if (m.merge_joins > 0) {

@@ -67,6 +67,10 @@ struct ExecMetrics {
   /// benches add `overhead * distributed_joins` to model that.
   std::uint64_t distributed_joins = 0;
   std::uint64_t result_rows = 0;  ///< After global deduplication.
+  /// Rows hashed by Deduplicate at the broadcast gathers, the repartition
+  /// targets and the final gather. Gathers of inputs known to be
+  /// disjoint across nodes skip the dedup and add nothing.
+  std::uint64_t dedup_rows = 0;
   double wall_seconds = 0;
 
   /// Joins that ran the merge kernel instead of the hash kernel because

@@ -111,10 +111,10 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
   if (keys != nullptr && keys->size() <= num_pages) {
     // Seek path: one bound seek per key, keys ascending, the key pinned
     // in every position the filter variable occupies. A morsel's seeks
-    // share one Scratch, so consecutive keys landing in one page decode
-    // it once. A seek costs at most about one page decode, so parallel
-    // morsels take as many keys as they would take pages; a serial scan
-    // is one morsel.
+    // share one Scratch. A seek decodes from the restart block before its
+    // lower bound to its last match, never more than its pages, so
+    // parallel morsels take as many keys as they would take pages; a
+    // serial scan is one morsel.
     const bool at[3] = {vars[0] == filter.var, vars[1] == filter.var,
                         vars[2] == filter.var};
     PARQO_DCHECK(at[0] || at[1] || at[2]);

@@ -7,10 +7,12 @@
 // overlap the range and a range COUNT decodes only the two boundary
 // pages — interior pages are answered from the directory alone.
 //
-// Page entry encoding, after an absolute (k1, k2, k3) anchor per page:
-// one tagged varbyte value whose low 2 bits say which key component
-// changed first, followed by absolute varbytes for the components after
-// it:
+// Each page is split into restart blocks of kBlockEntries entries. A
+// block opens with an absolute (k1, k2, k3) anchor; a per-page table of
+// block byte offsets lets a seek start at the block holding its lower
+// bound instead of at the page's first entry. Every other entry is one
+// tagged varbyte value whose low 2 bits say which key component changed
+// first, followed by absolute varbytes for the components after it:
 //
 //   tag 0: (gap3 << 2)        — k1, k2 unchanged; gap3 == 0 keeps
 //                               duplicates, so multisets round-trip
@@ -52,50 +54,52 @@ struct IndexKey {
 /// cache-resident and makes pages natural scan morsels.
 inline constexpr std::size_t kLeafEntries = 1024;
 
+/// Entries per restart block: a seek decodes at most one block of keys
+/// below its lower bound. Each block costs an absolute anchor in place
+/// of one gap, plus a 2-byte offset (DESIGN.md section 17).
+inline constexpr std::size_t kBlockEntries = 64;
+inline constexpr std::size_t kBlocksPerPage = kLeafEntries / kBlockEntries;
+static_assert(kLeafEntries % kBlockEntries == 0);
+
 class CompressedKeyIndex {
  public:
-  /// Reusable per-caller decode buffer: one decoded page. Never shared
-  /// across threads (the index itself is immutable after Build and safe
-  /// for concurrent readers). It remembers which page it holds, so
-  /// consecutive seeks that land in one page decode it once.
+  /// Reusable per-caller decode buffer, grown to the largest page it has
+  /// been asked to hold. Never shared across threads (the index itself
+  /// is immutable after Build and safe for concurrent readers).
   struct Scratch {
     std::vector<IndexKey> keys;
-    const CompressedKeyIndex* index = nullptr;  // owner of `keys`' page
-    std::size_t page = 0;
   };
 
   CompressedKeyIndex() = default;
 
   /// Builds from keys sorted ascending; duplicates are allowed and
-  /// preserved (per-node stores are multisets). Replaces prior contents.
+  /// preserved (the fuzzer feeds multisets; node stores and count tables
+  /// are sets). Replaces prior contents.
   void Build(std::span<const IndexKey> sorted);
 
   std::size_t size() const { return n_; }
   std::size_t num_pages() const { return pages_.size(); }
 
-  /// Compressed payload plus directory bytes.
+  /// Compressed payload plus page directory and block offset bytes.
   std::size_t ByteSize() const {
-    return data_.size() + pages_.size() * sizeof(PageRef);
+    return data_.size() + pages_.size() * sizeof(PageRef) +
+           blocks_.size() * sizeof(std::uint16_t);
   }
 
   /// Pages overlapping [lo, hi]: [first, end) directory indexes.
   std::pair<std::size_t, std::size_t> PageSpan(const IndexKey& lo,
                                                const IndexKey& hi) const;
 
-  /// Decodes page `page` and calls fn(std::span<const IndexKey>) on its
-  /// entries within [lo, hi] (possibly empty span -> fn not called).
+  /// Decodes the part of page `page` that can hold entries within
+  /// [lo, hi] and calls fn(std::span<const IndexKey>) on those entries
+  /// (possibly empty span -> fn not called).
   template <typename Fn>
   void ScanPage(std::size_t page, const IndexKey& lo, const IndexKey& hi,
                 Scratch& scratch, Fn&& fn) const {
-    DecodePage(page, scratch);
-    const IndexKey* b = scratch.keys.data();
-    const IndexKey* e = b + scratch.keys.size();
-    const IndexKey* lo_it = std::lower_bound(b, e, lo);
-    const IndexKey* hi_it = std::upper_bound(lo_it, e, hi);
-    if (lo_it != hi_it) {
-      fn(std::span<const IndexKey>(lo_it,
-                                   static_cast<std::size_t>(hi_it - lo_it)));
-    }
+    const std::size_t page_max = std::min(n_, kLeafEntries);
+    if (scratch.keys.size() < page_max) scratch.keys.resize(page_max);
+    const std::size_t n = DecodeRange(page, lo, hi, scratch.keys.data());
+    if (n != 0) fn(std::span<const IndexKey>(scratch.keys.data(), n));
   }
 
   /// Ordered scan of every entry in [lo, hi]; fn sees one ascending span
@@ -121,11 +125,18 @@ class CompressedKeyIndex {
     std::uint32_t count = 0;    // entries in the page
   };
 
-  void DecodePage(std::size_t page, Scratch& scratch) const;
+  /// Writes page `page`'s entries within [lo, hi] to `out` (room for
+  /// the page's entries) and returns how many.
+  std::size_t DecodeRange(std::size_t page, const IndexKey& lo,
+                          const IndexKey& hi, IndexKey* out) const;
 
   std::size_t n_ = 0;
   std::vector<std::uint8_t> data_;
   std::vector<PageRef> pages_;
+  /// Byte offset of block b of page p, relative to the page's offset, at
+  /// [p * kBlocksPerPage + b]. A page of at most 1024 entries of at most
+  /// 15 bytes each fits 16 bits.
+  std::vector<std::uint16_t> blocks_;
 };
 
 }  // namespace parqo

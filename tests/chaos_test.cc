@@ -106,6 +106,7 @@ void ExpectCleanFailure(const Status& status, const ExecMetrics& m) {
   EXPECT_EQ(m.bytes_shipped, 0u);
   EXPECT_EQ(m.distributed_joins, 0u);
   EXPECT_EQ(m.result_rows, 0u);
+  EXPECT_EQ(m.dedup_rows, 0u);
   EXPECT_EQ(m.recovery_attempts, 0u);
   EXPECT_EQ(m.rows_reshipped, 0u);
   EXPECT_EQ(m.measured_cost, 0.0);

@@ -69,6 +69,7 @@ void ExpectSameMetrics(const ExecMetrics& a, const ExecMetrics& b) {
   EXPECT_EQ(a.distributed_joins, b.distributed_joins);
   EXPECT_EQ(a.merge_joins, b.merge_joins);
   EXPECT_EQ(a.result_rows, b.result_rows);
+  EXPECT_EQ(a.dedup_rows, b.dedup_rows);
   EXPECT_EQ(a.node_rows_scanned, b.node_rows_scanned);
   EXPECT_EQ(a.node_rows_received, b.node_rows_received);
   EXPECT_EQ(a.node_rows_joined, b.node_rows_joined);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -684,6 +685,142 @@ TEST_F(ExecutorTest, ProjectionSelectsQueryVariables) {
   EXPECT_EQ(result->num_cols(), 1);
   // Matches: (s1,d1,u1,s2) and (s2,d1,u1,s3); the only university is u1.
   EXPECT_EQ(result->NumRows(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Dedup elision (DESIGN.md section 13) on replicated hash-SO data: every
+// gather whose input is disjoint across nodes skips its dedup, every
+// other gather still runs it, and each result is exactly the distinct
+// MatchBgp bindings (SortedRows keeps duplicates, so a missed dedup
+// shows). dedup_rows says which gathers hashed their rows.
+
+class DedupElisionTest : public ::testing::Test {
+ protected:
+  // A chain a_i -p-> b_i -q-> c_j -r-> d: 20 p edges fan out to 60 q
+  // paths over 3 shared c_j, which hash-SO replicates onto c_j's node.
+  DedupElisionTest() {
+    std::string nt;
+    for (int i = 0; i < 20; ++i) {
+      const std::string a = "<a" + std::to_string(i) + ">";
+      const std::string b = "<b" + std::to_string(i) + ">";
+      nt += a + " <p> " + b + " .\n";
+      for (int j = 0; j < 3; ++j) {
+        nt += b + " <q> <c" + std::to_string(j) + "> .\n";
+      }
+    }
+    for (int j = 0; j < 3; ++j) nt += "<c" + std::to_string(j) + "> <r> <d> .\n";
+    auto g = ParseNTriplesString(nt);
+    graph_ = std::make_unique<RdfGraph>(std::move(*g));
+    jg_ = std::make_unique<JoinGraph>(std::vector<TriplePattern>{
+        Tp("?x", "p", "?y"), Tp("?y", "q", "?z"), Tp("?z", "r", "?w")});
+    cluster_ = std::make_unique<Cluster>(
+        *graph_, HashSoPartitioner().PartitionData(*graph_, 3));
+    estimator_ = std::make_unique<CardinalityEstimator>(
+        *jg_, ComputeStatisticsFromGraph(*jg_, *graph_));
+    builder_ = std::make_unique<PlanBuilder>(*estimator_,
+                                             CostModel(CostParams{}));
+  }
+
+  // Executes `plan`, which covers the first `num_tps` patterns, and
+  // checks its rows against MatchBgp over those patterns. A prefix of
+  // the patterns numbers its variables as the whole query does.
+  ExecMetrics Run(const PlanNode& plan, int num_tps) {
+    JoinGraph sub(std::vector<TriplePattern>(
+        jg_->patterns().begin(), jg_->patterns().begin() + num_tps));
+    Executor exec(*cluster_, *jg_, CostParams{});
+    ExecMetrics m;
+    Result<BindingTable> r = exec.Execute(plan, &m);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return m;
+    EXPECT_EQ(testing::SortedRows(*r, sub), testing::MatchRows(sub, *graph_));
+    EXPECT_EQ(m.result_rows, r->NumRows());
+    return m;
+  }
+
+  VarId Var(const char* name) const { return jg_->FindVar(name); }
+
+  std::unique_ptr<RdfGraph> graph_;
+  std::unique_ptr<JoinGraph> jg_;
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<CardinalityEstimator> estimator_;
+  std::unique_ptr<PlanBuilder> builder_;
+};
+
+TEST_F(DedupElisionTest, RepartitionRootSkipsTheFinalDedup) {
+  PlanNodePtr plan = builder_->Join(JoinMethod::kRepartition, Var("y"),
+                                    {builder_->Scan(0), builder_->Scan(1)});
+  const ExecMetrics m = Run(*plan, 2);
+  EXPECT_EQ(m.result_rows, 60u);
+  // Replicated scan rows are deduplicated where they land; the routed
+  // output is disjoint, so the final gather hashes nothing.
+  EXPECT_EQ(m.dedup_rows, m.rows_transferred);
+}
+
+TEST_F(DedupElisionTest, RepartitionOfARepartitionSkipsItsRoute) {
+  PlanNodePtr plan = builder_->Join(
+      JoinMethod::kRepartition, Var("z"),
+      {builder_->Join(JoinMethod::kRepartition, Var("y"),
+                      {builder_->Scan(0), builder_->Scan(1)}),
+       builder_->Scan(2)});
+  const ExecMetrics m = Run(*plan, 3);
+  EXPECT_EQ(m.result_rows, 60u);
+  // Edges in routing order: the inner join's two scans, then the outer
+  // join's repartitioned input and its scan. Only the scans' routes
+  // are deduplicated.
+  ASSERT_EQ(m.edges.size(), 4u);
+  EXPECT_EQ(m.edges[2].rows, 60u);
+  EXPECT_EQ(m.dedup_rows,
+            m.edges[0].rows + m.edges[1].rows + m.edges[3].rows);
+}
+
+TEST_F(DedupElisionTest, BroadcastKeepingADisjointInputSkipsTheFinalDedup) {
+  PlanNodePtr plan = builder_->Join(
+      JoinMethod::kBroadcast, Var("z"),
+      {builder_->Join(JoinMethod::kRepartition, Var("y"),
+                      {builder_->Scan(0), builder_->Scan(1)}),
+       builder_->Scan(2)});
+  const ExecMetrics m = Run(*plan, 3);
+  EXPECT_EQ(m.result_rows, 60u);
+  // The 60-row repartitioned input stays partitioned; the r scan (at
+  // most 6 replicated rows) is gathered and deduplicated before it is
+  // broadcast, and nothing else is hashed.
+  ASSERT_EQ(m.edges.size(), 3u);
+  EXPECT_EQ(m.edges[2].op, "broadcast");
+  std::uint64_t r_rows = 0;
+  for (int i = 0; i < cluster_->num_nodes(); ++i) {
+    BindingTable scan = cluster_->node(i).Scan(
+        BindPattern(jg_->pattern(2), *jg_, graph_->dict()));
+    r_rows += scan.NumRows();
+  }
+  EXPECT_GT(r_rows, 3u);  // replicated
+  EXPECT_EQ(m.dedup_rows, m.edges[0].rows + m.edges[1].rows + r_rows);
+}
+
+TEST_F(DedupElisionTest, LocalAndBroadcastRootsOverScansStillDedup) {
+  // Hash-SO co-locates ?y's p and q triples, but a row can also form on
+  // the node holding both a_i and c_j: the final gather must dedup.
+  PlanNodePtr local = builder_->LocalJoinAll(TpSet::FullSet(2));
+  const ExecMetrics ml = Run(*local, 2);
+  EXPECT_EQ(ml.result_rows, 60u);
+  EXPECT_GT(ml.dedup_rows, ml.result_rows);
+  EXPECT_EQ(ml.dedup_rows, std::accumulate(ml.node_rows_joined.begin(),
+                                           ml.node_rows_joined.end(),
+                                           std::uint64_t{0}));
+
+  PlanNodePtr broadcast = builder_->Join(
+      JoinMethod::kBroadcast, Var("y"), {builder_->Scan(0), builder_->Scan(1)});
+  const ExecMetrics mb = Run(*broadcast, 2);
+  EXPECT_EQ(mb.result_rows, 60u);
+  EXPECT_GT(mb.dedup_rows, mb.result_rows);
+}
+
+TEST(ClusterDeathTest, RejectsATripleTwiceOnOneNode) {
+  auto g = ParseNTriplesString("<s> <p> <o> .\n<s> <p> <o2> .\n");
+  ASSERT_TRUE(g.ok());
+  PartitionAssignment pa;
+  pa.num_nodes = 2;
+  pa.node_triples = {{0, 1}, {1, 1}};
+  EXPECT_DEATH(Cluster(*g, pa), "PARQO_CHECK failed");
 }
 
 // ---------------------------------------------------------------------------

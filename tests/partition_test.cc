@@ -4,15 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
 #include "partition/hash_so.h"
+#include "partition/hot_query.h"
 #include "partition/local_query_index.h"
 #include "partition/min_edge_cut.h"
 #include "partition/path_bmc.h"
 #include "partition/two_hop.h"
+#include "sparql/parser.h"
 #include "tests/test_util.h"
+#include "workload/benchmark_queries.h"
 #include "workload/lubm.h"
 
 namespace parqo {
@@ -51,6 +55,38 @@ TEST(PartitionDataTest, EveryTripleIsStoredSomewhere) {
     EXPECT_GE(pa.ReplicationFactor(g.NumTriples()), 1.0) << p->name();
     // Sanity: replication stays bounded for these methods at n=5.
     EXPECT_LE(pa.ReplicationFactor(g.NumTriples()), 5.0) << p->name();
+  }
+}
+
+// Node stores must be sets: the executor skips dedups on the strength of
+// it (DESIGN.md section 13), and Cluster aborts on a repeated triple.
+TEST(PartitionDataTest, NoNodeReceivesATripleTwice) {
+  LubmConfig cfg;
+  cfg.universities = 2;
+  RdfGraph g = GenerateLubm(cfg);
+  std::vector<std::unique_ptr<Partitioner>> partitioners = AllPartitioners();
+  HashSoPartitioner hash;
+  std::vector<std::vector<TriplePattern>> hot;
+  for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
+    if (bq.name != "L1" && bq.name != "L2") continue;
+    Result<ParsedQuery> parsed = ParseSparql(bq.sparql);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    hot.push_back(parsed->patterns);
+  }
+  ASSERT_EQ(hot.size(), 2u);
+  partitioners.push_back(
+      std::make_unique<HotQueryPartitioner>(hash, std::move(hot)));
+
+  for (const auto& p : partitioners) {
+    for (int n : {1, 5}) {
+      PartitionAssignment pa = p->PartitionData(g, n);
+      for (std::size_t node = 0; node < pa.node_triples.size(); ++node) {
+        std::vector<TripleIdx> idxs = pa.node_triples[node];
+        std::sort(idxs.begin(), idxs.end());
+        EXPECT_EQ(std::adjacent_find(idxs.begin(), idxs.end()), idxs.end())
+            << p->name() << " n=" << n << " node " << node;
+      }
+    }
   }
 }
 

@@ -124,6 +124,126 @@ TEST(CompressedKeyIndexTest, SeeksAtPageBoundaries) {
   EXPECT_EQ(got[1], keys[kLeafEntries]);
 }
 
+// Entries of `idx` in [lo, hi] by ScanRange, checked against CountRange
+// and against `sorted`, the keys the index was built from.
+void ExpectRange(const CompressedKeyIndex& idx,
+                 const std::vector<IndexKey>& sorted, const IndexKey& lo,
+                 const IndexKey& hi) {
+  CompressedKeyIndex::Scratch scratch;
+  std::vector<IndexKey> got;
+  idx.ScanRange(lo, hi, scratch, [&](std::span<const IndexKey> run) {
+    got.insert(got.end(), run.begin(), run.end());
+  });
+  std::vector<IndexKey> want;
+  if (!(hi < lo)) {
+    want.assign(std::lower_bound(sorted.begin(), sorted.end(), lo),
+                std::upper_bound(sorted.begin(), sorted.end(), hi));
+  }
+  EXPECT_EQ(got, want) << "lo=" << lo.k1 << "," << lo.k2 << "," << lo.k3
+                       << " hi=" << hi.k1 << "," << hi.k2 << "," << hi.k3;
+  EXPECT_EQ(idx.CountRange(lo, hi, scratch), want.size());
+}
+
+TEST(CompressedKeyIndexTest, RestartBlockBoundarySizes) {
+  // Sizes one off a multiple of the restart block, inside the first page
+  // and across pages; every size is probed at random ranges.
+  for (std::size_t blocks : {std::size_t{1}, std::size_t{3},
+                             kBlocksPerPage, kBlocksPerPage + 2}) {
+    for (std::size_t n : {blocks * kBlockEntries - 1,
+                          blocks * kBlockEntries,
+                          blocks * kBlockEntries + 1}) {
+      Rng rng(n * 17 + 3);
+      std::vector<IndexKey> keys(n);
+      for (IndexKey& k : keys) {
+        k = {static_cast<TermId>(rng.Uniform(0, 4)),
+             static_cast<TermId>(rng.Uniform(0, 300)),
+             static_cast<TermId>(rng.Uniform(0, 1000))};
+      }
+      std::sort(keys.begin(), keys.end());
+      CompressedKeyIndex idx;
+      idx.Build(keys);
+      ASSERT_EQ(FullScan(idx), keys) << "n=" << n;
+      for (int probe = 0; probe < 50; ++probe) {
+        IndexKey lo = keys[rng.Uniform(0, n - 1)];
+        IndexKey hi = keys[rng.Uniform(0, n - 1)];
+        if (hi < lo) std::swap(lo, hi);
+        ExpectRange(idx, keys, lo, hi);
+        // Bounds between stored keys.
+        ExpectRange(idx, keys, {lo.k1, lo.k2, lo.k3 + 1},
+                    {hi.k1, hi.k2 + 1, 0});
+      }
+    }
+  }
+}
+
+TEST(CompressedKeyIndexTest, SeeksFromEveryBlockAnchor) {
+  // Distinct keys: every block opens with an anchor; a seek whose lower
+  // bound IS that anchor, or falls just before or after it, must return
+  // exactly the brute-force range.
+  const std::size_t n = 2 * kLeafEntries + 3 * kBlockEntries;
+  std::vector<IndexKey> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = {static_cast<TermId>(i / 500), static_cast<TermId>(i % 500),
+               static_cast<TermId>(i * 3)};
+  }
+  CompressedKeyIndex idx;
+  idx.Build(keys);
+  for (std::size_t a = 0; a < n; a += kBlockEntries) {
+    for (std::size_t span : {std::size_t{0}, std::size_t{1},
+                             kBlockEntries - 1, kBlockEntries,
+                             kLeafEntries}) {
+      const IndexKey& hi = keys[std::min(n - 1, a + span)];
+      ExpectRange(idx, keys, keys[a], hi);
+      if (a > 0) ExpectRange(idx, keys, keys[a - 1], hi);
+      ExpectRange(idx, keys, {keys[a].k1, keys[a].k2, keys[a].k3 - 1}, hi);
+      ExpectRange(idx, keys, {keys[a].k1, keys[a].k2, keys[a].k3 + 1}, hi);
+    }
+  }
+}
+
+TEST(CompressedKeyIndexTest, DuplicateRunsAcrossBlocksAndPages) {
+  // Runs of one key that start inside a block and end several blocks on,
+  // and one that crosses a page boundary: anchors inside a run equal its
+  // key, so seeks must start from the block before the first of them.
+  std::vector<IndexKey> keys;
+  auto add_run = [&](IndexKey k, std::size_t len) {
+    keys.insert(keys.end(), len, k);
+  };
+  TermId next = 1;
+  auto add_distinct = [&](std::size_t len) {
+    for (std::size_t i = 0; i < len; ++i) keys.push_back({next++, 0, 0});
+  };
+  add_distinct(kBlockEntries - 5);
+  const IndexKey block_run{next++, 7, 7};
+  add_run(block_run, 2 * kBlockEntries + 9);
+  add_distinct(kLeafEntries - keys.size() - 11);
+  const IndexKey page_run{next++, 8, 8};
+  add_run(page_run, kBlockEntries + 30);
+  add_distinct(kLeafEntries);
+  add_distinct(kBlockEntries - keys.size() % kBlockEntries);
+  const IndexKey anchored_run{next++, 9, 9};  // starts exactly at a block
+  add_run(anchored_run, kBlockEntries + 1);
+  add_distinct(kBlockEntries / 2);
+  ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+
+  CompressedKeyIndex idx;
+  idx.Build(keys);
+  ASSERT_GE(idx.num_pages(), 3u);
+  EXPECT_EQ(FullScan(idx), keys);
+  CompressedKeyIndex::Scratch scratch;
+  EXPECT_EQ(idx.CountRange(block_run, block_run, scratch),
+            2 * kBlockEntries + 9);
+  EXPECT_EQ(idx.CountRange(page_run, page_run, scratch), kBlockEntries + 30);
+  EXPECT_EQ(idx.CountRange(anchored_run, anchored_run, scratch),
+            kBlockEntries + 1);
+  for (const IndexKey& k : {block_run, page_run, anchored_run}) {
+    ExpectRange(idx, keys, k, k);
+    ExpectRange(idx, keys, {k.k1, 0, 0}, k);
+    ExpectRange(idx, keys, k, {k.k1 + 1, 0, 0});
+    ExpectRange(idx, keys, {k.k1 - 1, 0, 0}, {k.k1, kMaxTermId, kMaxTermId});
+  }
+}
+
 std::vector<Triple> RandomTriples(std::uint64_t seed, std::size_t n,
                                   TermId max_s, TermId max_p, TermId max_o) {
   Rng rng(seed);
