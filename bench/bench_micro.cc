@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -18,16 +19,22 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "exec/binding_table.h"
+#include "exec/cluster.h"
+#include "exec/executor.h"
 #include "exec/join_kernel.h"
 #include "optimizer/cbd_enumerator.h"
 #include "optimizer/cmd_enumerator.h"
+#include "optimizer/optimizer.h"
+#include "optimizer/prepared_query.h"
 #include "optimizer/td_cmd_core.h"
 #include "partition/hash_so.h"
 #include "partition/local_query_index.h"
 #include "query/query_graph.h"
+#include "stats/data_stats.h"
 #include "stats/estimator.h"
 #include "storage/compressed_index.h"
 #include "workload/random_query.h"
+#include "workload/watdiv.h"
 
 namespace parqo {
 namespace {
@@ -540,14 +547,13 @@ void BM_PageDecode(benchmark::State& state) {
   std::vector<IndexKey> keys = MakeSortedKeys(static_cast<int>(state.range(0)));
   CompressedKeyIndex idx;
   idx.Build(keys);
-  CompressedKeyIndex::Scratch scratch;
   const IndexKey lo{0, 0, 0};
   const IndexKey hi{kMaxTermId, kMaxTermId, kMaxTermId};
   std::uint64_t decoded = 0;
   for (auto _ : state) {
-    idx.ScanRange(lo, hi, scratch, [&](std::span<const IndexKey> run) {
-      benchmark::DoNotOptimize(run.data());
-      decoded += run.size();
+    idx.ScanRange(lo, hi, [&](const IndexKey& k) {
+      benchmark::DoNotOptimize(k);
+      ++decoded;
     });
   }
   state.counters["keys/s"] = benchmark::Counter(
@@ -579,7 +585,6 @@ void BM_IndexSeek(benchmark::State& state) {
   std::vector<IndexKey> keys = MakeSortedKeys(static_cast<int>(state.range(0)));
   CompressedKeyIndex idx;
   idx.Build(keys);
-  CompressedKeyIndex::Scratch scratch;
   Rng rng(5);
   std::vector<TermId> probes(256);
   for (TermId& p : probes) p = static_cast<TermId>(rng.Uniform(1, 64));
@@ -587,7 +592,7 @@ void BM_IndexSeek(benchmark::State& state) {
   for (auto _ : state) {
     const TermId k1 = probes[i++ & 255];
     benchmark::DoNotOptimize(idx.CountRange(
-        IndexKey{k1, 0, 0}, IndexKey{k1, kMaxTermId, kMaxTermId}, scratch));
+        IndexKey{k1, 0, 0}, IndexKey{k1, kMaxTermId, kMaxTermId}));
   }
 }
 BENCHMARK(BM_IndexSeek)->Arg(4096)->Arg(65536);
@@ -669,6 +674,52 @@ void BM_BindingTableDeduplicate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BindingTableDeduplicate)->Arg(1024)->Arg(16384);
+
+// ---------------------------------------------------------------------------
+// Fixed cost per simulated node (DESIGN.md section 13, "Scratch
+// ownership"): one light WatDiv plan (T3, parqo_report's drill-down
+// template, on perfbench's watdiv_explode data) executed warm on a
+// 10-node and on a 1-node cluster. Both run the same plan over the same
+// triples, so `ratio` is what the nine extra nodes' per-operator fixed
+// costs add; Eq. 3 charges them nothing.
+
+void BM_ExecuteTenNodesVsOne(benchmark::State& state) {
+  WatdivDataConfig config;
+  config.entities_per_class = 120;
+  config.density = 1.1;
+  config.seed = 7;
+  const RdfGraph graph = GenerateWatdivData(config);
+  Rng rng(2017);
+  std::vector<TriplePattern> patterns;
+  for (const WatdivTemplate& t : GenerateWatdivTemplates(124, rng)) {
+    if (t.id == 3) patterns = t.patterns;
+  }
+  HashSoPartitioner hash;
+  PreparedQuery pq(patterns, hash, StatsFromData(graph));
+  OptimizeOptions options;
+  options.cost_params.num_nodes = 10;
+  PlanNodePtr plan = Optimize(Algorithm::kTdAuto, pq.inputs(), options).plan;
+  const Cluster ten(graph, hash.PartitionData(graph, 10));
+  const Cluster one(graph, hash.PartitionData(graph, 1));
+  Executor on_ten(ten, pq.join_graph(), options.cost_params);
+  Executor on_one(one, pq.join_graph(), options.cost_params);
+  using Clock = std::chrono::steady_clock;
+  double ten_s = 0, one_s = 0;
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    benchmark::DoNotOptimize(on_ten.Execute(*plan, nullptr));
+    const Clock::time_point t1 = Clock::now();
+    benchmark::DoNotOptimize(on_one.Execute(*plan, nullptr));
+    const Clock::time_point t2 = Clock::now();
+    ten_s += std::chrono::duration<double>(t1 - t0).count();
+    one_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["ten_node_us"] = ten_s / iters * 1e6;
+  state.counters["one_node_us"] = one_s / iters * 1e6;
+  state.counters["ratio"] = one_s > 0 ? ten_s / one_s : 0;
+}
+BENCHMARK(BM_ExecuteTenNodesVsOne);
 
 }  // namespace
 }  // namespace parqo

@@ -10,9 +10,15 @@
 // parallelism is across queries only.
 //
 // Every pass re-prepares its queries so no pass inherits another's warm
-// cardinality memo. --json=PATH additionally emits the results machine-
-// readable (threads -> seconds/speedup) for trend tracking across PRs.
+// cardinality memo. An untimed sequential pass runs first, so the
+// baseline is not the process's cold first pass (which read speedups
+// above the core count). Each thread count is timed over kRuns passes
+// and reports the median wall time with its min and max; speedup is the
+// baseline median over the pass median. --json=PATH additionally emits
+// the results machine-readable (threads -> seconds/spread/speedup) for
+// trend tracking.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -30,11 +36,15 @@
 namespace parqo::bench {
 namespace {
 
+// Timed passes per thread count; the median is reported.
+constexpr int kRuns = 5;
+
 struct PassResult {
   int threads = 1;
-  double seconds = 0;
+  std::vector<double> seconds;  // one per run, sorted
   bool costs_match = true;
   int mismatches = 0;
+  double median() const { return seconds[seconds.size() / 2]; }
 };
 
 std::vector<std::unique_ptr<PreparedQuery>> PrepareAll(
@@ -85,9 +95,9 @@ int Main(int argc, char** argv) {
   std::snprintf(jbuf, sizeof(jbuf),
                 "  \"workload\": {\"templates\": %d, \"instances\": %d, "
                 "\"queries\": %zu},\n  \"hardware_concurrency\": %d,\n"
-                "  \"batch\": [\n",
+                "  \"runs_per_row\": %d,\n  \"batch\": [\n",
                 kTemplates, flags.watdiv_instances, instances.size(),
-                ThreadPool::DefaultConcurrency());
+                ThreadPool::DefaultConcurrency(), kRuns);
   json += jbuf;
   bool first_json_row = true;
 
@@ -96,66 +106,81 @@ int Main(int argc, char** argv) {
     PrintRow(name, {"threads", "seconds", "speedup", "costs"});
     PrintRule(10, 4);
 
-    std::vector<double> baseline_costs;
-    double baseline_seconds = 0;
-    for (int t : thread_counts) {
+    // One optimize pass at `t` threads over freshly prepared queries:
+    // wall seconds, plan costs in batch order.
+    auto run_pass = [&](int t, std::vector<double>* costs) {
       // Fresh preparation per pass: no pass benefits from a previous
       // pass's warm cardinality memos.
       auto prepared = PrepareAll(instances, hash);
       std::vector<const PreparedQuery*> queries;
       queries.reserve(prepared.size());
       for (const auto& p : prepared) queries.push_back(p.get());
-
-      PassResult pass;
-      pass.threads = t;
+      std::vector<OptimizeResult> results;
+      Stopwatch watch;
       if (t == 1) {
-        Stopwatch watch;
-        std::vector<OptimizeResult> results;
         results.reserve(queries.size());
         for (const PreparedQuery* q : queries) {
           results.push_back(Optimize(algorithm, q->inputs(), options));
         }
-        pass.seconds = watch.ElapsedSeconds();
-        baseline_seconds = pass.seconds;
-        baseline_costs.reserve(results.size());
-        for (const OptimizeResult& r : results) {
-          baseline_costs.push_back(r.plan != nullptr ? r.plan->total_cost
-                                                     : -1.0);
-        }
       } else {
         ParallelOptimizer popt(t);
-        Stopwatch watch;
-        std::vector<OptimizeResult> results =
-            popt.OptimizeBatch(algorithm, queries, options);
-        pass.seconds = watch.ElapsedSeconds();
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          double cost = results[i].plan != nullptr
-                            ? results[i].plan->total_cost
-                            : -1.0;
-          if (cost != baseline_costs[i]) {
+        results = popt.OptimizeBatch(algorithm, queries, options);
+      }
+      const double seconds = watch.ElapsedSeconds();
+      costs->clear();
+      for (const OptimizeResult& r : results) {
+        costs->push_back(r.plan != nullptr ? r.plan->total_cost : -1.0);
+      }
+      return seconds;
+    };
+
+    std::vector<double> baseline_costs;
+    run_pass(1, &baseline_costs);  // warm-up, untimed
+    double baseline_seconds = 0;
+    for (int t : thread_counts) {
+      PassResult pass;
+      pass.threads = t;
+      std::vector<double> costs;
+      for (int run = 0; run < kRuns; ++run) {
+        pass.seconds.push_back(run_pass(t, &costs));
+        for (std::size_t i = 0; i < costs.size(); ++i) {
+          if (costs[i] != baseline_costs[i]) {
             pass.costs_match = false;
             ++pass.mismatches;
           }
         }
       }
+      std::sort(pass.seconds.begin(), pass.seconds.end());
+      if (t == 1) baseline_seconds = pass.median();
       all_match = all_match && pass.costs_match;
 
-      double speedup = pass.seconds > 0 ? baseline_seconds / pass.seconds : 0;
-      char sec[32], spd[32];
-      std::snprintf(sec, sizeof(sec), "%.3fs", pass.seconds);
+      const double speedup =
+          pass.median() > 0 ? baseline_seconds / pass.median() : 0;
+      char sec[64], spd[32];
+      std::snprintf(sec, sizeof(sec), "%.3fs (%.3f-%.3f)", pass.median(),
+                    pass.seconds.front(), pass.seconds.back());
       std::snprintf(spd, sizeof(spd), "%.2fx", speedup);
       PrintRow("", {std::to_string(t), sec, spd,
                     pass.costs_match
                         ? "ok"
                         : ("MISMATCH:" + std::to_string(pass.mismatches))});
 
+      std::string runs;
+      for (double x : pass.seconds) {
+        std::snprintf(jbuf, sizeof(jbuf), "%s%.6f", runs.empty() ? "" : ", ",
+                      x);
+        runs += jbuf;
+      }
       std::snprintf(jbuf, sizeof(jbuf),
                     "%s    {\"algorithm\": \"%s\", \"threads\": %d, "
-                    "\"seconds\": %.6f, \"speedup\": %.4f, "
-                    "\"costs_match\": %s}",
+                    "\"seconds\": %.6f, \"seconds_min\": %.6f, "
+                    "\"seconds_max\": %.6f, \"speedup\": %.4f, "
+                    "\"costs_match\": %s, \"runs\": [",
                     first_json_row ? "" : ",\n", name.c_str(), t,
-                    pass.seconds, speedup, pass.costs_match ? "true" : "false");
+                    pass.median(), pass.seconds.front(), pass.seconds.back(),
+                    speedup, pass.costs_match ? "true" : "false");
       json += jbuf;
+      json += runs + "]}";
       first_json_row = false;
     }
     std::printf("\n");

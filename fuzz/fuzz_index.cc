@@ -19,6 +19,11 @@
 //      exactly the brute-force slice of the sorted keys, with bounds
 //      drawn from stored keys (block anchors and duplicate runs
 //      included) and nudged one step off them.
+//   6. NodeStore::Scan, which decodes keys straight into columns,
+//      returns exactly the brute-force rows in the chosen permutation's
+//      key order for every constant mask, with and without a repeated
+//      variable, for every morsel size, serial and parallel; a
+//      key-filtered scan returns those rows restricted to the keys.
 //
 // Build: cmake -DPARQO_FUZZ=ON. Under clang this links libFuzzer;
 // under other compilers fuzz/standalone_main.cc replays the seed corpus.
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "exec/node_store.h"
 #include "rdf/triple.h"
 #include "storage/dataset_index.h"
 #include "storage/permutation_index.h"
@@ -80,7 +86,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   // Property 2: every permutation round-trips the input multiset in
   // sorted key order.
-  CompressedKeyIndex::Scratch scratch;
   for (Perm perm : {Perm::kSpo, Perm::kPso, Perm::kPos, Perm::kOsp}) {
     std::vector<IndexKey> expected(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -90,10 +95,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     std::vector<IndexKey> got;
     got.reserve(n);
     perms.perm(perm).ScanRange(
-        {0, 0, 0}, {kMaxTermId, kMaxTermId, kMaxTermId}, scratch,
-        [&](std::span<const IndexKey> run) {
-          got.insert(got.end(), run.begin(), run.end());
-        });
+        {0, 0, 0}, {kMaxTermId, kMaxTermId, kMaxTermId},
+        [&](const IndexKey& k) { got.push_back(k); });
     PARQO_CHECK(got.size() == expected.size());
     for (std::size_t i = 0; i < n; ++i) {
       PARQO_CHECK(got[i].k1 == expected[i].k1 &&
@@ -133,15 +136,119 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       const std::size_t want =
           hi < lo ? 0 : static_cast<std::size_t>(last - first);
       std::size_t got = 0;
-      idx.ScanRange(lo, hi, scratch, [&](std::span<const IndexKey> run) {
-        for (const IndexKey& k : run) {
-          PARQO_CHECK(got < want);
-          PARQO_CHECK(k == first[static_cast<std::ptrdiff_t>(got)]);
-          ++got;
-        }
+      idx.ScanRange(lo, hi, [&](const IndexKey& k) {
+        PARQO_CHECK(got < want);
+        PARQO_CHECK(k == first[static_cast<std::ptrdiff_t>(got)]);
+        ++got;
       });
       PARQO_CHECK(got == want);
-      PARQO_CHECK(idx.CountRange(lo, hi, scratch) == want);
+      PARQO_CHECK(idx.CountRange(lo, hi) == want);
+    }
+  }
+
+  // Property 6: node-store scans against brute force, over a sample of
+  // data triples. Bit f of `mask` pins field f to the sample's value;
+  // with `loop`, s and o share one variable (?x p ?x).
+  const parqo::NodeStore store(triples);
+  using Rows = std::vector<std::vector<TermId>>;
+  auto rows_of = [](const parqo::BindingTable& t) {
+    Rows out(t.NumRows());
+    for (std::size_t r = 0; r < t.NumRows(); ++r) {
+      for (int c = 0; c < t.num_cols(); ++c) out[r].push_back(t.At(r, c));
+    }
+    return out;
+  };
+  const std::size_t scan_step = std::max<std::size_t>(1, n / 3);
+  for (std::size_t i = 0; i < n; i += scan_step) {
+    const Triple& pin = triples[i];
+    const TermId pins[3] = {pin.s, pin.p, pin.o};
+    for (int mask = 0; mask < 8; ++mask) {
+      for (bool loop : {false, true}) {
+        parqo::ResolvedPattern rp;
+        TermId* consts[3] = {&rp.s, &rp.p, &rp.o};
+        parqo::VarId* vars[3] = {&rp.var_s, &rp.var_p, &rp.var_o};
+        for (int f = 0; f < 3; ++f) {
+          if (mask & (1 << f)) {
+            *consts[f] = pins[f];
+          } else {
+            *vars[f] = f == 2 && loop ? 0 : f;
+          }
+        }
+        for (int f = 0; f < 3; ++f) {
+          if (*vars[f] != parqo::kInvalidVarId &&
+              std::find(rp.schema.begin(), rp.schema.end(), *vars[f]) ==
+                  rp.schema.end()) {
+            rp.schema.push_back(*vars[f]);
+          }
+        }
+        std::sort(rp.schema.begin(), rp.schema.end());
+        if (rp.schema.empty()) continue;
+        // Brute force: matching triples in the chosen permutation's order.
+        const Perm perm = PermutationIndex::ChooseRange(rp.s, rp.p, rp.o).perm;
+        std::vector<IndexKey> keys;
+        for (const Triple& t : triples) {
+          const TermId f[3] = {t.s, t.p, t.o};
+          bool ok = true;
+          for (int k = 0; k < 3; ++k) {
+            if (*consts[k] != kInvalidTermId && f[k] != *consts[k]) ok = false;
+          }
+          if (loop && rp.var_o != parqo::kInvalidVarId &&
+              rp.var_s != parqo::kInvalidVarId && t.s != t.o) {
+            ok = false;
+          }
+          if (ok) keys.push_back(PermKey(perm, t));
+        }
+        std::sort(keys.begin(), keys.end());
+        Rows want;
+        for (const IndexKey& k : keys) {
+          const Triple t = parqo::PermTriple(perm, k);
+          const TermId f[3] = {t.s, t.p, t.o};
+          std::vector<TermId> row;
+          for (parqo::VarId v : rp.schema) {
+            for (int k2 = 0; k2 < 3; ++k2) {
+              if (*vars[k2] == v) {
+                row.push_back(f[k2]);
+                break;
+              }
+            }
+          }
+          want.push_back(row);
+        }
+        // Filter keys: every other distinct binding of the first
+        // variable, plus one no row has.
+        std::vector<TermId> filter_keys;
+        for (const std::vector<TermId>& row : want) {
+          filter_keys.push_back(row[0]);
+        }
+        std::sort(filter_keys.begin(), filter_keys.end());
+        filter_keys.erase(
+            std::unique(filter_keys.begin(), filter_keys.end()),
+            filter_keys.end());
+        std::vector<TermId> kept;
+        for (std::size_t k = 0; k < filter_keys.size(); k += 2) {
+          kept.push_back(filter_keys[k]);
+        }
+        kept.push_back(kMaxTermId);
+        const parqo::KeySet set(kept);
+        Rows want_filtered;
+        for (const std::vector<TermId>& row : want) {
+          if (std::binary_search(kept.begin(), kept.end(), row[0])) {
+            want_filtered.push_back(row);
+          }
+        }
+        std::sort(want_filtered.begin(), want_filtered.end());
+        for (std::size_t morsel_rows : {std::size_t{0}, std::size_t{1},
+                                        std::size_t{1024}}) {
+          for (bool parallel : {false, true}) {
+            PARQO_CHECK(rows_of(store.Scan(rp, morsel_rows, parallel)) ==
+                        want);
+            Rows got = rows_of(store.Scan(rp, morsel_rows, parallel,
+                                          {rp.schema[0], &set}));
+            std::sort(got.begin(), got.end());
+            PARQO_CHECK(got == want_filtered);
+          }
+        }
+      }
     }
   }
 

@@ -21,17 +21,6 @@ constexpr std::uint32_t kVacant = 0xffffffffu;
 
 }  // namespace
 
-void BindingTable::BuildColumnIndex() {
-  VarId max_var = -1;
-  for (VarId v : schema_) max_var = v > max_var ? v : max_var;
-  col_of_.assign(static_cast<std::size_t>(max_var + 1), -1);
-  for (int c = 0; c < num_cols(); ++c) {
-    VarId v = schema_[c];
-    PARQO_DCHECK(v >= 0);
-    if (col_of_[v] < 0) col_of_[v] = c;  // duplicates keep the first
-  }
-}
-
 void BindingTable::AppendFrom(const BindingTable& src) {
   PARQO_DCHECK(schema_ == src.schema_);
   sorted_by_ = kInvalidVarId;
@@ -41,24 +30,11 @@ void BindingTable::AppendFrom(const BindingTable& src) {
   }
 }
 
-void BindingTable::AppendGather(const BindingTable& src,
-                                const std::uint32_t* rows, std::size_t n) {
-  PARQO_DCHECK(schema_ == src.schema_);
-  sorted_by_ = kInvalidVarId;
-  for (std::size_t c = 0; c < cols_.size(); ++c) {
-    std::vector<TermId>& dst = cols_[c];
-    const std::vector<TermId>& from = src.cols_[c];
-    std::size_t base = dst.size();
-    dst.resize(base + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[base + i] = from[rows[i]];
-    }
-  }
-}
-
-void BindingTable::Deduplicate() {
+void BindingTable::Deduplicate(DedupScratch* scratch) {
   const std::size_t rows = NumRows();
   if (rows == 0) return;
+  DedupScratch local;
+  DedupScratch& s = scratch != nullptr ? *scratch : local;
 
   // Open-addressed table of row indexes, linear probing, power-of-two
   // capacity at <= 50% load. A slot holds the index of the first row seen
@@ -66,9 +42,10 @@ void BindingTable::Deduplicate() {
   std::size_t cap = 16;
   while (cap < rows * 2) cap <<= 1;
   const std::size_t mask = cap - 1;
-  std::vector<std::uint32_t> slots(cap, kVacant);
-  std::vector<std::uint32_t> keep;
-  keep.reserve(rows);
+  std::vector<std::uint32_t>& slots = s.slots;
+  std::vector<std::uint32_t>& keep = s.keep;
+  slots.assign(cap, kVacant);
+  keep.clear();
 
   auto rows_equal = [&](std::uint32_t a, std::uint32_t b) {
     for (const std::vector<TermId>& c : cols_) {
@@ -80,24 +57,25 @@ void BindingTable::Deduplicate() {
   for (std::uint32_t r = 0; r < rows; ++r) {
     std::uint64_t h = HashRowAt(cols_, r);
     for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-      std::uint32_t s = slots[i];
-      if (s == kVacant) {
+      std::uint32_t slot = slots[i];
+      if (slot == kVacant) {
         slots[i] = r;
         keep.push_back(r);
         break;
       }
-      if (rows_equal(s, r)) break;  // duplicate of an earlier row
+      if (rows_equal(slot, r)) break;  // duplicate of an earlier row
     }
   }
-  if (keep.size() == rows) return;  // nothing to drop
-
-  for (std::vector<TermId>& c : cols_) {
-    std::vector<TermId> out(keep.size());
-    for (std::size_t i = 0; i < keep.size(); ++i) {
-      out[i] = c[keep[i]];
+  if (keep.size() != rows) {
+    // keep is ascending with keep[i] >= i, so compacting front to back
+    // never reads a slot it has already overwritten.
+    for (std::vector<TermId>& c : cols_) {
+      for (std::size_t i = 0; i < keep.size(); ++i) c[i] = c[keep[i]];
+      c.resize(keep.size());
     }
-    c = std::move(out);
   }
+  ReleaseIfLarge(slots);
+  ReleaseIfLarge(keep);
 }
 
 BindingTable BindingTable::Project(const std::vector<VarId>& vars) const {

@@ -18,25 +18,44 @@
 
 namespace parqo {
 
+/// Scratch buffers keep their capacity from one use to the next, so a
+/// light operator that reuses them allocates nothing. A buffer that a
+/// heavy operator grew past kScratchKeepBytes is freed after that use
+/// instead, so keeping scratch for a whole request does not hold on to
+/// the heavy operator's memory.
+inline constexpr std::size_t kScratchKeepBytes = std::size_t{64} << 10;
+
+template <typename T>
+void ReleaseIfLarge(std::vector<T>& v) {
+  if (v.capacity() * sizeof(T) > kScratchKeepBytes) std::vector<T>().swap(v);
+}
+
+/// Reusable buffers for BindingTable::Deduplicate: the open-addressed
+/// slot table and the list of kept rows.
+struct DedupScratch {
+  std::vector<std::uint32_t> slots;
+  std::vector<std::uint32_t> keep;
+};
+
 class BindingTable {
  public:
   BindingTable() = default;
   explicit BindingTable(std::vector<VarId> schema)
-      : schema_(std::move(schema)), cols_(schema_.size()) {
-    BuildColumnIndex();
-  }
+      : schema_(std::move(schema)), cols_(schema_.size()) {}
 
   const std::vector<VarId>& schema() const { return schema_; }
   int num_cols() const { return static_cast<int>(schema_.size()); }
   std::size_t NumRows() const { return cols_.empty() ? 0 : cols_[0].size(); }
 
-  /// Column index of variable v, or -1 if absent. O(1): the constructor
-  /// builds a small VarId-indexed lookup (duplicate schema entries keep
-  /// the first column, matching the linear scan this replaced).
+  /// Column index of variable v, or -1 if absent (duplicate schema
+  /// entries keep the first column). A linear scan: callers look columns
+  /// up once per operator, never per row, and a lookup table would cost
+  /// every table one more allocation.
   int ColumnOf(VarId v) const {
-    return v >= 0 && static_cast<std::size_t>(v) < col_of_.size()
-               ? col_of_[v]
-               : -1;
+    for (std::size_t c = 0; c < schema_.size(); ++c) {
+      if (schema_[c] == v) return static_cast<int>(c);
+    }
+    return -1;
   }
 
   TermId At(std::size_t row, int col) const { return cols_[col][row]; }
@@ -60,9 +79,9 @@ class BindingTable {
   void SetSortedBy(VarId v) { sorted_by_ = v; }
 
   /// Appends one row; `row` must have num_cols() entries. Cold-path/test
-  /// API: operators append in batches (AppendFrom/AppendGather). Any
-  /// append invalidates sorted-order metadata (appended rows need not
-  /// extend the order).
+  /// API: operators append in batches (AppendFrom, or whole columns
+  /// through MutableColumn). Any append invalidates sorted-order metadata
+  /// (appended rows need not extend the order).
   void AppendRow(const TermId* row) {
     sorted_by_ = kInvalidVarId;
     for (std::size_t c = 0; c < cols_.size(); ++c) {
@@ -75,16 +94,13 @@ class BindingTable {
   /// identical (same variables in the same column order).
   void AppendFrom(const BindingTable& src);
 
-  /// Appends `n` rows of `src` selected by `rows` (source row indexes, in
-  /// the given order), column by column. Schemas must be identical.
-  void AppendGather(const BindingTable& src, const std::uint32_t* rows,
-                    std::size_t n);
-
   /// Removes duplicate rows (set semantics), keeping the first occurrence
   /// of each row in order — the canonical order downstream golden
-  /// comparisons rely on. Hash-based: no row copies, no sorting.
-  /// Keep-first preserves row order, so sorted-by metadata survives.
-  void Deduplicate();
+  /// comparisons rely on. Hash-based: no row copies, no sorting; kept
+  /// rows are compacted in place. Keep-first preserves row order, so
+  /// sorted-by metadata survives. `scratch` (a local one when null)
+  /// holds the hash table and kept-row list.
+  void Deduplicate(DedupScratch* scratch = nullptr);
 
   /// Rows projected onto `vars` (each must be in the schema),
   /// deduplicated. Column-oriented: each projected column is copied
@@ -99,11 +115,8 @@ class BindingTable {
   }
 
  private:
-  void BuildColumnIndex();
-
   std::vector<VarId> schema_;
   std::vector<std::vector<TermId>> cols_;  // cols_[c][r]
-  std::vector<int> col_of_;                // VarId -> column index, -1 absent
   VarId sorted_by_ = kInvalidVarId;        // known row order; not compared
 };
 

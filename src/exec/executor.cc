@@ -384,7 +384,7 @@ std::uint64_t RowBytes(const std::vector<VarId>& schema) {
 // row and no row order. Checked builds deduplicate a copy to prove it.
 // `dedup_rows` counts the rows actually hashed.
 void DedupUnlessDistinct(BindingTable& t, bool distinct,
-                         std::uint64_t& dedup_rows) {
+                         std::uint64_t& dedup_rows, DedupScratch& scratch) {
   if (distinct) {
 #if PARQO_DCHECK_ENABLED
     BindingTable copy = t;
@@ -394,8 +394,25 @@ void DedupUnlessDistinct(BindingTable& t, bool distinct,
     return;
   }
   dedup_rows += t.NumRows();
-  t.Deduplicate();
+  t.Deduplicate(&scratch);
 }
+
+// One logical partition's reusable buffers for one Execute (DESIGN.md
+// section 13, "Scratch ownership"). Partition p's work items are the
+// only writers of scratch[p], whichever node hosts them and whichever
+// pool thread runs them: the nest-safe pool may run another node's item
+// on a waiting thread, so nothing here may be thread-local. Inside an
+// item, morsel workers write only their own morsel's slot. A crashed
+// item is probed before it starts, so a re-executed item finds the
+// scratch as the failed attempt left it: unused.
+struct PartitionScratch {
+  ScanScratch scan;
+  JoinScratch join;
+  DedupScratch dedup;
+  /// Target node of each row of this partition's share of a
+  /// repartitioned input.
+  std::vector<std::uint32_t> route;
+};
 
 }  // namespace
 
@@ -469,11 +486,16 @@ Executor::Executor(const Cluster& cluster, const JoinGraph& jg,
       health_(health) {}
 
 BindingTable Executor::Join(const BindingTable& left,
-                            const BindingTable& right) const {
+                            const BindingTable& right,
+                            JoinScratch& scratch) const {
   BatchJoinOptions opts;
+  opts.scratch = &scratch;
   // Morsel parallelism composes with the per-node ForEachNode fan-out:
-  // both run on the same nest-safe pool.
+  // both run on the same nest-safe pool. Morsels only spread a probe over
+  // threads, so a serial join probes as one morsel into one match chunk
+  // (the output is the same either way).
   opts.parallel = parallel_nodes_;
+  if (!parallel_nodes_) opts.morsel_rows = 0;
   // Merge kernel when both inputs arrive sorted on the single shared
   // variable (index scans establish the order; order-preserving
   // operators propagate it). Bit-identical to the hash kernel.
@@ -536,11 +558,17 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
     double cost = 0;
   };
 
+  // Partition p's buffers for this run, and the driver thread's own for
+  // the gathers between operators.
+  std::vector<PartitionScratch> scratch(n);
+  DedupScratch driver_dedup;
+
   // The distinct rows of a distributed table, in node order.
   auto gather = [&](const DistTable& table) {
     BindingTable g(table.schema);
+    g.Reserve(table.GlobalRows());
     for (const BindingTable& t : table.per_node) g.AppendFrom(t);
-    DedupUnlessDistinct(g, table.disjoint, m.dedup_rows);
+    DedupUnlessDistinct(g, table.disjoint, m.dedup_rows, driver_dedup);
     return g;
   };
 
@@ -590,7 +618,8 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
               }
             }
             frame->table.per_node[i] = cluster_.node(i).Scan(
-                rp, kDefaultMorselRows, parallel_nodes_, sf);
+                rp, kDefaultMorselRows, parallel_nodes_, sf,
+                &scratch[i].scan);
           }));
       for (int i = 0; i < n; ++i) {
         std::uint64_t rows = frame->table.per_node[i].NumRows();
@@ -672,9 +701,14 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
       case JoinMethod::kLocal: {
         PARQO_RETURN_IF_ERROR(RunPartitioned(
             rec, m, "local_join", n, parallel_nodes_, [&](int i) {
-              BindingTable acc = children[0].table.per_node[i];
-              for (std::size_t c = 1; c < children.size(); ++c) {
-                acc = Join(acc, children[c].table.per_node[i]);
+              // The first join reads both inputs in place; each later
+              // one reads the previous output.
+              BindingTable acc = Join(children[0].table.per_node[i],
+                                      children[1].table.per_node[i],
+                                      scratch[i].join);
+              for (std::size_t c = 2; c < children.size(); ++c) {
+                acc = Join(acc, children[c].table.per_node[i],
+                           scratch[i].join);
               }
               out.per_node[i] = std::move(acc);
             }));
@@ -713,9 +747,11 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
         }
         PARQO_RETURN_IF_ERROR(RunPartitioned(
             rec, m, "broadcast_join", n, parallel_nodes_, [&](int i) {
-              BindingTable acc = children[largest].table.per_node[i];
-              for (const BindingTable& g : gathered) {
-                acc = Join(acc, g);
+              // The kept input is read in place, never copied.
+              BindingTable acc = Join(children[largest].table.per_node[i],
+                                      gathered[0], scratch[i].join);
+              for (std::size_t g = 1; g < gathered.size(); ++g) {
+                acc = Join(acc, gathered[g], scratch[i].join);
               }
               out.per_node[i] = std::move(acc);
             }));
@@ -727,31 +763,52 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
       case JoinMethod::kRepartition: {
         // Re-hash every input on the cmd's join variable.
         std::vector<std::vector<BindingTable>> routed(children.size());
+        std::vector<std::size_t> counts(n);
+        std::vector<TermId*> cursor(n);
         for (std::size_t c = 0; c < children.size(); ++c) {
           const DistTable& in = children[c].table;
-          routed[c].assign(n, BindingTable(in.schema));
           int col = -1;
           if (!in.per_node.empty()) {
             col = in.per_node[0].ColumnOf(node.join_var);
           }
           PARQO_CHECK(col >= 0);
-          // Route column-wise: bucket each source table's row indexes by
-          // target (ascending within a bucket), then ship every bucket
-          // with one gather. Arrival order per target matches the old
-          // per-row routing exactly.
-          std::vector<std::vector<std::uint32_t>> route(n);
-          for (const BindingTable& t : in.per_node) {
-            for (std::vector<std::uint32_t>& b : route) b.clear();
-            const std::vector<TermId>& keys = t.Column(col);
-            for (std::size_t r = 0; r < t.NumRows(); ++r) {
-              route[HashToNode(keys[r], n)].push_back(
-                  static_cast<std::uint32_t>(r));
-            }
-            for (int target = 0; target < n; ++target) {
-              routed[c][target].AppendGather(t, route[target].data(),
-                                             route[target].size());
+          // One counting-sort scatter: the target of every row and the
+          // rows per target, then each target's columns filled at their
+          // exact size. A target receives source 0's rows in row order,
+          // then source 1's, and so on.
+          std::fill(counts.begin(), counts.end(), 0);
+          for (int src = 0; src < n; ++src) {
+            const std::vector<TermId>& keys = in.per_node[src].Column(col);
+            std::vector<std::uint32_t>& route = scratch[src].route;
+            route.resize(keys.size());
+            for (std::size_t r = 0; r < keys.size(); ++r) {
+              const int target = HashToNode(keys[r], n);
+              route[r] = static_cast<std::uint32_t>(target);
+              ++counts[target];
             }
           }
+          routed[c].reserve(n);
+          for (int target = 0; target < n; ++target) {
+            routed[c].emplace_back(in.schema);
+          }
+          for (int col_i = 0; col_i < static_cast<int>(in.schema.size());
+               ++col_i) {
+            for (int target = 0; target < n; ++target) {
+              std::vector<TermId>& dst =
+                  routed[c][target].MutableColumn(col_i);
+              dst.resize(counts[target]);
+              cursor[target] = dst.data();
+            }
+            for (int src = 0; src < n; ++src) {
+              const std::vector<TermId>& from =
+                  in.per_node[src].Column(col_i);
+              const std::vector<std::uint32_t>& route = scratch[src].route;
+              for (std::size_t r = 0; r < from.size(); ++r) {
+                *cursor[route[r]]++ = from[r];
+              }
+            }
+          }
+          for (int src = 0; src < n; ++src) ReleaseIfLarge(scratch[src].route);
           // Deliver (and count) at the receiving end so per-node sums
           // reproduce the totals exactly: every routed row has one
           // target. One target's batch is one shipment.
@@ -768,17 +825,22 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
           m.edges.push_back({"repartition", edge_rows, edge_bytes});
           // Replicated source rows can meet at the target; dedup there
           // unless the source had none.
-          for (BindingTable& t : routed[c]) {
-            DedupUnlessDistinct(t, in.disjoint, m.dedup_rows);
+          for (int t = 0; t < n; ++t) {
+            DedupUnlessDistinct(routed[c][t], in.disjoint, m.dedup_rows,
+                                scratch[t].dedup);
           }
         }
         PARQO_RETURN_IF_ERROR(RunPartitioned(
             rec, m, "repartition_join", n, parallel_nodes_, [&](int i) {
-              BindingTable acc = std::move(routed[0][i]);
-              for (std::size_t c = 1; c < children.size(); ++c) {
-                acc = Join(acc, routed[c][i]);
+              BindingTable acc = Join(routed[0][i], routed[1][i],
+                                      scratch[i].join);
+              for (std::size_t c = 2; c < children.size(); ++c) {
+                acc = Join(acc, routed[c][i], scratch[i].join);
               }
               out.per_node[i] = std::move(acc);
+              // The routed inputs were this item's alone; free them now
+              // rather than when every node is done.
+              for (std::vector<BindingTable>& r : routed) r[i] = {};
             }));
         // Every output row lives on the node its join-variable binding
         // hashes to.

@@ -159,6 +159,7 @@ ResolvedPattern BindPattern(const TriplePattern& pattern,
 enum class ExecEngine { kBatch };
 
 class NodeHealthRegistry;  // exec/health.h
+struct JoinScratch;         // exec/join_kernel.h
 
 class Executor {
  public:
@@ -191,9 +192,10 @@ class Executor {
   struct DistTable;  // per-node tables; defined in the .cc
 
   /// Joins two node-local inputs: the merge kernel when both arrive
-  /// sorted on their single shared variable, else the hash kernel.
-  BindingTable Join(const BindingTable& left,
-                    const BindingTable& right) const;
+  /// sorted on their single shared variable, else the hash kernel. The
+  /// kernel's buffers come from the calling partition's `scratch`.
+  BindingTable Join(const BindingTable& left, const BindingTable& right,
+                    JoinScratch& scratch) const;
 
   const Cluster& cluster_;
   const JoinGraph& jg_;

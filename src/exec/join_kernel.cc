@@ -1,27 +1,23 @@
 #include "exec/join_kernel.h"
 
 #include <algorithm>
+#include <span>
 
 namespace parqo {
 namespace {
-
-// One probe morsel's matches: parallel index arrays into the probe and
-// build tables. Chunks are reduced in morsel-index order, which is what
-// keeps the parallel probe's output order identical to the serial one.
-struct MatchChunk {
-  std::vector<std::uint32_t> probe_rows;
-  std::vector<std::uint32_t> build_rows;
-};
 
 // Gathers the matched (probe, build) row pairs into output columns, one
 // gather per column, chunks in morsel order. Shared variables exist on
 // both sides with equal values; prefer the left source like the
 // reference engine (the choice is value-neutral). Shared by the hash and
-// merge kernels, which therefore materialize byte-identically.
+// merge kernels, which therefore materialize byte-identically. The
+// first `morsels` chunks of `s` hold the matches; chunks a heavy join
+// grew are released afterwards.
 BindingTable MaterializeJoin(const BindingTable& left,
                              const BindingTable& right, bool build_left,
-                             const std::vector<MatchChunk>& chunks,
+                             JoinScratch& s, std::size_t morsels,
                              BindingTable out) {
+  const std::span<MatchChunk> chunks(s.chunks.data(), morsels);
   const std::vector<VarId>& out_schema = out.schema();
   std::size_t total = 0;
   for (const MatchChunk& c : chunks) total += c.probe_rows.size();
@@ -40,6 +36,10 @@ BindingTable MaterializeJoin(const BindingTable& left,
           src_is_build ? c.build_rows : c.probe_rows;
       for (std::uint32_t r : idx) dst[pos++] = src[r];
     }
+  }
+  for (MatchChunk& c : chunks) {
+    ReleaseIfLarge(c.probe_rows);
+    ReleaseIfLarge(c.build_rows);
   }
   // Probe-major emit preserves the probe side's known row order.
   const BindingTable& probe = build_left ? right : left;
@@ -78,6 +78,20 @@ BindingTable CrossProduct(const BindingTable& left, const BindingTable& right,
   return out;
 }
 
+// How many variables both schemas hold; `*first` is the first of them in
+// `a`'s order. Counting instead of building SharedSchema keeps the common
+// single-key join free of a per-call key vector.
+std::size_t CountShared(const std::vector<VarId>& a,
+                        const std::vector<VarId>& b, VarId* first) {
+  std::size_t count = 0;
+  *first = kInvalidVarId;
+  for (VarId v : a) {
+    if (std::find(b.begin(), b.end(), v) == b.end()) continue;
+    if (count++ == 0) *first = v;
+  }
+  return count;
+}
+
 [[maybe_unused]] bool ColumnIsNonDecreasing(const std::vector<TermId>& col) {
   return std::is_sorted(col.begin(), col.end());
 }
@@ -86,7 +100,9 @@ BindingTable CrossProduct(const BindingTable& left, const BindingTable& right,
 
 std::vector<VarId> MergeSchemas(const std::vector<VarId>& a,
                                 const std::vector<VarId>& b) {
-  std::vector<VarId> out = a;
+  std::vector<VarId> out;
+  out.reserve(a.size() + b.size());
+  out.insert(out.end(), a.begin(), a.end());
   for (VarId v : b) {
     if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
   }
@@ -97,6 +113,7 @@ std::vector<VarId> MergeSchemas(const std::vector<VarId>& a,
 std::vector<VarId> SharedSchema(const std::vector<VarId>& a,
                                 const std::vector<VarId>& b) {
   std::vector<VarId> out;
+  out.reserve(std::min(a.size(), b.size()));
   for (VarId v : a) {
     if (std::find(b.begin(), b.end(), v) != b.end()) out.push_back(v);
   }
@@ -105,11 +122,11 @@ std::vector<VarId> SharedSchema(const std::vector<VarId>& a,
 
 BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
                            const BatchJoinOptions& opts) {
-  std::vector<VarId> shared = SharedSchema(left.schema(), right.schema());
-  std::vector<VarId> out_schema = MergeSchemas(left.schema(), right.schema());
-  BindingTable out(out_schema);
+  VarId key = kInvalidVarId;
+  const std::size_t nkeys = CountShared(left.schema(), right.schema(), &key);
+  BindingTable out(MergeSchemas(left.schema(), right.schema()));
   if (left.NumRows() == 0 || right.NumRows() == 0) return out;
-  if (shared.empty()) return CrossProduct(left, right, std::move(out));
+  if (nkeys == 0) return CrossProduct(left, right, std::move(out));
 
   // Build on the smaller side (ties keep left, matching the reference
   // row engine so emit order agrees).
@@ -117,24 +134,27 @@ BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
   const BindingTable& build = build_left ? left : right;
   const BindingTable& probe = build_left ? right : left;
 
-  std::vector<const std::vector<TermId>*> build_key, probe_key;
-  for (VarId v : shared) {
-    build_key.push_back(&build.Column(build.ColumnOf(v)));
-    probe_key.push_back(&probe.Column(probe.ColumnOf(v)));
-  }
-
+  JoinScratch local;
+  JoinScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
   const std::size_t probe_rows = probe.NumRows();
-  std::vector<MatchChunk> chunks(NumMorsels(probe_rows, opts.morsel_rows));
+  const std::size_t morsels = NumMorsels(probe_rows, opts.morsel_rows);
+  if (s.chunks.size() < morsels) s.chunks.resize(morsels);
+  auto chunk = [&](std::size_t m) -> MatchChunk& {
+    MatchChunk& c = s.chunks[m];
+    c.probe_rows.clear();
+    c.build_rows.clear();
+    return c;
+  };
 
-  if (shared.size() == 1 && !opts.force_generic_kernel) {
+  if (nkeys == 1 && !opts.force_generic_kernel) {
     // Specialized single-key kernel: the key IS the column; matching is
     // a direct TermId compare inside the table.
-    SingleKeyJoinTable table;
-    table.Build(*build_key[0]);
-    const std::vector<TermId>& pk = *probe_key[0];
+    SingleKeyJoinTable& table = s.single;
+    table.Build(build.Column(build.ColumnOf(key)));
+    const std::vector<TermId>& pk = probe.Column(probe.ColumnOf(key));
     ForEachMorsel(probe_rows, opts.morsel_rows, opts.parallel,
                   [&](std::size_t m, std::size_t begin, std::size_t end) {
-                    MatchChunk& c = chunks[m];
+                    MatchChunk& c = chunk(m);
                     for (std::size_t r = begin; r < end; ++r) {
                       table.ForEachMatch(pk[r], [&](std::uint32_t b) {
                         c.probe_rows.push_back(
@@ -143,32 +163,40 @@ BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
                       });
                     }
                   });
+    table.ReleaseIfLarge();
   } else {
     // Generic kernel: hash the build key columns column-at-a-time, probe
     // by hash, confirm on the actual key columns.
-    std::vector<std::uint64_t> hashes(build.NumRows(),
-                                      1469598103934665603ULL);
+    std::vector<const std::vector<TermId>*> build_key, probe_key;
+    build_key.reserve(nkeys);
+    probe_key.reserve(nkeys);
+    for (VarId v : SharedSchema(left.schema(), right.schema())) {
+      build_key.push_back(&build.Column(build.ColumnOf(v)));
+      probe_key.push_back(&probe.Column(probe.ColumnOf(v)));
+    }
+    std::vector<std::uint64_t>& hashes = s.hashes;
+    hashes.assign(build.NumRows(), 1469598103934665603ULL);
     for (const std::vector<TermId>* col : build_key) {
       for (std::size_t r = 0; r < hashes.size(); ++r) {
         hashes[r] ^= (*col)[r];
         hashes[r] *= 1099511628211ULL;
       }
     }
-    MultiKeyJoinTable table;
+    MultiKeyJoinTable& table = s.multi;
     table.Build(hashes);
-    const std::size_t nkeys = shared.size();
     ForEachMorsel(probe_rows, opts.morsel_rows, opts.parallel,
                   [&](std::size_t m, std::size_t begin, std::size_t end) {
-                    MatchChunk& c = chunks[m];
-                    std::vector<TermId> key(nkeys);
+                    MatchChunk& c = chunk(m);
+                    std::vector<TermId>& tuple = c.key;
+                    tuple.resize(nkeys);
                     for (std::size_t r = begin; r < end; ++r) {
                       for (std::size_t i = 0; i < nkeys; ++i) {
-                        key[i] = (*probe_key[i])[r];
+                        tuple[i] = (*probe_key[i])[r];
                       }
-                      std::uint64_t h = JoinKeyHash(key.data(), nkeys);
+                      std::uint64_t h = JoinKeyHash(tuple.data(), nkeys);
                       table.ForEachHashMatch(h, [&](std::uint32_t b) {
                         for (std::size_t i = 0; i < nkeys; ++i) {
-                          if ((*build_key[i])[b] != key[i]) return;
+                          if ((*build_key[i])[b] != tuple[i]) return;
                         }
                         c.probe_rows.push_back(
                             static_cast<std::uint32_t>(r));
@@ -176,16 +204,19 @@ BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
                       });
                     }
                   });
+    table.ReleaseIfLarge();
+    ReleaseIfLarge(hashes);
   }
 
-  return MaterializeJoin(left, right, build_left, chunks, std::move(out));
+  return MaterializeJoin(left, right, build_left, s, morsels, std::move(out));
 }
 
 VarId MergeJoinKey(const BindingTable& left, const BindingTable& right) {
   if (left.NumRows() == 0 || right.NumRows() == 0) return kInvalidVarId;
-  std::vector<VarId> shared = SharedSchema(left.schema(), right.schema());
-  if (shared.size() != 1) return kInvalidVarId;
-  const VarId key = shared[0];
+  VarId key = kInvalidVarId;
+  if (CountShared(left.schema(), right.schema(), &key) != 1) {
+    return kInvalidVarId;
+  }
   if (left.sorted_by() != key || right.sorted_by() != key) {
     return kInvalidVarId;
   }
@@ -195,8 +226,8 @@ VarId MergeJoinKey(const BindingTable& left, const BindingTable& right) {
 BindingTable BatchMergeJoin(const BindingTable& left,
                             const BindingTable& right,
                             const BatchJoinOptions& opts) {
-  std::vector<VarId> shared = SharedSchema(left.schema(), right.schema());
-  PARQO_CHECK(shared.size() == 1);
+  VarId key = kInvalidVarId;
+  PARQO_CHECK(CountShared(left.schema(), right.schema(), &key) == 1);
   BindingTable out(MergeSchemas(left.schema(), right.schema()));
   if (left.NumRows() == 0 || right.NumRows() == 0) return out;
 
@@ -205,17 +236,22 @@ BindingTable BatchMergeJoin(const BindingTable& left,
   const bool build_left = left.NumRows() <= right.NumRows();
   const BindingTable& build = build_left ? left : right;
   const BindingTable& probe = build_left ? right : left;
-  const std::vector<TermId>& bk = build.Column(build.ColumnOf(shared[0]));
-  const std::vector<TermId>& pk = probe.Column(probe.ColumnOf(shared[0]));
+  const std::vector<TermId>& bk = build.Column(build.ColumnOf(key));
+  const std::vector<TermId>& pk = probe.Column(probe.ColumnOf(key));
   PARQO_DCHECK(ColumnIsNonDecreasing(bk));
   PARQO_DCHECK(ColumnIsNonDecreasing(pk));
 
+  JoinScratch local;
+  JoinScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
   const std::size_t probe_rows = probe.NumRows();
-  std::vector<MatchChunk> chunks(NumMorsels(probe_rows, opts.morsel_rows));
+  const std::size_t morsels = NumMorsels(probe_rows, opts.morsel_rows);
+  if (s.chunks.size() < morsels) s.chunks.resize(morsels);
   ForEachMorsel(
       probe_rows, opts.morsel_rows, opts.parallel,
       [&](std::size_t m, std::size_t begin, std::size_t end) {
-        MatchChunk& c = chunks[m];
+        MatchChunk& c = s.chunks[m];
+        c.probe_rows.clear();
+        c.build_rows.clear();
         // Anchor this morsel's build cursor by binary search; both
         // cursors then only move forward, so a morsel's matching work is
         // O(run lengths) and independent of other morsels.
@@ -243,7 +279,7 @@ BindingTable BatchMergeJoin(const BindingTable& left,
         }
       });
 
-  return MaterializeJoin(left, right, build_left, chunks, std::move(out));
+  return MaterializeJoin(left, right, build_left, s, morsels, std::move(out));
 }
 
 }  // namespace parqo

@@ -97,6 +97,9 @@ class SingleKeyJoinTable {
 
   std::size_t capacity() const { return slots_.size(); }
 
+  /// Frees the slots when a heavy build grew them (ReleaseIfLarge).
+  void ReleaseIfLarge() { parqo::ReleaseIfLarge(slots_); }
+
  private:
   struct Slot {
     TermId key = kInvalidTermId;
@@ -139,12 +142,38 @@ class MultiKeyJoinTable {
 
   std::size_t capacity() const { return slots_.size(); }
 
+  /// Frees the slots when a heavy build grew them (ReleaseIfLarge).
+  void ReleaseIfLarge() { parqo::ReleaseIfLarge(slots_); }
+
  private:
   struct Slot {
     std::uint64_t hash = 0;
     std::uint32_t row_plus_1 = 0;  // 0 = vacant
   };
   std::vector<Slot> slots_;
+};
+
+/// One probe morsel's matches: parallel index arrays into the probe and
+/// build tables. Chunks are reduced in morsel-index order, which is what
+/// keeps the parallel probe's output order identical to the serial one.
+/// `key` is the generic kernel's probe-key buffer.
+struct MatchChunk {
+  std::vector<std::uint32_t> probe_rows;
+  std::vector<std::uint32_t> build_rows;
+  std::vector<TermId> key;
+};
+
+/// Reusable join buffers (DESIGN.md section 13, "Scratch ownership"): the
+/// build tables, the generic kernel's build-key hashes, and one match
+/// chunk per probe morsel. A join builds its table before the probe
+/// morsels start and morsel m's worker writes only chunks[m], so one
+/// scratch serves a whole join, but never two joins at once; the
+/// executor keeps one per partition.
+struct JoinScratch {
+  SingleKeyJoinTable single;
+  MultiKeyJoinTable multi;
+  std::vector<std::uint64_t> hashes;
+  std::vector<MatchChunk> chunks;
 };
 
 struct BatchJoinOptions {
@@ -156,6 +185,8 @@ struct BatchJoinOptions {
   /// Forces the generic multi-key kernel even for single-key joins; for
   /// benchmarking the specialization, never for production use.
   bool force_generic_kernel = false;
+  /// Buffers to reuse; null means the join allocates its own.
+  JoinScratch* scratch = nullptr;
 };
 
 /// Hash join of two tables on all shared variables (cross product when

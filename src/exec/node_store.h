@@ -3,7 +3,7 @@
 // nothing else. Every constant combination of a triple pattern is one
 // contiguous prefix-range scan, including variable predicates, which
 // seek SPO/OSP instead of degenerating to a linear filter pass. Scans
-// decompress page-at-a-time directly into BindingTable columns. This
+// decode each key straight into BindingTable columns. This
 // plays the role RDF-3X plays on each worker in the paper's prototype;
 // the statistics the optimizer reads come from the one dataset-wide
 // index (RdfGraph::Index()), never from a node. A scan can also take a
@@ -14,6 +14,7 @@
 #ifndef PARQO_EXEC_NODE_STORE_H_
 #define PARQO_EXEC_NODE_STORE_H_
 
+#include <array>
 #include <vector>
 
 #include "exec/binding_table.h"
@@ -71,6 +72,15 @@ struct ScanFilter {
   const KeySet* keys = nullptr;
 };
 
+/// Reusable buffers for one caller's parallel scans, one scan at a time:
+/// morsel m decodes into chunks[m], one vector per output column, and
+/// only morsel m's worker writes it. A caller that keeps one across
+/// scans (the executor keeps one per partition) pays for the buffers
+/// once.
+struct ScanScratch {
+  std::vector<std::array<std::vector<TermId>, 3>> chunks;
+};
+
 class NodeStore {
  public:
   explicit NodeStore(std::vector<Triple> triples);
@@ -82,13 +92,15 @@ class NodeStore {
 
   /// Scans this node's triples for `pattern` matches via the permutation
   /// index whose prefix pins every constant; only repeated-variable
-  /// equality is filtered during page decode. Pages are the scan morsels:
-  /// with `parallel`, groups of ~`morsel_rows` entries decode over the
-  /// shared pool and are reduced in page order, so output row order is
-  /// index-key order regardless of morseling (morsel_rows == 0 means one
-  /// morsel). The result carries sorted-by metadata for the first free
-  /// key component, which is what lets the batch engine merge-join
-  /// co-ordered inputs.
+  /// equality is filtered during page decode. Each decoded key is written
+  /// straight into the output columns: there is no page buffer and no
+  /// per-row staging. A serial scan is one pass over its pages. With
+  /// `parallel`, groups of ~`morsel_rows` entries decode over the shared
+  /// pool into `scratch`'s morsel buffers (a local one when null) and are
+  /// concatenated in page order, so output row order is index-key order
+  /// regardless of morseling (morsel_rows == 0 means one morsel). The
+  /// result carries sorted-by metadata for the first free key component,
+  /// which is what lets the batch engine merge-join co-ordered inputs.
   ///
   /// With a `filter`, the result is the unfiltered scan restricted to
   /// rows whose `filter.var` binding is a key. When there are no more
@@ -100,7 +112,8 @@ class NodeStore {
   /// KeySet::Contains probe when they do not.
   BindingTable Scan(const ResolvedPattern& pattern,
                     std::size_t morsel_rows = 0, bool parallel = false,
-                    const ScanFilter& filter = {}) const;
+                    const ScanFilter& filter = {},
+                    ScanScratch* scratch = nullptr) const;
 
   /// Compressed footprint of this node's four permutations, for the
   /// bytes-per-triple storage report (the dual-vector layout this

@@ -13,76 +13,6 @@ void EncodeAnchor(const IndexKey& k, std::vector<std::uint8_t>& out) {
   VarbyteEncode(k.k3, out);
 }
 
-IndexKey DecodeAnchor(const std::uint8_t*& p) {
-  IndexKey k;
-  k.k1 = VarbyteDecode32(p);
-  k.k2 = VarbyteDecode32(p);
-  k.k3 = VarbyteDecode32(p);
-  return k;
-}
-
-// Applies one tagged gap entry to `k`, the entry before it.
-inline void DecodeGap(const std::uint8_t*& p, IndexKey& k) {
-  const std::uint64_t tagged = VarbyteDecode(p);
-  const std::uint32_t gap = static_cast<std::uint32_t>(tagged >> 2);
-  switch (tagged & 3) {
-    case 2:
-      k.k1 += gap;
-      k.k2 = VarbyteDecode32(p);
-      k.k3 = VarbyteDecode32(p);
-      break;
-    case 1:
-      k.k2 += gap;
-      k.k3 = VarbyteDecode32(p);
-      break;
-    default:
-      k.k3 += gap;
-      break;
-  }
-}
-
-// Sequential decoder over one page from a block boundary: entry i is an
-// anchor when it opens a block, else a tagged gap from entry i - 1.
-struct PageCursor {
-  const std::uint8_t* p;
-  std::size_t i;  // index of the next entry to decode
-  IndexKey key;   // the last decoded entry
-
-  void Next() {
-    if (i++ % kBlockEntries == 0) {
-      key = DecodeAnchor(p);
-    } else {
-      DecodeGap(p, key);
-    }
-  }
-
-  // Decodes every remaining entry up to `end` into `out` with no bound
-  // comparisons. Returns the end of what it wrote. Works a block at a
-  // time, so the inner loop only decodes gaps, and on locals: stores
-  // through `out` could alias the members.
-  IndexKey* DecodeTo(std::size_t end, IndexKey* out) {
-    const std::uint8_t* q = p;
-    IndexKey k = key;
-    for (std::size_t j = i; j < end;) {
-      const std::size_t block_end =
-          std::min(end, (j / kBlockEntries + 1) * kBlockEntries);
-      if (j % kBlockEntries == 0) {
-        k = DecodeAnchor(q);
-        *out++ = k;
-        ++j;
-      }
-      for (; j < block_end; ++j) {
-        DecodeGap(q, k);
-        *out++ = k;
-      }
-    }
-    p = q;
-    i = end;
-    key = k;
-    return out;
-  }
-};
-
 }  // namespace
 
 void CompressedKeyIndex::Build(std::span<const IndexKey> sorted) {
@@ -154,8 +84,7 @@ std::pair<std::size_t, std::size_t> CompressedKeyIndex::PageSpan(
 }
 
 std::uint64_t CompressedKeyIndex::CountRange(const IndexKey& lo,
-                                             const IndexKey& hi,
-                                             Scratch& scratch) const {
+                                             const IndexKey& hi) const {
   auto [first, end] = PageSpan(lo, hi);
   std::uint64_t total = 0;
   for (std::size_t page = first; page < end; ++page) {
@@ -168,60 +97,32 @@ std::uint64_t CompressedKeyIndex::CountRange(const IndexKey& lo,
       total += ref.count;
       continue;
     }
-    ScanPage(page, lo, hi, scratch,
-             [&](std::span<const IndexKey> run) { total += run.size(); });
+    ScanPage(page, lo, hi, [&](const IndexKey&) { ++total; });
   }
   return total;
 }
 
-std::size_t CompressedKeyIndex::DecodeRange(std::size_t page,
-                                            const IndexKey& lo,
-                                            const IndexKey& hi,
-                                            IndexKey* out) const {
+std::size_t CompressedKeyIndex::FirstBlock(std::size_t page,
+                                           const IndexKey& lo) const {
   const PageRef& ref = pages_[page];
+  if (!(ref.first < lo)) return 0;
+  // The last block whose anchor is < lo. The comparison is strict for the
+  // reason PageSpan's is: a run of keys equal to lo can begin in the tail
+  // of the block before an anchor that equals lo.
   const std::uint8_t* base = data_.data() + ref.offset;
   const std::uint16_t* offsets = &blocks_[page * kBlocksPerPage];
-
-  // Start at the last block whose anchor is < lo, or at block 0. The
-  // comparison is strict for the reason PageSpan's is: a run of keys
-  // equal to lo can begin in the tail of the block before an anchor that
-  // equals lo.
-  std::size_t block = 0;
-  if (ref.first < lo) {
-    std::size_t below = 0;  // anchor < lo
-    std::size_t above = (ref.count + kBlockEntries - 1) / kBlockEntries;
-    while (above - below > 1) {
-      const std::size_t mid = below + (above - below) / 2;
-      const std::uint8_t* p = base + offsets[mid];
-      if (DecodeAnchor(p) < lo) {
-        below = mid;
-      } else {
-        above = mid;
-      }
+  std::size_t below = 0;  // anchor < lo
+  std::size_t above = (ref.count + kBlockEntries - 1) / kBlockEntries;
+  while (above - below > 1) {
+    const std::size_t mid = below + (above - below) / 2;
+    const std::uint8_t* p = base + offsets[mid];
+    if (page_codec::DecodeAnchor(p) < lo) {
+      below = mid;
+    } else {
+      above = mid;
     }
-    block = below;
   }
-
-  PageCursor c{base + offsets[block], block * kBlockEntries, {}};
-  const std::size_t count = ref.count;
-  c.Next();
-  while (c.key < lo) {
-    if (c.i == count) return 0;
-    c.Next();
-  }
-  IndexKey* o = out;
-  // The next page's anchor bounds this page's last key, so when it is
-  // <= hi the rest of the page decodes with no bound comparisons.
-  if (page + 1 < pages_.size() && pages_[page + 1].first <= hi) {
-    *o++ = c.key;
-    return static_cast<std::size_t>(c.DecodeTo(count, o) - out);
-  }
-  while (!(hi < c.key)) {
-    *o++ = c.key;
-    if (c.i == count) break;
-    c.Next();
-  }
-  return static_cast<std::size_t>(o - out);
+  return below;
 }
 
 }  // namespace parqo

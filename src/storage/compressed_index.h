@@ -20,6 +20,9 @@
 //   tag 2: (gap1 << 2) | 2, k2, k3
 //
 // The common case — same k1/k2 group, small k3 gap — is one byte.
+//
+// Decoding hands each key to a caller's function as it is decoded; there
+// is no page buffer, so a scan writes its output columns directly.
 
 #ifndef PARQO_STORAGE_COMPRESSED_INDEX_H_
 #define PARQO_STORAGE_COMPRESSED_INDEX_H_
@@ -50,8 +53,13 @@ struct IndexKey {
                                     const IndexKey&) = default;
 };
 
-/// Entries per compressed leaf page. 1024 keeps a decoded page (12 KiB)
-/// cache-resident and makes pages natural scan morsels.
+/// Component `i` (0, 1, 2) of `k`.
+inline TermId KeyAt(const IndexKey& k, int i) {
+  return i == 0 ? k.k1 : i == 1 ? k.k2 : k.k3;
+}
+
+/// Entries per compressed leaf page. Pages are the unit of the page
+/// directory and the natural morsels of a parallel scan.
 inline constexpr std::size_t kLeafEntries = 1024;
 
 /// Entries per restart block: a seek decodes at most one block of keys
@@ -61,15 +69,81 @@ inline constexpr std::size_t kBlockEntries = 64;
 inline constexpr std::size_t kBlocksPerPage = kLeafEntries / kBlockEntries;
 static_assert(kLeafEntries % kBlockEntries == 0);
 
+namespace page_codec {
+
+inline IndexKey DecodeAnchor(const std::uint8_t*& p) {
+  IndexKey k;
+  k.k1 = VarbyteDecode32(p);
+  k.k2 = VarbyteDecode32(p);
+  k.k3 = VarbyteDecode32(p);
+  return k;
+}
+
+// Applies one tagged gap entry to `k`, the entry before it.
+inline void DecodeGap(const std::uint8_t*& p, IndexKey& k) {
+  const std::uint64_t tagged = VarbyteDecode(p);
+  const std::uint32_t gap = static_cast<std::uint32_t>(tagged >> 2);
+  switch (tagged & 3) {
+    case 2:
+      k.k1 += gap;
+      k.k2 = VarbyteDecode32(p);
+      k.k3 = VarbyteDecode32(p);
+      break;
+    case 1:
+      k.k2 += gap;
+      k.k3 = VarbyteDecode32(p);
+      break;
+    default:
+      k.k3 += gap;
+      break;
+  }
+}
+
+// Sequential decoder over one page from a block boundary: entry i is an
+// anchor when it opens a block, else a tagged gap from entry i - 1.
+struct PageCursor {
+  const std::uint8_t* p;
+  std::size_t i;  // index of the next entry to decode
+  IndexKey key;   // the last decoded entry
+
+  void Next() {
+    if (i++ % kBlockEntries == 0) {
+      key = DecodeAnchor(p);
+    } else {
+      DecodeGap(p, key);
+    }
+  }
+
+  // Hands every remaining entry up to `end` to fn with no bound
+  // comparisons. Works a block at a time, so the inner loop only decodes
+  // gaps, and on locals: fn's stores could alias the members.
+  template <typename Fn>
+  void DecodeTo(std::size_t end, Fn& fn) {
+    const std::uint8_t* q = p;
+    IndexKey k = key;
+    for (std::size_t j = i; j < end;) {
+      const std::size_t block_end =
+          std::min(end, (j / kBlockEntries + 1) * kBlockEntries);
+      if (j % kBlockEntries == 0) {
+        k = DecodeAnchor(q);
+        fn(k);
+        ++j;
+      }
+      for (; j < block_end; ++j) {
+        DecodeGap(q, k);
+        fn(k);
+      }
+    }
+    p = q;
+    i = end;
+    key = k;
+  }
+};
+
+}  // namespace page_codec
+
 class CompressedKeyIndex {
  public:
-  /// Reusable per-caller decode buffer, grown to the largest page it has
-  /// been asked to hold. Never shared across threads (the index itself
-  /// is immutable after Build and safe for concurrent readers).
-  struct Scratch {
-    std::vector<IndexKey> keys;
-  };
-
   CompressedKeyIndex() = default;
 
   /// Builds from keys sorted ascending; duplicates are allowed and
@@ -79,6 +153,10 @@ class CompressedKeyIndex {
 
   std::size_t size() const { return n_; }
   std::size_t num_pages() const { return pages_.size(); }
+  /// Entries stored in page `page`.
+  std::size_t page_entries(std::size_t page) const {
+    return pages_[page].count;
+  }
 
   /// Compressed payload plus page directory and block offset bytes.
   std::size_t ByteSize() const {
@@ -90,33 +168,53 @@ class CompressedKeyIndex {
   std::pair<std::size_t, std::size_t> PageSpan(const IndexKey& lo,
                                                const IndexKey& hi) const;
 
-  /// Decodes the part of page `page` that can hold entries within
-  /// [lo, hi] and calls fn(std::span<const IndexKey>) on those entries
-  /// (possibly empty span -> fn not called).
+  /// Calls fn(const IndexKey&) on every entry of page `page` within
+  /// [lo, hi], ascending. Decodes only the part of the page the range can
+  /// touch: from the last restart block whose anchor is < lo (a run of
+  /// keys equal to lo can begin in the block before an anchor that
+  /// equals it) to the first key > hi. When the next page's anchor is
+  /// <= hi, so is this page's last key, and the rest of the page decodes
+  /// with no bound comparisons.
   template <typename Fn>
   void ScanPage(std::size_t page, const IndexKey& lo, const IndexKey& hi,
-                Scratch& scratch, Fn&& fn) const {
-    const std::size_t page_max = std::min(n_, kLeafEntries);
-    if (scratch.keys.size() < page_max) scratch.keys.resize(page_max);
-    const std::size_t n = DecodeRange(page, lo, hi, scratch.keys.data());
-    if (n != 0) fn(std::span<const IndexKey>(scratch.keys.data(), n));
+                Fn&& fn) const {
+    const PageRef& ref = pages_[page];
+    const std::size_t block = FirstBlock(page, lo);
+    page_codec::PageCursor c{
+        data_.data() + ref.offset + blocks_[page * kBlocksPerPage + block],
+        block * kBlockEntries,
+        {}};
+    const std::size_t count = ref.count;
+    c.Next();
+    while (c.key < lo) {
+      if (c.i == count) return;
+      c.Next();
+    }
+    if (page + 1 < pages_.size() && pages_[page + 1].first <= hi) {
+      fn(c.key);
+      c.DecodeTo(count, fn);
+      return;
+    }
+    while (!(hi < c.key)) {
+      fn(c.key);
+      if (c.i == count) return;
+      c.Next();
+    }
   }
 
-  /// Ordered scan of every entry in [lo, hi]; fn sees one ascending span
-  /// per overlapping page.
+  /// Ordered scan of every entry in [lo, hi]: fn(const IndexKey&) per
+  /// entry, ascending.
   template <typename Fn>
-  void ScanRange(const IndexKey& lo, const IndexKey& hi, Scratch& scratch,
-                 Fn&& fn) const {
+  void ScanRange(const IndexKey& lo, const IndexKey& hi, Fn&& fn) const {
     auto [first, end] = PageSpan(lo, hi);
     for (std::size_t page = first; page < end; ++page) {
-      ScanPage(page, lo, hi, scratch, fn);
+      ScanPage(page, lo, hi, fn);
     }
   }
 
   /// Exact number of entries in [lo, hi]. Interior pages are counted from
   /// the directory; at most two boundary pages are decoded.
-  std::uint64_t CountRange(const IndexKey& lo, const IndexKey& hi,
-                           Scratch& scratch) const;
+  std::uint64_t CountRange(const IndexKey& lo, const IndexKey& hi) const;
 
  private:
   struct PageRef {
@@ -125,10 +223,8 @@ class CompressedKeyIndex {
     std::uint32_t count = 0;    // entries in the page
   };
 
-  /// Writes page `page`'s entries within [lo, hi] to `out` (room for
-  /// the page's entries) and returns how many.
-  std::size_t DecodeRange(std::size_t page, const IndexKey& lo,
-                          const IndexKey& hi, IndexKey* out) const;
+  /// The restart block of page `page` a decode of keys >= lo starts at.
+  std::size_t FirstBlock(std::size_t page, const IndexKey& lo) const;
 
   std::size_t n_ = 0;
   std::vector<std::uint8_t> data_;

@@ -12,10 +12,9 @@ namespace {
 // Two-constant count from a pair table: its (a, b, count) entry's count.
 std::uint64_t PairCount(const CompressedKeyIndex& pairs, TermId a,
                         TermId b) {
-  CompressedKeyIndex::Scratch scratch;
   std::uint64_t out = 0;
-  pairs.ScanRange({a, b, 0}, {a, b, kMaxTermId}, scratch,
-                  [&](std::span<const IndexKey> run) { out = run[0].k3; });
+  pairs.ScanRange({a, b, 0}, {a, b, kMaxTermId},
+                  [&](const IndexKey& k) { out = k.k3; });
   return out;
 }
 

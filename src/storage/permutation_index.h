@@ -70,21 +70,6 @@ class PermutationIndex {
   };
   static RangeChoice ChooseRange(TermId s, TermId p, TermId o);
 
-  /// Ordered decode of every triple matching the constant mask
-  /// (kInvalidTermId = free); fn(const Triple&) in the chosen
-  /// permutation's key order.
-  template <typename Fn>
-  void ForEachMatch(TermId s, TermId p, TermId o,
-                    CompressedKeyIndex::Scratch& scratch, Fn&& fn) const {
-    const RangeChoice rc = ChooseRange(s, p, o);
-    perm(rc.perm).ScanRange(rc.lo, rc.hi, scratch,
-                            [&](std::span<const IndexKey> run) {
-                              for (const IndexKey& k : run) {
-                                fn(PermTriple(rc.perm, k));
-                              }
-                            });
-  }
-
   /// Total compressed bytes: the four permutations' pages + directories.
   /// The dual-sorted-vector layout this replaced was 2 * sizeof(Triple) =
   /// 24 bytes per triple.

@@ -1,0 +1,248 @@
+// Heap-allocation guard for the execution path (DESIGN.md section 13,
+// "Scratch ownership"). The binary replaces the global operator new with
+// a counting one and checks two fixed costs a light request must not
+// pay:
+//
+//   - A node-store scan allocates the same number of times whether its
+//     range spans one leaf page or twenty: it decodes straight into its
+//     output columns, with no per-page buffer or staging.
+//   - A warm Execute of fixed LUBM and WatDiv plans on ten nodes costs
+//     fewer than operators x 9 x 2 x (variables + 2) allocations more
+//     than on one node. Every (node, operator) pair reuses its partition's scratch
+//     instead of building fresh hash tables, match lists and route
+//     buckets, and sizes its output columns once.
+//
+// Sanitizers that intercept operator new themselves (ASan, TSan, MSan)
+// would fight the replacement, so under them the counter is not compiled
+// and every test skips.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+// parqo-lint: allow(naked-new) std::bad_alloc for the replacement below
+#include <new>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "exec/cluster.h"
+#include "exec/executor.h"
+#include "exec/node_store.h"
+#include "optimizer/optimizer.h"
+#include "optimizer/prepared_query.h"
+#include "partition/hash_so.h"
+#include "plan/plan.h"
+#include "sparql/parser.h"
+#include "stats/data_stats.h"
+#include "storage/permutation_index.h"
+#include "workload/benchmark_queries.h"
+#include "workload/lubm.h"
+#include "workload/watdiv.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PARQO_COUNT_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define PARQO_COUNT_ALLOCATIONS 0
+#endif
+#endif
+#ifndef PARQO_COUNT_ALLOCATIONS
+#define PARQO_COUNT_ALLOCATIONS 1
+#endif
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+#if PARQO_COUNT_ALLOCATIONS
+// parqo-lint: allow(naked-new) the counting replacement under test
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
+namespace parqo {
+namespace {
+
+// Calls to operator new made by fn().
+template <typename Fn>
+std::uint64_t Allocations(Fn&& fn) {
+  const std::uint64_t before = g_allocations.load();
+  fn();
+  return g_allocations.load() - before;
+}
+
+#define SKIP_WITHOUT_COUNTER()                                           \
+  if (!PARQO_COUNT_ALLOCATIONS) {                                        \
+    GTEST_SKIP() << "a sanitizer intercepts allocation; nothing counted"; \
+  }
+
+ResolvedPattern XPY(TermId p) {  // ?x <p> ?y
+  ResolvedPattern r;
+  r.p = p;
+  r.var_s = 0;
+  r.var_o = 1;
+  r.schema = {0, 1};
+  return r;
+}
+
+TEST(AllocTest, ScanAllocationsDoNotGrowWithPagesDecoded) {
+  SKIP_WITHOUT_COUNTER();
+  // Predicate 1 fills under one page of PSO, predicate 2 twenty.
+  constexpr TermId kSmall = 1, kLarge = 2;
+  std::vector<Triple> triples;
+  for (TermId s = 1; s <= 300; ++s) triples.push_back({s, kSmall, s + 7});
+  for (TermId s = 1; s <= 20 * kLeafEntries; ++s) {
+    triples.push_back({s, kLarge, s % 97 + 1});
+  }
+  const PermutationIndex perms(triples);
+  auto pages = [&](TermId p) {
+    const PermutationIndex::RangeChoice rc =
+        PermutationIndex::ChooseRange(kInvalidTermId, p, kInvalidTermId);
+    const auto [first, end] = perms.perm(rc.perm).PageSpan(rc.lo, rc.hi);
+    return end - first;
+  };
+  ASSERT_LE(pages(kSmall), 2u);
+  ASSERT_GE(pages(kLarge), 20u);
+
+  const NodeStore store(triples);
+  for (std::size_t morsel_rows : {std::size_t{0}, kDefaultMorselRows}) {
+    SCOPED_TRACE(morsel_rows);
+    std::size_t rows[2] = {0, 0};
+    const std::uint64_t small = Allocations([&] {
+      rows[0] = store.Scan(XPY(kSmall), morsel_rows, false).NumRows();
+    });
+    const std::uint64_t large = Allocations([&] {
+      rows[1] = store.Scan(XPY(kLarge), morsel_rows, false).NumRows();
+    });
+    EXPECT_EQ(rows[0], 300u);
+    EXPECT_EQ(rows[1], 20 * kLeafEntries);
+    EXPECT_EQ(small, large);
+  }
+
+  // A decode-path key filter (more keys than pages) that keeps a few
+  // rows of either range.
+  std::vector<TermId> ks;
+  for (TermId s = 1; s <= 30; ++s) ks.push_back(s * 10);
+  const KeySet keys(ks);
+  const ScanFilter filter{0, &keys};
+  const std::uint64_t small = Allocations([&] {
+    EXPECT_EQ(store.Scan(XPY(kSmall), kDefaultMorselRows, false, filter)
+                  .NumRows(),
+              30u);
+  });
+  const std::uint64_t large = Allocations([&] {
+    EXPECT_EQ(store.Scan(XPY(kLarge), kDefaultMorselRows, false, filter)
+                  .NumRows(),
+              30u);
+  });
+  EXPECT_EQ(small, large);
+}
+
+class WarmExecuteTest : public ::testing::Test {
+ protected:
+  static constexpr int kNodes = 10;
+
+  // A graph and its hash-SO clusters on one node and on kNodes nodes.
+  struct World {
+    explicit World(RdfGraph g)
+        : graph(std::move(g)),
+          one(graph, HashSoPartitioner().PartitionData(graph, 1)),
+          many(graph, HashSoPartitioner().PartitionData(graph, kNodes)) {}
+    RdfGraph graph;
+    Cluster one;
+    Cluster many;
+  };
+
+  // Allocations of a warm Execute of `plan`: the second of two runs.
+  static std::uint64_t WarmAllocations(const Cluster& cluster,
+                                       const JoinGraph& jg,
+                                       const CostParams& params,
+                                       const PlanNode& plan,
+                                       std::uint64_t* rows) {
+    Executor exec(cluster, jg, params);
+    ExecMetrics metrics;
+    EXPECT_TRUE(exec.Execute(plan, &metrics).ok());
+    const std::uint64_t allocations = Allocations([&] {
+      EXPECT_TRUE(exec.Execute(plan, &metrics).ok());
+    });
+    *rows = metrics.result_rows;
+    return allocations;
+  }
+
+  // Plans `patterns` with TD-Auto and checks what the nodes beyond the
+  // first cost a warm Execute: fewer than operators x (kNodes - 1) x 2 x
+  // (variables + 2) allocations. A node's share of an operator builds at
+  // most two tables (a routed input and the join output, say), each its
+  // columns plus a schema and a column list; nothing may grow with rows
+  // or pages.
+  static void Check(const World& w,
+                    const std::vector<TriplePattern>& patterns) {
+    HashSoPartitioner hash;
+    PreparedQuery pq(patterns, hash, StatsFromData(w.graph));
+    OptimizeOptions options;
+    options.cost_params.num_nodes = kNodes;
+    PlanNodePtr plan = Optimize(Algorithm::kTdAuto, pq.inputs(), options).plan;
+    ASSERT_NE(plan, nullptr);
+    std::uint64_t ops = 0;
+    std::vector<const PlanNode*> stack{plan.get()};
+    while (!stack.empty()) {
+      const PlanNode* node = stack.back();
+      stack.pop_back();
+      ++ops;
+      for (const PlanNodePtr& c : node->children) stack.push_back(c.get());
+    }
+    const std::uint64_t vars =
+        static_cast<std::uint64_t>(pq.join_graph().num_vars());
+    const std::uint64_t bound = ops * (kNodes - 1) * 2 * (vars + 2);
+    std::uint64_t rows_one = 0, rows_many = 0;
+    const std::uint64_t one = WarmAllocations(
+        w.one, pq.join_graph(), options.cost_params, *plan, &rows_one);
+    const std::uint64_t many = WarmAllocations(
+        w.many, pq.join_graph(), options.cost_params, *plan, &rows_many);
+    EXPECT_EQ(rows_one, rows_many);
+    EXPECT_LT(many, one + bound)
+        << ops << " operators, " << vars << " variables, " << one
+        << " allocations on one node";
+  }
+};
+
+TEST_F(WarmExecuteTest, LubmPlansStayUnderTheBound) {
+  SKIP_WITHOUT_COUNTER();
+  LubmConfig config;
+  config.universities = 2;
+  const World w(GenerateLubm(config));
+  for (const BenchmarkQuery& q : AllBenchmarkQueries()) {
+    if (!q.lubm) continue;
+    SCOPED_TRACE(q.name);
+    Result<ParsedQuery> parsed = ParseSparql(q.sparql);
+    ASSERT_TRUE(parsed.ok());
+    Check(w, parsed->patterns);
+  }
+}
+
+TEST_F(WarmExecuteTest, WatdivPlansStayUnderTheBound) {
+  SKIP_WITHOUT_COUNTER();
+  WatdivDataConfig config;
+  config.entities_per_class = 100;
+  config.density = 1.0;
+  const World w(GenerateWatdivData(config));
+  Rng rng(2017);
+  for (const WatdivTemplate& t : GenerateWatdivTemplates(40, rng)) {
+    std::string name = "T";
+    name += std::to_string(t.id);
+    SCOPED_TRACE(name);
+    Check(w, t.patterns);
+  }
+}
+
+}  // namespace
+}  // namespace parqo

@@ -42,13 +42,10 @@ TEST(VarbyteTest, RoundTripsBoundaryValues) {
 }
 
 std::vector<IndexKey> FullScan(const CompressedKeyIndex& idx) {
-  CompressedKeyIndex::Scratch scratch;
   std::vector<IndexKey> out;
   idx.ScanRange(IndexKey{0, 0, 0},
-                IndexKey{kMaxTermId, kMaxTermId, kMaxTermId}, scratch,
-                [&](std::span<const IndexKey> run) {
-                  out.insert(out.end(), run.begin(), run.end());
-                });
+                IndexKey{kMaxTermId, kMaxTermId, kMaxTermId},
+                [&](const IndexKey& k) { out.push_back(k); });
   return out;
 }
 
@@ -80,8 +77,7 @@ TEST(CompressedKeyIndexTest, PreservesDuplicatesAndMaxIds) {
   CompressedKeyIndex idx;
   idx.Build(keys);
   EXPECT_EQ(FullScan(idx), keys);
-  CompressedKeyIndex::Scratch scratch;
-  EXPECT_EQ(idx.CountRange(keys.front(), keys.front(), scratch),
+  EXPECT_EQ(idx.CountRange(keys.front(), keys.front()),
             keys.size());
 }
 
@@ -97,9 +93,8 @@ TEST(CompressedKeyIndexTest, SeeksAtPageBoundaries) {
   idx.Build(keys);
   ASSERT_EQ(idx.num_pages(), 4u);
 
-  CompressedKeyIndex::Scratch scratch;
   auto count = [&](std::size_t lo, std::size_t hi) {
-    return idx.CountRange(keys[lo], keys[hi], scratch);
+    return idx.CountRange(keys[lo], keys[hi]);
   };
   // Ranges pinned exactly at page boundaries, one-off each side, interior
   // pages answered from the directory, and cross-page single steps.
@@ -111,14 +106,11 @@ TEST(CompressedKeyIndexTest, SeeksAtPageBoundaries) {
   EXPECT_EQ(count(7, 7), 1u);
   // Empty ranges: between-keys and off-the-end probes.
   EXPECT_EQ(idx.CountRange(IndexKey{kMaxTermId, 0, 0},
-                           IndexKey{kMaxTermId, kMaxTermId, kMaxTermId},
-                           scratch),
+                           IndexKey{kMaxTermId, kMaxTermId, kMaxTermId}),
             0u);
   std::vector<IndexKey> got;
-  idx.ScanRange(keys[kLeafEntries - 1], keys[kLeafEntries], scratch,
-                [&](std::span<const IndexKey> run) {
-                  got.insert(got.end(), run.begin(), run.end());
-                });
+  idx.ScanRange(keys[kLeafEntries - 1], keys[kLeafEntries],
+                [&](const IndexKey& k) { got.push_back(k); });
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], keys[kLeafEntries - 1]);
   EXPECT_EQ(got[1], keys[kLeafEntries]);
@@ -129,11 +121,8 @@ TEST(CompressedKeyIndexTest, SeeksAtPageBoundaries) {
 void ExpectRange(const CompressedKeyIndex& idx,
                  const std::vector<IndexKey>& sorted, const IndexKey& lo,
                  const IndexKey& hi) {
-  CompressedKeyIndex::Scratch scratch;
   std::vector<IndexKey> got;
-  idx.ScanRange(lo, hi, scratch, [&](std::span<const IndexKey> run) {
-    got.insert(got.end(), run.begin(), run.end());
-  });
+  idx.ScanRange(lo, hi, [&](const IndexKey& k) { got.push_back(k); });
   std::vector<IndexKey> want;
   if (!(hi < lo)) {
     want.assign(std::lower_bound(sorted.begin(), sorted.end(), lo),
@@ -141,7 +130,7 @@ void ExpectRange(const CompressedKeyIndex& idx,
   }
   EXPECT_EQ(got, want) << "lo=" << lo.k1 << "," << lo.k2 << "," << lo.k3
                        << " hi=" << hi.k1 << "," << hi.k2 << "," << hi.k3;
-  EXPECT_EQ(idx.CountRange(lo, hi, scratch), want.size());
+  EXPECT_EQ(idx.CountRange(lo, hi), want.size());
 }
 
 TEST(CompressedKeyIndexTest, RestartBlockBoundarySizes) {
@@ -230,11 +219,10 @@ TEST(CompressedKeyIndexTest, DuplicateRunsAcrossBlocksAndPages) {
   idx.Build(keys);
   ASSERT_GE(idx.num_pages(), 3u);
   EXPECT_EQ(FullScan(idx), keys);
-  CompressedKeyIndex::Scratch scratch;
-  EXPECT_EQ(idx.CountRange(block_run, block_run, scratch),
+  EXPECT_EQ(idx.CountRange(block_run, block_run),
             2 * kBlockEntries + 9);
-  EXPECT_EQ(idx.CountRange(page_run, page_run, scratch), kBlockEntries + 30);
-  EXPECT_EQ(idx.CountRange(anchored_run, anchored_run, scratch),
+  EXPECT_EQ(idx.CountRange(page_run, page_run), kBlockEntries + 30);
+  EXPECT_EQ(idx.CountRange(anchored_run, anchored_run),
             kBlockEntries + 1);
   for (const IndexKey& k : {block_run, page_run, anchored_run}) {
     ExpectRange(idx, keys, k, k);
@@ -272,16 +260,13 @@ TEST(PermutationIndexTest, AllPermutationsAgreeOnTheTripleMultiset) {
 
   const auto want = AsMultiset(triples);
   for (Perm perm : {Perm::kSpo, Perm::kPso, Perm::kPos, Perm::kOsp}) {
-    CompressedKeyIndex::Scratch scratch;
     std::vector<Triple> got;
     std::vector<IndexKey> keys;
     index.perm(perm).ScanRange(
         IndexKey{0, 0, 0}, IndexKey{kMaxTermId, kMaxTermId, kMaxTermId},
-        scratch, [&](std::span<const IndexKey> run) {
-          for (const IndexKey& k : run) {
-            keys.push_back(k);
-            got.push_back(PermTriple(perm, k));
-          }
+        [&](const IndexKey& k) {
+          keys.push_back(k);
+          got.push_back(PermTriple(perm, k));
         });
     EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()))
         << "perm " << static_cast<int>(perm);
@@ -472,6 +457,149 @@ TEST(NodeStoreTest, MorselScanMatchesSerialScan) {
                                    /*parallel=*/true);
   EXPECT_TRUE(serial == morsel);
   EXPECT_EQ(serial.sorted_by(), morsel.sorted_by());
+}
+
+// Scans decode each key straight into the output columns. Every path —
+// the four permutations, repeated variables, bound seeks, and the merge
+// and probe decode filters — must emit exactly the brute-force rows in
+// the brute-force order, for every morsel size, serial or parallel.
+
+// Brute force: the rows of `triples` matching `rp` in the order of `perm`
+// keys (then by filter key when `seek_var` is set: a seek scan's order),
+// restricted to `keys` on `filter_var` when it is set.
+BindingTable BruteScan(const std::vector<Triple>& triples,
+                       const ResolvedPattern& rp, Perm perm,
+                       VarId filter_var, const std::vector<TermId>& keys,
+                       bool seek) {
+  const TermId consts[3] = {rp.s, rp.p, rp.o};
+  const VarId vars[3] = {rp.var_s, rp.var_p, rp.var_o};
+  auto field = [](const Triple& t, int f) {
+    return f == 0 ? t.s : f == 1 ? t.p : t.o;
+  };
+  auto first_field = [&](VarId v) {
+    for (int f = 0; f < 3; ++f) {
+      if (vars[f] == v) return f;
+    }
+    return -1;
+  };
+  std::vector<Triple> match;
+  for (const Triple& t : triples) {
+    bool ok = true;
+    for (int f = 0; f < 3; ++f) {
+      if (consts[f] != kInvalidTermId && field(t, f) != consts[f]) ok = false;
+      if (vars[f] != kInvalidVarId &&
+          field(t, f) != field(t, first_field(vars[f]))) {
+        ok = false;
+      }
+    }
+    if (ok && filter_var != kInvalidVarId &&
+        !std::binary_search(keys.begin(), keys.end(),
+                            field(t, first_field(filter_var)))) {
+      ok = false;
+    }
+    if (ok) match.push_back(t);
+  }
+  std::stable_sort(match.begin(), match.end(),
+                   [&](const Triple& a, const Triple& b) {
+                     if (seek) {
+                       const int f = first_field(filter_var);
+                       if (field(a, f) != field(b, f)) {
+                         return field(a, f) < field(b, f);
+                       }
+                     }
+                     return PermKey(perm, a) < PermKey(perm, b);
+                   });
+  BindingTable out(rp.schema);
+  for (const Triple& t : match) {
+    std::vector<TermId> row;
+    for (VarId v : rp.schema) row.push_back(field(t, first_field(v)));
+    out.AppendRow(row);
+  }
+  return out;
+}
+
+TEST(NodeStoreTest, DecodeIntoColumnsMatchesBruteForce) {
+  // Small domains: ranges span pages and ?x p ?x loops occur.
+  std::vector<Triple> triples = RandomTriples(5, 12000, 90, 4, 90);
+  for (TermId s = 1; s <= 90; s += 3) triples.push_back({s, 2, s});
+  const NodeStore store(triples);
+  const PermutationIndex perms(triples);  // the same layout, for page counts
+  const Triple pin = triples[123];
+
+  struct Case {
+    const char* name;
+    ResolvedPattern rp;
+  };
+  const TermId none = kInvalidTermId;
+  const VarId no = kInvalidVarId;
+  const std::vector<Case> cases = {
+      {"?s ?p ?o (SPO)", Pattern(none, none, none, 0, 1, 2)},
+      {"?s p ?o (PSO)", Pattern(none, pin.p, none, 0, no, 1)},
+      {"?s p o (POS)", Pattern(none, pin.p, pin.o, 0, no, no)},
+      {"?s ?p o (OSP)", Pattern(none, none, pin.o, 0, 1, no)},
+      {"s ?p ?o (SPO)", Pattern(pin.s, none, none, no, 0, 1)},
+      {"s ?p o (OSP)", Pattern(pin.s, none, pin.o, no, 0, no)},
+      {"?x p ?x", Pattern(none, 2, none, 0, no, 0)},
+      {"?x ?p ?x", Pattern(none, none, none, 0, 1, 0)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PermutationIndex::RangeChoice rc =
+        PermutationIndex::ChooseRange(c.rp.s, c.rp.p, c.rp.o);
+    const BindingTable want =
+        BruteScan(triples, c.rp, rc.perm, no, {}, false);
+    ASSERT_GT(want.NumRows(), 0u);
+    const auto [first, end] = perms.perm(rc.perm).PageSpan(rc.lo, rc.hi);
+    // Every variable as a filter: few keys seek, many keys merge (rows
+    // sorted on the variable) or probe (they are not).
+    std::vector<std::pair<VarId, std::vector<TermId>>> filters;
+    for (VarId v : c.rp.schema) {
+      const std::vector<TermId>& col = want.Column(want.ColumnOf(v));
+      std::vector<TermId> all(col.begin(), col.end());
+      std::sort(all.begin(), all.end());
+      all.erase(std::unique(all.begin(), all.end()), all.end());
+      std::vector<TermId> few, many;
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        if (i % 7 == 3 && few.size() < 2) few.push_back(all[i]);
+        if (i % 2 == 0) many.push_back(all[i]);
+      }
+      many.push_back(kMaxTermId - 1);  // a key no row has
+      filters.push_back({v, few});
+      filters.push_back({v, many});
+    }
+    for (std::size_t morsel_rows : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{1024}}) {
+      for (bool parallel : {false, true}) {
+        SCOPED_TRACE(std::to_string(morsel_rows) +
+                     (parallel ? " parallel" : " serial"));
+        ScanScratch scratch;
+        const BindingTable got =
+            store.Scan(c.rp, morsel_rows, parallel, {}, &scratch);
+        EXPECT_TRUE(got == want);
+        for (const auto& [var, keys] : filters) {
+          const KeySet set(keys);
+          const BindingTable filtered =
+              store.Scan(c.rp, morsel_rows, parallel, {var, &set}, &scratch);
+          // The seek path runs when there are no more keys than pages.
+          const bool seek = keys.size() <= end - first;
+          const TermId any = 1;
+          const Perm perm =
+              seek ? PermutationIndex::ChooseRange(
+                         c.rp.var_s == var ? any : c.rp.s,
+                         c.rp.var_p == var ? any : c.rp.p,
+                         c.rp.var_o == var ? any : c.rp.o)
+                         .perm
+                   : rc.perm;
+          EXPECT_TRUE(filtered ==
+                      BruteScan(triples, c.rp, perm, var, keys, seek))
+              << "filter on " << var << ", " << keys.size() << " keys";
+          if (seek) {
+            EXPECT_EQ(filtered.sorted_by(), var);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

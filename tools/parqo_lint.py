@@ -584,8 +584,8 @@ class Linter:
                        "(src/exec/join_kernel.h)")
             elif APPEND_ROW_CALL_RE.search(code):
                 msg = ("per-row AppendRow in the batch execution hot path: "
-                       "batch with AppendFrom/AppendGather (one gather per "
-                       "column per morsel), or justify the cold path with "
+                       "batch with AppendFrom or whole-column writes (one "
+                       "pass per column), or justify the cold path with "
                        "allow(%s)" % rule)
             if msg is None or allowed(lineno, rule):
                 continue
