@@ -47,6 +47,8 @@ struct Record {
   double measured_cost = 0;
   double total_work = 0;
   std::uint64_t enumerated = 0;
+  /// Divisions TD-Auto's cost bound skipped (counted in `enumerated`).
+  std::uint64_t bound_pruned = 0;
   std::uint64_t result_rows = 0;
   std::uint64_t rows_scanned = 0;
   std::uint64_t rows_transferred = 0;
@@ -121,6 +123,7 @@ std::string ToJson(const Record& r) {
   out += "\"measured_cost\": " + JsonNum(r.measured_cost) + ", ";
   out += "\"total_work\": " + JsonNum(r.total_work) + ", ";
   out += "\"enumerated\": " + std::to_string(r.enumerated) + ", ";
+  out += "\"bound_pruned\": " + std::to_string(r.bound_pruned) + ", ";
   out += "\"result_rows\": " + std::to_string(r.result_rows) + ", ";
   out += "\"rows_scanned\": " + std::to_string(r.rows_scanned) + ", ";
   out += "\"rows_transferred\": " + std::to_string(r.rows_transferred) +
@@ -300,6 +303,7 @@ Record RunOptimizeOnly(const std::string& workload, const std::string& name,
   OptimizeResult best = Optimize(Algorithm::kTdAuto, in, options);
   rec.optimize_seconds = best.seconds;
   rec.enumerated = best.enumerated;
+  rec.bound_pruned = best.bound_pruned;
   rec.timed_out = best.timed_out;
   if (best.plan != nullptr) rec.plan_cost = best.plan->total_cost;
   return rec;
@@ -322,6 +326,7 @@ Record RunQuery(const std::string& workload, const std::string& name,
       Optimize(Algorithm::kTdAuto, prepared.inputs(), options);
   rec.optimize_seconds = best.seconds;
   rec.enumerated = best.enumerated;
+  rec.bound_pruned = best.bound_pruned;
   rec.timed_out = best.timed_out;
   if (best.plan == nullptr) return rec;
   rec.plan_cost = best.plan->total_cost;

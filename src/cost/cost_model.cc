@@ -13,29 +13,21 @@ std::string ToString(JoinMethod method) {
   return "?";
 }
 
-double CostModel::IoCost(std::span<const double> input_cards) const {
-  double sum = 0;
-  for (double c : input_cards) sum += c;
-  return params_.alpha * sum;
-}
-
-double CostModel::TransferCost(JoinMethod method,
-                               std::span<const double> input_cards) const {
-  double sum = 0;
-  double max = 0;
-  for (double c : input_cards) {
-    sum += c;
-    max = std::max(max, c);
-  }
+double CostModel::InputCost(JoinMethod method, double input_sum,
+                            double input_max) const {
+  double transfer = 0;
   switch (method) {
     case JoinMethod::kLocal:
-      return 0;
+      break;
     case JoinMethod::kBroadcast:
-      return params_.beta_broadcast * (sum - max) * params_.num_nodes;
+      transfer = params_.beta_broadcast * (input_sum - input_max) *
+                 params_.num_nodes;
+      break;
     case JoinMethod::kRepartition:
-      return params_.beta_repartition * sum;
+      transfer = params_.beta_repartition * input_sum;
+      break;
   }
-  return 0;
+  return params_.alpha * input_sum + transfer;
 }
 
 double CostModel::ComputeCost(JoinMethod method, double output_card) const {
@@ -53,8 +45,13 @@ double CostModel::ComputeCost(JoinMethod method, double output_card) const {
 double CostModel::JoinOpCost(JoinMethod method,
                              std::span<const double> input_cards,
                              double output_card) const {
-  return IoCost(input_cards) + TransferCost(method, input_cards) +
-         ComputeCost(method, output_card);
+  double sum = 0;
+  double max = 0;
+  for (double c : input_cards) {
+    sum += c;
+    max = std::max(max, c);
+  }
+  return InputCost(method, sum, max) + ComputeCost(method, output_card);
 }
 
 }  // namespace parqo

@@ -55,11 +55,12 @@ class CostModel {
   double JoinOpCost(JoinMethod method, std::span<const double> input_cards,
                     double output_card) const;
 
-  /// Individual components, exposed for tests and the executor's
-  /// measured-cost reporting.
-  double IoCost(std::span<const double> input_cards) const;
-  double TransferCost(JoinMethod method,
-                      std::span<const double> input_cards) const;
+  /// The two halves of JoinOpCost, which is exactly their sum: C_io +
+  /// C_trans from the sum and max of the input cardinalities, and C_join
+  /// from the output cardinality. The TD-CMD cost bound (td_cmd_core.h)
+  /// costs a division through them without building its operator.
+  double InputCost(JoinMethod method, double input_sum,
+                   double input_max) const;
   double ComputeCost(JoinMethod method, double output_card) const;
 
  private:

@@ -3,8 +3,8 @@
 // local queries; join variables are the original query's variables that
 // still connect two or more groups. GroupedJoinGraph implements the same
 // Graph concept as JoinGraph (AllTps / join_vars / Ntp / Degree /
-// NeighborsOf / ComponentsExcluding), so Algorithms 1-3 run on it
-// unchanged — bitsets now index groups instead of patterns.
+// NeighborsOf / ComponentsExcluding / ExpandTps), so Algorithms 1-3 run
+// on it unchanged — bitsets now index groups instead of patterns.
 
 #ifndef PARQO_OPTIMIZER_GROUPED_GRAPH_H_
 #define PARQO_OPTIMIZER_GROUPED_GRAPH_H_

@@ -11,7 +11,8 @@
 namespace parqo {
 
 OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
-                           const OptimizeOptions& options) {
+                           const OptimizeOptions& options,
+                           const TdCmdRules& rules) {
   const JoinGraph& jg = *inputs.join_graph;
   PlanBuilder builder(*inputs.estimator, CostModel(options.cost_params));
   Stopwatch watch;
@@ -44,10 +45,10 @@ OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
   };
 
   GroupedJoinGraph grouped(jg, jgr.groups);
-  TdCmdRules rules;  // plain TD-CMD on the reduced graph
-  rules.validate = options.validate;
+  TdCmdRules run_rules = rules;
+  run_rules.validate = options.validate;
   TdCmdCore core(
-      grouped, builder, rules,
+      grouped, builder, run_rules,
       /*leaf_plan=*/
       [&](Arena& arena, int rel) {
         return group_leaf(arena, grouped.GroupTps(rel));
@@ -84,6 +85,7 @@ OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
   result.memo_hits = core.stats().memo_hits;
   result.memo_misses = core.stats().memo_misses;
   result.local_short_circuits = core.stats().local_short_circuits;
+  result.bound_pruned = core.stats().bound_pruned;
   return result;
 }
 

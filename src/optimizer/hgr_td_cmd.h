@@ -9,11 +9,15 @@
 #define PARQO_OPTIMIZER_HGR_TD_CMD_H_
 
 #include "optimizer/optimizer.h"
+#include "optimizer/td_cmd_core.h"
 
 namespace parqo {
 
+/// `rules` govern the enumeration of the reduced graph: plain TD-CMD by
+/// default, plus the cost bound under TD-Auto.
 OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
-                           const OptimizeOptions& options);
+                           const OptimizeOptions& options,
+                           const TdCmdRules& rules = TdCmdRules{});
 
 }  // namespace parqo
 

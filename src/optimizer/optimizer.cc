@@ -51,6 +51,7 @@ void PublishMetrics(const OptimizeResult& result) {
   reg.counter("optimizer.memo_misses").Add(result.memo_misses);
   reg.counter("optimizer.local_short_circuits")
       .Add(result.local_short_circuits);
+  reg.counter("optimizer.bound_pruned").Add(result.bound_pruned);
   if (result.timed_out) reg.counter("optimizer.timeouts").Add(1);
   if (result.abort_cause == AbortCause::kDeadline) {
     reg.counter("optimizer.deadline_aborts").Add(1);

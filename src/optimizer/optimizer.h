@@ -7,7 +7,8 @@
 //   kTdCmdp    - TD-CMD + pruning Rules 1-3 (Sec IV-A)
 //   kHgrTdCmd  - join-graph reduction, then TD-CMD on the reduced graph
 //                (Sec IV-B)
-//   kTdAuto    - decision-tree dispatch between the above (Sec IV-C, Fig 5)
+//   kTdAuto    - decision-tree dispatch between the above (Sec IV-C, Fig 5),
+//                each run with the exact cost bound (TdCmdRules::cost_bound)
 //   kMsc       - CliqueSquare-style minimum-set-cover flat plans [6]
 //   kDpBushy   - Huang et al. generate-and-test bushy DP [7]
 //   kBinaryDp  - binary-only bushy DP (TriAD's plan space [8]; extension)
@@ -117,6 +118,8 @@ struct OptimizeResult {
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   std::uint64_t local_short_circuits = 0;  ///< Rule-3 pruned subtrees.
+  /// Divisions the cost bound skipped (TD-Auto only; see TdCmdRules).
+  std::uint64_t bound_pruned = 0;
 };
 
 /// Runs the requested algorithm on one query.

@@ -20,19 +20,17 @@ Algorithm TdAutoChoice(const JoinGraph& jg, const OptimizeOptions& options) {
 OptimizeResult RunTdAuto(const OptimizerInputs& inputs,
                          const OptimizeOptions& options) {
   // The choice only inspects the join graph; the options flow through
-  // unchanged to whichever TD-CMD-family algorithm it picks.
+  // unchanged to whichever TD-CMD-family algorithm it picks. Every arm
+  // adds the cost bound, which keeps that algorithm's plan bit-identical
+  // and only skips divisions that cannot win.
   Algorithm choice = TdAutoChoice(*inputs.join_graph, options);
   OptimizeResult result;
-  switch (choice) {
-    case Algorithm::kTdCmd:
-      result = RunTdCmd(inputs, options, /*pruned=*/false);
-      break;
-    case Algorithm::kTdCmdp:
-      result = RunTdCmd(inputs, options, /*pruned=*/true);
-      break;
-    default:
-      result = RunHgrTdCmd(inputs, options);
-      break;
+  TdCmdRules rules = PaperRules(/*pruned=*/choice == Algorithm::kTdCmdp);
+  rules.cost_bound = true;
+  if (choice == Algorithm::kHgrTdCmd) {
+    result = RunHgrTdCmd(inputs, options, rules);
+  } else {
+    result = RunTdCmdWithRules(inputs, options, rules);
   }
   result.algorithm_used = choice;
   return result;

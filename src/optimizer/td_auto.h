@@ -9,6 +9,9 @@
 //   |V_T| / |V_J| < 1   (multiple cycles):
 //       |V_T| < lambda_n            -> TD-CMD
 //       else                        -> HGR-TD-CMD
+//
+// Each arm runs with the cost bound (TdCmdRules::cost_bound): the chosen
+// algorithm's plan, bit for bit, from fewer enumerated divisions.
 
 #ifndef PARQO_OPTIMIZER_TD_AUTO_H_
 #define PARQO_OPTIMIZER_TD_AUTO_H_

@@ -7,15 +7,20 @@
 
 namespace parqo {
 
-OptimizeResult RunTdCmd(const OptimizerInputs& inputs,
-                        const OptimizeOptions& options, bool pruned) {
+TdCmdRules PaperRules(bool pruned) {
   TdCmdRules rules;
   if (pruned) {
     rules.cmd_mode = CmdMode::kCcmdAndBinary;
     rules.binary_broadcast_only = true;
     rules.local_short_circuit = true;
   }
-  OptimizeResult result = RunTdCmdWithRules(inputs, options, rules);
+  return rules;
+}
+
+OptimizeResult RunTdCmd(const OptimizerInputs& inputs,
+                        const OptimizeOptions& options, bool pruned) {
+  OptimizeResult result =
+      RunTdCmdWithRules(inputs, options, PaperRules(pruned));
   result.algorithm_used = pruned ? Algorithm::kTdCmdp : Algorithm::kTdCmd;
   return result;
 }
@@ -68,6 +73,7 @@ OptimizeResult RunTdCmdWithRules(const OptimizerInputs& inputs,
   result.memo_hits = core.stats().memo_hits;
   result.memo_misses = core.stats().memo_misses;
   result.local_short_circuits = core.stats().local_short_circuits;
+  result.bound_pruned = core.stats().bound_pruned;
   return result;
 }
 

@@ -9,6 +9,9 @@
 
 namespace parqo {
 
+/// The rules of plain TD-CMD, or of TD-CMDP (Rules 1-3) when `pruned`.
+TdCmdRules PaperRules(bool pruned);
+
 /// `pruned` selects TD-CMDP (Rules 1-3) instead of plain TD-CMD.
 OptimizeResult RunTdCmd(const OptimizerInputs& inputs,
                         const OptimizeOptions& options, bool pruned);

@@ -6,7 +6,10 @@
 // and repartition variants of the operator, and keeps the cheapest plan in
 // a memo table keyed by the subquery bitset. Local queries additionally get
 // the single-operator local-join plan (line 10); with Rule 3 (TD-CMDP) the
-// local plan short-circuits the enumeration entirely.
+// local plan short-circuits the enumeration entirely. With the cost bound
+// (TdCmdRules::cost_bound) a division is costed from its parts' estimated
+// cardinalities before any part is optimized, and skipped when that
+// operator alone costs at least the best plan so far.
 //
 // The core is a template over the Graph concept (JoinGraph or
 // GroupedJoinGraph) and over the three hook functors mapping graph elements
@@ -60,6 +63,14 @@ struct TdCmdRules {
   CmdMode cmd_mode = CmdMode::kAll;   ///< Rule 1 when kCcmdAndBinary.
   bool binary_broadcast_only = false; ///< Rule 2.
   bool local_short_circuit = false;   ///< Rule 3.
+  /// Cost bound (DESIGN.md §6): skip, without optimizing its parts, every
+  /// division whose cheapest join operator alone already costs at least
+  /// the subquery's best plan so far. Unlike Rules 1-3 it loses nothing:
+  /// every memo entry and the chosen plan are bit-identical to the
+  /// unbounded search. It does shrink the enumerated count, so TD-Auto
+  /// sets it while TD-CMD, TD-CMDP and HGR-TD-CMD run as the paper
+  /// defines them (Table VII, Eq. 7-9).
+  bool cost_bound = false;
   /// Memo-table ceiling: a backstop against exhausting memory on huge
   /// dense queries before the wall-clock timeout fires (treated exactly
   /// like a timeout). ~4M entries is a few hundred MB of plans.
@@ -86,6 +97,9 @@ struct TdCmdStats {
   /// Rule-3 short circuits: local subqueries whose cmd enumeration was
   /// skipped entirely (each one prunes a whole subtree of the search).
   std::uint64_t local_short_circuits = 0;
+  /// Divisions the cost bound skipped. They were enumerated, so they
+  /// count in enumerated_cmds too; only their parts went unoptimized.
+  std::uint64_t bound_pruned = 0;
   bool timed_out = false;
   TdAbortCause abort_cause = TdAbortCause::kNone;
 };
@@ -194,11 +208,28 @@ class TdCmdCore {
       }
     }
 
+    // Cost bound: C_join of each method depends on the subquery's output
+    // only, so it is computed once here rather than per division.
+    double compute_broadcast = 0;
+    double compute_repartition = 0;
+    if (rules_.cost_bound) {
+      const double out_card =
+          builder_.estimator().Cardinality(graph_.ExpandTps(q));
+      const CostModel& cost_model = builder_.cost_model();
+      compute_broadcast =
+          cost_model.ComputeCost(JoinMethod::kBroadcast, out_card);
+      compute_repartition =
+          cost_model.ComputeCost(JoinMethod::kRepartition, out_card);
+    }
+
     double min_candidate = std::numeric_limits<double>::infinity();
+    double lower_bound = 0;  // the cost bound of the current division
     auto consider = [&](const PlanCandidate* cand) {
       if (rules_.validate) {
         PARQO_CHECK(std::isfinite(cand->total_cost) &&
                     cand->total_cost >= 0);
+        // Exactness of the cost bound: it never exceeds what it bounds.
+        PARQO_CHECK(cand->total_cost >= lower_bound);
         min_candidate = std::min(min_candidate, cand->total_cost);
       }
       if (best == nullptr || cand->total_cost < best->total_cost) {
@@ -217,14 +248,31 @@ class TdCmdCore {
             PARQO_CHECK_OK(ValidateDivision(graph_, q, parts, vj));
           }
 
+          bool broadcast_ok =
+              !rules_.binary_broadcast_only || parts.size() == 2;  // Rule 2
           children->clear();
-          for (TpSet part : parts) {
-            children->push_back(GetBestPlan(part, is_local));
+          if (rules_.cost_bound && best != nullptr) {
+            lower_bound =
+                LowerBound(parts, broadcast_ok, compute_broadcast,
+                           compute_repartition, children.get());
+            if (lower_bound >= best->total_cost) {
+              ++stats_.bound_pruned;
+              return true;
+            }
+          } else {
+            lower_bound = 0;
+            children->assign(parts.size(), nullptr);
+          }
+          for (std::size_t i = 0; i < parts.size(); ++i) {
+            const PlanCandidate*& child = (*children)[i];
+            if (child != nullptr) {
+              ++stats_.memo_hits;  // found by LowerBound
+              continue;
+            }
+            child = GetBestPlan(parts[i], is_local);
             if (Aborted()) return false;
           }
           // Line 15-19: try each distributed join algorithm on this cmd.
-          bool broadcast_ok =
-              !rules_.binary_broadcast_only || parts.size() == 2;  // Rule 2
           if (broadcast_ok) {
             consider(builder_.JoinIn(arena_, JoinMethod::kBroadcast, vj,
                                      *children));
@@ -240,6 +288,48 @@ class TdCmdCore {
       PARQO_CHECK(best->total_cost <= min_candidate);
     }
     return best;
+  }
+
+  /// The cost bound: a lower bound on the total cost of every candidate
+  /// over `parts`. Each part's estimated cardinality is read from its
+  /// memoized plan, or else from the estimator (ExpandTps maps a memo key
+  /// to the patterns it covers: group sets under HGR), and the cheapest
+  /// allowed method is costed by the CostModel arithmetic JoinIn applies
+  /// to the same inputs, so the result never exceeds a candidate's
+  /// op_cost. Memoized parts also add their exact totals as Eq. 3's child
+  /// term: fl(max + op) is monotone in both. `children` receives the
+  /// memoized part plans (nullptr where a part is not memoized yet).
+  double LowerBound(std::span<const TpSet> parts, bool broadcast_ok,
+                    double compute_broadcast, double compute_repartition,
+                    std::vector<const PlanCandidate*>* children) const {
+    const CardinalityEstimator& estimator = builder_.estimator();
+    double sum = 0;
+    double max = 0;
+    double max_known_total = 0;
+    for (TpSet part : parts) {
+      const PlanCandidate* const* hit = memo_.Find(part);
+      const PlanCandidate* child = hit != nullptr ? *hit : nullptr;
+      children->push_back(child);
+      double card;
+      if (child != nullptr) {
+        card = child->cardinality;
+        max_known_total = std::max(max_known_total, child->total_cost);
+      } else {
+        card = estimator.Cardinality(graph_.ExpandTps(part));
+      }
+      sum += card;
+      max = std::max(max, card);
+    }
+    const CostModel& cost_model = builder_.cost_model();
+    double op =
+        cost_model.InputCost(JoinMethod::kRepartition, sum, max) +
+        compute_repartition;
+    if (broadcast_ok) {
+      op = std::min(op, cost_model.InputCost(JoinMethod::kBroadcast, sum,
+                                             max) +
+                            compute_broadcast);
+    }
+    return max_known_total + op;
   }
 
   const Graph& graph_;

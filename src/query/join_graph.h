@@ -41,6 +41,9 @@ class JoinGraph {
   const std::vector<TriplePattern>& patterns() const { return patterns_; }
   const TriplePattern& pattern(int tp) const { return patterns_[tp]; }
   TpSet AllTps() const { return TpSet::FullSet(num_tps()); }
+  /// The triple patterns a subquery key covers: the identity here; the
+  /// reduced graph (GroupedJoinGraph) maps group sets to pattern sets.
+  TpSet ExpandTps(TpSet sq) const { return sq; }
 
   //===------------------------------------------------------------------===//
   // Variables and join variables (V_J)

@@ -314,6 +314,8 @@ int main(int argc, char** argv) {
               Pct(best.memo_hits, lookups));
   std::printf("  rule-3 pruning     %s local short circuits\n",
               WithThousandsSep(best.local_short_circuits).c_str());
+  std::printf("  cost bound         %s divisions skipped\n",
+              WithThousandsSep(best.bound_pruned).c_str());
   const CardinalityEstimator& est = prepared->estimator();
   std::uint64_t est_lookups = est.memo_hits() + est.memo_misses();
   std::printf("  estimator memo     %s hits / %s lookups (%.1f%% hit "
