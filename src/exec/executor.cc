@@ -146,8 +146,8 @@ void ForEachNode(int n, bool parallel,
 // executing logical partition p's share of every operator; identity until
 // a crash re-homes the dead node's partitions onto a survivor (the
 // partition data itself lives in the durable NodeStore, so the survivor
-// re-reads it). Null `fault` means the layer is disabled and none of the
-// vectors are even allocated.
+// re-reads it). Null `fault` means no crash, delay or drop is injected;
+// every work item still runs through the same loop.
 struct Recovery {
   // parqo-lint: allow(guarded-field) installed once before workers start
   FaultPlan* fault = nullptr;
@@ -156,10 +156,6 @@ struct Recovery {
   // parqo-lint: allow(guarded-field) read-only after per-run setup
   RetryPolicy policy;
 
-  /// Whether the run pays for per-item probes and timing: either fault
-  /// injection is active or a health registry wants latency samples. The
-  /// plain path stays byte-for-byte the un-instrumented executor.
-  bool instrumented() const { return fault != nullptr || health != nullptr; }
   /// Guards alive/host/alive_count plus the ExecMetrics recovery fields
   /// (recovery_attempts / operators_reexecuted / degraded_nodes), which
   /// live outside this struct and so cannot carry the GUARDED_BY
@@ -313,26 +309,6 @@ Status RunOnePartition(Recovery& rec, ExecMetrics& m, const char* op,
       });
 }
 
-// Fans one operator's per-partition work over the simulated nodes. The
-// disabled path is byte-for-byte the old executor: no Status vector, no
-// probes, no allocations.
-template <typename Work>
-Status RunPartitioned(Recovery& rec, ExecMetrics& m, const char* op, int n,
-                      bool parallel, Work&& work) {
-  if (!rec.instrumented()) {
-    ForEachNode(n, parallel, work);
-    return Status::Ok();
-  }
-  std::vector<Status> statuses(n);
-  ForEachNode(n, parallel, [&](int i) {
-    statuses[i] = RunOnePartition(rec, m, op, i, work);
-  });
-  for (Status& st : statuses) {
-    if (!st.ok()) return std::move(st);
-  }
-  return Status::Ok();
-}
-
 // Delivers one shipment batch of `rows` rows to partition `target`,
 // re-shipping (only) this batch when the flaky network drops it. Counts
 // node_rows_received on successful delivery — the reconciliation
@@ -363,14 +339,25 @@ Status DeliverBatch(Recovery& rec, ExecMetrics& m, const char* op,
       });
 }
 
-const char* SpanName(const PlanNode& node) {
-  if (node.kind == PlanNode::Kind::kScan) return "exec/scan";
+// An operator's names: its trace span, its work items in fault messages,
+// and its ExecMetrics::op_cards entry.
+struct OpNames {
+  const char* span;
+  const char* item;
+  const char* card;
+};
+
+OpNames NamesOf(const PlanNode& node) {
+  if (node.kind == PlanNode::Kind::kScan) return {"exec/scan", "scan", "scan"};
   switch (node.method) {
-    case JoinMethod::kLocal: return "exec/local_join";
-    case JoinMethod::kBroadcast: return "exec/broadcast_join";
-    case JoinMethod::kRepartition: return "exec/repartition_join";
+    case JoinMethod::kLocal:
+      return {"exec/local_join", "local_join", "local"};
+    case JoinMethod::kBroadcast:
+      return {"exec/broadcast_join", "broadcast_join", "broadcast"};
+    case JoinMethod::kRepartition:
+      return {"exec/repartition_join", "repartition_join", "repartition"};
   }
-  return "exec/join";
+  return {"exec/join", "join", "join"};
 }
 
 // 8-byte TermIds; schema width is the row's wire size.
@@ -412,7 +399,85 @@ struct PartitionScratch {
   /// Target node of each row of this partition's share of a
   /// repartitioned input.
   std::vector<std::uint32_t> route;
+  /// Joins of this partition that ran the merge kernel.
+  std::uint64_t merge_joins = 0;
 };
+
+// An operator's output, one table per node, and the measured Eq. 3 cost
+// of the subtree that produced it.
+struct DistTable {
+  std::vector<BindingTable> per_node;
+  std::vector<VarId> schema;
+  /// No row appears on two nodes. Every per-node table is duplicate-free
+  /// (node stores are sets and a join of sets is a set), so a disjoint
+  /// table's concatenation is already deduplicated.
+  bool disjoint = false;
+  double cost = 0;
+
+  std::uint64_t GlobalRows() const {
+    std::uint64_t sum = 0;
+    for (const BindingTable& t : per_node) sum += t.NumRows();
+    return sum;
+  }
+};
+
+// What a join kind hands the operator boundary: the tables each node
+// joins, in join order, and whether the output rows are disjoint across
+// nodes. Input j of partition p is tables[j]->per_node[p], or
+// per_node[0] when one gathered table serves every node.
+struct JoinInputs {
+  std::vector<DistTable*> tables;
+  bool disjoint = false;
+};
+
+// Sizes `m`'s per-node vectors to the cluster and zeroes everything
+// else, so per-node sums reconcile with the totals even on a failed run.
+void ResetMetrics(ExecMetrics& m, int n) {
+  m = ExecMetrics{};
+  m.node_rows_scanned.assign(n, 0);
+  m.node_rows_received.assign(n, 0);
+  m.node_rows_joined.assign(n, 0);
+  m.node_busy_seconds.assign(n, 0.0);
+  m.node_ops.assign(n, 0);
+  m.node_failures.assign(n, 0);
+}
+
+// Adds one query's outcome to the process-wide registry.
+void PublishMetrics(const ExecMetrics& m) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  if (m.failed) {
+    reg.counter("exec.failures").Add(1);
+    return;
+  }
+  reg.counter("exec.queries").Add(1);
+  reg.counter("exec.rows_scanned").Add(m.rows_scanned);
+  reg.counter("exec.rows_transferred").Add(m.rows_transferred);
+  reg.counter("exec.dedup_rows").Add(m.dedup_rows);
+  reg.counter("exec.bytes_shipped").Add(m.bytes_shipped);
+  reg.counter("exec.distributed_joins").Add(m.distributed_joins);
+  if (m.merge_joins > 0) {
+    reg.counter("exec.merge_joins").Add(m.merge_joins);
+  }
+  reg.counter("exec.result_rows").Add(m.result_rows);
+  reg.histogram("exec.wall_seconds").Observe(m.wall_seconds);
+  reg.histogram("exec.measured_cost").Observe(m.measured_cost);
+  if (m.recovery_attempts > 0) {
+    reg.counter("exec.recovery_attempts").Add(m.recovery_attempts);
+    reg.counter("exec.operators_reexecuted").Add(m.operators_reexecuted);
+    reg.counter("exec.rows_reshipped").Add(m.rows_reshipped);
+    reg.counter("exec.shipments_dropped").Add(m.shipments_dropped);
+    reg.counter("exec.node_crashes")
+        .Add(static_cast<std::uint64_t>(m.degraded_nodes.size()));
+  }
+  if (m.hedged_ops > 0) {
+    reg.counter("server.health.hedged_ops").Add(m.hedged_ops);
+    reg.counter("server.health.hedge_wins").Add(m.hedge_wins);
+  }
+  if (!m.quarantined_nodes.empty()) {
+    reg.counter("server.health.nodes_quarantined")
+        .Add(static_cast<std::uint64_t>(m.quarantined_nodes.size()));
+  }
+}
 
 }  // namespace
 
@@ -440,21 +505,6 @@ ResolvedPattern BindPattern(const TriplePattern& pattern,
   std::sort(out.schema.begin(), out.schema.end());
   return out;
 }
-
-struct Executor::DistTable {
-  std::vector<BindingTable> per_node;
-  std::vector<VarId> schema;
-  /// No row appears on two nodes. Every per-node table is duplicate-free
-  /// (node stores are sets and a join of sets is a set), so a disjoint
-  /// table's concatenation is already deduplicated.
-  bool disjoint = false;
-
-  std::uint64_t GlobalRows() const {
-    std::uint64_t sum = 0;
-    for (const BindingTable& t : per_node) sum += t.NumRows();
-    return sum;
-  }
-};
 
 double ExecMetrics::OpCardinality::QError() const {
   if (actual == 0 || estimated <= 0) return 0.0;
@@ -485,166 +535,168 @@ Executor::Executor(const Cluster& cluster, const JoinGraph& jg,
       retry_(retry),
       health_(health) {}
 
-BindingTable Executor::Join(const BindingTable& left,
-                            const BindingTable& right,
-                            JoinScratch& scratch) const {
-  BatchJoinOptions opts;
-  opts.scratch = &scratch;
-  // Morsel parallelism composes with the per-node ForEachNode fan-out:
-  // both run on the same nest-safe pool. Morsels only spread a probe over
-  // threads, so a serial join probes as one morsel into one match chunk
-  // (the output is the same either way).
-  opts.parallel = parallel_nodes_;
-  if (!parallel_nodes_) opts.morsel_rows = 0;
-  // Merge kernel when both inputs arrive sorted on the single shared
-  // variable (index scans establish the order; order-preserving
-  // operators propagate it). Bit-identical to the hash kernel.
-  if (MergeJoinKey(left, right) != kInvalidVarId) {
-    merge_joins_.fetch_add(1, std::memory_order_relaxed);
-    return BatchMergeJoin(left, right, opts);
+// One Execute (DESIGN.md section 13, "Operator boundary"): the metrics,
+// fault recovery, each partition's scratch and the sideways-passing
+// annotations, with one member function per operator of Section II-D.
+// Every plan node goes through RunOperator. The recursion runs on the
+// driver thread; pool workers run only the per-partition items that
+// RunOperator fans out.
+class Executor::Run {
+ public:
+  Run(const Executor& ex, const PlanNode& plan, ExecMetrics& m)
+      : ex_(ex),
+        m_(m),
+        n_(ex.cluster_.num_nodes()),
+        scratch_(n_),
+        statuses_(n_) {
+    rec_.fault = ActiveFaultPlan();
+    rec_.health = ex.health_;
+    rec_.policy = ex.retry_;
+    if (rec_.fault != nullptr) PARQO_CHECK(rec_.fault->num_nodes() >= n_);
+    // Sideways information passing needs each plan node's variables; the
+    // recording pass runs unfiltered, so it skips the annotation.
+    if (!ex.record_op_cards_) Annotate(plan, ex.jg_, info_);
+    MutexLock lock(rec_.mu);
+    rec_.alive.assign(n_, 1);
+    rec_.host.resize(n_);
+    std::iota(rec_.host.begin(), rec_.host.end(), 0);
+    rec_.alive_count = n_;
+    if (rec_.health != nullptr) {
+      PARQO_CHECK(rec_.health->num_nodes() >= n_);
+      // Pre-emptive quarantine: partitions hosted by open-breaker nodes
+      // are re-homed to survivors BEFORE any work dispatches, so the
+      // session never probes (and never crash-detects) a known-sick node.
+      // The last survivor is never quarantined — a query beats no query.
+      for (int i = 0; i < n_; ++i) {
+        if (rec_.alive_count <= 1) break;
+        if (!rec_.health->AllowRoute(i)) {
+          rec_.alive[i] = 0;
+          --rec_.alive_count;
+          m_.quarantined_nodes.push_back(i);
+        }
+      }
+      for (int q : m_.quarantined_nodes) RehomeLocked(rec_, q);
+    }
   }
-  return BatchHashJoin(left, right, opts);
-}
 
-Result<BindingTable> Executor::Execute(const PlanNode& plan,
-                                       ExecMetrics* metrics) {
-  Stopwatch watch;
-  ExecMetrics local_metrics;
-  ExecMetrics& m = metrics != nullptr ? *metrics : local_metrics;
-  m = ExecMetrics{};
-  merge_joins_.store(0, std::memory_order_relaxed);
-
-  const int n = cluster_.num_nodes();
-  m.node_rows_scanned.assign(n, 0);
-  m.node_rows_received.assign(n, 0);
-  m.node_rows_joined.assign(n, 0);
-  m.node_busy_seconds.assign(n, 0.0);
-  m.node_ops.assign(n, 0);
-  m.node_failures.assign(n, 0);
-
-  Recovery rec;
-  rec.fault = ActiveFaultPlan();
-  rec.health = health_;
-  if (rec.instrumented()) {
-    if (rec.fault != nullptr) PARQO_CHECK(rec.fault->num_nodes() >= n);
-    rec.policy = retry_;
-    rec.alive.assign(n, 1);
-    rec.host.resize(n);
-    std::iota(rec.host.begin(), rec.host.end(), 0);
-    rec.alive_count = n;
-  }
-  if (rec.health != nullptr) {
-    PARQO_CHECK(rec.health->num_nodes() >= n);
-    // Pre-emptive quarantine: partitions hosted by open-breaker nodes
-    // are re-homed to survivors BEFORE any work dispatches, so the
-    // session never probes (and never crash-detects) a known-sick node.
-    // The last survivor is never quarantined — a query beats no query.
-    MutexLock lock(rec.mu);
-    for (int i = 0; i < n; ++i) {
-      if (rec.alive_count <= 1) break;
-      if (!rec.health->AllowRoute(i)) {
-        rec.alive[i] = 0;
-        --rec.alive_count;
-        m.quarantined_nodes.push_back(i);
+  // The one operator boundary: evaluates the subtree at pre-order index
+  // `at` into `out`, its scans filtered by `filters`, and stops at the
+  // first unrecoverable fault. A join's children are evaluated first and
+  // its kind picks each node's inputs; the boundary owns the span, the
+  // per-partition fan-out, the per-node row counts, the recorded
+  // cardinality and the Eq. 3 cost.
+  Status RunOperator(const PlanNode& node, std::size_t at,
+                     std::span<const KeyFilter* const> filters,
+                     DistTable& out) {
+    const OpNames names = NamesOf(node);
+    // The span covers the whole subtree; nested operator spans on the
+    // same thread render as a flame graph in the trace viewer.
+    TraceSpan span(names.span, "exec");
+    const bool scan = node.kind == PlanNode::Kind::kScan;
+    ResolvedPattern rp;
+    std::vector<DistTable> children(node.children.size());
+    JoinInputs in;
+    double max_child_cost = 0;
+    std::vector<double> input_cards;
+    if (scan) {
+      rp = BindPattern(ex_.jg_.pattern(node.tp), ex_.jg_,
+                       ex_.cluster_.graph().dict());
+      // Partitioners replicate triples, so only a single node's scan is
+      // known to be disjoint.
+      in.disjoint = n_ == 1;
+    } else {
+      PARQO_RETURN_IF_ERROR(EvalChildren(node, at, filters, children));
+      for (const DistTable& f : children) {
+        max_child_cost = std::max(max_child_cost, f.cost);
+        input_cards.push_back(static_cast<double>(f.GlobalRows()));
+      }
+      in.tables.reserve(children.size());
+      switch (node.method) {
+        case JoinMethod::kLocal:
+          LocalJoin(children, in);
+          break;
+        case JoinMethod::kBroadcast:
+          ++m_.distributed_joins;
+          PARQO_RETURN_IF_ERROR(BroadcastJoin(children, in));
+          break;
+        case JoinMethod::kRepartition:
+          ++m_.distributed_joins;
+          PARQO_RETURN_IF_ERROR(RepartitionJoin(node.join_var, children, in));
+          break;
       }
     }
-    for (int q : m.quarantined_nodes) RehomeLocked(rec, q);
+
+    // Every item runs through RunOnePartition: probed when a FaultScope
+    // is active, timed into node_busy_seconds and counted in node_ops
+    // always.
+    out.per_node.resize(n_);
+    auto work = [&](int i) {
+      out.per_node[i] = scan ? Scan(rp, filters, i) : JoinCascade(in, i);
+    };
+    ForEachNode(n_, ex_.parallel_nodes_, [&](int i) {
+      statuses_[i] = RunOnePartition(rec_, m_, names.item, i, work);
+    });
+    for (Status& st : statuses_) {
+      if (!st.ok()) return std::move(st);
+    }
+    out.schema = scan ? rp.schema : out.per_node[0].schema();
+    out.disjoint = in.disjoint;
+    std::vector<std::uint64_t>& node_rows =
+        scan ? m_.node_rows_scanned : m_.node_rows_joined;
+    for (int i = 0; i < n_; ++i) node_rows[i] += out.per_node[i].NumRows();
+    if (scan) m_.rows_scanned += out.GlobalRows();
+
+    // Opt-in estimated-vs-measured cardinality per operator.
+    if (ex_.record_op_cards_) {
+      ExecMetrics::OpCardinality oc;
+      oc.op = names.card;
+      for (int tp : node.tps) oc.tps.push_back(tp);
+      oc.estimated = node.cardinality;
+      oc.actual = Gather(out).NumRows();
+      m_.op_cards.push_back(std::move(oc));
+    }
+    if (!scan) {
+      const double op_cost = ex_.cost_model_.JoinOpCost(
+          node.method, input_cards, static_cast<double>(out.GlobalRows()));
+      m_.total_work += op_cost;
+      out.cost = max_child_cost + op_cost;
+    }
+    return Status::Ok();
   }
 
-  // Recursive evaluation; fills the distributed table and the measured
-  // Eq. 3 cost of the subtree, or stops at the first unrecoverable fault.
-  struct Frame {
-    DistTable table;
-    double cost = 0;
-  };
-
-  // Partition p's buffers for this run, and the driver thread's own for
-  // the gathers between operators.
-  std::vector<PartitionScratch> scratch(n);
-  DedupScratch driver_dedup;
-
   // The distinct rows of a distributed table, in node order.
-  auto gather = [&](const DistTable& table) {
+  BindingTable Gather(const DistTable& table) {
     BindingTable g(table.schema);
     g.Reserve(table.GlobalRows());
     for (const BindingTable& t : table.per_node) g.AppendFrom(t);
-    DedupUnlessDistinct(g, table.disjoint, m.dedup_rows, driver_dedup);
+    DedupUnlessDistinct(g, table.disjoint, m_.dedup_rows, driver_dedup_);
     return g;
-  };
+  }
 
-  // Opt-in estimated-vs-measured cardinality per operator. Driver-thread
-  // only (eval recursion runs on the driver; workers only fill tables).
-  auto record_card = [&](const PlanNode& node, const DistTable& table,
-                         const char* op) {
-    if (!record_op_cards_) return;
-    const BindingTable g = gather(table);
-    ExecMetrics::OpCardinality oc;
-    oc.op = op;
-    for (int tp : node.tps) oc.tps.push_back(tp);
-    oc.estimated = node.cardinality;
-    oc.actual = g.NumRows();
-    m.op_cards.push_back(std::move(oc));
-  };
-  // Sideways information passing needs each plan node's variables; the
-  // recording pass runs unfiltered, so it skips the annotation.
-  std::vector<PlanInfo> info;
-  if (!record_op_cards_) Annotate(plan, jg_, info);
+  // Merge-kernel picks this run, summed over partitions.
+  std::uint64_t MergeJoins() const {
+    std::uint64_t sum = 0;
+    for (const PartitionScratch& s : scratch_) sum += s.merge_joins;
+    return sum;
+  }
 
-  std::function<Status(const PlanNode&, std::size_t,
-                       std::span<const KeyFilter* const>, Frame*)>
-      eval = [&](const PlanNode& node, std::size_t at,
-                 std::span<const KeyFilter* const> filters,
-                 Frame* frame) -> Status {
-    // The span covers the whole subtree; nested operator spans on the
-    // same thread render as a flame graph in the trace viewer.
-    TraceSpan span(SpanName(node), "exec");
-    if (node.kind == PlanNode::Kind::kScan) {
-      ResolvedPattern rp =
-          BindPattern(jg_.pattern(node.tp), jg_, cluster_.graph().dict());
-      frame->table.schema = rp.schema;
-      frame->table.per_node.resize(n);
-      // Partitioners replicate triples, so only a single node's scan is
-      // known to be disjoint.
-      frame->table.disjoint = n == 1;
-      PARQO_RETURN_IF_ERROR(RunPartitioned(
-          rec, m, "scan", n, parallel_nodes_, [&](int i) {
-            // Several filters can reach one leaf; the fewest keys prune
-            // the most.
-            ScanFilter sf;
-            for (const KeyFilter* f : filters) {
-              const KeySet& keys = f->For(i);
-              if (sf.keys == nullptr || keys.size() < sf.keys->size()) {
-                sf = {f->var, &keys};
-              }
-            }
-            frame->table.per_node[i] = cluster_.node(i).Scan(
-                rp, kDefaultMorselRows, parallel_nodes_, sf,
-                &scratch[i].scan);
-          }));
-      for (int i = 0; i < n; ++i) {
-        std::uint64_t rows = frame->table.per_node[i].NumRows();
-        m.rows_scanned += rows;
-        m.node_rows_scanned[i] += rows;
-      }
-      record_card(node, frame->table, "scan");
-      frame->cost = 0;
-      return Status::Ok();
-    }
-
-    // Evaluate children, smallest estimate first, each later child
-    // filtered by the keys of a smaller evaluated sibling. The join and
-    // Eq. 3 still see the children in plan order. The recording pass
-    // keeps plan order and runs unfiltered, so op_cards report the
-    // unreduced cardinalities the estimator predicts.
+ private:
+  // Evaluates a join's children, smallest estimate first, each later
+  // child filtered by the keys of a smaller evaluated sibling. The join
+  // and Eq. 3 still see the children in plan order. The recording pass
+  // keeps plan order and runs unfiltered, so op_cards report the
+  // unreduced cardinalities the estimator predicts.
+  Status EvalChildren(const PlanNode& node, std::size_t at,
+                      std::span<const KeyFilter* const> filters,
+                      std::vector<DistTable>& children) {
     const std::size_t k = node.children.size();
-    std::vector<Frame> children(k);
     std::vector<std::size_t> order(k);
     std::iota(order.begin(), order.end(), 0);
     std::vector<std::size_t> pos(k);
-    if (!record_op_cards_) {
+    if (!ex_.record_op_cards_) {
       pos[0] = at + 1;
       for (std::size_t c = 1; c < k; ++c) {
-        pos[c] = pos[c - 1] + info[pos[c - 1]].size;
+        pos[c] = pos[c - 1] + info_[pos[c - 1]].size;
       }
       std::stable_sort(order.begin(), order.end(),
                        [&](std::size_t a, std::size_t b) {
@@ -652,17 +704,15 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
                                 node.children[b]->cardinality;
                        });
     }
-    auto child_rows = [&](std::size_t c) {
-      return children[c].table.GlobalRows();
-    };
+    auto child_rows = [&](std::size_t c) { return children[c].GlobalRows(); };
     std::vector<const KeyFilter*> child_filters;
     for (std::size_t idx = 0; idx < k; ++idx) {
       const std::size_t c = order[idx];
       child_filters.clear();
       KeyFilter own;
-      if (!record_op_cards_) {
+      if (!ex_.record_op_cards_) {
         for (const KeyFilter* f : filters) {
-          if (info[pos[c]].vars.test(f->var)) child_filters.push_back(f);
+          if (info_[pos[c]].vars.test(f->var)) child_filters.push_back(f);
         }
         // The smallest evaluated sibling lends its keys when it is well
         // below the child's estimate.
@@ -675,258 +725,230 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
           // Per-node key sets are exact for a local join whose child
           // keeps every row on its node; anything else needs one global
           // set.
-          own = BuildFilter(children[sib].table.per_node,
-                            children[sib].table.schema,
-                            info[pos[c]].vars & info[pos[sib]].vars,
+          own = BuildFilter(children[sib].per_node,
+                            children[sib].schema,
+                            info_[pos[c]].vars & info_[pos[sib]].vars,
                             node.method == JoinMethod::kLocal &&
-                                info[pos[c]].node_local);
+                                info_[pos[c]].node_local);
           if (own.var != kInvalidVarId) child_filters.push_back(&own);
         }
       }
       PARQO_RETURN_IF_ERROR(
-          eval(*node.children[c], pos[c], child_filters, &children[c]));
+          RunOperator(*node.children[c], pos[c], child_filters, children[c]));
     }
-    double max_child_cost = 0;
-    std::vector<double> input_cards;
-    for (const Frame& f : children) {
-      max_child_cost = std::max(max_child_cost, f.cost);
-      input_cards.push_back(static_cast<double>(f.table.GlobalRows()));
-    }
-
-    if (node.method != JoinMethod::kLocal) ++m.distributed_joins;
-
-    DistTable out;
-    out.per_node.resize(n);
-    switch (node.method) {
-      case JoinMethod::kLocal: {
-        PARQO_RETURN_IF_ERROR(RunPartitioned(
-            rec, m, "local_join", n, parallel_nodes_, [&](int i) {
-              // The first join reads both inputs in place; each later
-              // one reads the previous output.
-              BindingTable acc = Join(children[0].table.per_node[i],
-                                      children[1].table.per_node[i],
-                                      scratch[i].join);
-              for (std::size_t c = 2; c < children.size(); ++c) {
-                acc = Join(acc, children[c].table.per_node[i],
-                           scratch[i].join);
-              }
-              out.per_node[i] = std::move(acc);
-            }));
-        // A row repeated on two nodes would repeat its projection onto
-        // every child.
-        for (const Frame& f : children) {
-          out.disjoint = out.disjoint || f.table.disjoint;
-        }
-        break;
-      }
-      case JoinMethod::kBroadcast: {
-        // Keep the globally largest input partitioned; gather the rest.
-        std::size_t largest = 0;
-        for (std::size_t c = 1; c < children.size(); ++c) {
-          if (children[c].table.GlobalRows() >
-              children[largest].table.GlobalRows()) {
-            largest = c;
-          }
-        }
-        std::vector<BindingTable> gathered;
-        for (std::size_t c = 0; c < children.size(); ++c) {
-          if (c == largest) continue;
-          BindingTable g = gather(children[c].table);
-          // One copy of the gathered input lands on every node; each
-          // copy is one shipment the flaky network may eat.
-          std::uint64_t rows = g.NumRows() * static_cast<std::uint64_t>(n);
-          std::uint64_t bytes = rows * RowBytes(g.schema());
-          for (int i = 0; i < n; ++i) {
-            PARQO_RETURN_IF_ERROR(
-                DeliverBatch(rec, m, "broadcast", g.NumRows(), i));
-          }
-          m.rows_transferred += rows;
-          m.bytes_shipped += bytes;
-          m.edges.push_back({"broadcast", rows, bytes});
-          gathered.push_back(std::move(g));
-        }
-        PARQO_RETURN_IF_ERROR(RunPartitioned(
-            rec, m, "broadcast_join", n, parallel_nodes_, [&](int i) {
-              // The kept input is read in place, never copied.
-              BindingTable acc = Join(children[largest].table.per_node[i],
-                                      gathered[0], scratch[i].join);
-              for (std::size_t g = 1; g < gathered.size(); ++g) {
-                acc = Join(acc, gathered[g], scratch[i].join);
-              }
-              out.per_node[i] = std::move(acc);
-            }));
-        // Every node joins the same gathered rows, so output rows are
-        // disjoint when the partitioned input's are.
-        out.disjoint = children[largest].table.disjoint;
-        break;
-      }
-      case JoinMethod::kRepartition: {
-        // Re-hash every input on the cmd's join variable.
-        std::vector<std::vector<BindingTable>> routed(children.size());
-        std::vector<std::size_t> counts(n);
-        std::vector<TermId*> cursor(n);
-        for (std::size_t c = 0; c < children.size(); ++c) {
-          const DistTable& in = children[c].table;
-          int col = -1;
-          if (!in.per_node.empty()) {
-            col = in.per_node[0].ColumnOf(node.join_var);
-          }
-          PARQO_CHECK(col >= 0);
-          // One counting-sort scatter: the target of every row and the
-          // rows per target, then each target's columns filled at their
-          // exact size. A target receives source 0's rows in row order,
-          // then source 1's, and so on.
-          std::fill(counts.begin(), counts.end(), 0);
-          for (int src = 0; src < n; ++src) {
-            const std::vector<TermId>& keys = in.per_node[src].Column(col);
-            std::vector<std::uint32_t>& route = scratch[src].route;
-            route.resize(keys.size());
-            for (std::size_t r = 0; r < keys.size(); ++r) {
-              const int target = HashToNode(keys[r], n);
-              route[r] = static_cast<std::uint32_t>(target);
-              ++counts[target];
-            }
-          }
-          routed[c].reserve(n);
-          for (int target = 0; target < n; ++target) {
-            routed[c].emplace_back(in.schema);
-          }
-          for (int col_i = 0; col_i < static_cast<int>(in.schema.size());
-               ++col_i) {
-            for (int target = 0; target < n; ++target) {
-              std::vector<TermId>& dst =
-                  routed[c][target].MutableColumn(col_i);
-              dst.resize(counts[target]);
-              cursor[target] = dst.data();
-            }
-            for (int src = 0; src < n; ++src) {
-              const std::vector<TermId>& from =
-                  in.per_node[src].Column(col_i);
-              const std::vector<std::uint32_t>& route = scratch[src].route;
-              for (std::size_t r = 0; r < from.size(); ++r) {
-                *cursor[route[r]]++ = from[r];
-              }
-            }
-          }
-          for (int src = 0; src < n; ++src) ReleaseIfLarge(scratch[src].route);
-          // Deliver (and count) at the receiving end so per-node sums
-          // reproduce the totals exactly: every routed row has one
-          // target. One target's batch is one shipment.
-          std::uint64_t edge_rows = 0;
-          for (int t = 0; t < n; ++t) {
-            std::uint64_t batch = routed[c][t].NumRows();
-            PARQO_RETURN_IF_ERROR(
-                DeliverBatch(rec, m, "repartition", batch, t));
-            edge_rows += batch;
-          }
-          std::uint64_t edge_bytes = edge_rows * RowBytes(in.schema);
-          m.rows_transferred += edge_rows;
-          m.bytes_shipped += edge_bytes;
-          m.edges.push_back({"repartition", edge_rows, edge_bytes});
-          // Replicated source rows can meet at the target; dedup there
-          // unless the source had none.
-          for (int t = 0; t < n; ++t) {
-            DedupUnlessDistinct(routed[c][t], in.disjoint, m.dedup_rows,
-                                scratch[t].dedup);
-          }
-        }
-        PARQO_RETURN_IF_ERROR(RunPartitioned(
-            rec, m, "repartition_join", n, parallel_nodes_, [&](int i) {
-              BindingTable acc = Join(routed[0][i], routed[1][i],
-                                      scratch[i].join);
-              for (std::size_t c = 2; c < children.size(); ++c) {
-                acc = Join(acc, routed[c][i], scratch[i].join);
-              }
-              out.per_node[i] = std::move(acc);
-              // The routed inputs were this item's alone; free them now
-              // rather than when every node is done.
-              for (std::vector<BindingTable>& r : routed) r[i] = {};
-            }));
-        // Every output row lives on the node its join-variable binding
-        // hashes to.
-        out.disjoint = true;
-        break;
-      }
-    }
-    out.schema = out.per_node.empty() ? std::vector<VarId>{}
-                                      : out.per_node[0].schema();
-    for (int i = 0; i < n; ++i) {
-      m.node_rows_joined[i] += out.per_node[i].NumRows();
-    }
-    record_card(node, out,
-                node.method == JoinMethod::kLocal        ? "local"
-                : node.method == JoinMethod::kBroadcast  ? "broadcast"
-                                                         : "repartition");
-
-    double output_card = static_cast<double>(out.GlobalRows());
-    double op_cost = cost_model_.JoinOpCost(node.method, input_cards,
-                                            output_card);
-    m.total_work += op_cost;
-    frame->cost = max_child_cost + op_cost;
-    frame->table = std::move(out);
     return Status::Ok();
-  };
+  }
 
-  Frame root;
-  Status st = eval(plan, 0, {}, &root);
-  if (!st.ok()) {
-    // Partial per-operator sums must never leak into reports: zero
-    // everything (per-node vectors stay sized so sums still reconcile
-    // at 0 == 0) and mark the run failed. Wall time is kept — it is an
-    // observation of this run, not a per-operator sum.
-    double wall = watch.ElapsedSeconds();
-    m = ExecMetrics{};
+  // Partition `part`'s share of a scan. Several filters can reach one
+  // leaf; the fewest keys prune the most.
+  BindingTable Scan(const ResolvedPattern& rp,
+                    std::span<const KeyFilter* const> filters, int part) {
+    ScanFilter sf;
+    for (const KeyFilter* f : filters) {
+      const KeySet& keys = f->For(part);
+      if (sf.keys == nullptr || keys.size() < sf.keys->size()) {
+        sf = {f->var, &keys};
+      }
+    }
+    return ex_.cluster_.node(part).Scan(rp, kDefaultMorselRows,
+                                        ex_.parallel_nodes_, sf,
+                                        &scratch_[part].scan);
+  }
+
+  // Each node joins its own rows of every child, in plan order.
+  void LocalJoin(std::vector<DistTable>& children, JoinInputs& in) {
+    for (DistTable& f : children) {
+      in.tables.push_back(&f);
+      // A row repeated on two nodes would repeat its projection onto
+      // every child.
+      in.disjoint = in.disjoint || f.disjoint;
+    }
+  }
+
+  // Keeps the globally largest input partitioned and ships one copy of
+  // each other input, gathered, to every node. Each node joins the kept
+  // input first, then the gathered ones in child order.
+  Status BroadcastJoin(std::vector<DistTable>& children, JoinInputs& in) {
+    std::size_t largest = 0;
+    for (std::size_t c = 1; c < children.size(); ++c) {
+      if (children[c].GlobalRows() > children[largest].GlobalRows()) {
+        largest = c;
+      }
+    }
+    in.tables.push_back(&children[largest]);
+    for (std::size_t c = 0; c < children.size(); ++c) {
+      if (c == largest) continue;
+      DistTable& t = children[c];
+      BindingTable g = Gather(t);
+      // Each node's copy is one shipment the flaky network may eat.
+      const std::uint64_t rows = g.NumRows() * static_cast<std::uint64_t>(n_);
+      const std::uint64_t bytes = rows * RowBytes(g.schema());
+      for (int i = 0; i < n_; ++i) {
+        PARQO_RETURN_IF_ERROR(
+            DeliverBatch(rec_, m_, "broadcast", g.NumRows(), i));
+      }
+      m_.rows_transferred += rows;
+      m_.bytes_shipped += bytes;
+      m_.edges.push_back({"broadcast", rows, bytes});
+      t.per_node.clear();
+      t.per_node.push_back(std::move(g));
+      in.tables.push_back(&t);
+    }
+    // Every node joins the same gathered rows, so output rows are
+    // disjoint when the partitioned input's are.
+    in.disjoint = children[largest].disjoint;
+    return Status::Ok();
+  }
+
+  // Re-hashes every input on the cmd's join variable `var`. Each node
+  // joins its routed share of every input, in plan order.
+  Status RepartitionJoin(VarId var, std::vector<DistTable>& children,
+                         JoinInputs& in) {
+    std::vector<std::size_t> counts(n_);
+    std::vector<TermId*> cursor(n_);
+    for (DistTable& t : children) {
+      const int col = t.per_node[0].ColumnOf(var);
+      PARQO_CHECK(col >= 0);
+      // One counting-sort scatter: the target of every row and the rows
+      // per target, then each target's columns filled at their exact
+      // size. A target receives source 0's rows in row order, then
+      // source 1's, and so on.
+      std::fill(counts.begin(), counts.end(), 0);
+      for (int src = 0; src < n_; ++src) {
+        const std::vector<TermId>& keys = t.per_node[src].Column(col);
+        std::vector<std::uint32_t>& route = scratch_[src].route;
+        route.resize(keys.size());
+        for (std::size_t r = 0; r < keys.size(); ++r) {
+          const int target = HashToNode(keys[r], n_);
+          route[r] = static_cast<std::uint32_t>(target);
+          ++counts[target];
+        }
+      }
+      std::vector<BindingTable> routed(n_, BindingTable(t.schema));
+      for (int col_i = 0; col_i < static_cast<int>(t.schema.size());
+           ++col_i) {
+        for (int target = 0; target < n_; ++target) {
+          std::vector<TermId>& dst = routed[target].MutableColumn(col_i);
+          dst.resize(counts[target]);
+          cursor[target] = dst.data();
+        }
+        for (int src = 0; src < n_; ++src) {
+          const std::vector<TermId>& from = t.per_node[src].Column(col_i);
+          const std::vector<std::uint32_t>& route = scratch_[src].route;
+          for (std::size_t r = 0; r < from.size(); ++r) {
+            *cursor[route[r]]++ = from[r];
+          }
+        }
+      }
+      for (int src = 0; src < n_; ++src) ReleaseIfLarge(scratch_[src].route);
+      // Deliver (and count) at the receiving end so per-node sums
+      // reproduce the totals exactly: every routed row has one target.
+      // One target's batch is one shipment.
+      std::uint64_t edge_rows = 0;
+      for (int target = 0; target < n_; ++target) {
+        const std::uint64_t batch = routed[target].NumRows();
+        PARQO_RETURN_IF_ERROR(
+            DeliverBatch(rec_, m_, "repartition", batch, target));
+        edge_rows += batch;
+      }
+      const std::uint64_t edge_bytes = edge_rows * RowBytes(t.schema);
+      m_.rows_transferred += edge_rows;
+      m_.bytes_shipped += edge_bytes;
+      m_.edges.push_back({"repartition", edge_rows, edge_bytes});
+      // Replicated source rows can meet at the target; dedup there
+      // unless the source had none.
+      for (int target = 0; target < n_; ++target) {
+        DedupUnlessDistinct(routed[target], t.disjoint, m_.dedup_rows,
+                            scratch_[target].dedup);
+      }
+      t.per_node = std::move(routed);
+      in.tables.push_back(&t);
+    }
+    // Every output row lives on the node its join-variable binding
+    // hashes to.
+    in.disjoint = true;
+    return Status::Ok();
+  }
+
+  // The k-way join of partition `part`: the first two inputs read in
+  // place, each later one against the previous output. A per-node input
+  // belongs to this item alone, so it is freed once joined; a gathered
+  // input every node reads stays.
+  BindingTable JoinCascade(const JoinInputs& in, int part) {
+    PartitionScratch& s = scratch_[part];
+    BatchJoinOptions opts;
+    opts.scratch = &s.join;
+    // Morsel parallelism composes with the per-node ForEachNode fan-out:
+    // both run on the same nest-safe pool. Morsels only spread a probe
+    // over threads, so a serial join probes as one morsel into one match
+    // chunk (the output is the same either way).
+    opts.parallel = ex_.parallel_nodes_;
+    if (!ex_.parallel_nodes_) opts.morsel_rows = 0;
+    // Merge kernel when both inputs arrive sorted on the single shared
+    // variable (index scans establish the order; order-preserving
+    // operators propagate it). Bit-identical to the hash kernel.
+    auto join = [&](const BindingTable& left, const BindingTable& right) {
+      if (MergeJoinKey(left, right) != kInvalidVarId) {
+        ++s.merge_joins;
+        return BatchMergeJoin(left, right, opts);
+      }
+      return BatchHashJoin(left, right, opts);
+    };
+    auto input = [&](std::size_t j) -> const BindingTable& {
+      const std::vector<BindingTable>& t = in.tables[j]->per_node;
+      return t.size() == 1 ? t[0] : t[part];
+    };
+    BindingTable acc = join(input(0), input(1));
+    for (std::size_t j = 2; j < in.tables.size(); ++j) {
+      acc = join(acc, input(j));
+    }
+    for (DistTable* t : in.tables) {
+      if (t->per_node.size() == static_cast<std::size_t>(n_)) {
+        t->per_node[part] = {};
+      }
+    }
+    return acc;
+  }
+
+  const Executor& ex_;
+  ExecMetrics& m_;
+  const int n_;
+  Recovery rec_;
+  std::vector<PartitionScratch> scratch_;
+  DedupScratch driver_dedup_;  // for the gathers between operators
+  std::vector<PlanInfo> info_;
+  std::vector<Status> statuses_;  // one per partition, reused per operator
+};
+
+Result<BindingTable> Executor::Execute(const PlanNode& plan,
+                                       ExecMetrics* metrics) {
+  Stopwatch watch;
+  ExecMetrics local_metrics;
+  ExecMetrics& m = metrics != nullptr ? *metrics : local_metrics;
+  const int n = cluster_.num_nodes();
+  ResetMetrics(m, n);
+  Run run(*this, plan, m);
+  DistTable root;
+  Status st = run.RunOperator(plan, 0, {}, root);
+  BindingTable result;
+  if (st.ok()) {
+    m.measured_cost = root.cost;
+    m.merge_joins = run.MergeJoins();
+    result = run.Gather(root);
+    m.result_rows = result.NumRows();
+    m.wall_seconds = watch.ElapsedSeconds();
+  } else {
+    // Partial per-operator sums must never leak into reports. Wall time
+    // is kept: it is an observation of this run, not a per-operator sum.
+    const double wall = watch.ElapsedSeconds();
+    ResetMetrics(m, n);
     m.failed = true;
-    m.node_rows_scanned.assign(n, 0);
-    m.node_rows_received.assign(n, 0);
-    m.node_rows_joined.assign(n, 0);
-    m.node_busy_seconds.assign(n, 0.0);
-    m.node_ops.assign(n, 0);
-    m.node_failures.assign(n, 0);
     m.wall_seconds = wall;
-    if (MetricsEnabled()) {
-      MetricsRegistry::Global().counter("exec.failures").Add(1);
-    }
-    return st;
   }
-  m.measured_cost = root.cost;
-  m.merge_joins = merge_joins_.load(std::memory_order_relaxed);
-
-  BindingTable result = gather(root.table);
-  m.result_rows = result.NumRows();
-  m.wall_seconds = watch.ElapsedSeconds();
-
-  if (MetricsEnabled()) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.counter("exec.queries").Add(1);
-    reg.counter("exec.rows_scanned").Add(m.rows_scanned);
-    reg.counter("exec.rows_transferred").Add(m.rows_transferred);
-    reg.counter("exec.dedup_rows").Add(m.dedup_rows);
-    reg.counter("exec.bytes_shipped").Add(m.bytes_shipped);
-    reg.counter("exec.distributed_joins").Add(m.distributed_joins);
-    if (m.merge_joins > 0) {
-      reg.counter("exec.merge_joins").Add(m.merge_joins);
-    }
-    reg.counter("exec.result_rows").Add(m.result_rows);
-    reg.histogram("exec.wall_seconds").Observe(m.wall_seconds);
-    reg.histogram("exec.measured_cost").Observe(m.measured_cost);
-    if (m.recovery_attempts > 0) {
-      reg.counter("exec.recovery_attempts").Add(m.recovery_attempts);
-      reg.counter("exec.operators_reexecuted").Add(m.operators_reexecuted);
-      reg.counter("exec.rows_reshipped").Add(m.rows_reshipped);
-      reg.counter("exec.shipments_dropped").Add(m.shipments_dropped);
-      reg.counter("exec.node_crashes")
-          .Add(static_cast<std::uint64_t>(m.degraded_nodes.size()));
-    }
-    if (m.hedged_ops > 0) {
-      reg.counter("server.health.hedged_ops").Add(m.hedged_ops);
-      reg.counter("server.health.hedge_wins").Add(m.hedge_wins);
-    }
-    if (!m.quarantined_nodes.empty()) {
-      reg.counter("server.health.nodes_quarantined")
-          .Add(static_cast<std::uint64_t>(m.quarantined_nodes.size()));
-    }
-  }
+  // A recording pass re-gathers every operator and runs unfiltered: its
+  // counts are not a query's, so it publishes none.
+  if (MetricsEnabled() && !record_op_cards_) PublishMetrics(m);
+  if (!st.ok()) return st;
   return result;
 }
 

@@ -21,13 +21,14 @@
 // and re-ships only the lost batches — all bounded by a RetryPolicy.
 // When recovery is impossible the query returns a typed
 // StatusCode::kUnavailable and zeroed metrics; it never returns a
-// silently wrong result. With no FaultScope the fault path costs one
-// null-pointer check per operator work item and allocates nothing.
+// silently wrong result. Every work item runs through that one recovery
+// path, faults or not: with no FaultScope it probes nothing, and each
+// item costs a timer and two short critical sections on the run's
+// recovery lock, and allocates nothing.
 
 #ifndef PARQO_EXEC_EXECUTOR_H_
 #define PARQO_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -133,11 +134,10 @@ struct ExecMetrics {
   std::uint64_t shipments_dropped = 0;    ///< Batches the network ate.
   std::vector<int> degraded_nodes;        ///< Nodes that crashed, in order.
 
-  /// Health instrumentation (exec/health.h; populated only when the run
-  /// is instrumented, i.e. a FaultScope is active or a
-  /// NodeHealthRegistry is attached — the plain path stays untimed).
-  /// Per-PHYSICAL-node attribution: re-homed and hedged work counts
-  /// toward the node that actually executed it.
+  /// Work-item timing and health signals (exec/health.h). Every run
+  /// fills node_busy_seconds and node_ops: each operator runs one work
+  /// item per partition. Per-PHYSICAL-node attribution: re-homed and
+  /// hedged work counts toward the node that actually executed it.
   std::vector<double> node_busy_seconds;      ///< Wall time in work items.
   std::vector<std::uint64_t> node_ops;        ///< Work items completed.
   std::vector<std::uint64_t> node_failures;   ///< Probe failures detected.
@@ -159,13 +159,13 @@ ResolvedPattern BindPattern(const TriplePattern& pattern,
 enum class ExecEngine { kBatch };
 
 class NodeHealthRegistry;  // exec/health.h
-struct JoinScratch;         // exec/join_kernel.h
 
 class Executor {
  public:
   /// All references must outlive the executor. With `parallel_nodes` the
-  /// per-node work of every operator (scans and joins) runs on one
-  /// thread per simulated node, like the real cluster would. `retry`
+  /// per-node work items of every operator (scans and joins) run
+  /// concurrently on the shared thread pool, at most 32 workers at a
+  /// time, like the real cluster's nodes would. `retry`
   /// bounds fault recovery; it is irrelevant without an active
   /// FaultScope. `health` (optional, not owned) attaches the cross-query
   /// resilience layer: open-breaker nodes are quarantined at dispatch,
@@ -186,16 +186,12 @@ class Executor {
   /// Records per-operator estimated-vs-measured cardinality into
   /// ExecMetrics::op_cards. Off by default: it adds one global gather +
   /// dedup per operator, which benches opt into but queries do not pay.
+  /// A recording run evaluates unfiltered and in plan order, so its
+  /// counts are not a query's: it adds nothing to MetricsRegistry.
   void set_record_op_cardinalities(bool on) { record_op_cards_ = on; }
 
  private:
-  struct DistTable;  // per-node tables; defined in the .cc
-
-  /// Joins two node-local inputs: the merge kernel when both arrive
-  /// sorted on their single shared variable, else the hash kernel. The
-  /// kernel's buffers come from the calling partition's `scratch`.
-  BindingTable Join(const BindingTable& left, const BindingTable& right,
-                    JoinScratch& scratch) const;
+  class Run;  // one Execute's state and operators; defined in the .cc
 
   const Cluster& cluster_;
   const JoinGraph& jg_;
@@ -204,10 +200,6 @@ class Executor {
   RetryPolicy retry_;
   NodeHealthRegistry* health_;
   bool record_op_cards_ = false;
-  /// Merge-kernel picks this run; workers bump it concurrently, Execute()
-  /// snapshots it into ExecMetrics::merge_joins.
-  // parqo-lint: allow(guarded-field) atomic counter, relaxed order is fine
-  mutable std::atomic<std::uint64_t> merge_joins_{0};
 };
 
 /// Convenience: executes and projects onto the query's SELECT variables.

@@ -92,8 +92,7 @@ struct ServerConfig {
   /// Self-healing serving (DESIGN.md section 16). With `enable_health`
   /// the server owns a NodeHealthRegistry: sessions feed it, breakers
   /// quarantine sick nodes, stragglers are hedged. Off restores the
-  /// memoryless pre-health behavior (and the un-instrumented executor
-  /// fast path when no FaultScope is active).
+  /// memoryless pre-health behavior: no quarantine and no hedging.
   bool enable_health = true;
   HealthConfig health;
   /// Bounded admission wait-queue depth (0 = immediate rejection) and

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,24 @@ void ExpectSameMetrics(const ExecMetrics& a, const ExecMetrics& b) {
   EXPECT_EQ(a.node_rows_scanned, b.node_rows_scanned);
   EXPECT_EQ(a.node_rows_received, b.node_rows_received);
   EXPECT_EQ(a.node_rows_joined, b.node_rows_joined);
+  EXPECT_EQ(a.node_ops, b.node_ops);
   ASSERT_EQ(a.edges.size(), b.edges.size());
   for (std::size_t i = 0; i < a.edges.size(); ++i) {
     EXPECT_EQ(a.edges[i].op, b.edges[i].op);
     EXPECT_EQ(a.edges[i].rows, b.edges[i].rows);
     EXPECT_EQ(a.edges[i].bytes, b.edges[i].bytes);
   }
+}
+
+// Plan operators (scans and joins) in the subtree.
+std::uint64_t Operators(const PlanNode& node) {
+  std::uint64_t ops = 1;
+  for (const PlanNodePtr& c : node.children) ops += Operators(*c);
+  return ops;
+}
+
+std::uint64_t Sum(const std::vector<std::uint64_t>& v) {
+  return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
 }
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<BenchmarkQuery> {
@@ -129,6 +142,9 @@ TEST_P(EngineEquivalenceTest, AllAlgorithmsSerialAndParallel) {
     EXPECT_TRUE(*rs == *rp) << "serial " << rs->NumRows()
                             << " rows vs parallel " << rp->NumRows();
     ExpectSameMetrics(ms, mp);
+    // Without faults every operator runs exactly one work item per
+    // partition, and each is attributed to the node that ran it.
+    EXPECT_EQ(Sum(ms.node_ops), Operators(*plan) * kNodes);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "exec/binding_table.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
@@ -680,6 +681,42 @@ TEST_F(ExecutorTest, ProjectionSelectsQueryVariables) {
   EXPECT_EQ(result->num_cols(), 1);
   // Matches: (s1,d1,u1,s2) and (s2,d1,u1,s3); the only university is u1.
   EXPECT_EQ(result->NumRows(), 1u);
+}
+
+TEST_F(ExecutorTest, RecordingPassPublishesNoMetrics) {
+  PlanNodePtr plan = builder_->Join(
+      JoinMethod::kRepartition, jg_->FindVar("y"),
+      {builder_->Join(JoinMethod::kBroadcast, jg_->FindVar("x"),
+                      {builder_->Scan(0), builder_->Scan(2)}),
+       builder_->Scan(1)});
+  // Every exec.* counter and histogram count in the global registry.
+  auto exec_metrics = [] {
+    std::map<std::string, std::uint64_t> out;
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    for (const MetricsSnapshot::CounterEntry& c : snap.counters) {
+      if (c.name.rfind("exec.", 0) == 0) out[c.name] = c.value;
+    }
+    for (const MetricsSnapshot::HistogramEntry& h : snap.histograms) {
+      if (h.name.rfind("exec.", 0) == 0) out[h.name] = h.count;
+    }
+    return out;
+  };
+  const bool was_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  Executor plain(*cluster_, *jg_, CostParams{});
+  ASSERT_TRUE(plain.Execute(*plan, nullptr).ok());
+  const std::map<std::string, std::uint64_t> before = exec_metrics();
+  ASSERT_GT(before.count("exec.queries"), 0u);
+  ASSERT_GT(before.count("exec.rows_scanned"), 0u);
+
+  Executor recording(*cluster_, *jg_, CostParams{});
+  recording.set_record_op_cardinalities(true);
+  ExecMetrics m;
+  ASSERT_TRUE(recording.Execute(*plan, &m).ok());
+  EXPECT_EQ(m.op_cards.size(), 5u);
+  EXPECT_GT(m.rows_scanned, 0u);
+  EXPECT_EQ(exec_metrics(), before);
+  SetMetricsEnabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------
