@@ -51,6 +51,8 @@ struct Record {
   std::uint64_t bound_pruned = 0;
   std::uint64_t result_rows = 0;
   std::uint64_t rows_scanned = 0;
+  /// Index entries the scans decoded (ExecMetrics::rows_decoded).
+  std::uint64_t rows_decoded = 0;
   std::uint64_t rows_transferred = 0;
   std::uint64_t bytes_shipped = 0;
   std::uint64_t distributed_joins = 0;
@@ -126,6 +128,7 @@ std::string ToJson(const Record& r) {
   out += "\"bound_pruned\": " + std::to_string(r.bound_pruned) + ", ";
   out += "\"result_rows\": " + std::to_string(r.result_rows) + ", ";
   out += "\"rows_scanned\": " + std::to_string(r.rows_scanned) + ", ";
+  out += "\"rows_decoded\": " + std::to_string(r.rows_decoded) + ", ";
   out += "\"rows_transferred\": " + std::to_string(r.rows_transferred) +
          ", ";
   out += "\"bytes_shipped\": " + std::to_string(r.bytes_shipped) + ", ";
@@ -349,6 +352,7 @@ Record RunQuery(const std::string& workload, const std::string& name,
   rec.total_work = metrics.total_work;
   rec.result_rows = metrics.result_rows;
   rec.rows_scanned = metrics.rows_scanned;
+  rec.rows_decoded = metrics.rows_decoded;
   rec.rows_transferred = metrics.rows_transferred;
   rec.bytes_shipped = metrics.bytes_shipped;
   rec.distributed_joins = metrics.distributed_joins;
@@ -568,6 +572,7 @@ int Main(int argc, char** argv) {
     totals.optimize_seconds += r.optimize_seconds;
     totals.enumerated += r.enumerated;
     totals.rows_scanned += r.rows_scanned;
+    totals.rows_decoded += r.rows_decoded;
     totals.rows_transferred += r.rows_transferred;
     totals.bytes_shipped += r.bytes_shipped;
     totals.result_rows += r.result_rows;
@@ -650,6 +655,7 @@ int Main(int argc, char** argv) {
           ", ";
   json += "\"enumerated\": " + std::to_string(totals.enumerated) + ", ";
   json += "\"rows_scanned\": " + std::to_string(totals.rows_scanned) + ", ";
+  json += "\"rows_decoded\": " + std::to_string(totals.rows_decoded) + ", ";
   json += "\"rows_transferred\": " +
           std::to_string(totals.rows_transferred) + ", ";
   json += "\"bytes_shipped\": " + std::to_string(totals.bytes_shipped) +

@@ -22,6 +22,7 @@
 #include "exec/cluster.h"
 #include "exec/executor.h"
 #include "exec/join_kernel.h"
+#include "exec/node_store.h"
 #include "optimizer/cbd_enumerator.h"
 #include "optimizer/cmd_enumerator.h"
 #include "optimizer/optimizer.h"
@@ -33,6 +34,7 @@
 #include "stats/data_stats.h"
 #include "stats/estimator.h"
 #include "storage/compressed_index.h"
+#include "storage/permutation_index.h"
 #include "workload/random_query.h"
 #include "workload/watdiv.h"
 
@@ -612,6 +614,95 @@ void BM_VectorLowerBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VectorLowerBound)->Arg(4096)->Arg(65536);
+
+// Filtered-scan access paths (DESIGN.md sections 13 and 17): N keys per
+// range, spread evenly over one predicate's twenty-page range, answered
+// by a run of cursor seeks or by one decode of the range that filters
+// every entry. A key on the subject, the range's sort column, seeks PSO
+// and the decode merges against the sorted keys; a key on the object
+// seeks POS and the decode probes a KeySet. Each row is counted, not
+// written, so only the access path is timed. `decoded` is index entries
+// decoded per scan. The scan assumes a seek costs kBlockEntries / 2
+// entries per key and a decode the range's entries; the crossover where
+// seek time reaches decode time checks that assumption (EXPERIMENTS.md,
+// "Scans cost what they return").
+
+constexpr TermId kScanPredicate = 3;
+constexpr TermId kScanSubjects = 20 * kLeafEntries;
+
+const PermutationIndex& FilteredScanIndex() {
+  static const PermutationIndex* index = [] {
+    std::vector<Triple> triples;
+    for (TermId s = 1; s <= kScanSubjects; ++s) {
+      // 8192 distinct objects, two or three rows each.
+      triples.push_back({s, kScanPredicate, s * 7919 % 8192 + 1});
+      triples.push_back({s, kScanPredicate + 1, s});
+      triples.push_back({s, kScanPredicate - 1, s});
+    }
+    // parqo-lint: allow(naked-new) process-lifetime benchmark fixture
+    return new PermutationIndex(triples);
+  }();
+  return *index;
+}
+
+std::vector<TermId> SpreadKeys(std::size_t n, TermId domain) {
+  std::vector<TermId> keys;
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back(static_cast<TermId>(1 + i * domain / n));
+  }
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// range(0): keys; range(1): 1 = keys on the sorted subject, 0 = on the
+// object; range(2): 1 = seek, 0 = decode.
+void BM_FilteredScan(benchmark::State& state) {
+  const PermutationIndex& index = FilteredScanIndex();
+  const bool sorted = state.range(1) != 0;
+  const bool seek = state.range(2) != 0;
+  const std::vector<TermId> keys = SpreadKeys(
+      static_cast<std::size_t>(state.range(0)), sorted ? kScanSubjects : 8192);
+  const KeySet set(keys);
+  const CompressedKeyIndex& pso = index.perm(Perm::kPso);
+  const CompressedKeyIndex& pos = index.perm(Perm::kPos);
+  const IndexKey lo{kScanPredicate, 0, 0};
+  const IndexKey hi{kScanPredicate, kMaxTermId, kMaxTermId};
+  std::uint64_t rows = 0;
+  std::uint64_t decoded = 0;
+  std::uint64_t scans = 0;
+  for (auto _ : state) {
+    if (seek) {
+      CompressedKeyIndex::Seeker seeker(sorted ? pso : pos);
+      for (TermId k : keys) {
+        seeker.Scan({kScanPredicate, k, 0},
+                    {kScanPredicate, k, kMaxTermId},
+                    [&](const IndexKey&) { ++rows; });
+      }
+      decoded += seeker.decoded();
+    } else if (sorted) {
+      const TermId* cur = keys.data();
+      const TermId* end = cur + keys.size();
+      decoded += pso.ScanRange(lo, hi, [&](const IndexKey& k) {
+        cur = std::lower_bound(cur, end, k.k2);
+        if (cur != end && *cur == k.k2) ++rows;
+      });
+    } else {
+      decoded += pso.ScanRange(lo, hi, [&](const IndexKey& k) {
+        if (set.Contains(k.k3)) ++rows;
+      });
+    }
+    ++scans;
+  }
+  benchmark::DoNotOptimize(rows);
+  state.counters["decoded"] =
+      static_cast<double>(decoded) / static_cast<double>(scans);
+  state.counters["rows"] =
+      static_cast<double>(rows) / static_cast<double>(scans);
+}
+BENCHMARK(BM_FilteredScan)
+    ->ArgsProduct({{1, 4, 16, 64, 256, 640, 1024, 2048, 4096},
+                   {1, 0},
+                   {1, 0}});
 
 // Ordered-input join: the merge kernel (two forward cursors, no build
 // table) against the hash kernel it supplants when both inputs arrive

@@ -156,11 +156,11 @@ struct Recovery {
   // parqo-lint: allow(guarded-field) read-only after per-run setup
   RetryPolicy policy;
 
-  /// Guards alive/host/alive_count plus the ExecMetrics recovery fields
-  /// (recovery_attempts / operators_reexecuted / degraded_nodes), which
-  /// live outside this struct and so cannot carry the GUARDED_BY
-  /// themselves. Never held across BeginNodeOp, the retry backoff sleep,
-  /// or the work item itself.
+  /// Guards alive/host/alive_count plus the ExecMetrics fields work items
+  /// write while they run (recovery_attempts, node_failures, hedged_ops,
+  /// hedge_wins, degraded_nodes), which live outside this struct and so
+  /// cannot carry the GUARDED_BY themselves. Never held across
+  /// BeginNodeOp, the retry backoff sleep, or the work item itself.
   Mutex mu{LockRank::kExecRecovery};
   std::vector<char> alive PARQO_GUARDED_BY(mu);
   std::vector<int> host PARQO_GUARDED_BY(mu);
@@ -227,14 +227,25 @@ Status RetryLoop(const RetryPolicy& policy, std::uint64_t seed,
   }
 }
 
+// How one completed work item ran: the node that ran it, its wall time,
+// and whether it took more than one attempt. The item's own thread writes
+// it; the driver adds every partition's into ExecMetrics after the
+// fan-out, so a fault-free item takes Recovery::mu once, for its host.
+struct ItemRun {
+  int host = -1;
+  double busy_seconds = 0;
+  bool reexecuted = false;
+};
+
 // Runs logical partition `part`'s work item for one operator with crash
 // detection: the hosting node is probed before the work runs, so a fired
 // crash loses the whole item (nothing partial is observed) and the item
-// is retried on whatever node hosts the partition after re-homing.
-// `work(part)` must be runnable at most once (it may move its inputs).
+// is retried on whatever node hosts the partition after re-homing. On
+// success `run` says how it ran. `work(part)` must be runnable at most
+// once (it may move its inputs).
 template <typename Work>
 Status RunOnePartition(Recovery& rec, ExecMetrics& m, const char* op,
-                       int part, Work& work) {
+                       int part, Work& work, ItemRun& run) {
   int host = -1;
   return RetryLoop(
       rec.policy, 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(part),
@@ -301,10 +312,7 @@ Status RunOnePartition(Recovery& rec, ExecMetrics& m, const char* op,
           return false;
         }
         work(part);
-        MutexLock lock(rec.mu);
-        m.node_busy_seconds[host] += op_watch.ElapsedSeconds();
-        ++m.node_ops[host];
-        if (attempt > 0) ++m.operators_reexecuted;
+        run = {host, op_watch.ElapsedSeconds(), attempt > 0};
         return true;
       });
 }
@@ -401,6 +409,8 @@ struct PartitionScratch {
   std::vector<std::uint32_t> route;
   /// Joins of this partition that ran the merge kernel.
   std::uint64_t merge_joins = 0;
+  /// Index entries this partition's scans decoded.
+  std::uint64_t rows_decoded = 0;
 };
 
 // An operator's output, one table per node, and the measured Eq. 3 cost
@@ -451,6 +461,7 @@ void PublishMetrics(const ExecMetrics& m) {
   }
   reg.counter("exec.queries").Add(1);
   reg.counter("exec.rows_scanned").Add(m.rows_scanned);
+  reg.counter("exec.rows_decoded").Add(m.rows_decoded);
   reg.counter("exec.rows_transferred").Add(m.rows_transferred);
   reg.counter("exec.dedup_rows").Add(m.dedup_rows);
   reg.counter("exec.bytes_shipped").Add(m.bytes_shipped);
@@ -548,7 +559,8 @@ class Executor::Run {
         m_(m),
         n_(ex.cluster_.num_nodes()),
         scratch_(n_),
-        statuses_(n_) {
+        statuses_(n_),
+        runs_(n_) {
     rec_.fault = ActiveFaultPlan();
     rec_.health = ex.health_;
     rec_.policy = ex.retry_;
@@ -634,10 +646,15 @@ class Executor::Run {
       out.per_node[i] = scan ? Scan(rp, filters, i) : JoinCascade(in, i);
     };
     ForEachNode(n_, ex_.parallel_nodes_, [&](int i) {
-      statuses_[i] = RunOnePartition(rec_, m_, names.item, i, work);
+      statuses_[i] = RunOnePartition(rec_, m_, names.item, i, work, runs_[i]);
     });
     for (Status& st : statuses_) {
       if (!st.ok()) return std::move(st);
+    }
+    for (const ItemRun& r : runs_) {
+      m_.node_busy_seconds[r.host] += r.busy_seconds;
+      ++m_.node_ops[r.host];
+      if (r.reexecuted) ++m_.operators_reexecuted;
     }
     out.schema = scan ? rp.schema : out.per_node[0].schema();
     out.disjoint = in.disjoint;
@@ -673,11 +690,13 @@ class Executor::Run {
     return g;
   }
 
-  // Merge-kernel picks this run, summed over partitions.
-  std::uint64_t MergeJoins() const {
-    std::uint64_t sum = 0;
-    for (const PartitionScratch& s : scratch_) sum += s.merge_joins;
-    return sum;
+  // Merge-kernel picks and index entries decoded this run, summed over
+  // partitions.
+  void SumPartitionCounts() {
+    for (const PartitionScratch& s : scratch_) {
+      m_.merge_joins += s.merge_joins;
+      m_.rows_decoded += s.rows_decoded;
+    }
   }
 
  private:
@@ -750,9 +769,10 @@ class Executor::Run {
         sf = {f->var, &keys};
       }
     }
+    PartitionScratch& s = scratch_[part];
     return ex_.cluster_.node(part).Scan(rp, kDefaultMorselRows,
-                                        ex_.parallel_nodes_, sf,
-                                        &scratch_[part].scan);
+                                        ex_.parallel_nodes_, sf, &s.scan,
+                                        &s.rows_decoded);
   }
 
   // Each node joins its own rows of every child, in plan order.
@@ -917,7 +937,9 @@ class Executor::Run {
   std::vector<PartitionScratch> scratch_;
   DedupScratch driver_dedup_;  // for the gathers between operators
   std::vector<PlanInfo> info_;
-  std::vector<Status> statuses_;  // one per partition, reused per operator
+  // One per partition, reused per operator.
+  std::vector<Status> statuses_;
+  std::vector<ItemRun> runs_;
 };
 
 Result<BindingTable> Executor::Execute(const PlanNode& plan,
@@ -933,7 +955,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
   BindingTable result;
   if (st.ok()) {
     m.measured_cost = root.cost;
-    m.merge_joins = run.MergeJoins();
+    run.SumPartitionCounts();
     result = run.Gather(root);
     m.result_rows = result.NumRows();
     m.wall_seconds = watch.ElapsedSeconds();

@@ -61,6 +61,10 @@ struct ExecMetrics {
   /// Eq. 3 plan time with measured input/output cardinalities.
   double measured_cost = 0;
   std::uint64_t rows_scanned = 0;
+  /// Index entries the scans decoded to return rows_scanned rows,
+  /// including each decode's walk from a restart-block anchor up to its
+  /// lower bound and the key past its upper bound that stops it.
+  std::uint64_t rows_decoded = 0;
   std::uint64_t rows_transferred = 0;
   /// Broadcast/repartition operators executed. In a MapReduce-like
   /// engine each one is a distributed job with fixed scheduling latency,

@@ -1,6 +1,7 @@
 #include "exec/node_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 
 #include "common/check.h"
@@ -24,20 +25,34 @@ int ComponentOf(Perm perm, int field) {
   return fields[0] == field ? 0 : fields[1] == field ? 1 : 2;
 }
 
-// First key at or after `cur` that is >= v: gallop forward, then binary
-// search the last step, so a merge over ascending rows costs O(log gap)
-// per advance however many keys it skips.
-const TermId* AdvanceTo(const TermId* cur, const TermId* end, TermId v) {
-  if (cur == end || *cur >= v) return cur;
+// First index in [i, end) at which pred fails, for a pred that holds on
+// a prefix of the range: gallop forward, then binary search the last
+// step, so skipping a run of n indexes costs O(log n) tests.
+template <typename Pred>
+std::size_t GallopPast(std::size_t i, std::size_t end, Pred&& pred) {
+  if (i == end || !pred(i)) return i;
+  std::size_t lo = i;  // pred(lo) holds
   std::size_t step = 1;
-  const TermId* lo = cur;
-  const TermId* hi = lo + 1;
-  while (hi < end && *hi < v) {
+  std::size_t hi = std::min(end, lo + step);
+  while (hi < end && pred(hi)) {
     lo = hi;
     step <<= 1;
-    hi = end - lo > static_cast<std::ptrdiff_t>(step) ? lo + step : end;
+    hi = std::min(end, lo + step);
   }
-  return std::lower_bound(lo, hi, v);
+  // pred(lo) holds; pred fails at hi, or hi == end.
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (pred(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
+}
+
+void SetKeyAt(IndexKey& k, int i, TermId v) {
+  (i == 0 ? k.k1 : i == 1 ? k.k2 : k.k3) = v;
 }
 
 // How one scan turns a decoded key of its permutation into a row: the
@@ -82,22 +97,18 @@ RowShape ShapeFor(const ResolvedPattern& pattern, Perm perm,
 }
 
 // Writes the row of every decoded key that passes the repeated-variable
-// equalities and the key filter into `cols`, from row 0. The columns are
-// sized up front and doubled when full, so a row costs one capacity check
-// and a plain store per column; Finish() trims them to the rows written.
-// With `merge`, keys arrive ascending on the filter component and the
-// filter's key cursor only moves forward; otherwise it probes the set.
+// equalities and the key filter's probe into `cols`, from row 0. The
+// columns are sized up front and doubled when full, so a row costs one
+// capacity check and a plain store per column; Finish() trims them to the
+// rows written.
 class RowWriter {
  public:
   RowWriter(const RowShape& shape, std::vector<TermId>* const* cols,
-            std::size_t rows, const KeySet* keys, bool merge)
+            std::size_t rows, const KeySet* keys)
       : shape_(shape),
         cols_{cols[0], cols[1], cols[2]},
         cap_(rows),
-        keys_(keys),
-        merge_(merge),
-        cur_(keys != nullptr ? keys->keys().data() : nullptr),
-        end_(cur_ + (keys != nullptr ? keys->size() : 0)) {
+        keys_(keys) {
     Resize(cap_);
   }
 
@@ -105,17 +116,11 @@ class RowWriter {
     for (int e = 0; e < shape_.neq; ++e) {
       if (KeyAt(k, shape_.eq[e][0]) != KeyAt(k, shape_.eq[e][1])) return;
     }
-    if (keys_ != nullptr) {
-      const TermId v = KeyAt(k, shape_.filter);
-      if (merge_) {
-        cur_ = AdvanceTo(cur_, end_, v);
-        if (cur_ == end_ || *cur_ != v) return;
-      } else if (!keys_->Contains(v)) {
-        return;
-      }
+    if (keys_ != nullptr && !keys_->Contains(KeyAt(k, shape_.filter))) {
+      return;
     }
     if (n_ == cap_) {
-      cap_ = std::max(2 * cap_, kLeafEntries);
+      cap_ = std::max(2 * cap_, kBlockEntries);
       Resize(cap_);
     }
     for (int c = 0; c < shape_.ncols; ++c) {
@@ -140,9 +145,6 @@ class RowWriter {
   std::size_t n_ = 0;
   std::size_t cap_;
   const KeySet* keys_;
-  bool merge_;
-  const TermId* cur_;
-  const TermId* end_;
 };
 
 }  // namespace
@@ -167,8 +169,8 @@ NodeStore::NodeStore(std::vector<Triple> triples) : index_(triples) {}
 
 BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
                              std::size_t morsel_rows, bool parallel,
-                             const ScanFilter& filter,
-                             ScanScratch* scratch) const {
+                             const ScanFilter& filter, ScanScratch* scratch,
+                             std::uint64_t* decoded) const {
   BindingTable out(pattern.schema);
   // A pattern with no variable binds no column, so it has no rows.
   if (pattern.unmatchable || pattern.schema.empty()) return out;
@@ -183,23 +185,23 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
   // Rows arrive in key order of the chosen permutation, so the first
   // free key component's column is non-decreasing — the ordered-scan
   // property merge joins use.
+  const int* fields = kPermFields[static_cast<int>(rc.perm)];
   const TermId consts[3] = {pattern.s, pattern.p, pattern.o};
   const VarId vars[3] = {pattern.var_s, pattern.var_p, pattern.var_o};
-  VarId sorted_by = kInvalidVarId;
-  for (const int field : kPermFields[static_cast<int>(rc.perm)]) {
-    if (consts[field] == kInvalidTermId) {
-      sorted_by = vars[field];
-      break;
-    }
-  }
+  int first_free = 0;
+  while (consts[fields[first_free]] != kInvalidTermId) ++first_free;
+  PARQO_DCHECK(first_free < 3);
+  VarId sorted_by = vars[fields[first_free]];
 
   // run(work, per_morsel, rows, decode) fills the output from `decode(b,
   // e, cols, rows)`, which writes the rows of work items [b, e) — pages of
-  // the range, or seek keys — to cols, sized first for `rows` rows. A
-  // serial scan decodes everything straight into the output columns.
-  // Parallel morsels decode into their own chunks, which are concatenated
-  // in morsel order, so the output is byte-for-byte the serial scan's.
+  // the range, or seek keys — to cols, sized first for `rows` rows, and
+  // returns the index entries it decoded. A serial scan decodes everything
+  // straight into the output columns. Parallel morsels decode into their
+  // own chunks, which are concatenated in morsel order, so the output is
+  // byte-for-byte the serial scan's.
   const int ncols = out.num_cols();
+  std::uint64_t entries = 0;
   auto run = [&](std::size_t work, std::size_t per_morsel, std::size_t rows,
                  auto&& decode) {
     if (work == 0) return;
@@ -207,13 +209,14 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
     if (!parallel || morsels <= 1) {
       std::vector<TermId>* cols[3] = {nullptr, nullptr, nullptr};
       for (int c = 0; c < ncols; ++c) cols[c] = &out.MutableColumn(c);
-      decode(std::size_t{0}, work, cols, rows);
+      entries = decode(std::size_t{0}, work, cols, rows);
       return;
     }
     ScanScratch local;
     std::vector<std::array<std::vector<TermId>, 3>>& chunks =
         (scratch != nullptr ? *scratch : local).chunks;
     if (chunks.size() < morsels) chunks.resize(morsels);
+    std::atomic<std::uint64_t> morsel_entries{0};
     ForEachMorsel(work, per_morsel, true,
                   [&](std::size_t m, std::size_t b, std::size_t e) {
                     std::vector<TermId>* cols[3];
@@ -221,8 +224,11 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
                       chunks[m][c].clear();
                       cols[c] = &chunks[m][c];
                     }
-                    decode(b, e, cols, std::min(rows, kLeafEntries));
+                    morsel_entries.fetch_add(
+                        decode(b, e, cols, std::min(rows, kLeafEntries)),
+                        std::memory_order_relaxed);
                   });
+    entries = morsel_entries.load(std::memory_order_relaxed);
     std::size_t total = 0;
     for (std::size_t m = 0; m < morsels; ++m) total += chunks[m][0].size();
     for (int c = 0; c < ncols; ++c) {
@@ -235,69 +241,112 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
     }
   };
 
-  // Rows in the range's pages bound the output. An unfiltered scan with
-  // no repeated variable keeps all but the boundary pages' strays, so its
-  // columns are sized once; any other starts at a page's worth and grows.
-  std::size_t bound = 0;
-  for (std::size_t page = first_page; page < end_page; ++page) {
-    bound += idx.page_entries(page);
-  }
-  const std::size_t some_rows = std::min(bound, kLeafEntries);
+  // The entries of the restart blocks the range spans bound both what a
+  // decode of the range reads and the rows it returns. An unfiltered scan
+  // with no repeated variable keeps nearly all of them, so its columns
+  // are sized once to that bound; any other starts at a block's worth and
+  // doubles.
+  const std::size_t span = idx.BlockBound(first_page, end_page, rc.lo, rc.hi);
+  const std::size_t some_rows = std::min(span, kBlockEntries);
   // Pages are the scan morsels; a group of pages per morsel approximates
   // the requested rows-per-morsel.
   const std::size_t pages_per_morsel =
       morsel_rows == 0 ? num_pages
                        : std::max<std::size_t>(1, morsel_rows / kLeafEntries);
   const KeySet* keys = filter.keys;
-  if (keys != nullptr && keys->size() <= num_pages) {
-    // Seek path: one bound seek per key, keys ascending, the key pinned
-    // in every position the filter variable occupies. Every seek pins the
-    // same positions, so every seek reads the same permutation. A seek
-    // decodes from the restart block before its lower bound to its last
-    // match, never more than its pages, so parallel morsels take as many
-    // keys as they would take pages; a serial scan is one morsel.
-    const bool at[3] = {vars[0] == filter.var, vars[1] == filter.var,
-                        vars[2] == filter.var};
-    PARQO_DCHECK(at[0] || at[1] || at[2]);
-    auto seek = [&](TermId key) {
-      return PermutationIndex::ChooseRange(at[0] ? key : consts[0],
-                                           at[1] ? key : consts[1],
-                                           at[2] ? key : consts[2]);
+  // A seek of one key decodes about half a restart block below its lower
+  // bound, never more than the range, then its rows; a decode of the
+  // range reads every entry the range spans, its rows among them. Keys on
+  // the range's sort component seek in the range's own permutation, where
+  // a run of seeks reads a subset of the decode's blocks, each once: they
+  // always seek. Other keys seek when their walk-ins cost no more than the
+  // range; past that both paths read about the whole range, and the
+  // decode costs less per key (BM_FilteredScan, EXPERIMENTS.md).
+  const bool seek =
+      keys != nullptr &&
+      (sorted_by == filter.var ||
+       keys->size() * std::min(span, kBlockEntries / 2) <= span);
+  if (seek) {
+    // Each key's range pins the key in every position the filter variable
+    // occupies that the permutation's prefix can hold. Keys on the sort
+    // component pin it, and the components after it that hold the same
+    // variable, in the range's permutation; other keys take the
+    // permutation ChooseRange picks with the key as a constant. Either
+    // way every key's range has the same permutation and prefix layout,
+    // so ascending keys give ascending ranges, rows come out sorted by
+    // the filter variable, and the row equalities test the rest.
+    PermutationIndex::RangeChoice base = rc;
+    int pins[3];
+    int npins = 0;
+    if (sorted_by == filter.var) {
+      for (int c = first_free; c < 3 && vars[fields[c]] == filter.var; ++c) {
+        pins[npins++] = c;
+      }
+    } else {
+      const bool at[3] = {vars[0] == filter.var, vars[1] == filter.var,
+                          vars[2] == filter.var};
+      PARQO_DCHECK(at[0] || at[1] || at[2]);
+      base = PermutationIndex::ChooseRange(at[0] ? kMaxTermId : consts[0],
+                                           at[1] ? kMaxTermId : consts[1],
+                                           at[2] ? kMaxTermId : consts[2]);
+      for (int f = 0; f < 3; ++f) {
+        if (at[f]) pins[npins++] = ComponentOf(base.perm, f);
+      }
+    }
+    auto range = [&](TermId key) {
+      PermutationIndex::RangeChoice r = base;
+      for (int j = 0; j < npins; ++j) {
+        SetKeyAt(r.lo, pins[j], key);
+        SetKeyAt(r.hi, pins[j], key);
+      }
+      return r;
     };
-    const Perm seek_perm = seek(kMaxTermId).perm;
-    const CompressedKeyIndex& sidx = index_.perm(seek_perm);
-    const RowShape shape = ShapeFor(pattern, seek_perm, kInvalidVarId);
+    const CompressedKeyIndex& sidx = index_.perm(base.perm);
+    const RowShape shape = ShapeFor(pattern, base.perm, kInvalidVarId);
     const std::vector<TermId>& k = keys->keys();
-    run(k.size(), parallel && morsel_rows != 0 ? pages_per_morsel : k.size(),
+    // A morsel takes the keys whose walk-ins cost about morsel_rows
+    // entries; a serial scan is one morsel.
+    run(k.size(),
+        parallel && morsel_rows != 0
+            ? std::max<std::size_t>(1, morsel_rows / (kBlockEntries / 2))
+            : k.size(),
         some_rows,
         [&](std::size_t kb, std::size_t ke, std::vector<TermId>* const* cols,
             std::size_t rows) {
-          RowWriter writer(shape, cols, rows, nullptr, false);
-          for (std::size_t i = kb; i < ke; ++i) {
-            const PermutationIndex::RangeChoice r = seek(k[i]);
-            PARQO_DCHECK(r.perm == seek_perm);
-            sidx.ScanRange(r.lo, r.hi, writer);
+          RowWriter writer(shape, cols, rows, nullptr);
+          CompressedKeyIndex::Seeker seeker(sidx);
+          for (std::size_t i = kb; i < ke && !seeker.done();) {
+            const PermutationIndex::RangeChoice r = range(k[i]);
+            seeker.Scan(r.lo, r.hi, writer);
+            // Keys whose range ends below the cursor have no rows left.
+            i = GallopPast(i + 1, ke, [&](std::size_t j) {
+              return !seeker.done() && range(k[j]).hi < seeker.key();
+            });
           }
           writer.Finish();
+          return seeker.decoded();
         });
     sorted_by = filter.var;
   } else {
-    // Decode path: the whole range once, dropping non-keys during decode.
+    // Decode path: the whole range once, dropping non-keys during decode
+    // by a KeySet::Contains probe.
     const RowShape shape = ShapeFor(
         pattern, rc.perm, keys != nullptr ? filter.var : kInvalidVarId);
-    const bool merge = keys != nullptr && sorted_by == filter.var;
     run(num_pages, pages_per_morsel,
-        keys == nullptr && shape.neq == 0 ? bound : some_rows,
+        keys == nullptr && shape.neq == 0 ? span : some_rows,
         [&](std::size_t mb, std::size_t me, std::vector<TermId>* const* cols,
             std::size_t rows) {
-          RowWriter writer(shape, cols, rows, keys, merge);
+          RowWriter writer(shape, cols, rows, keys);
+          std::size_t n = 0;
           for (std::size_t page = mb; page < me; ++page) {
-            idx.ScanPage(first_page + page, rc.lo, rc.hi, writer);
+            n += idx.ScanPage(first_page + page, rc.lo, rc.hi, writer);
           }
           writer.Finish();
+          return n;
         });
   }
   if (sorted_by != kInvalidVarId) out.SetSortedBy(sorted_by);
+  if (decoded != nullptr) *decoded += entries;
   return out;
 }
 

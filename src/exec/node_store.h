@@ -15,6 +15,7 @@
 #define PARQO_EXEC_NODE_STORE_H_
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "exec/binding_table.h"
@@ -103,17 +104,24 @@ class NodeStore {
   /// which is what lets the batch engine merge-join co-ordered inputs.
   ///
   /// With a `filter`, the result is the unfiltered scan restricted to
-  /// rows whose `filter.var` binding is a key. When there are no more
-  /// keys than pages in the unfiltered range, each key runs one bound
-  /// seek (the key substituted as a constant), keys ascending, so the
-  /// rows come out sorted by the filter variable. Otherwise the range is
-  /// decoded once and rows are dropped during decode: a merge against
-  /// the sorted keys when rows arrive sorted on the filter variable, a
-  /// KeySet::Contains probe when they do not.
+  /// rows whose `filter.var` binding is a key. The access path is the one
+  /// that decodes fewer index entries (DESIGN.md section 13): bound seeks,
+  /// one per key with the key substituted as a constant, keys ascending,
+  /// so the rows come out sorted by the filter variable; or one decode of
+  /// the range that drops non-keys by a KeySet::Contains probe. A seek
+  /// costs about half a restart block; keys on the range's sort
+  /// component always seek, since their seeks continue from one cursor
+  /// and read no block the decode would not.
+  ///
+  /// Columns start at the entries of the restart blocks the range spans
+  /// when that bounds the rows (an unfiltered scan with no repeated
+  /// variable), else at one block's worth, doubling. With `decoded`, the
+  /// index entries the scan decoded are added to *decoded.
   BindingTable Scan(const ResolvedPattern& pattern,
                     std::size_t morsel_rows = 0, bool parallel = false,
                     const ScanFilter& filter = {},
-                    ScanScratch* scratch = nullptr) const;
+                    ScanScratch* scratch = nullptr,
+                    std::uint64_t* decoded = nullptr) const;
 
   /// Compressed footprint of this node's four permutations, for the
   /// bytes-per-triple storage report (the dual-vector layout this

@@ -102,21 +102,48 @@ std::uint64_t CompressedKeyIndex::CountRange(const IndexKey& lo,
   return total;
 }
 
+std::size_t CompressedKeyIndex::BlockBound(std::size_t first,
+                                           std::size_t end,
+                                           const IndexKey& lo,
+                                           const IndexKey& hi) const {
+  if (first == end) return 0;
+  std::size_t total = 0;
+  for (std::size_t page = first; page < end; ++page) {
+    total += pages_[page].count;
+  }
+  const std::size_t start = FirstBlock(first, lo);
+  total -= start * kBlockEntries;
+  // Every page but the last ends at or below the next page's anchor,
+  // which is <= hi. On the last, blocks whose anchor is > hi hold no key
+  // the scan reads but the one that stops it.
+  const std::size_t last = end - 1;
+  if (last + 1 < pages_.size() && pages_[last + 1].first <= hi) return total;
+  std::size_t upto = num_blocks(last);  // blocks [upto, ...) have anchor > hi
+  std::size_t below = last == first ? start : 0;
+  while (upto - below > 1) {
+    const std::size_t mid = below + (upto - below) / 2;
+    if (hi < Anchor(last, mid)) {
+      upto = mid;
+    } else {
+      below = mid;
+    }
+  }
+  return total - (pages_[last].count - std::min<std::size_t>(
+                                           pages_[last].count,
+                                           upto * kBlockEntries));
+}
+
 std::size_t CompressedKeyIndex::FirstBlock(std::size_t page,
                                            const IndexKey& lo) const {
-  const PageRef& ref = pages_[page];
-  if (!(ref.first < lo)) return 0;
+  if (!(pages_[page].first < lo)) return 0;
   // The last block whose anchor is < lo. The comparison is strict for the
   // reason PageSpan's is: a run of keys equal to lo can begin in the tail
   // of the block before an anchor that equals lo.
-  const std::uint8_t* base = data_.data() + ref.offset;
-  const std::uint16_t* offsets = &blocks_[page * kBlocksPerPage];
   std::size_t below = 0;  // anchor < lo
-  std::size_t above = (ref.count + kBlockEntries - 1) / kBlockEntries;
+  std::size_t above = num_blocks(page);
   while (above - below > 1) {
     const std::size_t mid = below + (above - below) / 2;
-    const std::uint8_t* p = base + offsets[mid];
-    if (page_codec::DecodeAnchor(p) < lo) {
+    if (Anchor(page, mid) < lo) {
       below = mid;
     } else {
       above = mid;

@@ -6,6 +6,8 @@
 //   - A node-store scan allocates the same number of times whether its
 //     range spans one leaf page or twenty: it decodes straight into its
 //     output columns, with no per-page buffer or staging.
+//   - A scan that returns one row of a full page sizes its columns by
+//     restart blocks, not by the page.
 //   - A warm Execute of fixed LUBM and WatDiv plans on ten nodes costs
 //     fewer than operators x 9 x 2 x (variables + 2) allocations more
 //     than on one node. Every (node, operator) pair reuses its partition's scratch
@@ -56,12 +58,14 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
 #if PARQO_COUNT_ALLOCATIONS
 // parqo-lint: allow(naked-new) the counting replacement under test
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -78,6 +82,14 @@ std::uint64_t Allocations(Fn&& fn) {
   const std::uint64_t before = g_allocations.load();
   fn();
   return g_allocations.load() - before;
+}
+
+// Bytes requested from operator new by fn().
+template <typename Fn>
+std::uint64_t AllocatedBytes(Fn&& fn) {
+  const std::uint64_t before = g_bytes.load();
+  fn();
+  return g_bytes.load() - before;
 }
 
 #define SKIP_WITHOUT_COUNTER()                                           \
@@ -145,6 +157,46 @@ TEST(AllocTest, ScanAllocationsDoNotGrowWithPagesDecoded) {
               30u);
   });
   EXPECT_EQ(small, large);
+}
+
+TEST(AllocTest, OneRowScansSizeColumnsByRestartBlocks) {
+  SKIP_WITHOUT_COUNTER();
+  // Predicate 1 fills exactly the first PSO page, one row per subject.
+  std::vector<Triple> triples;
+  for (TermId s = 1; s <= kLeafEntries; ++s) triples.push_back({s, 1, s + 7});
+  for (TermId s = 1; s <= 2 * kLeafEntries; ++s) triples.push_back({s, 2, 1});
+  const NodeStore store(triples);
+  const std::uint64_t block = kBlockEntries * sizeof(TermId);
+  // What a scan allocates besides its columns: the result of a pattern
+  // that matches nothing, with the same schema.
+  const ResolvedPattern xpy = XPY(1);
+  ResolvedPattern unmatchable = xpy;
+  unmatchable.unmatchable = true;
+  const std::uint64_t empty = AllocatedBytes([&] {
+    EXPECT_EQ(store.Scan(unmatchable).NumRows(), 0u);
+  });
+  for (TermId s = 1; s <= kLeafEntries; ++s) {
+    SCOPED_TRACE(s);
+    // A key filter that keeps one row: one block per column at most.
+    const KeySet one(std::vector<TermId>{s});
+    const std::uint64_t filtered = AllocatedBytes([&] {
+      EXPECT_EQ(store.Scan(xpy, 0, false, {0, &one}).NumRows(), 1u);
+    });
+    EXPECT_LE(filtered, empty + 2 * block);
+    // A bound subject: one row, one column, sized to the restart blocks
+    // its range spans. A row that opens a block can also sit past the
+    // previous block's tail, so the range spans two of them.
+    ResolvedPattern bound;
+    bound.s = s;
+    bound.p = 1;
+    bound.var_o = 0;
+    bound.schema = {0};
+    const bool opens_block = (s - 1) % kBlockEntries == 0 && s > 1;
+    const std::uint64_t unfiltered = AllocatedBytes([&] {
+      EXPECT_EQ(store.Scan(bound).NumRows(), 1u);
+    });
+    EXPECT_LE(unfiltered, empty + (opens_block ? 2 : 1) * block);
+  }
 }
 
 class WarmExecuteTest : public ::testing::Test {

@@ -414,18 +414,26 @@ TEST_F(FilteredScanTest, SeekPathSortsByFilterVariable) {
   EXPECT_TRUE(std::is_sorted(by_y.Column(1).begin(), by_y.Column(1).end()));
 }
 
-TEST_F(FilteredScanTest, DecodePathMergesOrProbes) {
+TEST_F(FilteredScanTest, ManyUnsortedKeysProbeDuringDecode) {
   const ResolvedPattern pat = XPY(kP);
   std::vector<TermId> xs, ys;
-  for (TermId v = 1; v <= 3000; v += 97) xs.push_back(v);
+  for (TermId v = 1; v <= 3000; v += 3) xs.push_back(v);
+  // 6500 kP rows: 31 + 400 + 1 keys on ?y cost more half-block walk-ins
+  // than the range has entries.
   for (TermId v = 100; v <= 130; ++v) ys.push_back(v);
+  for (TermId v = 5001; v <= 5400; ++v) ys.push_back(v);
   ys.push_back(9999);
-  // Rows arrive sorted on ?x: merge; on ?y they do not: hash probe.
-  // Either way the scan order (and so sorted_by) is the unfiltered one.
+  ASSERT_GE(ys.size() * (kBlockEntries / 2), 6500u + kLeafEntries);
+  // Rows arrive sorted on ?x, so ?x keys seek however many there are;
+  // the order is the unfiltered one either way.
   EXPECT_EQ(Check(pat, 0, xs).sorted_by(), 0);
+  // Rows do not arrive sorted on ?y: the range decodes once, probing, in
+  // the unfiltered scan's order.
   BindingTable probed = Check(pat, 1, ys);
   EXPECT_EQ(probed.sorted_by(), 0);
-  EXPECT_GT(probed.NumRows(), 1100u);
+  // 1766 subjects whose object is 100..130, 400 of subject 7's objects,
+  // and the 1100 copies of (7, kP, 9999).
+  EXPECT_EQ(probed.NumRows(), 1766u + 400u + 1100u);
 }
 
 TEST_F(FilteredScanTest, RepeatedAndVariablePredicatePatterns) {
@@ -716,6 +724,38 @@ TEST_F(ExecutorTest, RecordingPassPublishesNoMetrics) {
   EXPECT_EQ(m.op_cards.size(), 5u);
   EXPECT_GT(m.rows_scanned, 0u);
   EXPECT_EQ(exec_metrics(), before);
+  SetMetricsEnabled(was_enabled);
+}
+
+TEST_F(ExecutorTest, RowsDecodedCoverRowsScannedAndArePublished) {
+  PlanNodePtr plan = builder_->Join(
+      JoinMethod::kRepartition, jg_->FindVar("y"),
+      {builder_->Join(JoinMethod::kBroadcast, jg_->FindVar("x"),
+                      {builder_->Scan(0), builder_->Scan(2)}),
+       builder_->Scan(1)});
+  auto published = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    for (const MetricsSnapshot::CounterEntry& c : snap.counters) {
+      if (c.name == "exec.rows_decoded") return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  const bool was_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  const std::uint64_t before = published();
+  for (bool parallel : {false, true}) {
+    Executor ex(*cluster_, *jg_, CostParams{}, parallel);
+    ExecMetrics m;
+    ASSERT_TRUE(ex.Execute(*plan, &m).ok());
+    EXPECT_GT(m.rows_scanned, 0u);
+    EXPECT_GE(m.rows_decoded, m.rows_scanned);
+  }
+  ExecMetrics m;
+  Executor ex(*cluster_, *jg_, CostParams{});
+  const std::uint64_t mid = published();
+  ASSERT_TRUE(ex.Execute(*plan, &m).ok());
+  EXPECT_GT(mid, before);
+  EXPECT_EQ(published() - mid, m.rows_decoded);
   SetMetricsEnabled(was_enabled);
 }
 

@@ -232,6 +232,82 @@ TEST(CompressedKeyIndexTest, DuplicateRunsAcrossBlocksAndPages) {
   }
 }
 
+TEST(CompressedKeyIndexTest, SeekerMatchesScanRangeAndDecodesEachBlockOnce) {
+  // Duplicate runs cross block and page boundaries; ranges are prefix
+  // ranges on k1 or (k1, k2), ascending and disjoint, from sparse to
+  // every prefix.
+  Rng rng(23);
+  std::vector<IndexKey> keys;
+  for (int i = 0; i < 9 * static_cast<int>(kLeafEntries); ++i) {
+    keys.push_back({static_cast<TermId>(rng.Uniform(1, 400)),
+                    static_cast<TermId>(rng.Uniform(1, 6)),
+                    static_cast<TermId>(rng.Uniform(1, 3))});
+  }
+  std::sort(keys.begin(), keys.end());
+  CompressedKeyIndex idx;
+  idx.Build(keys);
+  for (const int stride : {1, 2, 7, 40, 399}) {
+    for (const bool pair : {false, true}) {
+      SCOPED_TRACE(std::to_string(stride) + (pair ? " (k1, k2)" : " k1"));
+      CompressedKeyIndex::Seeker seeker(idx);
+      std::size_t scanned = 0;  // what independent ScanRanges decode
+      for (TermId k1 = 1; k1 <= 401; k1 += static_cast<TermId>(stride)) {
+        const IndexKey lo{k1, pair ? TermId{3} : 0, 0};
+        const IndexKey hi{k1, pair ? TermId{3} : kMaxTermId, kMaxTermId};
+        std::vector<IndexKey> want, got;
+        scanned += idx.ScanRange(
+            lo, hi, [&](const IndexKey& k) { want.push_back(k); });
+        seeker.Scan(lo, hi, [&](const IndexKey& k) { got.push_back(k); });
+        EXPECT_EQ(got, want) << "k1=" << k1;
+        if (!seeker.done()) {
+          EXPECT_TRUE(hi < seeker.key());
+          // The cursor's key is the first entry past hi.
+          EXPECT_EQ(seeker.key(), *std::upper_bound(keys.begin(),
+                                                    keys.end(), hi));
+        }
+      }
+      EXPECT_LE(seeker.decoded(), scanned);
+      EXPECT_LE(seeker.decoded(), idx.size());
+    }
+  }
+  // Every range at once reads the whole index exactly once.
+  CompressedKeyIndex::Seeker all(idx);
+  std::size_t rows = 0;
+  for (TermId k1 = 0; k1 <= 401; ++k1) {
+    all.Scan({k1, 0, 0}, {k1, kMaxTermId, kMaxTermId},
+             [&](const IndexKey&) { ++rows; });
+  }
+  EXPECT_EQ(rows, keys.size());
+  EXPECT_EQ(all.decoded(), keys.size());
+  EXPECT_TRUE(all.done());
+}
+
+TEST(CompressedKeyIndexTest, BlockBoundCoversEveryRange) {
+  std::vector<IndexKey> keys;
+  for (TermId i = 0; i < 5 * kLeafEntries + 77; ++i) {
+    keys.push_back({i / 300 + 1, i % 300, 0});
+  }
+  CompressedKeyIndex idx;
+  idx.Build(keys);
+  for (TermId k1 = 0; k1 <= keys.back().k1 + 1; ++k1) {
+    for (TermId k2 : {TermId{0}, TermId{64}, TermId{299}}) {
+      for (const bool prefix : {false, true}) {
+        const IndexKey lo{k1, prefix ? 0 : k2, 0};
+        const IndexKey hi{k1, prefix ? kMaxTermId : k2, kMaxTermId};
+        const auto [first, end] = idx.PageSpan(lo, hi);
+        const std::size_t bound = idx.BlockBound(first, end, lo, hi);
+        std::size_t rows = 0;
+        const std::size_t decoded =
+            idx.ScanRange(lo, hi, [&](const IndexKey&) { ++rows; });
+        EXPECT_LE(rows, bound);
+        EXPECT_LE(decoded, bound + 1);  // + the key that stops the scan
+        // Within a block at either end.
+        EXPECT_LE(bound, rows + 2 * kBlockEntries);
+      }
+    }
+  }
+}
+
 std::vector<Triple> RandomTriples(std::uint64_t seed, std::size_t n,
                                   TermId max_s, TermId max_p, TermId max_o) {
   Rng rng(seed);
@@ -542,6 +618,8 @@ TEST(NodeStoreTest, DecodeIntoColumnsMatchesBruteForce) {
       {"?x p ?x", Pattern(none, 2, none, 0, no, 0)},
       {"?x ?p ?x", Pattern(none, none, none, 0, 1, 0)},
   };
+  // Filtered scans per path: sort-variable seeks, other seeks, probes.
+  int paths[3] = {0, 0, 0};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const PermutationIndex::RangeChoice rc =
@@ -549,9 +627,11 @@ TEST(NodeStoreTest, DecodeIntoColumnsMatchesBruteForce) {
     const BindingTable want =
         BruteScan(triples, c.rp, rc.perm, no, {}, false);
     ASSERT_GT(want.NumRows(), 0u);
-    const auto [first, end] = perms.perm(rc.perm).PageSpan(rc.lo, rc.hi);
-    // Every variable as a filter: few keys seek, many keys merge (rows
-    // sorted on the variable) or probe (they are not).
+    const CompressedKeyIndex& ridx = perms.perm(rc.perm);
+    const auto [first, end] = ridx.PageSpan(rc.lo, rc.hi);
+    const std::size_t span = ridx.BlockBound(first, end, rc.lo, rc.hi);
+    // Every variable as a filter: keys on the sort variable always seek;
+    // on another variable, few keys seek and many keys probe.
     std::vector<std::pair<VarId, std::vector<TermId>>> filters;
     for (VarId v : c.rp.schema) {
       const std::vector<TermId>& col = want.Column(want.ColumnOf(v));
@@ -580,26 +660,146 @@ TEST(NodeStoreTest, DecodeIntoColumnsMatchesBruteForce) {
           const KeySet set(keys);
           const BindingTable filtered =
               store.Scan(c.rp, morsel_rows, parallel, {var, &set}, &scratch);
-          // The seek path runs when there are no more keys than pages.
-          const bool seek = keys.size() <= end - first;
+          // Keys on the sort variable seek in the range's permutation;
+          // other keys seek in ChooseRange's when their walk-ins, half a
+          // block each but no more than the range, cost no more than the
+          // entries the range spans.
+          const bool sorted = got.sorted_by() == var;
+          const bool seek =
+              sorted ||
+              keys.size() * std::min(span, kBlockEntries / 2) <= span;
           const TermId any = 1;
           const Perm perm =
-              seek ? PermutationIndex::ChooseRange(
-                         c.rp.var_s == var ? any : c.rp.s,
-                         c.rp.var_p == var ? any : c.rp.p,
-                         c.rp.var_o == var ? any : c.rp.o)
-                         .perm
-                   : rc.perm;
+              seek && !sorted ? PermutationIndex::ChooseRange(
+                                    c.rp.var_s == var ? any : c.rp.s,
+                                    c.rp.var_p == var ? any : c.rp.p,
+                                    c.rp.var_o == var ? any : c.rp.o)
+                                    .perm
+                              : rc.perm;
           EXPECT_TRUE(filtered ==
                       BruteScan(triples, c.rp, perm, var, keys, seek))
               << "filter on " << var << ", " << keys.size() << " keys";
           if (seek) {
             EXPECT_EQ(filtered.sorted_by(), var);
+          } else {
+            EXPECT_EQ(filtered.sorted_by(), got.sorted_by());
           }
+          ++paths[sorted ? 0 : seek ? 1 : 2];
         }
       }
     }
   }
+  for (int n : paths) EXPECT_GT(n, 0);
+}
+
+// One row per subject: (s, kP, 7s mod 2048 + 1) for s in 1..20 pages, so
+// PSO entry i is subject i + 1, restart block b holds subjects 64b + 1 ..
+// 64b + 64, and each of the 2048 objects has ten rows.
+class ScanDecodeTest : public ::testing::Test {
+ protected:
+  static constexpr TermId kP = 3;
+  static constexpr TermId kSubjects = 20 * kLeafEntries;
+
+  ScanDecodeTest() : store_(Triples()) {}
+
+  static std::vector<Triple> Triples() {
+    std::vector<Triple> t;
+    for (TermId s = 1; s <= kSubjects; ++s) {
+      t.push_back({s, kP, s * 7 % 2048 + 1});
+    }
+    return t;
+  }
+
+  static ResolvedPattern XPY() {  // ?x <kP> ?y
+    ResolvedPattern r;
+    r.p = kP;
+    r.var_s = 0;
+    r.var_o = 1;
+    r.schema = {0, 1};
+    return r;
+  }
+
+  // The filtered scan's rows and the index entries it decoded.
+  std::pair<std::size_t, std::uint64_t> Decode(VarId var,
+                                               std::vector<TermId> keys) {
+    const KeySet set(std::move(keys));
+    std::uint64_t decoded = 0;
+    const std::size_t rows =
+        store_.Scan(XPY(), 0, false, {var, &set}, nullptr, &decoded)
+            .NumRows();
+    return {rows, decoded};
+  }
+
+  NodeStore store_;
+};
+
+TEST_F(ScanDecodeTest, FewKeysOverManyPagesDecodeAboutABlockEach) {
+  // 100 subjects, more keys than the range has pages, spread over all
+  // twenty: a merge of the whole range would decode 20,480 entries.
+  std::vector<TermId> xs;
+  for (TermId s = 7; s <= kSubjects; s += kSubjects / 100) xs.push_back(s);
+  const auto [x_rows, x_decoded] = Decode(0, xs);
+  EXPECT_EQ(x_rows, xs.size());
+  // Each seek walks in from its block's anchor, then decodes its row and
+  // the key that stops it.
+  EXPECT_LE(x_decoded, xs.size() * (kBlockEntries + 2));
+  EXPECT_GE(x_decoded, x_rows);
+
+  // 100 keys on the unsorted object seek POS, ten rows each.
+  std::vector<TermId> ys;
+  for (TermId o = 1; o <= 2048; o += 20) ys.push_back(o);
+  const auto [y_rows, y_decoded] = Decode(1, ys);
+  EXPECT_EQ(y_rows, 10 * ys.size());
+  EXPECT_LE(y_decoded, y_rows + ys.size() * (kBlockEntries + 2));
+}
+
+TEST_F(ScanDecodeTest, ConsecutiveKeysInOneBlockDecodeItOnce) {
+  // Subjects 64 * 5 + 2 .. 64 * 5 + 40 sit inside restart block 5 of
+  // page 0: one walk-in from its anchor, then one pass.
+  std::vector<TermId> xs;
+  for (TermId s = 5 * kBlockEntries + 2; s <= 5 * kBlockEntries + 40; ++s) {
+    xs.push_back(s);
+  }
+  const auto [rows, decoded] = Decode(0, xs);
+  EXPECT_EQ(rows, xs.size());
+  EXPECT_LE(decoded, kBlockEntries);
+  // Every other subject of the block: still one pass.
+  std::vector<TermId> odd;
+  for (TermId s = 5 * kBlockEntries + 3; s <= 6 * kBlockEntries; s += 2) {
+    odd.push_back(s);
+  }
+  const auto [odd_rows, odd_decoded] = Decode(0, odd);
+  EXPECT_EQ(odd_rows, odd.size());
+  EXPECT_LE(odd_decoded, kBlockEntries + 1);
+}
+
+TEST_F(ScanDecodeTest, KeysPastTheLastRowDecodeNothing) {
+  // Sixteen keys in one block, then 27,520 keys past the range's last
+  // entry: once the cursor is past the index, the run stops.
+  std::vector<TermId> xs;
+  for (TermId s = 1; s <= 48000; ++s) {
+    if (s > 64 && s <= 128 ? s % 4 == 0 : s > kSubjects) xs.push_back(s);
+  }
+  const auto [rows, decoded] = Decode(0, xs);
+  EXPECT_EQ(rows, 16u);
+  // The block before the first key, the key's own block, and at most one
+  // boundary entry past each.
+  EXPECT_LE(decoded, 2 * kBlockEntries + 2);
+}
+
+TEST_F(ScanDecodeTest, DecodedCountsEveryPath) {
+  std::uint64_t decoded = 0;
+  // Unfiltered: every entry of the range, which fills its pages.
+  EXPECT_EQ(store_.Scan(XPY(), 0, false, {}, nullptr, &decoded).NumRows(),
+            kSubjects);
+  EXPECT_EQ(decoded, kSubjects);
+  // Half the objects: their walk-ins would cost more than the range, so
+  // one decode of the range probes every entry.
+  std::vector<TermId> ys;
+  for (TermId o = 1; o <= 2048; o += 2) ys.push_back(o);
+  const auto [rows, probed] = Decode(1, ys);
+  EXPECT_EQ(rows, kSubjects / 2);
+  EXPECT_EQ(probed, kSubjects);
 }
 
 // ---------------------------------------------------------------------------

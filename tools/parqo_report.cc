@@ -340,8 +340,9 @@ int main(int argc, char** argv) {
                   : 0.0);
   std::printf("  distributed joins  %s\n",
               WithThousandsSep(metrics.distributed_joins).c_str());
-  std::printf("  rows scanned       %s\n",
-              WithThousandsSep(metrics.rows_scanned).c_str());
+  std::printf("  rows scanned       %s (%s index entries decoded)\n",
+              WithThousandsSep(metrics.rows_scanned).c_str(),
+              WithThousandsSep(metrics.rows_decoded).c_str());
   std::printf("  rows transferred   %s (%s bytes)\n",
               WithThousandsSep(metrics.rows_transferred).c_str(),
               WithThousandsSep(metrics.bytes_shipped).c_str());
