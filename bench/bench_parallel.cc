@@ -1,13 +1,14 @@
-// Parallel-optimizer bench: how much faster does the WatDiv batch
-// workload (Fig 6's 124 templates x N instances) optimize when a
-// ParallelOptimizer spreads independent queries over a worker pool?
+// Inter-query optimizer bench: how much faster does the WatDiv batch
+// workload (Fig 6's 124 templates x N instances) optimize when
+// independent queries are spread over a thread pool, one Optimize() per
+// query as a server's cache miss runs it?
 //
-// The batch is dispatched to a ParallelOptimizer pool, sweeping worker
-// counts (--threads=1,2,4,8); the 1-thread row is a plain sequential loop
-// and is the speedup baseline. Every parallel pass is cross-checked
-// against the baseline: plan costs must be identical for every query
-// (determinism contract). Each query's enumeration is single-threaded;
-// parallelism is across queries only.
+// Each pass is one ThreadPool::ParallelFor capped at t threads, the
+// caller included, sweeping t (--threads=1,2,4,8); t = 1 is a plain
+// sequential loop and is the speedup baseline. Every parallel pass is
+// cross-checked against the baseline: plan costs must be identical for
+// every query (determinism contract). Each query's enumeration is
+// single-threaded; parallelism is across queries only.
 //
 // Every pass re-prepares its queries so no pass inherits another's warm
 // cardinality memo. An untimed sequential pass runs first, so the
@@ -28,7 +29,8 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "optimizer/parallel_optimizer.h"
+#include "optimizer/optimizer.h"
+#include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "workload/random_query.h"
 #include "workload/watdiv.h"
@@ -112,20 +114,15 @@ int Main(int argc, char** argv) {
       // Fresh preparation per pass: no pass benefits from a previous
       // pass's warm cardinality memos.
       auto prepared = PrepareAll(instances, hash);
-      std::vector<const PreparedQuery*> queries;
-      queries.reserve(prepared.size());
-      for (const auto& p : prepared) queries.push_back(p.get());
-      std::vector<OptimizeResult> results;
+      std::vector<OptimizeResult> results(prepared.size());
+      ThreadPool pool(t);
       Stopwatch watch;
-      if (t == 1) {
-        results.reserve(queries.size());
-        for (const PreparedQuery* q : queries) {
-          results.push_back(Optimize(algorithm, q->inputs(), options));
-        }
-      } else {
-        ParallelOptimizer popt(t);
-        results = popt.OptimizeBatch(algorithm, queries, options);
-      }
+      pool.ParallelFor(
+          static_cast<int>(prepared.size()),
+          [&](int i) {
+            results[i] = Optimize(algorithm, prepared[i]->inputs(), options);
+          },
+          /*max_workers=*/t);
       const double seconds = watch.ElapsedSeconds();
       costs->clear();
       for (const OptimizeResult& r : results) {

@@ -7,6 +7,14 @@
 #include "common/metrics.h"
 
 namespace parqo {
+namespace {
+
+// A scheduled crash fires at a uniform ordinal in [0, kCrashWindow) of
+// the node's operator sequence, so crashes land mid-plan, not only at the
+// first scan.
+constexpr std::int64_t kCrashWindow = 8;
+
+}  // namespace
 
 FaultPlan::FaultPlan(int num_nodes) : nodes_(num_nodes) {
   PARQO_CHECK(num_nodes > 0);
@@ -18,9 +26,8 @@ FaultPlan::FaultPlan(std::uint64_t seed, int num_nodes,
   Rng rng(seed);
   for (int i = 0; i < num_nodes; ++i) {
     if (rng.Bernoulli(config.crash_probability)) {
-      std::uint64_t window = config.crash_window > 0 ? config.crash_window : 1;
-      CrashNodeAtOp(i, static_cast<std::uint64_t>(rng.Uniform(
-                           0, static_cast<std::int64_t>(window) - 1)));
+      CrashNodeAtOp(i, static_cast<std::uint64_t>(
+                           rng.Uniform(0, kCrashWindow - 1)));
     }
     if (rng.Bernoulli(config.slow_probability)) {
       SlowNode(i, config.slow_seconds);

@@ -49,10 +49,6 @@ struct FaultPlanConfig {
   double crash_probability = 0.0;
   double slow_probability = 0.0;
   double drop_probability = 0.0;
-  /// A scheduled crash fires at a uniform ordinal in [0, crash_window)
-  /// of the node's operator sequence, so crashes land mid-plan, not only
-  /// at the first scan.
-  std::uint64_t crash_window = 8;
   /// Straggler delay per operator on a slow node.
   double slow_seconds = 0.0005;
 };

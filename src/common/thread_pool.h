@@ -1,9 +1,8 @@
-// Fixed-size worker pool shared by the inter-query optimizer batch, the
-// serving tier and the simulated cluster. Workers are started once and
-// reused — submitting work never spawns a thread — which is what lets the
-// batch optimizer sustain a stream of queries (the Partout/PHD-Store
-// workload shape) without thread-churn, and caps the executor's per-node
-// fan-out.
+// Fixed-size worker pool shared by the serving tier and the simulated
+// cluster. Workers are started once and reused — submitting work never
+// spawns a thread — which is what lets the server sustain a stream of
+// queries (the Partout/PHD-Store workload shape) without thread-churn,
+// and caps the executor's per-node fan-out.
 //
 // ParallelFor is the only blocking primitive and it is deadlock-free under
 // nesting: the caller drains items itself while pool workers help, so
@@ -54,10 +53,12 @@ class ThreadPool {
   /// Submit returns — it is never dropped.
   void Submit(std::function<void()> task);
 
-  /// Runs fn(0), ..., fn(n-1), distributed over up to `max_workers`
-  /// threads (0 = no extra cap beyond the pool size). The calling thread
-  /// participates, so this never deadlocks even when invoked from inside
-  /// a pool task; it returns once every index has completed.
+  /// Runs fn(0), ..., fn(n-1) on the calling thread plus up to
+  /// min(size(), n - 1) pool workers: with max_workers == 0 that is up to
+  /// size() + 1 threads at once. max_workers > 0 caps the total, the
+  /// caller included, so max_workers == 1 is a plain loop. The calling
+  /// thread participates, so this never deadlocks even when invoked from
+  /// inside a pool task; it returns once every index has completed.
   void ParallelFor(int n, const std::function<void(int)>& fn,
                    int max_workers = 0);
 

@@ -196,10 +196,11 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
   // run(work, per_morsel, rows, decode) fills the output from `decode(b,
   // e, cols, rows)`, which writes the rows of work items [b, e) — pages of
   // the range, or seek keys — to cols, sized first for `rows` rows, and
-  // returns the index entries it decoded. A serial scan decodes everything
-  // straight into the output columns. Parallel morsels decode into their
-  // own chunks, which are concatenated in morsel order, so the output is
-  // byte-for-byte the serial scan's.
+  // returns the index entries it decoded. A serial scan, like a seek run
+  // (always one morsel), decodes everything straight into the output
+  // columns. Parallel morsels decode into their own chunks, which are
+  // concatenated in morsel order, so the output is byte-for-byte the
+  // serial scan's.
   const int ncols = out.num_cols();
   std::uint64_t entries = 0;
   auto run = [&](std::size_t work, std::size_t per_morsel, std::size_t rows,
@@ -304,13 +305,10 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
     const CompressedKeyIndex& sidx = index_.perm(base.perm);
     const RowShape shape = ShapeFor(pattern, base.perm, kInvalidVarId);
     const std::vector<TermId>& k = keys->keys();
-    // A morsel takes the keys whose walk-ins cost about morsel_rows
-    // entries; a serial scan is one morsel.
-    run(k.size(),
-        parallel && morsel_rows != 0
-            ? std::max<std::size_t>(1, morsel_rows / (kBlockEntries / 2))
-            : k.size(),
-        some_rows,
+    // A seek run is one morsel: its cursor reads each block once, while
+    // a morsel of its own would walk in again from the anchor of the
+    // block its neighbour was decoding.
+    run(k.size(), k.size(), some_rows,
         [&](std::size_t kb, std::size_t ke, std::vector<TermId>* const* cols,
             std::size_t rows) {
           RowWriter writer(shape, cols, rows, nullptr);

@@ -111,7 +111,9 @@ class NodeStore {
   /// the range that drops non-keys by a KeySet::Contains probe. A seek
   /// costs about half a restart block; keys on the range's sort
   /// component always seek, since their seeks continue from one cursor
-  /// and read no block the decode would not.
+  /// and read no block the decode would not. A run of seeks is one
+  /// morsel even with `parallel`, so it decodes what the serial scan
+  /// does.
   ///
   /// Columns start at the entries of the restart blocks the range spans
   /// when that bounds the rows (an unfiltered scan with no repeated

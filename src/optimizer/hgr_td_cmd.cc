@@ -9,6 +9,13 @@
 #include "optimizer/td_cmd_core.h"
 
 namespace parqo {
+namespace {
+
+// Candidate-generation cap: connected subqueries enumerated per maximal
+// local query (see join_graph_reduction.h).
+constexpr int kCandidateCap = 4096;
+
+}  // namespace
 
 OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
                            const OptimizeOptions& options,
@@ -20,9 +27,8 @@ OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
   OptimizeResult result;
   result.algorithm_used = Algorithm::kHgrTdCmd;
 
-  JgrResult jgr = ReduceJoinGraph(jg, *inputs.local_index,
-                                  *inputs.estimator,
-                                  options.hgr_candidate_cap);
+  JgrResult jgr = ReduceJoinGraph(jg, *inputs.local_index, *inputs.estimator,
+                                  kCandidateCap);
 
   if (jgr.groups.size() == 1) {
     // The whole query is one local query (e.g. under Path-BMC).

@@ -81,10 +81,6 @@ struct OptimizeOptions {
   int theta_n = 30;   ///< #patterns below which TD-CMDP handles high-degree.
   int lambda_n = 14;  ///< #patterns below which TD-CMD handles dense.
 
-  /// HGR candidate-generation cap: connected subqueries enumerated per
-  /// maximal local query (see join_graph_reduction.h).
-  int hgr_candidate_cap = 4096;
-
   /// MSC guard: maximum complete flat plans to materialize.
   std::uint64_t msc_plan_cap = 200000;
 };

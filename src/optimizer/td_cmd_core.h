@@ -30,7 +30,7 @@
 // its warm memo, whose entries point into the arena.
 //
 // The enumeration is single-threaded. Parallelism lives across queries
-// (ParallelOptimizer, QueryServer) and in the executor, never inside one
+// (QueryServer::ServeConcurrent) and in the executor, never inside one
 // enumeration.
 
 #ifndef PARQO_OPTIMIZER_TD_CMD_CORE_H_

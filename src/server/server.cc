@@ -89,8 +89,10 @@ ServeResult QueryServer::ServeAdmitted(
 
   std::optional<CachedPlan> hit = cache_.Lookup(key);
   out.cache_hit = hit.has_value();
-  bool reoptimizing_degraded =
-      hit && hit->degraded && config_.reoptimize_degraded_hits;
+  // A hit on a degraded entry re-optimizes, so a deadline casualty never
+  // poisons future requests that have budget, and upgrades the entry when
+  // the re-optimization completes cleanly.
+  const bool reoptimizing_degraded = hit && hit->degraded;
 
   CachedPlan entry;
   if (hit && !reoptimizing_degraded) {

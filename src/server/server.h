@@ -77,10 +77,6 @@ struct ServerConfig {
   int max_in_flight = 64;
   int cache_shards = 8;
   std::size_t cache_shard_capacity = 64;
-  /// A hit on a degraded entry re-optimizes (so a deadline casualty never
-  /// poisons future requests that have budget) and upgrades the entry
-  /// when the re-optimization completes cleanly.
-  bool reoptimize_degraded_hits = true;
   /// Serving pool size (ServeConcurrent workers); <= 0 selects
   /// hardware_concurrency.
   int num_threads = 0;

@@ -8,8 +8,8 @@
 // memoized plans can be compared across algorithms.
 //
 // The memo is single-threaded: an estimator belongs to one PreparedQuery,
-// and one optimizer run uses it at a time (ParallelOptimizer::OptimizeBatch
-// checks that no two batch entries share a PreparedQuery). A flat
+// and one optimizer run uses it at a time. Concurrent runs each prepare a
+// query of their own, as every QueryServer session does. A flat
 // open-addressed index (FlatTpSetMap, bitset keys probed inline — no
 // per-node allocation, no pointer chase) maps each derived subquery to
 // its entry in one flat array of doubles. Deriving a subquery allocates

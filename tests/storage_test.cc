@@ -721,11 +721,15 @@ class ScanDecodeTest : public ::testing::Test {
 
   // The filtered scan's rows and the index entries it decoded.
   std::pair<std::size_t, std::uint64_t> Decode(VarId var,
-                                               std::vector<TermId> keys) {
+                                               std::vector<TermId> keys,
+                                               std::size_t morsel_rows = 0,
+                                               bool parallel = false) {
     const KeySet set(std::move(keys));
     std::uint64_t decoded = 0;
     const std::size_t rows =
-        store_.Scan(XPY(), 0, false, {var, &set}, nullptr, &decoded)
+        store_
+            .Scan(XPY(), morsel_rows, parallel, {var, &set}, nullptr,
+                  &decoded)
             .NumRows();
     return {rows, decoded};
   }
@@ -785,6 +789,22 @@ TEST_F(ScanDecodeTest, KeysPastTheLastRowDecodeNothing) {
   // The block before the first key, the key's own block, and at most one
   // boundary entry past each.
   EXPECT_LE(decoded, 2 * kBlockEntries + 2);
+}
+
+TEST_F(ScanDecodeTest, ParallelSeekRunDecodesWhatSerialDoes) {
+  // Every third subject of all twenty pages: 6,827 seeks in one run.
+  // Split into morsels, each morsel's cursor would walk in again from the
+  // anchor of a block its neighbour decodes; one morsel reads each block
+  // once, parallel or not.
+  std::vector<TermId> xs;
+  for (TermId s = 1; s <= kSubjects; s += 3) xs.push_back(s);
+  const auto [rows, decoded] = Decode(0, xs);
+  EXPECT_EQ(rows, xs.size());
+  for (std::size_t morsel_rows : {std::size_t{64}, std::size_t{1024}}) {
+    const auto [par_rows, par_decoded] = Decode(0, xs, morsel_rows, true);
+    EXPECT_EQ(par_rows, rows) << morsel_rows;
+    EXPECT_EQ(par_decoded, decoded) << morsel_rows;
+  }
 }
 
 TEST_F(ScanDecodeTest, DecodedCountsEveryPath) {

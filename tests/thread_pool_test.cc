@@ -1,7 +1,8 @@
 // Tests for ThreadPool's lifecycle and ParallelFor edge cases: tasks
 // submitted before destruction must all run (the destructor drains the
-// queue), and ParallelFor must handle n == 0, n == 1, max_workers > n,
-// and nesting without hanging or dropping indexes.
+// queue), ParallelFor must handle n == 0, n == 1, max_workers > n, and
+// nesting without hanging or dropping indexes, and it runs as many
+// threads at once as its contract says.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +31,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   // Submit far more tasks than workers and destroy immediately: every
   // queued task must still execute exactly once before join returns. A
   // pool that discards its queue on stop loses fire-and-forget work that
-  // the batch optimizer treats as durable.
+  // the serving pipeline treats as durable.
   constexpr int kTasks = 200;
   std::atomic<int> ran{0};
   {
@@ -133,6 +134,50 @@ TEST(ThreadPoolTest, ParallelForMaxWorkersOneIsSerial) {
       },
       /*max_workers=*/1);
   EXPECT_EQ(peak.load(), 1);
+}
+
+// The most threads inside fn at once during ParallelFor(64, fn,
+// max_workers). Each call holds until `expected` calls have entered (at
+// most 5 s), then for up to 100 ms more unless one more has: `expected`
+// threads are all seen at once, and a thread beyond them would be.
+int PeakConcurrency(ThreadPool& pool, int max_workers, int expected) {
+  std::atomic<int> entered{0};
+  std::atomic<int> concurrent{0};
+  std::atomic<int> peak{0};
+  pool.ParallelFor(
+      64,
+      [&](int) {
+        const int now = concurrent.fetch_add(1) + 1;
+        int p = peak.load();
+        while (now > p && !peak.compare_exchange_weak(p, now)) {
+        }
+        entered.fetch_add(1);
+        const auto hold_until = [&](int n, std::chrono::milliseconds limit) {
+          const auto deadline = std::chrono::steady_clock::now() + limit;
+          while (entered.load() < n &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        };
+        hold_until(expected, std::chrono::milliseconds(5000));
+        hold_until(expected + 1, std::chrono::milliseconds(100));
+        concurrent.fetch_sub(1);
+      },
+      max_workers);
+  return peak.load();
+}
+
+TEST(ThreadPoolTest, ParallelForRunsTheCallerBesidesThePool) {
+  // Uncapped, the caller joins every worker: size() + 1 threads.
+  for (int size : {1, 2, 4}) {
+    ThreadPool pool(size);
+    EXPECT_EQ(PeakConcurrency(pool, 0, size + 1), size + 1) << size;
+  }
+  // A cap counts the caller: max_workers threads in all.
+  ThreadPool pool(4);
+  for (int k : {1, 2, 4}) {
+    EXPECT_EQ(PeakConcurrency(pool, k, k), k) << k;
+  }
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
