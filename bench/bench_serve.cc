@@ -246,10 +246,9 @@ ResilienceReport RunResilience(const RdfGraph& graph, const Cluster& cluster,
     ServerConfig config;
     config.algorithm = Algorithm::kTdAuto;
     config.options = options;
-    config.health.failure_threshold = 3;
     config.health.cooldown_seconds = 1e6;  // stays open for the sweep
     QueryServer server(graph, cluster, partitioner, config);
-    rep.failure_threshold = config.health.failure_threshold;
+    rep.failure_threshold = NodeHealthRegistry::kFailureThreshold;
 
     ServeResult clean = server.Serve(query);
     if (!clean.status.ok()) {

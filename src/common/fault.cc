@@ -1,7 +1,6 @@
 #include "common/fault.h"
 
 #include <chrono>
-#include <cmath>
 #include <thread>
 
 #include "common/metrics.h"
@@ -112,20 +111,10 @@ bool FaultPlan::DeliverShipment() {
   return !dropped;
 }
 
-std::uint64_t RetryBudget::AllowanceNow() const {
-  if (refill_per_second_ <= 0) return capacity_;
-  double accrued = since_.ElapsedSeconds() * refill_per_second_;
-  // Saturate instead of overflowing for long-lived processes.
-  if (accrued >= static_cast<double>(~std::uint64_t{0} - capacity_)) {
-    return ~std::uint64_t{0};
-  }
-  return capacity_ + static_cast<std::uint64_t>(std::floor(accrued));
-}
-
 bool RetryBudget::TryAcquire() {
   std::uint64_t cur = acquired_.load(std::memory_order_relaxed);
   for (;;) {
-    if (cur >= AllowanceNow()) {
+    if (cur >= capacity_) {
       denied_.fetch_add(1, std::memory_order_relaxed);
       if (MetricsEnabled()) {
         MetricsRegistry::Global()
@@ -144,12 +133,6 @@ bool RetryBudget::TryAcquire() {
       return true;
     }
   }
-}
-
-std::uint64_t RetryBudget::remaining() const {
-  std::uint64_t allowance = AllowanceNow();
-  std::uint64_t used = acquired_.load(std::memory_order_relaxed);
-  return used >= allowance ? 0 : allowance - used;
 }
 
 void SleepSeconds(double seconds) {

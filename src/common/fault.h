@@ -24,6 +24,10 @@
 //            which is what the NodeHealthRegistry's circuit breakers
 //            (exec/health.h, DESIGN.md section 16) exist to absorb.
 //
+// Recovery is bounded two ways: RetryPolicy caps one work item's
+// attempts, and an optional RetryBudget caps the retries of every
+// session together. A retry starts at once; there is no backoff.
+//
 // Plans are injected with an RAII FaultScope. When no scope is active the
 // executor's probe is a single relaxed atomic load of a null pointer —
 // production builds pay nothing (asserted by BM_FaultProbe* in
@@ -38,7 +42,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 
 namespace parqo {
@@ -186,29 +189,24 @@ class FaultScope {
   FaultPlan* prev_;
 };
 
-/// Cluster-wide token bucket bounding the TOTAL number of retries across
+/// Cluster-wide fixed budget bounding the TOTAL number of retries across
 /// every concurrent session (DESIGN.md section 16). Per-query RetryPolicy
 /// bounds how hard ONE query tries; under correlated faults N concurrent
 /// queries each retrying K times is an N*K storm against a cluster that
 /// is already sick. The budget caps the storm: each retry attempt
-/// (never the first attempt) must win a token, and an empty bucket
-/// degrades the query to a typed kUnavailable instead of more backoff.
+/// (never the first attempt) must win a token, and an empty budget
+/// degrades the query to a typed kUnavailable instead of another retry.
 ///
-/// Lock-free: the bucket is a monotonic allowance — at time t since
-/// construction, at most `capacity + floor(t * refill_per_second)` tokens
-/// may ever have been acquired — claimed with one CAS per acquire. With
-/// refill 0 it is a fixed budget: total retries <= capacity, exactly the
-/// bound the chaos sweeps assert.
+/// Lock-free: one CAS per acquire, and at most `capacity` acquires ever
+/// succeed — exactly the bound the chaos sweeps assert.
 class RetryBudget {
  public:
-  explicit RetryBudget(std::uint64_t capacity,
-                       double refill_per_second = 0.0)
-      : capacity_(capacity), refill_per_second_(refill_per_second) {}
+  explicit RetryBudget(std::uint64_t capacity) : capacity_(capacity) {}
 
   RetryBudget(const RetryBudget&) = delete;
   RetryBudget& operator=(const RetryBudget&) = delete;
 
-  /// Claims one token; false when the bucket is (currently) empty.
+  /// Claims one token; false when the budget is spent.
   /// Exported as server.retry_budget.{acquired,denied} metrics.
   bool TryAcquire();
 
@@ -219,59 +217,44 @@ class RetryBudget {
   std::uint64_t denied() const {
     return denied_.load(std::memory_order_relaxed);
   }
-  /// Tokens still claimable right now (saturating at 0).
-  std::uint64_t remaining() const;
+  /// Tokens still claimable.
+  std::uint64_t remaining() const {
+    return capacity_ - acquired_.load(std::memory_order_relaxed);
+  }
 
  private:
-  std::uint64_t AllowanceNow() const;
-
   const std::uint64_t capacity_;
-  const double refill_per_second_;
-  Stopwatch since_;  ///< Steady clock; refill accrues from construction.
   std::atomic<std::uint64_t> acquired_{0};
   std::atomic<std::uint64_t> denied_{0};
 };
 
-/// Bounded-retry policy with exponential backoff, deterministic jitter,
-/// and deadline awareness. Shared by the executor's recovery loop; the
-/// defaults keep simulated retries free (no backoff sleep) while still
-/// exercising the full policy arithmetic.
+/// Bounded-retry policy shared by the executor's recovery loop. Retries
+/// start at once: a simulated fault has no cause that waiting would
+/// clear, so there is no backoff schedule.
 struct RetryPolicy {
   /// Total attempts including the first; 0 forbids even the first try.
   int max_attempts = 4;
-  double initial_backoff_seconds = 0.0;
-  double max_backoff_seconds = 0.050;
-  double backoff_multiplier = 2.0;
-  /// Each backoff is scaled by a uniform factor in [1 - j, 1 + j].
-  double jitter_fraction = 0.25;
   /// Optional shared cluster-wide budget (not owned; must outlive every
   /// Retry built from this policy). When set, every attempt after the
-  /// first draws one token; an empty bucket stops the retry loop with
+  /// first draws one token; an empty budget stops the retry loop with
   /// budget_exhausted() so callers report kUnavailable.
   RetryBudget* budget = nullptr;
 };
 
-/// One operation's retry state: attempt budget, deadline, and the
-/// jittered backoff schedule (deterministic for a fixed seed).
+/// One operation's retry state: the attempt count and, under a shared
+/// RetryBudget, the token claimed for the next retry.
 class Retry {
  public:
-  Retry(const RetryPolicy& policy, std::uint64_t seed,
-        Deadline deadline = Deadline::Infinite())
-      : policy_(policy),
-        rng_(seed),
-        deadline_(deadline),
-        next_backoff_(policy.initial_backoff_seconds) {}
+  explicit Retry(const RetryPolicy& policy) : policy_(policy) {}
 
-  /// True while another attempt may start: attempt budget left, deadline
-  /// alive, and — for attempts after the first, when the policy carries a
-  /// cluster-wide RetryBudget — a token claimable. The token is claimed
-  /// here (at most one per approved retry; a held token survives repeated
-  /// calls) and consumed by BeginAttempt(), so every started retry
-  /// accounts for exactly one budget draw.
+  /// True while another attempt may start: attempt budget left and — for
+  /// attempts after the first, when the policy carries a cluster-wide
+  /// RetryBudget — a token claimable. The token is claimed here (at most
+  /// one per approved retry; a held token survives repeated calls) and
+  /// consumed by BeginAttempt(), so every started retry accounts for
+  /// exactly one budget draw.
   bool ShouldRetry() {
-    if (attempts_started_ >= policy_.max_attempts || deadline_.Expired()) {
-      return false;
-    }
+    if (attempts_started_ >= policy_.max_attempts) return false;
     if (attempts_started_ > 0 && policy_.budget != nullptr &&
         !token_held_) {
       token_held_ = policy_.budget->TryAcquire();
@@ -292,50 +275,22 @@ class Retry {
   }
 
   int attempts_started() const { return attempts_started_; }
-  const Deadline& deadline() const { return deadline_; }
   /// True when the retry loop stopped because the shared RetryBudget ran
-  /// dry (as opposed to per-query attempts or the deadline) — callers
-  /// surface this in the typed kUnavailable message.
+  /// dry (as opposed to per-query attempts) — callers surface this in
+  /// the typed kUnavailable message.
   bool budget_exhausted() const { return budget_exhausted_; }
-
-  /// The jittered backoff to wait before the next attempt. Clamped to
-  /// [0, max_backoff_seconds] — the exponential growth saturates instead
-  /// of overflowing — and never longer than the deadline's remainder.
-  double NextBackoffSeconds() {
-    double base = next_backoff_;
-    if (base > policy_.max_backoff_seconds) {
-      base = policy_.max_backoff_seconds;
-    }
-    // Saturating growth: once base hits the cap the product may be
-    // +inf for extreme multipliers; the min() below absorbs it.
-    double grown = base * policy_.backoff_multiplier;
-    next_backoff_ = grown < policy_.max_backoff_seconds
-                        ? grown
-                        : policy_.max_backoff_seconds;
-    double jitter = 1.0 + policy_.jitter_fraction *
-                              (2.0 * rng_.UniformDouble() - 1.0);
-    double wait = base * jitter;
-    if (wait < 0) wait = 0;
-    if (wait > policy_.max_backoff_seconds) {
-      wait = policy_.max_backoff_seconds;
-    }
-    double remaining = deadline_.RemainingSeconds();
-    return wait < remaining ? wait : remaining;
-  }
 
  private:
   RetryPolicy policy_;
-  Rng rng_;
-  Deadline deadline_;
   int attempts_started_ = 0;
-  double next_backoff_;
   bool token_held_ = false;
   bool budget_exhausted_ = false;
 };
 
 /// The codebase's single sanctioned sleep (see the naked-sleep rule in
-/// tools/parqo_lint.py): straggler injection and retry backoff both wait
-/// through here. No-op for non-positive durations.
+/// tools/parqo_lint.py): straggler injection waits through here, and no
+/// retry sleeps at all (the retry-budget rule). No-op for non-positive
+/// durations.
 void SleepSeconds(double seconds);
 
 }  // namespace parqo

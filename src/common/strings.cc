@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +28,15 @@ std::vector<std::string_view> Split(std::string_view s, char sep) {
     }
   }
   return out;
+}
+
+bool ParsePositiveInt(std::string_view s, int* out) {
+  int n = 0;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 1) return false;
+  *out = n;
+  return true;
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

@@ -15,6 +15,11 @@ std::string_view StripWhitespace(std::string_view s);
 /// Splits on `sep`, keeping empty fields.
 std::vector<std::string_view> Split(std::string_view s, char sep);
 
+/// Parses all of `s` as a decimal int >= 1 into `*out`; false (leaving
+/// `*out` alone) for anything else: empty, signed, trailing text, zero,
+/// negative, or out of range. Command-line counts such as --nodes.
+bool ParsePositiveInt(std::string_view s, int* out);
+
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 

@@ -36,7 +36,6 @@
 #define PARQO_COMMON_THREAD_ANNOTATIONS_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -103,9 +102,9 @@ namespace parqo {
 // online repartitioner mutating layout under a warm cache is the
 // motivating case — must thread top-down through this order:
 //
-//   admission, then cache shards, then node health, then executor
-//   recovery, then the thread pool, then the leaf diagnostics locks
-//   (fault, trace, metrics).
+//   cache shards, then node health, then executor recovery, then the
+//   thread pool, then the leaf diagnostics locks (fault, trace,
+//   metrics). The admission front door takes no lock at all.
 //
 // tools/parqo_lint.py parses this enum (names and values) and enforces
 // that every mutex declaration carries a registered rank and that
@@ -113,7 +112,6 @@ namespace parqo {
 // numeric gaps: they leave room to slot new subsystems between layers
 // without renumbering.
 enum class LockRank : int {
-  kAdmission = 12,       ///< AdmissionController wait-queue (server/admission.h).
   kCacheShard = 20,      ///< PlanCache::Shard::mu (server/plan_cache.h).
   kHealth = 25,          ///< NodeHealthRegistry::mu_ (exec/health.h).
   kExecRecovery = 30,    ///< Executor fault-recovery state (exec/executor.cc).
@@ -132,7 +130,7 @@ namespace lock_rank_internal {
 /// relaxed load + branch per acquisition in release serving builds.
 inline std::atomic<bool> g_rank_checks{PARQO_DCHECK_ENABLED != 0};
 
-/// Per-thread stack of held ranks. Fixed capacity: the hierarchy is 10
+/// Per-thread stack of held ranks. Fixed capacity: the hierarchy is 9
 /// levels deep and same-rank nesting is forbidden, so 16 can never
 /// overflow without a rank bug worth aborting on.
 struct HeldRanks {
@@ -232,20 +230,6 @@ class PARQO_SCOPED_CAPABILITY MutexLock {
     std::unique_lock<std::mutex> native(mu_.native(), std::adopt_lock);
     cv.wait(native);  // parqo-lint: allow(naked-sleep) the sanctioned wait primitive; callers loop on a guarded predicate
     native.release();
-  }
-
-  /// Bounded variant of Wait(): one wait step that also wakes after
-  /// `seconds`. Returns false on timeout, true on a notify (possibly
-  /// spurious — callers still loop on their guarded predicate). This is
-  /// what makes admission queueing a *bounded* wait rather than an
-  /// unbounded block, per the naked-sleep rule's "predicate or timeout"
-  /// contract.
-  bool WaitFor(std::condition_variable& cv, double seconds) {
-    std::unique_lock<std::mutex> native(mu_.native(), std::adopt_lock);
-    std::cv_status status = cv.wait_for(  // parqo-lint: allow(naked-sleep) the sanctioned bounded wait primitive
-        native, std::chrono::duration<double>(seconds));
-    native.release();
-    return status == std::cv_status::no_timeout;
   }
 
  private:

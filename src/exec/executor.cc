@@ -160,7 +160,7 @@ struct Recovery {
   /// write while they run (recovery_attempts, node_failures, hedged_ops,
   /// hedge_wins, degraded_nodes), which live outside this struct and so
   /// cannot carry the GUARDED_BY themselves. Never held across
-  /// BeginNodeOp, the retry backoff sleep, or the work item itself.
+  /// BeginNodeOp or the work item itself.
   Mutex mu{LockRank::kExecRecovery};
   std::vector<char> alive PARQO_GUARDED_BY(mu);
   std::vector<int> host PARQO_GUARDED_BY(mu);
@@ -200,14 +200,13 @@ void CrashNode(Recovery& rec, ExecMetrics& m, int node) {
 // out of attempts it fails kUnavailable with "<what>: cluster retry
 // budget exhausted" or "<what> <verb> after N attempts". `on_retry()`
 // accounts every attempt after the first, then `attempt(n)` runs the
-// 0-based attempt n: true ends the loop OK, false backs off and goes
-// round again.
+// 0-based attempt n: true ends the loop OK, false goes round again at
+// once.
 template <typename What, typename Precheck, typename OnRetry,
           typename Attempt>
-Status RetryLoop(const RetryPolicy& policy, std::uint64_t seed,
-                 What&& what, const char* verb, Precheck&& precheck,
-                 OnRetry&& on_retry, Attempt&& attempt) {
-  Retry retry(policy, seed);
+Status RetryLoop(const RetryPolicy& policy, What&& what, const char* verb,
+                 Precheck&& precheck, OnRetry&& on_retry, Attempt&& attempt) {
+  Retry retry(policy);
   for (;;) {
     Status st = precheck();
     if (!st.ok()) return st;
@@ -223,7 +222,6 @@ Status RetryLoop(const RetryPolicy& policy, std::uint64_t seed,
     const int n = retry.BeginAttempt();
     if (n > 0) on_retry();
     if (attempt(n)) return Status::Ok();
-    SleepSeconds(retry.NextBackoffSeconds());
   }
 }
 
@@ -248,7 +246,7 @@ Status RunOnePartition(Recovery& rec, ExecMetrics& m, const char* op,
                        int part, Work& work, ItemRun& run) {
   int host = -1;
   return RetryLoop(
-      rec.policy, 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(part),
+      rec.policy,
       [&] { return std::string(op) + " on partition " + std::to_string(part); },
       "failed",
       [&] {
@@ -330,7 +328,7 @@ Status DeliverBatch(Recovery& rec, ExecMetrics& m, const char* op,
     return Status::Ok();
   }
   return RetryLoop(
-      rec.policy, 0x2545f4914f6cdd1dULL ^ static_cast<std::uint64_t>(target),
+      rec.policy,
       [&] {
         return std::string(op) + " shipment to node " +
                std::to_string(target);

@@ -23,8 +23,8 @@
 // StatusCode::kUnavailable and zeroed metrics; it never returns a
 // silently wrong result. Every work item runs through that one recovery
 // path, faults or not: with no FaultScope it probes nothing, and each
-// item costs a timer and two short critical sections on the run's
-// recovery lock, and allocates nothing.
+// item costs a timer and one short critical section on the run's
+// recovery lock (to read its host), and allocates nothing.
 
 #ifndef PARQO_EXEC_EXECUTOR_H_
 #define PARQO_EXEC_EXECUTOR_H_

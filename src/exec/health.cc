@@ -21,12 +21,6 @@ NodeHealthRegistry::NodeHealthRegistry(int num_nodes, HealthConfig config)
       nodes_(num_nodes),
       hedge_threshold_(std::numeric_limits<double>::infinity()) {
   PARQO_CHECK(num_nodes > 0);
-  PARQO_CHECK(config_.ewma_alpha > 0 && config_.ewma_alpha <= 1);
-  PARQO_CHECK(config_.failure_threshold > 0);
-  PARQO_CHECK(config_.session_window > 0);
-  MutexLock lock(mu_);
-  session_walls_.assign(static_cast<std::size_t>(config_.session_window),
-                        0.0);
 }
 
 bool NodeHealthRegistry::AllowRoute(int node) {
@@ -111,7 +105,7 @@ void NodeHealthRegistry::RecordNodeFailure(int node) {
     Open(n);
     return;
   }
-  if (s == kClosed && failures >= config_.failure_threshold) Open(n);
+  if (s == kClosed && failures >= kFailureThreshold) Open(n);
 }
 
 void NodeHealthRegistry::RecordNodeSuccess(int node, double op_seconds) {
@@ -129,8 +123,8 @@ void NodeHealthRegistry::RecordNodeSuccess(int node, double op_seconds) {
     double next =
         cur == 0
             ? op_seconds
-            : config_.ewma_alpha * op_seconds +
-                  (1.0 - config_.ewma_alpha) * std::bit_cast<double>(cur);
+            : kEwmaAlpha * op_seconds +
+                  (1.0 - kEwmaAlpha) * std::bit_cast<double>(cur);
     if (n.ewma_bits.compare_exchange_weak(cur,
                                           std::bit_cast<std::uint64_t>(next),
                                           std::memory_order_relaxed)) {
@@ -155,16 +149,14 @@ void NodeHealthRegistry::RecomputeHedgeThreshold() {
   double threshold = std::numeric_limits<double>::infinity();
   if (!samples.empty()) {
     std::sort(samples.begin(), samples.end());
-    double pos = config_.hedge_quantile *
-                 static_cast<double>(samples.size() - 1);
+    double pos = kHedgeQuantile * static_cast<double>(samples.size() - 1);
     std::size_t idx = static_cast<std::size_t>(pos);
     double quantile = samples[idx];
     if (idx + 1 < samples.size()) {
       double frac = pos - static_cast<double>(idx);
       quantile += frac * (samples[idx + 1] - samples[idx]);
     }
-    threshold = std::max(config_.hedge_min_seconds,
-                         config_.hedge_multiplier * quantile);
+    threshold = std::max(kHedgeMinSeconds, kHedgeMultiplier * quantile);
   }
   hedge_threshold_.store(threshold, std::memory_order_relaxed);
 }
@@ -187,28 +179,12 @@ void NodeHealthRegistry::RecordSession(const ExecMetrics& m) {
 
   {
     MutexLock lock(mu_);
-    session_walls_[static_cast<std::size_t>(session_next_)] =
-        m.wall_seconds;
-    session_next_ = (session_next_ + 1) % config_.session_window;
-    if (session_count_ < config_.session_window) ++session_count_;
-    // p99 over the occupied window (nearest-rank).
-    std::vector<double> walls(
-        session_walls_.begin(),
-        session_walls_.begin() + session_count_);
-    std::size_t rank = static_cast<std::size_t>(
-        0.99 * static_cast<double>(walls.size() - 1));
-    std::nth_element(walls.begin(),
-                     walls.begin() + static_cast<std::ptrdiff_t>(rank),
-                     walls.end());
-    session_p99_.store(walls[rank], std::memory_order_relaxed);
     RecomputeHedgeThreshold();
   }
 
   if (MetricsEnabled()) {
     MetricsRegistry& reg = MetricsRegistry::Global();
     reg.counter("server.health.sessions").Add(1);
-    reg.gauge("server.health.session_p99_seconds")
-        .Set(session_p99_.load(std::memory_order_relaxed));
     double hedge = hedge_threshold_.load(std::memory_order_relaxed);
     if (std::isfinite(hedge)) {
       reg.gauge("server.health.hedge_threshold_seconds").Set(hedge);

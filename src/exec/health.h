@@ -19,16 +19,15 @@
 // survivors, so the session never discovers the crash mid-scan. The
 // registry also derives a hedge threshold (a quantile over the per-node
 // EWMA latencies) that the executor compares against a node's in-flight
-// delay to trigger speculative re-execution, and a session-latency p99
-// that the AdmissionController uses for load shedding.
+// delay to trigger speculative re-execution.
 //
 // Concurrency: the executor-facing read path (AllowRoute /
-// HedgeThresholdSeconds / SessionP99Seconds) is lock-free — atomic per-
-// node state, breaker transitions by CAS. The feedback path
-// (RecordSession) takes mu_ (LockRank::kHealth) only to recompute the
-// derived quantile thresholds; per-node EWMA updates themselves are CAS
-// loops on bit-cast doubles so RecordNodeSuccess/Failure may also be
-// called mid-query from executor workers.
+// HedgeThresholdSeconds) is lock-free — atomic per-node state, breaker
+// transitions by CAS. The feedback path (RecordSession) takes mu_
+// (LockRank::kHealth) only to recompute the derived hedge threshold;
+// per-node EWMA updates themselves are CAS loops on bit-cast doubles so
+// RecordNodeSuccess/Failure may also be called mid-query from executor
+// workers.
 
 #ifndef PARQO_EXEC_HEALTH_H_
 #define PARQO_EXEC_HEALTH_H_
@@ -37,36 +36,35 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 #include "exec/executor.h"
 
 namespace parqo {
 
-/// Breaker and EWMA knobs. Defaults suit the simulated cluster's
-/// sub-millisecond operators; tests shrink/grow cooldown_seconds to pin
-/// transitions.
+/// The one health setting callers choose. Tests shrink/grow it to pin
+/// breaker transitions.
 struct HealthConfig {
-  /// EWMA weight of the newest sample (higher = faster adaptation).
-  double ewma_alpha = 0.3;
-  /// Consecutive failures that trip a breaker closed -> open.
-  int failure_threshold = 3;
   /// Seconds an open breaker waits before offering a half-open probe.
   double cooldown_seconds = 0.5;
-  /// The hedge threshold is `hedge_multiplier` times this quantile of
-  /// the per-node EWMA operator latencies (nodes with samples only).
-  double hedge_quantile = 0.9;
-  double hedge_multiplier = 4.0;
-  /// Never hedge below this absolute in-flight delay, regardless of how
-  /// fast the healthy quantile is — hedging microsecond ops is waste.
-  double hedge_min_seconds = 1e-4;
-  /// Session latencies tracked for the admission p99 (ring buffer size).
-  int session_window = 256;
 };
 
 enum class BreakerState : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 class NodeHealthRegistry {
  public:
+  /// EWMA weight of the newest sample (higher = faster adaptation).
+  static constexpr double kEwmaAlpha = 0.3;
+  /// Consecutive failures that trip a breaker closed -> open.
+  static constexpr int kFailureThreshold = 3;
+  /// The hedge threshold is kHedgeMultiplier times this quantile of the
+  /// per-node EWMA operator latencies (nodes with samples only).
+  static constexpr double kHedgeQuantile = 0.9;
+  static constexpr double kHedgeMultiplier = 4.0;
+  /// Never hedge below this absolute in-flight delay, regardless of how
+  /// fast the healthy quantile is — hedging microsecond ops is waste.
+  static constexpr double kHedgeMinSeconds = 1e-4;
+
   explicit NodeHealthRegistry(int num_nodes,
                               HealthConfig config = HealthConfig());
 
@@ -91,18 +89,12 @@ class NodeHealthRegistry {
     return hedge_threshold_.load(std::memory_order_relaxed);
   }
 
-  /// p99 of recent session wall times (admission shedding input);
-  /// 0 until a session has been recorded.
-  double SessionP99Seconds() const {
-    return session_p99_.load(std::memory_order_relaxed);
-  }
-
   // -- Feedback --------------------------------------------------------
 
   /// Feeds one finished session's metrics: per-node EWMA updates from
   /// node busy time, failure/success bookkeeping (success on a probed
   /// half-open node closes its breaker), and recomputation of the
-  /// derived hedge threshold and session p99. Call after EVERY session,
+  /// derived hedge threshold. Call after EVERY session,
   /// failed or not — failures are what breakers eat.
   void RecordSession(const ExecMetrics& m);
 
@@ -168,19 +160,15 @@ class NodeHealthRegistry {
   std::vector<NodeHealth> nodes_;
 
   std::atomic<double> hedge_threshold_;
-  std::atomic<double> session_p99_{0};
 
   std::atomic<std::uint64_t> breaker_opens_{0};
   std::atomic<std::uint64_t> breaker_closes_{0};
   std::atomic<std::uint64_t> probes_started_{0};
   std::atomic<std::uint64_t> routes_denied_{0};
 
-  /// Serializes derived-threshold recomputation and the session-latency
-  /// ring buffer; never held while calling out of this class.
+  /// Serializes derived-threshold recomputation; never held while
+  /// calling out of this class.
   Mutex mu_{LockRank::kHealth};
-  std::vector<double> session_walls_ PARQO_GUARDED_BY(mu_);
-  int session_next_ PARQO_GUARDED_BY(mu_) = 0;
-  int session_count_ PARQO_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace parqo

@@ -1,118 +1,47 @@
-// Admission control for the serving layer: a bounded in-flight counter
-// with a typed rejection, an optional bounded wait-queue, and optional
-// health-driven load shedding. A server sized for N concurrent
-// optimizations must turn away request N+1 *before* doing any work for
-// it; but a fixed cap alone converts every momentary burst into client
-// retries, so the adaptive front door may briefly park a request in a
-// BOUNDED queue (bounded depth and bounded wait — never the unbounded
-// queue that grows latency without limit). When the NodeHealthRegistry's
-// measured session p99 says the cluster is degraded, queueing stops and
-// the effective cap halves: shedding load is how an overloaded system
-// gets back under its latency target. Rejected requests get
-// StatusCode::kOverloaded (nothing was attempted; back off and
-// re-submit), never a silent queue.
+// Admission control for the serving layer: a fixed in-flight cap with a
+// typed rejection. A server sized for N concurrent optimizations must
+// turn away request N+1 *before* doing any work for it; a rejected
+// request gets StatusCode::kOverloaded (nothing was attempted; back off
+// and re-submit), never a silent queue.
 //
-// Concurrency: the slot counter stays pure atomics, so the no-queue
-// configuration (the `int` constructor) is exactly the old lock-free
-// front door. The wait-queue path owns the lowest-ranked Mutex in the
-// hierarchy (LockRank::kAdmission) — it is the first thing a request
-// touches, before any other lock can be held — and waits on a condition
-// variable with both a guarded predicate and a deadline, per the
-// naked-sleep rule's bounded-wait contract.
+// Concurrency: the slot counter is pure atomics, so the front door takes
+// no lock (DESIGN.md section 14).
 
 #ifndef PARQO_SERVER_ADMISSION_H_
 #define PARQO_SERVER_ADMISSION_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
-#include "common/thread_annotations.h"
-#include "exec/health.h"
 
 namespace parqo {
 
-/// Front-door policy. The defaults reproduce the fixed-cap behavior;
-/// serving configs turn on the queue and shedding.
-struct AdmissionConfig {
-  int max_in_flight = 64;  ///< Clamps to >= 1.
-  /// Requests that may wait for a slot instead of being rejected
-  /// outright; 0 restores the immediate-reject front door.
-  int max_queue = 0;
-  /// Longest a queued request waits before giving up with kOverloaded.
-  double max_queue_wait_seconds = 0.02;
-  /// Load shedding: while the health registry's session p99 exceeds
-  /// this, queueing is suspended and the effective cap halves. 0 (or no
-  /// registry) disables shedding.
-  double shed_p99_seconds = 0;
-};
-
 class AdmissionController {
  public:
-  /// Fixed-cap front door: no queue, no shedding, pure atomics — the
-  /// original semantics, kept for callers that want hard rejection.
+  /// `max_in_flight` clamps to >= 1.
   explicit AdmissionController(int max_in_flight)
-      : AdmissionController(
-            AdmissionConfig{max_in_flight, 0, 0.0, 0.0}, nullptr) {}
-
-  /// Adaptive front door. `health` (optional, not owned) supplies the
-  /// measured p99 that drives shedding.
-  explicit AdmissionController(AdmissionConfig config,
-                               NodeHealthRegistry* health = nullptr)
-      : config_(config), health_(health) {
-    if (config_.max_in_flight < 1) config_.max_in_flight = 1;
-    if (config_.max_queue < 0) config_.max_queue = 0;
-  }
+      : max_in_flight_(max_in_flight < 1 ? 1 : max_in_flight) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  /// Claims one in-flight slot, possibly after a bounded queue wait;
-  /// false when the server is at capacity (or shedding load).
+  /// Claims one in-flight slot; false when the server is at capacity.
   bool TryAdmit() {
-    bool shedding = IsShedding();
-    if (TryClaim(EffectiveCap(shedding))) {
+    if (TryClaim()) {
       admitted_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    if (shedding) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (config_.max_queue <= 0 ||
-        config_.max_queue_wait_seconds <= 0) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    return WaitForSlot();
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
 
   void Release() {
     int prev = in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     PARQO_CHECK(prev > 0);
-    if (config_.max_queue > 0) {
-      // Briefly pairing with mu_ closes the lost-wakeup window (a waiter
-      // between its predicate check and its wait): by the time this lock
-      // is held, any such waiter is parked in the cv and will see the
-      // notify. Waiters are deadline-bounded regardless, so this is a
-      // latency fix, not a correctness requirement.
-      MutexLock lock(mu_);
-    }
-    cv_.notify_one();
   }
 
-  /// True while the health registry's measured p99 is over the shed
-  /// threshold (the cap is halved and the queue is bypassed).
-  bool IsShedding() const {
-    return health_ != nullptr && config_.shed_p99_seconds > 0 &&
-           health_->SessionP99Seconds() > config_.shed_p99_seconds;
-  }
-
-  int max_in_flight() const { return config_.max_in_flight; }
-  int max_queue() const { return config_.max_queue; }
+  int max_in_flight() const { return max_in_flight_; }
   int in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
   }
@@ -122,37 +51,13 @@ class AdmissionController {
   std::uint64_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
-  /// Requests admitted only after waiting in the queue.
-  std::uint64_t queue_admitted() const {
-    return queue_admitted_.load(std::memory_order_relaxed);
-  }
-  /// Requests rejected after their bounded queue wait expired (or the
-  /// queue itself was full).
-  std::uint64_t queue_rejected() const {
-    return queue_rejected_.load(std::memory_order_relaxed);
-  }
-  /// Requests rejected specifically because the server was shedding.
-  std::uint64_t shed() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
-  /// Requests currently parked in the wait-queue.
-  int queued() {
-    MutexLock lock(mu_);
-    return queued_;
-  }
 
  private:
-  int EffectiveCap(bool shedding) const {
-    if (!shedding) return config_.max_in_flight;
-    int half = config_.max_in_flight / 2;
-    return half < 1 ? 1 : half;
-  }
-
   /// CAS loop rather than fetch_add/undo so a rejected caller never
   /// transiently occupies a slot another request could have used.
-  bool TryClaim(int cap) {
+  bool TryClaim() {
     int cur = in_flight_.load(std::memory_order_relaxed);
-    while (cur < cap) {
+    while (cur < max_in_flight_) {
       if (in_flight_.compare_exchange_weak(cur, cur + 1,
                                            std::memory_order_acq_rel,
                                            std::memory_order_relaxed)) {
@@ -162,54 +67,10 @@ class AdmissionController {
     return false;
   }
 
-  /// The bounded queue: wait (predicate + deadline) for a slot.
-  bool WaitForSlot() {
-    Deadline deadline =
-        Deadline::AfterSeconds(config_.max_queue_wait_seconds);
-    MutexLock lock(mu_);
-    if (queued_ >= config_.max_queue) {
-      queue_rejected_.fetch_add(1, std::memory_order_relaxed);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    ++queued_;
-    for (;;) {
-      // Shedding that starts while we wait empties the queue too: a
-      // degraded cluster should not admit parked bursts.
-      if (!IsShedding() && TryClaim(EffectiveCap(false))) {
-        --queued_;
-        admitted_.fetch_add(1, std::memory_order_relaxed);
-        queue_admitted_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      double remaining = deadline.RemainingSeconds();
-      if (remaining <= 0 || IsShedding()) {
-        --queued_;
-        if (IsShedding()) shed_.fetch_add(1, std::memory_order_relaxed);
-        queue_rejected_.fetch_add(1, std::memory_order_relaxed);
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      lock.WaitFor(cv_, remaining);
-    }
-  }
-
-  // parqo-lint: allow(guarded-field) written only in the constructor
-  AdmissionConfig config_;
-  // parqo-lint: allow(guarded-field) immutable borrowed pointer
-  NodeHealthRegistry* health_;
+  const int max_in_flight_;
   std::atomic<int> in_flight_{0};
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> queue_admitted_{0};
-  std::atomic<std::uint64_t> queue_rejected_{0};
-  std::atomic<std::uint64_t> shed_{0};
-
-  /// Guards the queue depth; ranked at the very bottom of the hierarchy
-  /// because admission is the first thing a request touches.
-  Mutex mu_{LockRank::kAdmission};
-  int queued_ PARQO_GUARDED_BY(mu_) = 0;
-  std::condition_variable cv_;
 };
 
 /// RAII in-flight slot: truthy when admitted, releases on destruction.

@@ -22,16 +22,10 @@ QueryServer::QueryServer(const RdfGraph& graph, const Cluster& cluster,
                         cluster.num_nodes(), config_.health)
                   : nullptr),
       retry_budget_(config_.retry_budget > 0
-                        ? std::make_unique<RetryBudget>(
-                              config_.retry_budget,
-                              config_.retry_budget_refill_per_second)
+                        ? std::make_unique<RetryBudget>(config_.retry_budget)
                         : nullptr),
       cache_(config_.cache_shards, config_.cache_shard_capacity),
-      admission_(AdmissionConfig{config_.max_in_flight,
-                                 config_.admission_queue,
-                                 config_.admission_queue_wait_seconds,
-                                 config_.shed_p99_seconds},
-                 health_.get()),
+      admission_(config_.max_in_flight),
       pool_(config_.num_threads > 0 ? config_.num_threads
                                     : ThreadPool::DefaultConcurrency()) {}
 
@@ -153,8 +147,8 @@ ServeResult QueryServer::ServeAdmitted(
   Result<BindingTable> rows = executor.Execute(*entry.plan, &out.exec_metrics);
   out.execute_seconds = exec_watch.ElapsedSeconds();
   // Feed the health registry failed-or-not: failures already reached it
-  // mid-query (breakers trip on detection), successes carry the latency
-  // samples, and every session's wall time updates the admission p99.
+  // mid-query (breakers trip on detection) and successes carry the
+  // latency samples.
   if (health_ != nullptr) health_->RecordSession(out.exec_metrics);
   if (retry_budget_ != nullptr && MetricsEnabled()) {
     MetricsRegistry::Global()

@@ -7,8 +7,9 @@
 //
 // Pipeline per request:
 //
-//   1. admission  - bounded in-flight slots; at capacity the request is
-//                   rejected with StatusCode::kOverloaded before any work.
+//   1. admission  - a fixed cap on in-flight requests; at capacity the
+//                   request is rejected with StatusCode::kOverloaded
+//                   before any work.
 //   2. signature  - CanonicalizeBgp maps the BGP to its canonical form
 //                   (server/signature.h); execution happens in canonical
 //                   space and ServeResult::var_names maps back.
@@ -27,19 +28,18 @@
 // Self-healing (DESIGN.md section 16): the server owns a
 // NodeHealthRegistry (exec/health.h) fed every session's ExecMetrics.
 // Its circuit breakers make the executor route around known-sick nodes
-// BEFORE dispatch, its latency quantiles drive hedged straggler
-// re-execution, its session p99 drives admission load shedding, and an
-// optional cluster-wide RetryBudget caps the TOTAL retries concurrent
-// sessions may spend (exhaustion degrades to typed kUnavailable instead
-// of a synchronized backoff storm).
+// BEFORE dispatch and its latency quantile drives hedged straggler
+// re-execution; an optional fixed cluster-wide RetryBudget caps the
+// TOTAL retries concurrent sessions may spend (exhaustion degrades to
+// typed kUnavailable instead of a retry storm).
 //
 // Thread safety: Serve() is safe to call from any number of threads.
-// Shared state is the sharded cache, the admission front door, the
-// health registry, and the metrics registry; everything per-request
-// lives on the session's stack. Every lock a request can touch
-// (admission queue at LockRank::kAdmission, cache shards at
-// kCacheShard, health at kHealth, pool/metrics leaves below them) sits
-// in the static hierarchy of common/thread_annotations.h.
+// Shared state is the sharded cache, the lock-free admission counter,
+// the health registry, and the metrics registry; everything per-request
+// lives on the session's stack. Every lock a request can touch (cache
+// shards at LockRank::kCacheShard, health at kHealth, pool/metrics
+// leaves below them) sits in the static hierarchy of
+// common/thread_annotations.h.
 
 #ifndef PARQO_SERVER_SERVER_H_
 #define PARQO_SERVER_SERVER_H_
@@ -91,18 +91,10 @@ struct ServerConfig {
   /// memoryless pre-health behavior: no quarantine and no hedging.
   bool enable_health = true;
   HealthConfig health;
-  /// Bounded admission wait-queue depth (0 = immediate rejection) and
-  /// the longest a queued request may wait for a slot.
-  int admission_queue = 16;
-  double admission_queue_wait_seconds = 0.02;
-  /// Load shedding threshold on the registry's measured session p99;
-  /// 0 disables shedding.
-  double shed_p99_seconds = 0;
   /// Cluster-wide retry budget: total retry attempts across ALL
   /// concurrent sessions (0 = no shared budget, per-query policy only).
   /// `retry.budget` is overwritten to point at the server-owned bucket.
   std::uint64_t retry_budget = 0;
-  double retry_budget_refill_per_second = 0;
 };
 
 /// Everything one served request produced.
@@ -183,7 +175,6 @@ class QueryServer {
   const Partitioner& partitioner_;
   ServerConfig config_;
   StatsSource stats_;
-  /// Declared before admission_: the controller borrows the registry.
   std::unique_ptr<NodeHealthRegistry> health_;
   std::unique_ptr<RetryBudget> retry_budget_;
   PlanCache cache_;

@@ -442,15 +442,16 @@ TEST_F(ChaosExecutorTest, StragglerPlusCrashOnSameNode) {
 TEST_F(ChaosExecutorTest, FlappingNodeCrashRecoverCrash) {
   // Flapping node: persistently sick -> cured -> sick again, across three
   // consecutive executions sharing one fault plan and one health
-  // registry (threshold high enough that the breaker only observes; the
-  // breaker-driven quarantine path is covered in health_test). Every
-  // phase must uphold the chaos invariant, serial and parallel.
+  // registry (a zero cooldown re-probes an open breaker at once, so the
+  // breaker only observes; the breaker-driven quarantine path is covered
+  // in health_test). Every phase must uphold the chaos invariant, serial
+  // and parallel.
   PlanNodePtr plan = RepartitionPlan();
   for (bool parallel : {false, true}) {
     SCOPED_TRACE(parallel ? "parallel" : "serial");
     FaultPlan fault(3);
     HealthConfig hc;
-    hc.failure_threshold = 1000;  // observe, never trip
+    hc.cooldown_seconds = 0;  // observe, never keep the node out
     NodeHealthRegistry health(3, hc);
     Executor exec(*cluster_, *jg_, CostParams{}, parallel, RetryPolicy{},
                   ExecEngine::kBatch, &health);

@@ -1,7 +1,6 @@
 // Self-healing serving tier (DESIGN.md section 16): the
 // NodeHealthRegistry's breaker state machine and EWMA tracking, the
-// cluster-wide RetryBudget, the adaptive AdmissionController, and their
-// integration into the executor (pre-emptive quarantine, deterministic
+// cluster-wide RetryBudget, and their integration into the executor (pre-emptive quarantine, deterministic
 // hedging) and the QueryServer (sick-node streams trip breakers and
 // route around; retry storms are capped by the shared budget).
 //
@@ -19,14 +18,12 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/stopwatch.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
 #include "exec/health.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
 #include "rdf/ntriples.h"
-#include "server/admission.h"
 #include "server/server.h"
 #include "stats/data_stats.h"
 #include "tests/test_util.h"
@@ -35,6 +32,14 @@ namespace parqo {
 namespace {
 
 using testing::Tp;
+
+constexpr int kThreshold = NodeHealthRegistry::kFailureThreshold;
+
+// Records `kThreshold` consecutive failures on `node`: exactly enough to
+// trip a closed breaker.
+void Trip(NodeHealthRegistry& reg, int node) {
+  for (int i = 0; i < kThreshold; ++i) reg.RecordNodeFailure(node);
+}
 
 // --------------------------------------------------------------------------
 // RetryBudget: the cluster-wide retry cap.
@@ -50,22 +55,6 @@ TEST(RetryBudgetTest, FixedCapacityIsAHardBound) {
   EXPECT_EQ(budget.acquired(), 3u);
   EXPECT_EQ(budget.denied(), 2u);
   EXPECT_EQ(budget.remaining(), 0u);
-}
-
-TEST(RetryBudgetTest, RefillAccruesOverTime) {
-  // An empty bucket with a very fast refill becomes claimable within the
-  // test's (bounded) patience; with refill the budget is a rate, not a
-  // fixed pool.
-  RetryBudget budget(0, /*refill_per_second=*/1e6);
-  Deadline deadline = Deadline::AfterSeconds(5.0);
-  bool acquired = false;
-  while (!deadline.Expired()) {
-    if (budget.TryAcquire()) {
-      acquired = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(acquired);
 }
 
 TEST(RetryBudgetTest, ConcurrentAcquiresNeverExceedCapacity) {
@@ -95,7 +84,7 @@ TEST(RetryBudgetTest, RetryDrawsExactlyOneTokenPerStartedRetry) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.budget = &budget;
-  Retry retry(policy, /*seed=*/7);
+  Retry retry(policy);
 
   // The first attempt is free: admission controls first tries, the
   // budget only meters retries.
@@ -117,7 +106,7 @@ TEST(RetryBudgetTest, RetryDrawsExactlyOneTokenPerStartedRetry) {
 }
 
 TEST(RetryBudgetTest, NoBudgetMeansPerQueryPolicyOnly) {
-  Retry retry(RetryPolicy{}, /*seed=*/7);
+  Retry retry(RetryPolicy{});
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(retry.ShouldRetry());
     retry.BeginAttempt();
@@ -131,12 +120,10 @@ TEST(RetryBudgetTest, NoBudgetMeansPerQueryPolicyOnly) {
 
 TEST(HealthRegistryTest, BreakerTripsAtThresholdNotBefore) {
   HealthConfig cfg;
-  cfg.failure_threshold = 3;
   cfg.cooldown_seconds = 1000;  // stays open for the whole test
   NodeHealthRegistry reg(2, cfg);
 
-  reg.RecordNodeFailure(0);
-  reg.RecordNodeFailure(0);
+  for (int i = 1; i < kThreshold; ++i) reg.RecordNodeFailure(0);
   EXPECT_EQ(reg.state(0), BreakerState::kClosed);
   EXPECT_TRUE(reg.AllowRoute(0));
   reg.RecordNodeFailure(0);
@@ -151,25 +138,21 @@ TEST(HealthRegistryTest, BreakerTripsAtThresholdNotBefore) {
 }
 
 TEST(HealthRegistryTest, SuccessResetsTheConsecutiveStreak) {
-  HealthConfig cfg;
-  cfg.failure_threshold = 3;
-  NodeHealthRegistry reg(1, cfg);
-  reg.RecordNodeFailure(0);
-  reg.RecordNodeFailure(0);
+  NodeHealthRegistry reg(1);
+  for (int i = 1; i < kThreshold; ++i) reg.RecordNodeFailure(0);
   reg.RecordNodeSuccess(0, 1e-5);  // a good op between the bad ones
-  reg.RecordNodeFailure(0);
-  reg.RecordNodeFailure(0);
-  EXPECT_EQ(reg.state(0), BreakerState::kClosed);  // streak never hit 3
-  EXPECT_EQ(reg.consecutive_failures(0), 2);
+  for (int i = 1; i < kThreshold; ++i) reg.RecordNodeFailure(0);
+  // The streak never reached the threshold.
+  EXPECT_EQ(reg.state(0), BreakerState::kClosed);
+  EXPECT_EQ(reg.consecutive_failures(0), kThreshold - 1);
 }
 
 TEST(HealthRegistryTest, CooldownOffersOneProbeAndSuccessCloses) {
   HealthConfig cfg;
-  cfg.failure_threshold = 1;
   cfg.cooldown_seconds = 0;  // half-open is offered immediately
   NodeHealthRegistry reg(1, cfg);
 
-  reg.RecordNodeFailure(0);
+  Trip(reg, 0);
   ASSERT_EQ(reg.state(0), BreakerState::kOpen);
 
   // First router past the cooldown claims the probe...
@@ -187,14 +170,13 @@ TEST(HealthRegistryTest, CooldownOffersOneProbeAndSuccessCloses) {
 
 TEST(HealthRegistryTest, FailedProbeReopensTheBreaker) {
   HealthConfig cfg;
-  cfg.failure_threshold = 1;
   cfg.cooldown_seconds = 0;
   NodeHealthRegistry reg(1, cfg);
 
-  reg.RecordNodeFailure(0);
+  Trip(reg, 0);
   ASSERT_TRUE(reg.AllowRoute(0));  // the probe
   ASSERT_EQ(reg.state(0), BreakerState::kHalfOpen);
-  reg.RecordNodeFailure(0);  // probe failed
+  reg.RecordNodeFailure(0);  // one failed probe reopens at once
   EXPECT_EQ(reg.state(0), BreakerState::kOpen);
   EXPECT_EQ(reg.breaker_opens(), 2u);
   EXPECT_EQ(reg.breaker_closes(), 0u);
@@ -204,10 +186,9 @@ TEST(HealthRegistryTest, ExactlyOneConcurrentRouterWinsTheProbe) {
   // TSan target: with the breaker open past cooldown, N racing routers
   // must elect exactly one half-open probe.
   HealthConfig cfg;
-  cfg.failure_threshold = 1;
   cfg.cooldown_seconds = 0;
   NodeHealthRegistry reg(1, cfg);
-  reg.RecordNodeFailure(0);
+  Trip(reg, 0);
   ASSERT_EQ(reg.state(0), BreakerState::kOpen);
 
   std::atomic<int> allowed{0};
@@ -228,9 +209,7 @@ TEST(HealthRegistryTest, ConcurrentFeedbackKeepsInvariants) {
   // recording race freely; the registry must stay sane (no torn EWMAs,
   // opens >= closes, counters monotone).
   HealthConfig cfg;
-  cfg.failure_threshold = 4;
   cfg.cooldown_seconds = 0;
-  cfg.session_window = 16;
   NodeHealthRegistry reg(4, cfg);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
@@ -259,174 +238,45 @@ TEST(HealthRegistryTest, ConcurrentFeedbackKeepsInvariants) {
     EXPECT_GE(ewma, 0.0);
   }
   EXPECT_GE(reg.breaker_opens(), reg.breaker_closes());
-  EXPECT_GT(reg.SessionP99Seconds(), 0.0);
+  EXPECT_TRUE(std::isfinite(reg.HedgeThresholdSeconds()));
 }
 
 // --------------------------------------------------------------------------
 // NodeHealthRegistry: EWMA and derived thresholds.
 
 TEST(HealthRegistryTest, EwmaBlendsSamples) {
-  HealthConfig cfg;
-  cfg.ewma_alpha = 0.5;
-  NodeHealthRegistry reg(1, cfg);
+  constexpr double kAlpha = NodeHealthRegistry::kEwmaAlpha;
+  NodeHealthRegistry reg(1);
   EXPECT_EQ(reg.EwmaOpSeconds(0), 0.0);  // no samples yet
   reg.RecordNodeSuccess(0, 0.1);
   EXPECT_DOUBLE_EQ(reg.EwmaOpSeconds(0), 0.1);  // first sample seeds
   reg.RecordNodeSuccess(0, 0.2);
-  EXPECT_DOUBLE_EQ(reg.EwmaOpSeconds(0), 0.15);  // 0.5*0.2 + 0.5*0.1
+  EXPECT_DOUBLE_EQ(reg.EwmaOpSeconds(0), kAlpha * 0.2 + (1 - kAlpha) * 0.1);
 }
 
 TEST(HealthRegistryTest, HedgeThresholdIsQuantileTimesMultiplier) {
-  HealthConfig cfg;
-  cfg.ewma_alpha = 1.0;  // EWMA == last sample, to pin the quantile
-  cfg.hedge_quantile = 0.5;
-  cfg.hedge_multiplier = 2.0;
-  cfg.hedge_min_seconds = 1e-9;
-  NodeHealthRegistry reg(3, cfg);
+  NodeHealthRegistry reg(3);
   EXPECT_TRUE(std::isinf(reg.HedgeThresholdSeconds()));  // no samples
 
+  // One sample per node: each EWMA is its sample, pinning the quantile.
   reg.RecordNodeSuccess(0, 0.1);
   reg.RecordNodeSuccess(1, 0.2);
   reg.RecordNodeSuccess(2, 0.3);
-  reg.RecordSession(ExecMetrics{});  // recomputes the derived thresholds
-  // Median of {0.1, 0.2, 0.3} is 0.2; threshold = 2.0 * 0.2.
-  EXPECT_DOUBLE_EQ(reg.HedgeThresholdSeconds(), 0.4);
+  reg.RecordSession(ExecMetrics{});  // recomputes the derived threshold
+  // The 0.9 quantile of {0.1, 0.2, 0.3} interpolates at position 1.8:
+  // 0.2 + 0.8 * (0.3 - 0.2) = 0.28; the threshold is 4 times that.
+  static_assert(NodeHealthRegistry::kHedgeQuantile == 0.9);
+  static_assert(NodeHealthRegistry::kHedgeMultiplier == 4.0);
+  EXPECT_DOUBLE_EQ(reg.HedgeThresholdSeconds(), 4.0 * 0.28);
 }
 
 TEST(HealthRegistryTest, HedgeThresholdRespectsTheFloor) {
-  HealthConfig cfg;
-  cfg.ewma_alpha = 1.0;
-  cfg.hedge_multiplier = 2.0;
-  cfg.hedge_min_seconds = 0.5;  // far above 2 * any sample below
-  NodeHealthRegistry reg(1, cfg);
+  NodeHealthRegistry reg(1);
+  // Far below the floor even after the multiplier.
   reg.RecordNodeSuccess(0, 1e-6);
   reg.RecordSession(ExecMetrics{});
-  EXPECT_DOUBLE_EQ(reg.HedgeThresholdSeconds(), 0.5);
-}
-
-TEST(HealthRegistryTest, SessionP99TracksRecentWalls) {
-  HealthConfig cfg;
-  cfg.session_window = 4;
-  NodeHealthRegistry reg(1, cfg);
-  EXPECT_EQ(reg.SessionP99Seconds(), 0.0);
-  for (double wall : {1.0, 2.0, 3.0, 4.0}) {
-    ExecMetrics m;
-    m.wall_seconds = wall;
-    reg.RecordSession(m);
-  }
-  // Nearest-rank p99 over a window of 4: rank floor(0.99 * 3) = 2.
-  EXPECT_DOUBLE_EQ(reg.SessionP99Seconds(), 3.0);
-}
-
-// --------------------------------------------------------------------------
-// AdmissionController: bounded queue and shedding.
-
-TEST(AdmissionTest, QueuedRequestAdmitsWhenASlotFrees) {
-  AdmissionConfig cfg;
-  cfg.max_in_flight = 1;
-  cfg.max_queue = 2;
-  cfg.max_queue_wait_seconds = 5.0;
-  AdmissionController ctrl(cfg);
-
-  ASSERT_TRUE(ctrl.TryAdmit());  // the slot is taken
-  std::atomic<bool> admitted{false};
-  std::thread waiter([&] { admitted.store(ctrl.TryAdmit()); });
-
-  // Wait (bounded) until the request is parked in the queue, then free
-  // the slot; the waiter must be admitted through the queue path.
-  Deadline deadline = Deadline::AfterSeconds(5.0);
-  while (ctrl.queued() == 0 && !deadline.Expired()) {
-  }
-  ASSERT_EQ(ctrl.queued(), 1);
-  ctrl.Release();
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(ctrl.queue_admitted(), 1u);
-  EXPECT_EQ(ctrl.queued(), 0);
-  ctrl.Release();
-}
-
-TEST(AdmissionTest, QueueWaitIsBounded) {
-  AdmissionConfig cfg;
-  cfg.max_in_flight = 1;
-  cfg.max_queue = 2;
-  cfg.max_queue_wait_seconds = 0.02;
-  AdmissionController ctrl(cfg);
-  ASSERT_TRUE(ctrl.TryAdmit());
-
-  Stopwatch watch;
-  EXPECT_FALSE(ctrl.TryAdmit());  // waits ~20ms, then gives up typed
-  EXPECT_GE(watch.ElapsedSeconds(), 0.02);
-  EXPECT_EQ(ctrl.queue_rejected(), 1u);
-  EXPECT_EQ(ctrl.rejected(), 1u);
-  EXPECT_EQ(ctrl.queued(), 0);
-  ctrl.Release();
-}
-
-TEST(AdmissionTest, QueueDepthIsBounded) {
-  AdmissionConfig cfg;
-  cfg.max_in_flight = 1;
-  cfg.max_queue = 1;
-  cfg.max_queue_wait_seconds = 5.0;
-  AdmissionController ctrl(cfg);
-  ASSERT_TRUE(ctrl.TryAdmit());
-
-  std::atomic<bool> admitted{false};
-  std::thread waiter([&] { admitted.store(ctrl.TryAdmit()); });
-  Deadline deadline = Deadline::AfterSeconds(5.0);
-  while (ctrl.queued() == 0 && !deadline.Expired()) {
-  }
-  ASSERT_EQ(ctrl.queued(), 1);
-
-  // The queue is full: the next request is rejected immediately, not
-  // parked behind an unbounded line.
-  EXPECT_FALSE(ctrl.TryAdmit());
-  EXPECT_EQ(ctrl.queue_rejected(), 1u);
-
-  ctrl.Release();
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  ctrl.Release();
-}
-
-TEST(AdmissionTest, SheddingHalvesTheCapAndBypassesTheQueue) {
-  // Feed the registry fake slow sessions so its p99 crosses the shed
-  // threshold, then watch the front door tighten.
-  HealthConfig hcfg;
-  hcfg.session_window = 8;
-  NodeHealthRegistry reg(1, hcfg);
-  ExecMetrics slow;
-  slow.wall_seconds = 1.0;
-  for (int i = 0; i < 8; ++i) reg.RecordSession(slow);
-  ASSERT_DOUBLE_EQ(reg.SessionP99Seconds(), 1.0);
-
-  AdmissionConfig cfg;
-  cfg.max_in_flight = 4;
-  cfg.max_queue = 4;
-  cfg.max_queue_wait_seconds = 1.0;
-  cfg.shed_p99_seconds = 0.5;
-  AdmissionController ctrl(cfg, &reg);
-  ASSERT_TRUE(ctrl.IsShedding());
-
-  // Effective cap is 4 / 2 = 2; the third request is shed without
-  // queueing (no 1-second wait — it returns at once).
-  EXPECT_TRUE(ctrl.TryAdmit());
-  EXPECT_TRUE(ctrl.TryAdmit());
-  Stopwatch watch;
-  EXPECT_FALSE(ctrl.TryAdmit());
-  EXPECT_LT(watch.ElapsedSeconds(), 0.5);
-  EXPECT_EQ(ctrl.shed(), 1u);
-  EXPECT_EQ(ctrl.queued(), 0);
-  ctrl.Release();
-  ctrl.Release();
-
-  // A healthy p99 reopens the full cap.
-  ExecMetrics fast;
-  fast.wall_seconds = 1e-4;
-  for (int i = 0; i < 8; ++i) reg.RecordSession(fast);
-  EXPECT_FALSE(ctrl.IsShedding());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ctrl.TryAdmit());
-  for (int i = 0; i < 4; ++i) ctrl.Release();
+  EXPECT_DOUBLE_EQ(reg.HedgeThresholdSeconds(),
+                   NodeHealthRegistry::kHedgeMinSeconds);
 }
 
 // --------------------------------------------------------------------------
@@ -495,10 +345,9 @@ TEST_F(HealthExecutorTest, OpenBreakerQuarantinesPreemptively) {
   // then execute: the partition must be re-homed BEFORE dispatch, with
   // zero mid-query crash detections and bit-identical rows.
   HealthConfig cfg;
-  cfg.failure_threshold = 1;
   cfg.cooldown_seconds = 1000;
   NodeHealthRegistry health(3, cfg);
-  health.RecordNodeFailure(1);
+  Trip(health, 1);
   ASSERT_EQ(health.state(1), BreakerState::kOpen);
 
   PlanNodePtr plan = RepartitionPlan();
@@ -521,10 +370,9 @@ TEST_F(HealthExecutorTest, OpenBreakerQuarantinesPreemptively) {
 
 TEST_F(HealthExecutorTest, LastSurvivorIsNeverQuarantined) {
   HealthConfig cfg;
-  cfg.failure_threshold = 1;
   cfg.cooldown_seconds = 1000;
   NodeHealthRegistry health(3, cfg);
-  for (int node = 0; node < 3; ++node) health.RecordNodeFailure(node);
+  for (int node = 0; node < 3; ++node) Trip(health, node);
 
   PlanNodePtr plan = RepartitionPlan();
   Executor exec(*cluster_, *jg_, CostParams{}, /*parallel_nodes=*/false,
@@ -543,9 +391,7 @@ TEST_F(HealthExecutorTest, HedgedStragglerKeepsRowsBitIdentical) {
   // straggler's injected delay, then run against a slow node: every op
   // bound for it is hedged to a healthy peer, the hedge wins (strictly
   // smaller in-flight delay), and the rows match the fault-free run.
-  HealthConfig cfg;
-  cfg.ewma_alpha = 1.0;
-  NodeHealthRegistry health(3, cfg);
+  NodeHealthRegistry health(3);
   for (int node = 0; node < 3; ++node) health.RecordNodeSuccess(node, 1e-5);
   health.RecordSession(ExecMetrics{});
   double threshold = health.HedgeThresholdSeconds();
@@ -579,9 +425,7 @@ TEST_F(HealthExecutorTest, HedgeTieKeepsThePrimary) {
   // When every candidate is as slow as the primary, a hedge launches but
   // cannot win: first-completion-wins breaks ties toward the primary so
   // the outcome is deterministic.
-  HealthConfig cfg;
-  cfg.ewma_alpha = 1.0;
-  NodeHealthRegistry health(3, cfg);
+  NodeHealthRegistry health(3);
   for (int node = 0; node < 3; ++node) health.RecordNodeSuccess(node, 1e-5);
   health.RecordSession(ExecMetrics{});
   const double delay = 4 * health.HedgeThresholdSeconds();
@@ -649,7 +493,6 @@ class HealthServerTest : public ::testing::Test {
 
 TEST_F(HealthServerTest, SickNodeTripsBreakerThenSessionsRouteAround) {
   ServerConfig config;
-  config.health.failure_threshold = 2;
   config.health.cooldown_seconds = 1000;  // stays quarantined once open
   QueryServer server(*graph_, *cluster_, hash_, config);
   ASSERT_NE(server.health(), nullptr);
@@ -665,17 +508,17 @@ TEST_F(HealthServerTest, SickNodeTripsBreakerThenSessionsRouteAround) {
 
   // Stream sessions at the sick node until its breaker trips. Each
   // session detects at least one failure, so the trip must land within
-  // failure_threshold sessions.
+  // kThreshold sessions.
   int sessions_to_trip = 0;
   while (server.health()->state(1) != BreakerState::kOpen) {
-    ASSERT_LT(sessions_to_trip, config.health.failure_threshold)
-        << "breaker did not trip within the configured threshold";
+    ASSERT_LT(sessions_to_trip, kThreshold)
+        << "breaker did not trip within the threshold";
     ServeResult r = server.Serve(Query());
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(Rows(r), baseline);  // recovered, bit-identical
     ++sessions_to_trip;
   }
-  EXPECT_LE(sessions_to_trip, config.health.failure_threshold);
+  EXPECT_LE(sessions_to_trip, kThreshold);
   EXPECT_GE(server.health()->breaker_opens(), 1u);
 
   // Every session after the trip routes around the open node: zero
@@ -694,15 +537,20 @@ TEST_F(HealthServerTest, SickNodeTripsBreakerThenSessionsRouteAround) {
 
 TEST_F(HealthServerTest, CuredNodeIsProbedBackIntoService) {
   ServerConfig config;
-  config.health.failure_threshold = 1;
   config.health.cooldown_seconds = 0;  // probe is offered immediately
   QueryServer server(*graph_, *cluster_, hash_, config);
 
   FaultPlan fault(3);
   FaultScope scope(&fault);
   fault.SickNode(1);
-  ServeResult sick = server.Serve(Query());
-  ASSERT_TRUE(sick.status.ok()) << sick.status.ToString();
+  // Each session detects at least one failure: the breaker opens within
+  // kThreshold sessions.
+  for (int i = 0;
+       i < kThreshold && server.health()->state(1) != BreakerState::kOpen;
+       ++i) {
+    ServeResult sick = server.Serve(Query());
+    ASSERT_TRUE(sick.status.ok()) << sick.status.ToString();
+  }
   ASSERT_EQ(server.health()->state(1), BreakerState::kOpen);
 
   // The node recovers; the next session wins the half-open probe, the

@@ -80,7 +80,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
     } else if ((v = value("--algorithm")) != nullptr) {
       opts->algorithm = v;
     } else if ((v = value("--nodes")) != nullptr) {
-      opts->nodes = std::atoi(v);
+      if (!parqo::ParsePositiveInt(v, &opts->nodes)) {
+        std::fprintf(stderr, "--nodes wants an integer >= 1: %s\n", v);
+        return false;
+      }
     } else if ((v = value("--timeout")) != nullptr) {
       opts->timeout = std::atof(v);
     } else if ((v = value("--max-rows")) != nullptr) {

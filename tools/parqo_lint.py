@@ -79,22 +79,21 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         sleep_until) and predicate-less condition-variable
                         waits outside src/common/fault.*. All simulated
                         waiting is owned by parqo::SleepSeconds so fault
-                        injection and retry backoff stay deterministic and
-                        bounded; a stray sleep elsewhere is either a hidden
+                        injection stays deterministic and bounded; a stray sleep elsewhere is either a hidden
                         timing dependence (flaky test) or an unbounded hang
                         the chaos harness cannot detect. Waits must carry a
                         predicate (cv.wait(lock, pred)) or a timeout.
 
-  retry-budget          A SleepSeconds() call whose delay does not come from
-                        RetryPolicy::NextBackoffSeconds(). A hand-rolled
-                        retry loop (fixed or ad-hoc backoff) retries for
-                        free: it never draws a token from the cluster-wide
+  retry-budget          Any SleepSeconds() call outside
+                        src/common/fault.*. Retries start at once: a
+                        simulated fault has no cause that waiting clears,
+                        and a retry loop that sleeps is a hand-rolled one
+                        that never draws a token from the cluster-wide
                         RetryBudget (src/common/fault.h), so a recovery
-                        storm of such loops can amplify an outage
-                        unbounded. Every retry delay must be computed by
-                        the RetryPolicy wired to the budget; a sleep that
-                        genuinely is not a retry (startup settle, test
-                        pacing) carries an allow() saying so.
+                        storm of such loops amplifies an outage unbounded.
+                        Every retry goes through Retry::ShouldRetry(); a
+                        sleep that genuinely is not a retry (startup
+                        settle, test pacing) carries an allow() saying so.
 
   Lock-discipline rules (src/ and tsa_fixtures only; the annotation header
   src/common/thread_annotations.h that implements the discipline is exempt):
@@ -229,8 +228,6 @@ SLEEP_RE = re.compile(
 )
 CV_WAIT_RE = re.compile(r"[.>]\s*wait\s*\(")
 SLEEP_SECONDS_CALL_RE = re.compile(r"\bSleepSeconds\s*\(")
-# The backoff computation that draws from the cluster-wide RetryBudget.
-RETRY_BACKOFF_RE = re.compile(r"\bNextBackoffSeconds\s*\(")
 # The one sanctioned wait implementation (see SleepSeconds).
 SLEEP_EXEMPT_FILES = {"src/common/fault.h", "src/common/fault.cc"}
 # Canonical-signature computation (plan-cache keys) must be byte-stable
@@ -643,7 +640,7 @@ class Linter:
             if SLEEP_RE.search(code):
                 msg = ("naked sleep: route all waiting through "
                        "parqo::SleepSeconds (src/common/fault.cc) so fault "
-                       "injection and retry backoff stay deterministic")
+                       "injection stays deterministic")
             else:
                 m = CV_WAIT_RE.search(code)
                 if m and self._wait_is_unbounded(code, m.end() - 1):
@@ -659,38 +656,14 @@ class Linter:
         if rel in SLEEP_EXEMPT_FILES:
             return
         for lineno, code in enumerate(code_lines, start=1):
-            m = SLEEP_SECONDS_CALL_RE.search(code)
-            if m is None or allowed(lineno, rule):
-                continue
-            # Collect the argument expression: from the opening paren to
-            # its balanced close, spilling over a few continuation lines.
-            arg = code[m.end() - 1:]
-            for extra in range(5):
-                balance = 0
-                closed = False
-                for ch in arg:
-                    if ch == "(":
-                        balance += 1
-                    elif ch == ")":
-                        balance -= 1
-                        if balance == 0:
-                            closed = True
-                            break
-                if closed:
-                    break
-                nxt = lineno + extra  # code_lines is 0-based: next line
-                if nxt >= len(code_lines):
-                    break
-                arg += " " + code_lines[nxt]
-            if RETRY_BACKOFF_RE.search(arg):
+            if not SLEEP_SECONDS_CALL_RE.search(code) or allowed(lineno, rule):
                 continue
             self.report(
                 rel, lineno, rule,
-                "retry delay not drawn from the cluster retry budget: "
-                "compute it with RetryPolicy::NextBackoffSeconds() "
-                "(src/common/fault.h) so each retry claims a RetryBudget "
-                "token, or allow(retry-budget) a sleep that is not a "
-                "retry",
+                "retries do not sleep: retry at once through "
+                "Retry::ShouldRetry() (src/common/fault.h) so each retry "
+                "claims a RetryBudget token, or allow(retry-budget) a "
+                "sleep that is not a retry",
             )
 
     def check_lock_discipline(self, rel, code_lines, allowed):

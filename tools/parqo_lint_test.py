@@ -143,15 +143,16 @@ class ExistingRules(LintHarness):
     def test_retry_budget(self):
         bad = "void F() { while (!ok) SleepSeconds(0.05); }\n"
         self.assert_fires("retry-budget", bad)
-        conforming = (
-            "void F() { SleepSeconds(retry.NextBackoffSeconds()); }\n")
-        self.assert_clean("retry-budget", conforming)
-        # The argument may spill onto a continuation line.
+        # No backoff schedule exists: a retry that sleeps at all is a
+        # finding, whatever computes its delay.
+        backoff = (
+            "void F() { SleepSeconds(retry.NextBackoff()); }\n")
+        self.assert_fires("retry-budget", backoff)
         multiline = ("void F() {\n"
                      "  SleepSeconds(\n"
-                     "      retry.NextBackoffSeconds());\n"
+                     "      retry.NextBackoff());\n"
                      "}\n")
-        self.assert_clean("retry-budget", multiline)
+        self.assert_fires("retry-budget", multiline)
         not_a_retry = (
             "// parqo-lint: allow(retry-budget) startup settle, not a retry\n"
             "void F() { SleepSeconds(0.05); }\n")

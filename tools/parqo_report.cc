@@ -97,7 +97,10 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     } else if ((v = value("--algorithm")) != nullptr) {
       opts->algorithm = v;
     } else if ((v = value("--nodes")) != nullptr) {
-      opts->nodes = std::atoi(v);
+      if (!ParsePositiveInt(v, &opts->nodes)) {
+        std::fprintf(stderr, "--nodes wants an integer >= 1: %s\n", v);
+        return false;
+      }
     } else if ((v = value("--scale")) != nullptr) {
       opts->scale = std::atoi(v);
     } else if ((v = value("--threads")) != nullptr) {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "exec/cluster.h"
 #include "partition/hash_so.h"
 #include "rdf/ntriples.h"
@@ -85,11 +86,18 @@ bool ParseArgs(int argc, char** argv, ServeOptions* opts) {
     } else if ((v = value("--algorithm")) != nullptr) {
       opts->algorithm = v;
     } else if ((v = value("--nodes")) != nullptr) {
-      opts->nodes = std::atoi(v);
+      if (!parqo::ParsePositiveInt(v, &opts->nodes)) {
+        std::fprintf(stderr, "--nodes wants an integer >= 1: %s\n", v);
+        return false;
+      }
     } else if ((v = value("--deadline")) != nullptr) {
       opts->deadline = std::atof(v);
     } else if ((v = value("--max-in-flight")) != nullptr) {
-      opts->max_in_flight = std::atoi(v);
+      if (!parqo::ParsePositiveInt(v, &opts->max_in_flight)) {
+        std::fprintf(stderr, "--max-in-flight wants an integer >= 1: %s\n",
+                     v);
+        return false;
+      }
     } else if ((v = value("--max-rows")) != nullptr) {
       opts->max_rows = static_cast<std::size_t>(std::atoll(v));
     } else if (arg == "--stats") {

@@ -8,7 +8,8 @@ A wrapping script must be able to tell "back off and re-submit" from
   75  every failure was retryable (kOverloaded / kUnavailable), with a
       one-line retry hint on stderr
   1   at least one fatal failure (e.g. a parse error)
-  2   usage
+  2   usage, including a --nodes or --max-in-flight that is not an
+      integer >= 1
 
 Usage: parqo_serve_test.py --serve=/path/to/parqo_serve
 """
@@ -92,6 +93,26 @@ def main():
         r = run(serve, ["--no-such-flag"], "")
         if r.returncode != 2:
             failures.append(f"usage exited {r.returncode}, want 2")
+
+        # 6. A count below 1 or not a number is usage (2), never a crash
+        #    and never a silent clamp. parqo_cli and parqo_report, built
+        #    next to parqo_serve, check --nodes the same way.
+        tools = os.path.dirname(serve)
+        bad_counts = ["0", "-2", "abc", "4x", ""]
+        cases = [(serve, base[:1], flag) for flag in ("--nodes",
+                                                      "--max-in-flight")]
+        cases.append((os.path.join(tools, "parqo_cli"), base[:1], "--nodes"))
+        cases.append((os.path.join(tools, "parqo_report"), [], "--nodes"))
+        for binary, args, flag in cases:
+            if not os.path.exists(binary):
+                failures.append(f"missing {binary}")
+                continue
+            for bad in bad_counts:
+                r = run(binary, args + [f"{flag}={bad}"], QUERY)
+                if r.returncode != 2:
+                    failures.append(
+                        f"{os.path.basename(binary)} {flag}={bad!r} exited "
+                        f"{r.returncode}, want 2")
 
     if failures:
         for f in failures:
