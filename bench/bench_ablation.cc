@@ -84,17 +84,14 @@ int Main(int argc, char** argv) {
   }
 
   HashSoPartitioner hash;
-  OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
-  options.cost_params.num_nodes = flags.nodes;
 
   // Reference costs.
   std::vector<double> reference_costs;
   for (const GeneratedQuery& q : workload) {
     auto query = Prepare(q, hash);
     OptimizeResult r =
-        RunTdCmdWithRules(query->inputs(), options, TdCmdRules{});
-    reference_costs.push_back(r.plan ? r.plan->total_cost : -1);
+        RunTdCmdWithRules(query->inputs(), CallOptions(flags), TdCmdRules{});
+    reference_costs.push_back(r.timed_out ? -1 : r.plan->total_cost);
   }
 
   PrintRow("rules", {"mean ops", "mean ratio", "worst ratio"}, 22);
@@ -113,8 +110,8 @@ int Main(int argc, char** argv) {
       if (reference_costs[i] <= 0) continue;
       auto query = Prepare(workload[i], hash);
       OptimizeResult r =
-          RunTdCmdWithRules(query->inputs(), options, cfg.rules);
-      if (r.plan == nullptr) continue;
+          RunTdCmdWithRules(query->inputs(), CallOptions(flags), cfg.rules);
+      if (r.timed_out) continue;
       costs[row][i] = r.plan->total_cost;
       if (base[i] <= 0) continue;
       ops += static_cast<double>(r.enumerated);
@@ -150,12 +147,12 @@ int Main(int argc, char** argv) {
         // locality a star is one local join either way).
         NoLocalityFixture fx1(q), fx2(q);
         OptimizeResult kary =
-            RunTdCmdWithRules(fx1.inputs(), options, TdCmdRules{});
+            RunTdCmdWithRules(fx1.inputs(), CallOptions(flags), TdCmdRules{});
         TdCmdRules binary;
         binary.cmd_mode = CmdMode::kBinaryOnly;
         OptimizeResult bin =
-            RunTdCmdWithRules(fx2.inputs(), options, binary);
-        if (kary.plan == nullptr || bin.plan == nullptr) continue;
+            RunTdCmdWithRules(fx2.inputs(), CallOptions(flags), binary);
+        if (kary.timed_out || bin.timed_out) continue;
         double ratio = bin.plan->total_cost / kary.plan->total_cost;
         ratio_sum += ratio;
         worst = std::max(worst, ratio);
@@ -176,16 +173,16 @@ int Main(int argc, char** argv) {
   PrintRule(24, 2);
   for (int theta_d : {3, 5, 8}) {
     for (int lambda_n : {10, 14, 18}) {
-      OptimizeOptions tuned = options;
-      tuned.theta_d = theta_d;
-      tuned.lambda_n = lambda_n;
       double secs = 0, ratio_sum = 0;
       int counted = 0;
       for (std::size_t i = 0; i < workload.size(); ++i) {
         if (reference_costs[i] <= 0) continue;
         auto query = Prepare(workload[i], hash);
+        OptimizeOptions tuned = CallOptions(flags);
+        tuned.theta_d = theta_d;
+        tuned.lambda_n = lambda_n;
         OptimizeResult r = RunTdAuto(query->inputs(), tuned);
-        if (r.plan == nullptr) continue;
+        if (r.timed_out) continue;
         secs += r.seconds;
         ratio_sum += r.plan->total_cost / reference_costs[i];
         ++counted;

@@ -55,7 +55,7 @@ int Main(int argc, char** argv) {
   const int kTemplates = flags.quick ? 20 : 124;
 
   std::printf("=== Figure 6: WatDiv stress test ===\n");
-  std::printf("%d templates x %d instances, timeout %.0fs\n\n", kTemplates,
+  std::printf("%d templates x %d instances, timeout %gs\n\n", kTemplates,
               flags.watdiv_instances, flags.timeout);
 
   Rng template_rng(flags.seed);
@@ -80,7 +80,7 @@ int Main(int argc, char** argv) {
         auto query = Prepare(q, hash);
         OptimizeResult r = Run(algorithm, *query, flags);
         time_sum[name] += r.seconds;
-        if (r.plan == nullptr) continue;
+        if (r.timed_out) continue;
         ++finished[name];
         if (algorithm == Algorithm::kTdCmd) {
           reference_cost = r.plan->total_cost;

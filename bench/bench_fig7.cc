@@ -29,7 +29,7 @@ int Main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv);
 
   std::printf("=== Figure 7: optimization time vs query size ===\n");
-  std::printf("mean over %d random queries per cell; N/A = >%.0fs\n\n",
+  std::printf("mean over %d random queries per cell; N/A = >%gs\n\n",
               flags.repeats, flags.timeout);
 
   const std::vector<std::pair<QueryShape, std::string>> shapes{

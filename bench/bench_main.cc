@@ -251,12 +251,10 @@ ExecStressRecord RunExecStress(const std::string& name,
   HashSoPartitioner hash;
   Cluster cluster(graph, hash.PartitionData(graph, flags.nodes));
   PreparedQuery prepared(parsed->patterns, hash, StatsFromData(graph));
-  OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
-  options.cost_params.num_nodes = flags.nodes;
+  const OptimizeOptions options = CallOptions(flags);
   OptimizeResult best =
       Optimize(Algorithm::kTdAuto, prepared.inputs(), options);
-  PARQO_CHECK(best.plan != nullptr);
+  PARQO_CHECK(!best.timed_out);
 
   // Best-of-N walls on the same plan.
   const int reps = flags.quick ? 1 : 3;
@@ -300,15 +298,12 @@ Record RunOptimizeOnly(const std::string& workload, const std::string& name,
   in.query_graph = &qg;
   in.local_index = &index;
   in.estimator = &estimator;
-  OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
-  options.cost_params.num_nodes = flags.nodes;
-  OptimizeResult best = Optimize(Algorithm::kTdAuto, in, options);
+  OptimizeResult best = Optimize(Algorithm::kTdAuto, in, CallOptions(flags));
   rec.optimize_seconds = best.seconds;
   rec.enumerated = best.enumerated;
   rec.bound_pruned = best.bound_pruned;
   rec.timed_out = best.timed_out;
-  if (best.plan != nullptr) rec.plan_cost = best.plan->total_cost;
+  if (!best.timed_out) rec.plan_cost = best.plan->total_cost;
   return rec;
 }
 
@@ -322,16 +317,14 @@ Record RunQuery(const std::string& workload, const std::string& name,
 
   PreparedQuery prepared(parsed.patterns, partitioner,
                          StatsFromData(graph));
-  OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
-  options.cost_params.num_nodes = flags.nodes;
+  const OptimizeOptions options = CallOptions(flags);
   OptimizeResult best =
       Optimize(Algorithm::kTdAuto, prepared.inputs(), options);
   rec.optimize_seconds = best.seconds;
   rec.enumerated = best.enumerated;
   rec.bound_pruned = best.bound_pruned;
   rec.timed_out = best.timed_out;
-  if (best.plan == nullptr) return rec;
+  if (best.timed_out) return rec;
   rec.plan_cost = best.plan->total_cost;
 
   // Wall time and traffic come from a plain run; the q-error study

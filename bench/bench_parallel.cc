@@ -85,9 +85,6 @@ int Main(int argc, char** argv) {
   std::printf("batch size: %zu queries\n\n", instances.size());
 
   HashSoPartitioner hash;
-  OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
-  options.cost_params.num_nodes = flags.nodes;
 
   const std::vector<std::pair<Algorithm, std::string>> kAlgorithms{
       {Algorithm::kTdCmd, "TD-CMD"}, {Algorithm::kTdAuto, "TD-Auto"}};
@@ -120,13 +117,14 @@ int Main(int argc, char** argv) {
       pool.ParallelFor(
           static_cast<int>(prepared.size()),
           [&](int i) {
-            results[i] = Optimize(algorithm, prepared[i]->inputs(), options);
+            results[i] = Optimize(algorithm, prepared[i]->inputs(),
+                                  CallOptions(flags));
           },
           /*max_workers=*/t);
       const double seconds = watch.ElapsedSeconds();
       costs->clear();
       for (const OptimizeResult& r : results) {
-        costs->push_back(r.plan != nullptr ? r.plan->total_cost : -1.0);
+        costs->push_back(r.timed_out ? -1.0 : r.plan->total_cost);
       }
       return seconds;
     };

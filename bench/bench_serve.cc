@@ -246,6 +246,7 @@ ResilienceReport RunResilience(const RdfGraph& graph, const Cluster& cluster,
     ServerConfig config;
     config.algorithm = Algorithm::kTdAuto;
     config.options = options;
+    config.query_deadline_seconds = flags.timeout;
     config.health.cooldown_seconds = 1e6;  // stays open for the sweep
     QueryServer server(graph, cluster, partitioner, config);
     rep.failure_threshold = NodeHealthRegistry::kFailureThreshold;
@@ -310,6 +311,7 @@ ResilienceReport RunResilience(const RdfGraph& graph, const Cluster& cluster,
     ServerConfig unhedged_config;
     unhedged_config.algorithm = Algorithm::kTdAuto;
     unhedged_config.options = options;
+    unhedged_config.query_deadline_seconds = flags.timeout;
     unhedged_config.enable_health = false;
     QueryServer unhedged(graph, cluster, partitioner, unhedged_config);
 
@@ -361,6 +363,7 @@ ResilienceReport RunResilience(const RdfGraph& graph, const Cluster& cluster,
     ServerConfig config;
     config.algorithm = Algorithm::kTdAuto;
     config.options = options;
+    config.query_deadline_seconds = flags.timeout;
     config.enable_health = false;  // isolate the budget
     config.retry_budget = 16;
     config.num_threads = 4;
@@ -447,7 +450,6 @@ int Main(int argc, char** argv) {
   const int kEvents = kTemplates * kEventsPerTemplate;
 
   OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
   options.cost_params.num_nodes = flags.nodes;
 
   std::vector<DistributionReport> reports;
@@ -492,9 +494,9 @@ int Main(int argc, char** argv) {
       PreparedQuery prepared(canon.patterns, partitioner,
                              StatsFromData(graph));
       OptimizeResult r =
-          Optimize(Algorithm::kTdAuto, prepared.inputs(), options);
-      if (!r.plan) {
-        std::fprintf(stderr, "serial optimize produced no plan\n");
+          Optimize(Algorithm::kTdAuto, prepared.inputs(), CallOptions(flags));
+      if (r.timed_out) {
+        std::fprintf(stderr, "serial optimize timed out\n");
         return 1;
       }
       Executor exec(cluster, prepared.join_graph(), options.cost_params);
@@ -520,6 +522,7 @@ int Main(int argc, char** argv) {
     ServerConfig config;
     config.algorithm = Algorithm::kTdAuto;
     config.options = options;
+    config.query_deadline_seconds = flags.timeout;
     config.num_threads = kClients;
     config.max_in_flight = kClients * 4;
     QueryServer server(graph, cluster, partitioner, config);

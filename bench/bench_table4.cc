@@ -28,7 +28,7 @@ int Main(int argc, char** argv) {
   std::printf("=== Table IV: query optimization time ===\n");
   std::printf(
       "datasets: LUBM-like (%d universities), UniProt-like (%d proteins); "
-      "timeout %.0fs\n\n",
+      "timeout %gs\n\n",
       flags.lubm_universities, flags.uniprot_proteins, flags.timeout);
 
   LubmConfig lubm_cfg;

@@ -109,7 +109,7 @@ int Main(int argc, char** argv) {
       PreparedQuery query(parsed->patterns, *s.partitioner,
                           StatsFromData(data));
       OptimizeResult r = Run(s.algorithm, query, flags);
-      if (r.plan == nullptr) {
+      if (r.timed_out) {
         cells.push_back("X");
         continue;
       }

@@ -45,17 +45,14 @@ OptimizeResult RunUnderHash(Algorithm algorithm, const GeneratedQuery& q,
   in.query_graph = &qg;
   in.local_index = &index;
   in.estimator = &estimator;
-  OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
-  options.cost_params.num_nodes = flags.nodes;
-  return Optimize(algorithm, in, options);
+  return Optimize(algorithm, in, CallOptions(flags));
 }
 
 int Main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv);
 
   std::printf("=== Table VII: size of search space ===\n");
-  std::printf("cells: enumerated join operators / plans; N/A = >%.0fs\n",
+  std::printf("cells: enumerated join operators / plans; N/A = >%gs\n",
               flags.timeout);
   std::printf("TD-Auto counts its cost-bounded search; the paper's TD-Auto "
               "count is the row of the algorithm it picks\n\n");

@@ -20,20 +20,23 @@ Flags ParseFlags(int argc, char** argv) {
       return argv[i] + name.size() + 1;
     };
     const char* v = nullptr;
+    int seed = 0;
+    bool ok = true;
     if ((v = value("--timeout")) != nullptr) {
-      flags.timeout = std::atof(v);
+      ok = ParseNonNegativeDouble(v, &flags.timeout);
     } else if ((v = value("--nodes")) != nullptr) {
-      flags.nodes = std::atoi(v);
+      ok = ParsePositiveInt(v, &flags.nodes);
     } else if ((v = value("--lubm-universities")) != nullptr) {
-      flags.lubm_universities = std::atoi(v);
+      ok = ParsePositiveInt(v, &flags.lubm_universities);
     } else if ((v = value("--uniprot-proteins")) != nullptr) {
-      flags.uniprot_proteins = std::atoi(v);
+      ok = ParsePositiveInt(v, &flags.uniprot_proteins);
     } else if ((v = value("--watdiv-instances")) != nullptr) {
-      flags.watdiv_instances = std::atoi(v);
+      ok = ParsePositiveInt(v, &flags.watdiv_instances);
     } else if ((v = value("--repeats")) != nullptr) {
-      flags.repeats = std::atoi(v);
+      ok = ParsePositiveInt(v, &flags.repeats);
     } else if ((v = value("--seed")) != nullptr) {
-      flags.seed = std::strtoull(v, nullptr, 10);
+      ok = ParsePositiveInt(v, &seed);
+      flags.seed = static_cast<std::uint64_t>(seed);
     } else if ((v = value("--threads")) != nullptr) {
       flags.threads = v;
     } else if ((v = value("--json")) != nullptr) {
@@ -43,11 +46,15 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (arg == "--faults") {
       flags.faults = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
-                   "unknown flag: %s\n"
+                   "bad flag: %s\n"
                    "flags: --timeout=S --nodes=N --lubm-universities=N "
                    "--uniprot-proteins=N --watdiv-instances=N --repeats=N "
-                   "--seed=N --threads=CSV --json=PATH --quick --faults\n",
+                   "--seed=N --threads=CSV --json=PATH --quick --faults\n"
+                   "(S a number >= 0, N an integer >= 1)\n",
                    argv[i]);
       std::exit(2);
     }
@@ -80,7 +87,7 @@ std::vector<int> ParseThreadList(const std::string& csv) {
 std::string TimeCell(const OptimizeResult& result, const Flags& flags) {
   if (result.timed_out) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), ">%.0fs", flags.timeout);
+    std::snprintf(buf, sizeof(buf), ">%gs", flags.timeout);
     return buf;
   }
   return FormatSeconds(result.seconds);
@@ -92,16 +99,20 @@ std::string CountCell(const OptimizeResult& result) {
 }
 
 std::string CostCell(const OptimizeResult& result) {
-  if (result.plan == nullptr) return "N/A";
+  if (result.timed_out) return "N/A";
   return FormatCostE(result.plan->total_cost);
+}
+
+OptimizeOptions CallOptions(const Flags& flags) {
+  OptimizeOptions options;
+  options.deadline = Deadline::AfterSeconds(flags.timeout);
+  options.cost_params.num_nodes = flags.nodes;
+  return options;
 }
 
 OptimizeResult Run(Algorithm algorithm, const PreparedQuery& query,
                    const Flags& flags) {
-  OptimizeOptions options;
-  options.timeout_seconds = flags.timeout;
-  options.cost_params.num_nodes = flags.nodes;
-  return Optimize(algorithm, query.inputs(), options);
+  return Optimize(algorithm, query.inputs(), CallOptions(flags));
 }
 
 std::unique_ptr<PreparedQuery> Prepare(const GeneratedQuery& query,

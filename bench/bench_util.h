@@ -19,9 +19,9 @@
 namespace parqo::bench {
 
 struct Flags {
-  /// Per-run optimizer budget. The paper's cutoff is 600 s; the default
-  /// here keeps a full bench sweep to minutes (pass --timeout=600 to
-  /// match the paper exactly).
+  /// Per-call optimizer deadline in seconds. The paper's cutoff is 600 s;
+  /// the default here keeps a full bench sweep to minutes (pass
+  /// --timeout=600 to match the paper exactly).
   double timeout = 30;
   int nodes = 10;              ///< Simulated cluster size (paper: 10).
   int lubm_universities = 8;   ///< LUBM scale.
@@ -42,17 +42,23 @@ struct Flags {
 /// Parses "1,2,4" into {1, 2, 4}; ignores empty fields.
 std::vector<int> ParseThreadList(const std::string& csv);
 
-/// Parses --name=value flags; unknown flags abort with usage.
+/// Parses --name=value flags; an unknown flag or a value that is not a
+/// number in its range exits 2 with usage.
 Flags ParseFlags(int argc, char** argv);
+
+/// Options for one optimizer call: the flags' cluster size and a deadline
+/// --timeout seconds from now (a Deadline is absolute, so build one per
+/// call).
+OptimizeOptions CallOptions(const Flags& flags);
 
 /// "0.123s", or ">30s" when the run timed out.
 std::string TimeCell(const OptimizeResult& result, const Flags& flags);
 /// "4,495", or "N/A" when the run timed out.
 std::string CountCell(const OptimizeResult& result);
-/// "3.12E4", or "N/A" without a plan.
+/// "3.12E4", or "N/A" when the run timed out.
 std::string CostCell(const OptimizeResult& result);
 
-/// Runs one algorithm with the flags' budget.
+/// Runs one algorithm under CallOptions(flags).
 OptimizeResult Run(Algorithm algorithm, const PreparedQuery& query,
                    const Flags& flags);
 

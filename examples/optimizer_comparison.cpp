@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
           q.patterns, hash,
           [&q](const JoinGraph& jg) { return q.MakeStats(jg); });
       OptimizeOptions options;
-      options.timeout_seconds = 30;
+      options.deadline = Deadline::AfterSeconds(30);
       OptimizeResult r = Optimize(algorithm, prepared.inputs(), options);
-      if (r.plan == nullptr) {
+      if (r.timed_out) {
         std::printf("  %-10s %10s %14s %12s %8s\n", name.c_str(),
                     "timeout", "-", "-", "-");
         continue;

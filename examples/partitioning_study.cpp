@@ -101,10 +101,6 @@ int main(int argc, char** argv) {
     OptimizeOptions options;
     OptimizeResult r =
         Optimize(Algorithm::kTdAuto, prepared.inputs(), options);
-    if (r.plan == nullptr) {
-      std::printf("optimization timed out\n\n");
-      continue;
-    }
     std::printf("TD-Auto plan (via %s, est. cost %s):\n%s\n",
                 ToString(r.algorithm_used).c_str(),
                 FormatCostE(r.plan->total_cost).c_str(),

@@ -101,10 +101,6 @@ int main() {
   for (Algorithm algorithm :
        {Algorithm::kTdCmd, Algorithm::kBinaryDp, Algorithm::kTdCmdp}) {
     OptimizeResult r = Optimize(algorithm, inputs, options);
-    if (r.plan == nullptr) {
-      std::printf("%s: timed out\n", ToString(algorithm).c_str());
-      continue;
-    }
     std::printf("=== %s: cost %s, %s operators enumerated, %.4fs ===\n",
                 ToString(algorithm).c_str(),
                 FormatCostE(r.plan->total_cost).c_str(),

@@ -1,9 +1,11 @@
-// Wall-clock stopwatch and deadlines used by the optimization-time
-// experiments (Table IV, Figures 6a and 7), optimizer timeouts, and the
-// fault-recovery retry policy. Everything here is steady_clock on purpose:
-// injected slowness (common/fault.h) and NTP adjustments must never warp
-// elapsed-time or deadline math, so no conversion through system_clock is
-// allowed anywhere in timeout handling.
+// Wall-clock stopwatch and deadlines. The stopwatch times phases (the
+// optimization-time experiments of Table IV and Figures 6a and 7,
+// execution and serving latency) and circuit-breaker cooldowns. The
+// Deadline is the optimizer's one budget (OptimizeOptions::deadline),
+// which the server sets per query. Everything here is steady_clock on
+// purpose: injected slowness (common/fault.h) and NTP adjustments must
+// never warp elapsed-time or deadline math, so no conversion through
+// system_clock is allowed anywhere in deadline handling.
 
 #ifndef PARQO_COMMON_STOPWATCH_H_
 #define PARQO_COMMON_STOPWATCH_H_

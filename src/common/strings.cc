@@ -39,6 +39,18 @@ bool ParsePositiveInt(std::string_view s, int* out) {
   return true;
 }
 
+bool ParseNonNegativeDouble(std::string_view s, double* out) {
+  double d = 0;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, d);
+  if (ec != std::errc() || ptr != end || std::signbit(d) ||
+      !std::isfinite(d)) {
+    return false;
+  }
+  *out = d;
+  return true;
+}
+
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

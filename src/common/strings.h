@@ -20,6 +20,12 @@ std::vector<std::string_view> Split(std::string_view s, char sep);
 /// negative, or out of range. Command-line counts such as --nodes.
 bool ParsePositiveInt(std::string_view s, int* out);
 
+/// Parses all of `s` as a finite decimal number >= 0 ("0", "2.5", "1e-3")
+/// into `*out`; false (leaving `*out` alone) for anything else: empty,
+/// signed, trailing text, negative, inf, nan, or out of range.
+/// Command-line budgets such as --timeout.
+bool ParseNonNegativeDouble(std::string_view s, double* out);
+
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 

@@ -20,13 +20,13 @@ class DpBushy {
         jg_(*inputs.join_graph),
         local_index_(*inputs.local_index),
         builder_(*inputs.estimator, CostModel(options.cost_params)),
-        timeout_seconds_(options.timeout_seconds),
+        deadline_(options.deadline),
         validate_(options.validate) {}
 
   OptimizeResult Run() {
     Stopwatch watch;
     const PlanCandidate* plan = BestPlan(jg_.AllTps());
-    if (validate_ && !aborted_ && plan != nullptr) {
+    if (validate_ && plan != nullptr) {
       // Same memo contract as the TD-CMD family: only connected,
       // correctly costed subplans keyed by exactly their pattern set.
       // Candidates are materialized one at a time for the validator.
@@ -38,8 +38,9 @@ class DpBushy {
       });
     }
     OptimizeResult result;
-    result.plan = (aborted_ || plan == nullptr) ? nullptr
-                                                : MaterializePlan(*plan);
+    // A stopped run keeps the best complete plan: a candidate enters
+    // `best` only after all its children derived before the stop.
+    result.plan = plan == nullptr ? nullptr : MaterializePlan(*plan);
     result.seconds = watch.ElapsedSeconds();
     result.enumerated = ops_enumerated_;
     result.timed_out = aborted_;
@@ -48,12 +49,10 @@ class DpBushy {
   }
 
  private:
-  bool Deadline() {
-    if (aborted_) return true;
-    if ((++probe_ & 0xfff) == 0 &&
-        stopwatch_.ElapsedSeconds() > timeout_seconds_) {
-      aborted_ = true;
-    }
+  /// The first call and every 4096th after it probe the deadline. True
+  /// once the run is stopped.
+  bool Stopped() {
+    if (!aborted_ && (probe_++ & 0xfff) == 0) aborted_ = deadline_.Expired();
     return aborted_;
   }
 
@@ -127,7 +126,7 @@ class DpBushy {
     const std::uint64_t low = bits & (~bits + 1);  // anchor the lowest bit
     for (std::uint64_t sub = (bits - 1) & bits; sub != 0;
          sub = (sub - 1) & bits) {
-      if (Deadline()) return best;
+      if (Stopped()) return best;
       if ((sub & low) == 0) continue;  // canonical half only
       TpSet left(sub);
       TpSet right = q - left;
@@ -165,10 +164,9 @@ class DpBushy {
   const JoinGraph& jg_;
   const LocalQueryIndex& local_index_;
   PlanBuilder builder_;
-  double timeout_seconds_;
+  Deadline deadline_;
   bool validate_ = false;
 
-  Stopwatch stopwatch_;
   std::uint64_t probe_ = 0;
   std::uint64_t ops_enumerated_ = 0;
   bool aborted_ = false;

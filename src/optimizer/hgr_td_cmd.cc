@@ -67,7 +67,7 @@ OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
       [&](Arena& arena, TpSet rels) {
         return builder.LocalJoinAllIn(arena, grouped.ExpandTps(rels));
       },
-      options.timeout_seconds, options.deadline);
+      options.deadline);
   result.plan = core.Run();
 
   if (options.validate && result.plan != nullptr) {
@@ -83,15 +83,7 @@ OptimizeResult RunHgrTdCmd(const OptimizerInputs& inputs,
   }
 
   result.seconds = watch.ElapsedSeconds();
-  result.enumerated = core.stats().enumerated_cmds;
-  result.abort_cause = ToAbortCause(core.stats().abort_cause);
-  result.timed_out = core.stats().timed_out &&
-                     result.abort_cause != AbortCause::kDeadline;
-  result.memo_entries = core.stats().memo_entries;
-  result.memo_hits = core.stats().memo_hits;
-  result.memo_misses = core.stats().memo_misses;
-  result.local_short_circuits = core.stats().local_short_circuits;
-  result.bound_pruned = core.stats().bound_pruned;
+  CopyStats(core.stats(), &result);
   return result;
 }
 

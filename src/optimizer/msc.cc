@@ -43,27 +43,20 @@ class MscSearch {
     result.plan = best_;
     result.seconds = watch.ElapsedSeconds();
     result.enumerated = plans_enumerated_;
-    result.abort_cause = abort_cause_;
-    result.timed_out =
-        aborted_ && abort_cause_ != AbortCause::kDeadline;
+    result.timed_out = aborted_;
     result.algorithm_used = Algorithm::kMsc;
     return result;
   }
 
  private:
-  // Abort probe, run between enumeration steps. MSC is naturally
-  // degradation-friendly: it keeps the best complete flat plan found so
-  // far, so every abort cause still yields a valid plan once the first
-  // cover completes (O(|E|) work).
+  // Stop probe, run between enumeration steps: the deadline or the plan
+  // cap. MSC keeps the best complete flat plan found so far, so a stop
+  // still yields a valid plan once the first cover completes (O(|E|)
+  // work).
   bool Aborting() {
-    if (aborted_) return true;
-    if (options_.deadline.Expired()) {
-      aborted_ = true;
-      abort_cause_ = AbortCause::kDeadline;
-    } else if (stopwatch_.ElapsedSeconds() > options_.timeout_seconds ||
-               plans_enumerated_ >= options_.msc_plan_cap) {
-      aborted_ = true;
-      abort_cause_ = AbortCause::kTimeout;
+    if (!aborted_) {
+      aborted_ = options_.deadline.Expired() ||
+                 plans_enumerated_ >= options_.msc_plan_cap;
     }
     return aborted_;
   }
@@ -205,11 +198,9 @@ class MscSearch {
   PlanBuilder builder_;
   OptimizeOptions options_;
 
-  Stopwatch stopwatch_;
   PlanNodePtr best_;
   std::uint64_t plans_enumerated_ = 0;
   bool aborted_ = false;
-  AbortCause abort_cause_ = AbortCause::kNone;
 };
 
 }  // namespace

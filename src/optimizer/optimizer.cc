@@ -53,24 +53,11 @@ void PublishMetrics(const OptimizeResult& result) {
       .Add(result.local_short_circuits);
   reg.counter("optimizer.bound_pruned").Add(result.bound_pruned);
   if (result.timed_out) reg.counter("optimizer.timeouts").Add(1);
-  if (result.abort_cause == AbortCause::kDeadline) {
-    reg.counter("optimizer.deadline_aborts").Add(1);
-  }
   if (result.fell_back_to_msc) reg.counter("optimizer.msc_fallbacks").Add(1);
   reg.histogram("optimizer.seconds").Observe(result.seconds);
 }
 
 }  // namespace
-
-std::string ToString(AbortCause cause) {
-  switch (cause) {
-    case AbortCause::kNone: return "none";
-    case AbortCause::kTimeout: return "timeout";
-    case AbortCause::kMemoCap: return "memo_cap";
-    case AbortCause::kDeadline: return "deadline";
-  }
-  return "?";
-}
 
 std::string ToString(Algorithm algorithm) {
   switch (algorithm) {
@@ -92,14 +79,13 @@ OptimizeResult Optimize(Algorithm algorithm, const OptimizerInputs& inputs,
   PARQO_CHECK(inputs.estimator != nullptr);
   TraceSpan span("optimize/" + ToString(algorithm), "optimizer");
   OptimizeResult result = Dispatch(algorithm, inputs, options);
-  if (result.plan == nullptr &&
-      result.abort_cause == AbortCause::kDeadline) {
-    // The deadline fired before the enumerator completed any plan. The
-    // caller still needs something executable, so degrade to the MSC flat
-    // plan: its first cover completes in O(|E|) work per level, which is
-    // effectively instant at the scale where a deadline can fire mid-run.
+  if (result.plan == nullptr) {
+    // The search stopped before it completed any plan. The caller still
+    // needs something executable, so degrade to the MSC flat plan: its
+    // first cover completes in O(|E|) work per level, which is
+    // effectively instant at the scale where a stop can fire mid-run.
     // The (expired) deadline is lifted for the fallback — re-applying it
-    // would abort MSC before its first plan too.
+    // would stop MSC before its first plan too.
     OptimizeOptions fallback = options;
     fallback.deadline = Deadline::Infinite();
     OptimizeResult msc = RunMsc(inputs, fallback);

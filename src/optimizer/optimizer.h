@@ -54,17 +54,13 @@ struct OptimizerInputs {
 
 struct OptimizeOptions {
   CostParams cost_params;
-  /// Wall-clock budget, after which the algorithm gives up (the paper caps
-  /// runs at 600 s in Section V-C). A timed-out run returns a null plan.
-  double timeout_seconds = 600.0;
-
-  /// Hard wall-clock deadline (default: none). Unlike the timeout, expiry
-  /// degrades gracefully instead of failing: the TD-CMD family returns the
-  /// best complete plan memoized so far, and when none exists Optimize()
-  /// falls back to MSC (O(|E|) per level, effectively instant), so the
-  /// caller always gets a valid executable plan. The cause is recorded in
-  /// OptimizeResult::abort_cause / fell_back_to_msc. With no deadline set
-  /// results are bit-identical to a build without this feature.
+  /// The optimizer's one wall-clock budget (default: none; the paper caps
+  /// runs at 600 s in Section V-C). Every algorithm probes it during
+  /// enumeration. A stopped run keeps the best complete plan found so
+  /// far, and when there is none Optimize() falls back to MSC with the
+  /// deadline lifted, so the caller always gets a valid executable plan.
+  /// OptimizeResult::timed_out reports the stop. A Deadline is an
+  /// absolute point in time: build one per Optimize() call.
   Deadline deadline = Deadline::Infinite();
 
   /// Runs the structural/cost invariant validator (plan_validator.h) over
@@ -81,27 +77,23 @@ struct OptimizeOptions {
   int theta_n = 30;   ///< #patterns below which TD-CMDP handles high-degree.
   int lambda_n = 14;  ///< #patterns below which TD-CMD handles dense.
 
-  /// MSC guard: maximum complete flat plans to materialize.
+  /// MSC guard: maximum complete flat plans to materialize. Reaching it
+  /// stops MSC like the deadline does.
   std::uint64_t msc_plan_cap = 200000;
 };
 
-/// Why an optimizer run stopped early (kNone: it ran to completion).
-/// Mirrors the enumerator-internal TdAbortCause; kDeadline additionally
-/// applies to MSC, which checks the same deadline between cover levels.
-enum class AbortCause { kNone, kTimeout, kMemoCap, kDeadline };
-
-std::string ToString(AbortCause cause);
-
 struct OptimizeResult {
-  PlanNodePtr plan;  ///< Null if the algorithm timed out before any plan.
+  /// Never null from Optimize() (see OptimizeOptions::deadline); a direct
+  /// Run* call that stopped before any complete plan returns null.
+  PlanNodePtr plan;
   double seconds = 0;
   /// Search-space size: join operators / plans enumerated (Table VII).
   std::uint64_t enumerated = 0;
+  /// The deadline or a size cap (TD-CMD's memo, MSC's plan count) stopped
+  /// the search early: `plan` is a best-effort plan, not the space's
+  /// optimum.
   bool timed_out = false;
-  /// Why the run stopped early; kDeadline with a non-null plan means the
-  /// plan is the degraded best-effort result, not the space's optimum.
-  AbortCause abort_cause = AbortCause::kNone;
-  /// True when the deadline expired before any complete plan existed and
+  /// True when the search stopped before any complete plan existed and
   /// Optimize() substituted the MSC flat plan.
   bool fell_back_to_msc = false;
   /// The algorithm that actually ran (differs from the request for

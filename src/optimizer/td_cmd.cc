@@ -17,6 +17,16 @@ TdCmdRules PaperRules(bool pruned) {
   return rules;
 }
 
+void CopyStats(const TdCmdStats& stats, OptimizeResult* result) {
+  result->enumerated = stats.enumerated_cmds;
+  result->timed_out = stats.stopped;
+  result->memo_entries = stats.memo_entries;
+  result->memo_hits = stats.memo_hits;
+  result->memo_misses = stats.memo_misses;
+  result->local_short_circuits = stats.local_short_circuits;
+  result->bound_pruned = stats.bound_pruned;
+}
+
 OptimizeResult RunTdCmd(const OptimizerInputs& inputs,
                         const OptimizeOptions& options, bool pruned) {
   OptimizeResult result =
@@ -44,7 +54,7 @@ OptimizeResult RunTdCmdWithRules(const OptimizerInputs& inputs,
       [&](Arena& arena, TpSet q) {
         return builder.LocalJoinAllIn(arena, q);
       },
-      options.timeout_seconds, options.deadline);
+      options.deadline);
   PlanNodePtr plan = core.Run();
 
   if (options.validate && plan != nullptr) {
@@ -62,18 +72,8 @@ OptimizeResult RunTdCmdWithRules(const OptimizerInputs& inputs,
   OptimizeResult result;
   result.plan = plan;
   result.seconds = watch.ElapsedSeconds();
-  result.enumerated = core.stats().enumerated_cmds;
-  result.abort_cause = ToAbortCause(core.stats().abort_cause);
-  // Deadline expiry degrades (plan kept / MSC fallback) rather than
-  // failing, so it is not reported as a timeout.
-  result.timed_out = core.stats().timed_out &&
-                     result.abort_cause != AbortCause::kDeadline;
   result.algorithm_used = Algorithm::kTdCmd;
-  result.memo_entries = core.stats().memo_entries;
-  result.memo_hits = core.stats().memo_hits;
-  result.memo_misses = core.stats().memo_misses;
-  result.local_short_circuits = core.stats().local_short_circuits;
-  result.bound_pruned = core.stats().bound_pruned;
+  CopyStats(core.stats(), &result);
   return result;
 }
 

@@ -22,16 +22,8 @@ OptimizeResult RunTdCmdWithRules(const OptimizerInputs& inputs,
                                  const OptimizeOptions& options,
                                  const TdCmdRules& rules);
 
-/// Maps the enumerator-internal abort cause onto the public one.
-inline AbortCause ToAbortCause(TdAbortCause cause) {
-  switch (cause) {
-    case TdAbortCause::kNone: return AbortCause::kNone;
-    case TdAbortCause::kTimeout: return AbortCause::kTimeout;
-    case TdAbortCause::kMemoCap: return AbortCause::kMemoCap;
-    case TdAbortCause::kDeadline: return AbortCause::kDeadline;
-  }
-  return AbortCause::kNone;
-}
+/// Copies one TD-CMD-family run's counters and stop flag into `result`.
+void CopyStats(const TdCmdStats& stats, OptimizeResult* result);
 
 }  // namespace parqo
 

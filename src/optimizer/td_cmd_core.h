@@ -71,10 +71,6 @@ struct TdCmdRules {
   /// sets it while TD-CMD, TD-CMDP and HGR-TD-CMD run as the paper
   /// defines them (Table VII, Eq. 7-9).
   bool cost_bound = false;
-  /// Memo-table ceiling: a backstop against exhausting memory on huge
-  /// dense queries before the wall-clock timeout fires (treated exactly
-  /// like a timeout). ~4M entries is a few hundred MB of plans.
-  std::size_t memo_cap = std::size_t{1} << 22;
   /// Mid-run invariant validation (OptimizeOptions::validate): every
   /// enumerated division is checked against the Definition 3 contract and
   /// every candidate operator's cost against finiteness and the
@@ -82,12 +78,10 @@ struct TdCmdRules {
   bool validate = false;
 };
 
-/// Why an enumeration run gave up. kTimeout and kMemoCap are reported as
-/// timed_out with a null plan, matching the paper's single 600 s cutoff.
-/// kDeadline (OptimizeOptions::deadline, a hard wall-clock budget) instead
-/// degrades gracefully: the run returns the best *complete* plan derived
-/// so far, which callers may further back stop with MSC.
-enum class TdAbortCause { kNone, kTimeout, kMemoCap, kDeadline };
+/// Memo-table ceiling: a backstop against exhausting memory on huge dense
+/// queries before the deadline fires. It stops a run exactly like the
+/// deadline does. ~4M entries is a few hundred MB of plans.
+inline constexpr std::size_t kMemoCap = std::size_t{1} << 22;
 
 struct TdCmdStats {
   std::uint64_t enumerated_cmds = 0;  ///< Table VII's search-space size.
@@ -100,8 +94,8 @@ struct TdCmdStats {
   /// Divisions the cost bound skipped. They were enumerated, so they
   /// count in enumerated_cmds too; only their parts went unoptimized.
   std::uint64_t bound_pruned = 0;
-  bool timed_out = false;
-  TdAbortCause abort_cause = TdAbortCause::kNone;
+  /// The deadline or kMemoCap stopped the run before it finished.
+  bool stopped = false;
 };
 
 template <typename Graph, typename LeafPlanFn, typename IsLocalFn,
@@ -114,7 +108,6 @@ class TdCmdCore {
   /// local candidate (|s| >= 2).
   TdCmdCore(const Graph& graph, const PlanBuilder& builder, TdCmdRules rules,
             LeafPlanFn leaf_plan, IsLocalFn is_local, LocalPlanFn local_plan,
-            double timeout_seconds = 600.0,
             Deadline deadline = Deadline::Infinite())
       : graph_(graph),
         builder_(builder),
@@ -122,14 +115,14 @@ class TdCmdCore {
         leaf_plan_(std::move(leaf_plan)),
         is_local_(std::move(is_local)),
         local_plan_(std::move(local_plan)),
-        timeout_seconds_(timeout_seconds),
         deadline_(deadline) {}
 
-  /// Optimizes the full query. Returns nullptr on timeout; on deadline
-  /// expiry returns the best complete plan found so far (possibly null
-  /// when the deadline fired before any plan completed).
+  /// Optimizes the full query. A stopped run (stats().stopped) returns the
+  /// best complete plan found so far, or nullptr when none completed.
+  /// Candidates only ever enter a subquery's best after all its children
+  /// derived cleanly (the enumeration loop re-probes Aborted() after
+  /// every child), so a kept plan is always complete and correctly costed.
   PlanNodePtr Run() {
-    stopwatch_.Restart();
     // Deliberately keeps the memo and the arena: a repeated run reuses the
     // warm memo, whose entries point into the arena.
     stats_ = TdCmdStats{};
@@ -137,8 +130,7 @@ class TdCmdCore {
     const PlanCandidate* plan =
         GetBestPlan(graph_.AllTps(), /*is_local=*/false);
     stats_.memo_entries = memo_.size();
-    stats_.timed_out = Aborted();
-    if (!KeepPlanOnAbort() || plan == nullptr) return nullptr;
+    if (plan == nullptr) return nullptr;
     return MaterializePlan(*plan);
   }
 
@@ -156,32 +148,17 @@ class TdCmdCore {
   }
 
  private:
-  bool Aborted() const { return stats_.abort_cause != TdAbortCause::kNone; }
+  bool Aborted() const { return stats_.stopped; }
 
-  /// Whether an end-of-run plan may be returned to the caller. Timeout and
-  /// memo-cap aborts discard it (pre-deadline semantics, bit-identical for
-  /// callers that never set a deadline); a deadline abort keeps the best
-  /// complete plan. Candidates only ever enter `best` after all children
-  /// derived cleanly (the enumeration loop re-probes Aborted() after every
-  /// child), so a kept plan is always complete and correctly costed.
-  bool KeepPlanOnAbort() const {
-    return !Aborted() || stats_.abort_cause == TdAbortCause::kDeadline;
-  }
-
-  /// Every 1024th call probes the deadline, the timeout and the memo cap
-  /// and records the first that fired. False once the run is aborted.
+  /// The first call and every 1024th after it probe the deadline and the
+  /// memo cap, so an already-expired deadline stops the first division.
+  /// False once the run is stopped.
   bool CheckDeadline() {
-    if (Aborted()) return false;
-    if ((++probe_ & 0x3ff) == 0) {
-      if (deadline_.Expired()) {
-        stats_.abort_cause = TdAbortCause::kDeadline;
-      } else if (stopwatch_.ElapsedSeconds() > timeout_seconds_) {
-        stats_.abort_cause = TdAbortCause::kTimeout;
-      } else if (memo_.size() > rules_.memo_cap) {
-        stats_.abort_cause = TdAbortCause::kMemoCap;
-      }
+    if (stats_.stopped) return false;
+    if ((probe_++ & 0x3ff) == 0) {
+      stats_.stopped = deadline_.Expired() || memo_.size() > kMemoCap;
     }
-    return !Aborted();
+    return !stats_.stopped;
   }
 
   const PlanCandidate* GetBestPlan(TpSet q, bool is_local) {
@@ -338,11 +315,9 @@ class TdCmdCore {
   LeafPlanFn leaf_plan_;
   IsLocalFn is_local_;
   LocalPlanFn local_plan_;
-  double timeout_seconds_;
   Deadline deadline_;
 
-  Stopwatch stopwatch_;
-  /// Counters and the abort cause of the current run.
+  /// Counters and the stop flag of the current run.
   TdCmdStats stats_;
   std::uint64_t probe_ = 0;  ///< CheckDeadline calls this run.
   Arena arena_;

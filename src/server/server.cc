@@ -113,8 +113,7 @@ ServeResult QueryServer::ServeAdmitted(
     entry.plan = opt.plan;
     entry.plan_cost = opt.plan->total_cost;
     entry.algorithm_used = opt.algorithm_used;
-    entry.degraded =
-        opt.abort_cause == AbortCause::kDeadline || opt.fell_back_to_msc;
+    entry.degraded = opt.timed_out;
     if (entry.degraded) m_degraded.Add();
     if (reoptimizing_degraded) {
       out.reoptimized = true;

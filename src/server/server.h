@@ -17,9 +17,10 @@
 //                   copy-out semantics (server/plan_cache.h).
 //   4. optimize   - on a miss: PreparedQuery + Optimize() under the
 //                   per-query deadline (OptimizeOptions::deadline).
-//                   Deadline-degraded plans are cached with the degraded
-//                   flag; a later unhurried hit re-optimizes and upgrades
-//                   the entry rather than being poisoned by it.
+//                   Plans of a stopped search (timed_out) are cached
+//                   with the degraded flag; a later unhurried hit
+//                   re-optimizes and upgrades the entry rather than
+//                   being poisoned by it.
 //   5. execute    - Executor on the shared cluster; the PR 4 fault layer
 //                   (FaultScope) runs underneath unchanged, so recovery
 //                   happens while serving and an unrecoverable query
@@ -71,8 +72,9 @@ struct ServerConfig {
   /// Base optimizer options; the per-query deadline below overwrites
   /// `options.deadline` on every miss.
   OptimizeOptions options;
-  /// Per-query optimization deadline in seconds; <= 0 serves without one.
-  double query_deadline_seconds = 0;
+  /// Per-query optimization deadline in seconds (the paper's 600 s
+  /// cutoff by default); <= 0 serves without one.
+  double query_deadline_seconds = 600;
   /// In-flight capacity for admission control.
   int max_in_flight = 64;
   int cache_shards = 8;
@@ -100,12 +102,12 @@ struct ServerConfig {
 /// Everything one served request produced.
 struct ServeResult {
   /// kOverloaded (admission), kInvalidArgument (empty/oversized BGP),
-  /// kDeadlineExceeded (optimizer timeout with no plan), kUnavailable
+  /// kDeadlineExceeded (the optimizer returned no plan), kUnavailable
   /// (execution faults exhausted retries) — or OK.
   Status status;
 
   bool cache_hit = false;       ///< Plan came from the cache.
-  bool degraded = false;        ///< The plan used was deadline-degraded.
+  bool degraded = false;        ///< The plan's search was stopped early.
   bool reoptimized = false;     ///< A degraded hit was re-optimized.
   bool exact_signature = true;  ///< CanonicalBgp::exact.
 

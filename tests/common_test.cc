@@ -47,6 +47,22 @@ TEST(StringsTest, ParsePositiveInt) {
   EXPECT_EQ(n, 7);  // untouched on failure
 }
 
+TEST(StringsTest, ParseNonNegativeDouble) {
+  double d = 0;
+  EXPECT_TRUE(ParseNonNegativeDouble("0", &d));
+  EXPECT_EQ(d, 0.0);
+  EXPECT_TRUE(ParseNonNegativeDouble("2.5", &d));
+  EXPECT_EQ(d, 2.5);
+  EXPECT_TRUE(ParseNonNegativeDouble("1e-3", &d));
+  EXPECT_EQ(d, 1e-3);
+  d = 7;
+  for (const char* bad : {"", "-1", "-0", "abc", "4x", " 4", "+4", "inf",
+                          "nan", "1e999"}) {
+    EXPECT_FALSE(ParseNonNegativeDouble(bad, &d)) << bad;
+  }
+  EXPECT_EQ(d, 7.0);  // untouched on failure
+}
+
 TEST(StringsTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_FALSE(StartsWith("fo", "foo"));

@@ -106,7 +106,6 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<BenchmarkQuery> {
     assignment_ = hash_.PartitionData(*graph_, kNodes);
     cluster_ = std::make_unique<Cluster>(*graph_, assignment_);
     options_.cost_params.num_nodes = kNodes;
-    options_.timeout_seconds = 60;
   }
 
   PlanNodePtr Plan(Algorithm algorithm) {

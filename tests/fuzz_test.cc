@@ -163,10 +163,11 @@ TEST_P(FuzzTest, AllPipelinesAgreeWithReference) {
       PreparedQuery prepared(patterns, *combo.partitioner,
                              StatsFromData(graph));
       OptimizeOptions options;
-      options.timeout_seconds = 30;
+      options.deadline = Deadline::AfterSeconds(30);
       options.cost_params.num_nodes = 3;
       OptimizeResult r =
           Optimize(combo.algorithm, prepared.inputs(), options);
+      ASSERT_FALSE(r.timed_out);
       ASSERT_NE(r.plan, nullptr);
       ASSERT_TRUE(
           PlanValidator(prepared.join_graph(), &prepared.local_index())

@@ -79,7 +79,6 @@ TEST_P(IntegrationTest, AllAlgorithmsAndPartitioningsAgree) {
 
   OptimizeOptions options;
   options.cost_params.num_nodes = kNodes;
-  options.timeout_seconds = 60;
 
   HashSoPartitioner hash;
   TwoHopForwardPartitioner two_hop;
@@ -108,7 +107,9 @@ TEST_P(IntegrationTest, AllAlgorithmsAndPartitioningsAgree) {
                  combo.partitioner->name());
     PreparedQuery pq(parsed->patterns, *combo.partitioner,
                      StatsFromData(graph));
+    options.deadline = Deadline::AfterSeconds(60);
     OptimizeResult r = Optimize(combo.algorithm, pq.inputs(), options);
+    ASSERT_FALSE(r.timed_out);
     ASSERT_NE(r.plan, nullptr);
     ASSERT_TRUE(PlanValidator(pq.join_graph(), &pq.local_index())
                     .ValidatePlan(*r.plan)

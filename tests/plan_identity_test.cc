@@ -93,7 +93,7 @@ TEST(PlanIdentityTest, AllAlgorithmsMatchPreArenaGolden) {
       for (bool validate : {false, true}) {
         const char* label = validate ? "validate" : "plain";
         OptimizeOptions options;
-        options.timeout_seconds = 120;
+        options.deadline = Deadline::AfterSeconds(120);
         options.validate = validate;
         OptimizeResult result =
             Optimize(algorithm, prepared.inputs(), options);

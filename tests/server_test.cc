@@ -215,10 +215,8 @@ TEST(ServerTest, PermutedRenamedQueryHitsCache) {
 // unhurried request, never poisoning it.
 
 TEST(ServerTest, DegradedEntryIsFlaggedAndUpgradedNotPoisoning) {
-  // A dense query large enough that the enumerator cannot finish inside
-  // one deadline-poll interval (the WatDiv stars are too small: they
-  // complete before the expired deadline is ever observed). Against the
-  // WatDiv data its scans are empty, which is irrelevant here — this
+  // A dense query whose enumeration the expired deadline stops. Against
+  // the WatDiv data its scans are empty, which is irrelevant here — this
   // test is about plan provenance, not rows.
   Rng query_rng(7);
   std::vector<TriplePattern> query =

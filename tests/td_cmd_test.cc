@@ -1,6 +1,6 @@
 // TD-CMD (Algorithm 1): search-space size against the closed forms of
 // Section III-D (this is Table VII's exactness check), plan validity,
-// locality handling, and timeout behavior.
+// locality handling, and deadline behavior.
 
 #include "optimizer/td_cmd.h"
 
@@ -19,11 +19,8 @@ namespace {
 
 using testing::QueryFixture;
 
-OptimizeResult RunOn(const QueryFixture& fx, bool pruned = false,
-                     double timeout = 600) {
-  OptimizeOptions options;
-  options.timeout_seconds = timeout;
-  return RunTdCmd(fx.inputs(), options, pruned);
+OptimizeResult RunOn(const QueryFixture& fx, bool pruned = false) {
+  return RunTdCmd(fx.inputs(), OptimizeOptions{}, pruned);
 }
 
 TEST(TdCmdTest, ChainSearchSpaceMatchesEquation8) {
@@ -96,12 +93,23 @@ TEST(TdCmdTest, WithoutLocalityDistributedJoinsAreUsed) {
   EXPECT_NE(r.plan->method, JoinMethod::kLocal);
 }
 
-TEST(TdCmdTest, TimeoutReturnsNoPlan) {
+TEST(TdCmdTest, ExpiredDeadlineLeavesNoPlanAndOptimizeFallsBackToMsc) {
   Rng rng(4);
   QueryFixture fx(GenerateRandomQuery(QueryShape::kDense, 24, rng));
-  OptimizeResult r = RunOn(fx, /*pruned=*/false, /*timeout=*/1e-4);
+  OptimizeOptions options;
+  options.deadline = Deadline::AfterSeconds(0);
+  OptimizeResult direct = RunTdCmd(fx.inputs(), options, /*pruned=*/false);
+  EXPECT_TRUE(direct.timed_out);
+  EXPECT_EQ(direct.plan, nullptr);
+
+  OptimizeResult r = Optimize(Algorithm::kTdCmd, fx.inputs(), options);
   EXPECT_TRUE(r.timed_out);
-  EXPECT_EQ(r.plan, nullptr);
+  EXPECT_TRUE(r.fell_back_to_msc);
+  OptimizeResult msc = Optimize(Algorithm::kMsc, fx.inputs(), {});
+  ASSERT_NE(r.plan, nullptr);
+  ASSERT_NE(msc.plan, nullptr);
+  EXPECT_EQ(r.plan->total_cost, msc.plan->total_cost);
+  EXPECT_EQ(r.plan->tps, msc.plan->tps);
 }
 
 TEST(TdCmdTest, DeterministicAcrossRuns) {

@@ -384,7 +384,6 @@ TEST(ValidatorWorkloadTest, AllAlgorithmsAllBenchmarkQueriesValidate) {
 
   OptimizeOptions options;
   options.validate = true;
-  options.timeout_seconds = 120;
 
   for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
     auto parsed = ParseSparql(bq.sparql);
@@ -392,6 +391,7 @@ TEST(ValidatorWorkloadTest, AllAlgorithmsAllBenchmarkQueriesValidate) {
     const RdfGraph& data = bq.lubm ? lubm : uniprot;
     PreparedQuery prepared(parsed->patterns, hash, StatsFromData(data));
     for (Algorithm algorithm : kAll) {
+      options.deadline = Deadline::AfterSeconds(120);
       OptimizeResult result = Optimize(algorithm, prepared.inputs(), options);
       if (result.timed_out) continue;
       ASSERT_NE(result.plan, nullptr)

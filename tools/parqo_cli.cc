@@ -7,6 +7,9 @@
 //             [--timeout=S] [--explain] [--dot] [--json] [--no-exec]
 //             [--max-rows=N]
 //
+// --timeout=S is the optimizer's deadline (default 600 s, the paper's
+// cutoff); a search it stops runs its best plan so far, or the MSC plan.
+//
 // Examples:
 //   parqo_cli --data=uni.nt --query=q.rq --partitioner=path --explain
 //   echo 'SELECT * WHERE { ?s ?p ?o }' | parqo_cli --data=uni.nt
@@ -46,7 +49,7 @@ struct CliOptions {
   bool json = false;
   bool no_exec = false;
   bool parallel = false;
-  std::size_t max_rows = 50;
+  int max_rows = 50;
 };
 
 int Usage(const char* argv0) {
@@ -57,6 +60,7 @@ int Usage(const char* argv0) {
       "          [--algorithm=tdauto|tdcmd|tdcmdp|hgr|msc|dpbushy|binary]\n"
       "          [--nodes=N] [--timeout=S] [--explain] [--dot] [--json]\n"
       "          [--no-exec] [--max-rows=N]\n"
+      "N is an integer >= 1, S a number >= 0.\n"
       "The query is read from stdin when --query is absent.\n",
       argv0);
   return 2;
@@ -80,14 +84,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
     } else if ((v = value("--algorithm")) != nullptr) {
       opts->algorithm = v;
     } else if ((v = value("--nodes")) != nullptr) {
-      if (!parqo::ParsePositiveInt(v, &opts->nodes)) {
-        std::fprintf(stderr, "--nodes wants an integer >= 1: %s\n", v);
-        return false;
-      }
+      if (!parqo::ParsePositiveInt(v, &opts->nodes)) return false;
     } else if ((v = value("--timeout")) != nullptr) {
-      opts->timeout = std::atof(v);
+      if (!parqo::ParseNonNegativeDouble(v, &opts->timeout)) return false;
     } else if ((v = value("--max-rows")) != nullptr) {
-      opts->max_rows = std::strtoull(v, nullptr, 10);
+      if (!parqo::ParsePositiveInt(v, &opts->max_rows)) return false;
     } else if (arg == "--explain") {
       opts->explain = true;
     } else if (arg == "--dot") {
@@ -185,13 +186,15 @@ int main(int argc, char** argv) {
   PreparedQuery prepared(query->patterns, *partitioner,
                          StatsFromData(*graph));
   OptimizeOptions options;
-  options.timeout_seconds = opts.timeout;
+  options.deadline = Deadline::AfterSeconds(opts.timeout);
   options.cost_params.num_nodes = opts.nodes;
   OptimizeResult best = Optimize(algorithm, prepared.inputs(), options);
-  if (best.plan == nullptr) {
-    std::fprintf(stderr, "optimization timed out after %.1fs\n",
-                 best.seconds);
-    return 1;
+  if (best.timed_out) {
+    std::fprintf(stderr,
+                 "optimization stopped at the %.3gs deadline; using the %s\n",
+                 opts.timeout,
+                 best.fell_back_to_msc ? "MSC fallback plan"
+                                       : "best plan found so far");
   }
   std::fprintf(stderr,
                "optimized with %s in %.4fs (%llu operators enumerated, "
@@ -241,7 +244,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
   std::size_t shown = 0;
   for (std::size_t r = 0; r < rows->NumRows(); ++r) {
-    if (opts.max_rows != 0 && shown++ >= opts.max_rows) {
+    if (shown++ >= static_cast<std::size_t>(opts.max_rows)) {
       std::printf("... (%zu more rows)\n", rows->NumRows() - shown + 1);
       break;
     }

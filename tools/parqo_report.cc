@@ -12,16 +12,19 @@
 //                [--json=FILE]             (metrics snapshot JSON)
 //                [--trace=FILE]            (Chrome trace-event JSON)
 //
-// --threads only selects execution: N > 1 runs each operator's per-node
-// work in parallel. The optimizer always enumerates on one thread. The
-// dataset's storage index is built lazily on first use, so it gets its
-// own "index" phase ahead of "prepare" instead of inflating it.
+// --threads=N (N >= 1) only selects execution: 1 runs serially, and any
+// N > 1 runs each operator's per-node work in parallel on the global pool
+// (hardware_concurrency workers plus the caller, whatever N is). The
+// optimizer always enumerates on one thread. The dataset's storage index
+// is built lazily on first use, so it gets its own "index" phase ahead of
+// "prepare" instead of inflating it.
 //
 // Examples:
 //   parqo_report --workload=lubm --query=L2 --partitioner=path
 //   parqo_report --workload=watdiv --template=17 --trace=trace.json
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -32,6 +35,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
@@ -50,6 +54,8 @@
 namespace {
 
 using namespace parqo;
+
+constexpr int kWatdivTemplates = 124;
 
 struct Options {
   std::string workload = "lubm";
@@ -72,8 +78,10 @@ int Usage(const char* argv0) {
       "          [--template=N] [--partitioner=hash|2f|path|mincut]\n"
       "          [--algorithm=tdauto|tdcmd|tdcmdp|hgr|msc|dpbushy|binary]\n"
       "          [--nodes=N] [--scale=N] [--threads=N] [--explain]\n"
-      "          [--json=FILE] [--trace=FILE]\n",
-      argv0);
+      "          [--json=FILE] [--trace=FILE]\n"
+      "N is an integer >= 1; --template=N indexes the %d WatDiv templates\n"
+      "from 0.\n",
+      argv0, kWatdivTemplates);
   return 2;
 }
 
@@ -91,20 +99,22 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     } else if ((v = value("--query")) != nullptr) {
       opts->query = v;
     } else if ((v = value("--template")) != nullptr) {
-      opts->template_id = std::atoi(v);
+      double id = 0;
+      if (!ParseNonNegativeDouble(v, &id) || id != std::floor(id) ||
+          id >= kWatdivTemplates) {
+        return false;
+      }
+      opts->template_id = static_cast<int>(id);
     } else if ((v = value("--partitioner")) != nullptr) {
       opts->partitioner = v;
     } else if ((v = value("--algorithm")) != nullptr) {
       opts->algorithm = v;
     } else if ((v = value("--nodes")) != nullptr) {
-      if (!ParsePositiveInt(v, &opts->nodes)) {
-        std::fprintf(stderr, "--nodes wants an integer >= 1: %s\n", v);
-        return false;
-      }
+      if (!ParsePositiveInt(v, &opts->nodes)) return false;
     } else if ((v = value("--scale")) != nullptr) {
-      opts->scale = std::atoi(v);
+      if (!ParsePositiveInt(v, &opts->scale)) return false;
     } else if ((v = value("--threads")) != nullptr) {
-      opts->threads = std::atoi(v);
+      if (!ParsePositiveInt(v, &opts->threads)) return false;
     } else if (arg == "--explain") {
       opts->explain = true;
     } else if ((v = value("--json")) != nullptr) {
@@ -210,13 +220,8 @@ int main(int argc, char** argv) {
     if (opts.workload == "watdiv") {
       Rng rng(2017);
       std::vector<WatdivTemplate> templates =
-          GenerateWatdivTemplates(124, rng);
-      int id = opts.template_id;
-      if (id < 0 || id >= static_cast<int>(templates.size())) {
-        std::fprintf(stderr, "error: --template out of range [0, %zu)\n",
-                     templates.size());
-        std::exit(2);
-      }
+          GenerateWatdivTemplates(kWatdivTemplates, rng);
+      const int id = opts.template_id;
       query_label = "watdiv-template-" + std::to_string(id);
       patterns = templates[id].patterns;
       parsed.select_all = true;
@@ -230,10 +235,16 @@ int main(int argc, char** argv) {
     std::exit(2);
   });
 
-  std::printf("parqo_report: %s / %s on %d nodes (%s, %s, %d threads)\n",
+  const bool parallel_nodes = opts.threads > 1;
+  const std::string execution =
+      parallel_nodes ? "parallel nodes (pool of " +
+                           std::to_string(ThreadPool::Global().size()) +
+                           " workers)"
+                     : "serial";
+  std::printf("parqo_report: %s / %s on %d nodes (%s, %s, %s)\n",
               opts.workload.c_str(), query_label.c_str(), opts.nodes,
               opts.partitioner.c_str(), opts.algorithm.c_str(),
-              opts.threads);
+              execution.c_str());
   std::printf("dataset: %s triples, %s vertices\n",
               WithThousandsSep(graph.NumTriples()).c_str(),
               WithThousandsSep(graph.vertices().size()).c_str());
@@ -261,8 +272,7 @@ int main(int argc, char** argv) {
     return Optimize(algorithm, prepared->inputs(), options);
   });
   if (best.plan == nullptr) {
-    std::fprintf(stderr, "optimization timed out after %.1fs\n",
-                 best.seconds);
+    std::fprintf(stderr, "error: the optimizer found no plan\n");
     return 1;
   }
 
@@ -272,7 +282,7 @@ int main(int argc, char** argv) {
   // from a separate recording pass, which re-gathers every operator and
   // runs without key filters.
   Executor executor(cluster, prepared->join_graph(), options.cost_params,
-                    /*parallel_nodes=*/opts.threads > 1);
+                    parallel_nodes);
   ExecMetrics metrics;
   Result<BindingTable> rows = timed("execute", [&]() {
     return ExecuteAndProject(executor, *best.plan, parsed,
@@ -372,7 +382,7 @@ int main(int argc, char** argv) {
                                  : 0.0);
 
   Executor recorder(cluster, prepared->join_graph(), options.cost_params,
-                    /*parallel_nodes=*/opts.threads > 1);
+                    parallel_nodes);
   recorder.set_record_op_cardinalities(true);
   ExecMetrics card_metrics;
   if (!recorder.Execute(*best.plan, &card_metrics).ok()) {

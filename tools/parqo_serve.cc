@@ -13,7 +13,9 @@
 //
 //   echo 'SELECT * WHERE { ?s ?p ?o }' | parqo_serve
 //
-// works out of the box. --stats dumps cache counters on exit.
+// works out of the box. --deadline=S bounds each query's optimization
+// (ServerConfig's 600 s when absent, none when 0). --stats dumps cache
+// counters on exit.
 //
 // Exit codes distinguish what a wrapping script should do: 0 all served,
 // 75 (EX_TEMPFAIL) every failure was RETRYABLE (kOverloaded /
@@ -43,9 +45,9 @@ struct ServeOptions {
   std::string data_path;
   std::string algorithm = "tdauto";
   int nodes = 10;
-  double deadline = 0;
+  double deadline = -1;  ///< < 0 keeps ServerConfig's default.
   int max_in_flight = 64;
-  std::size_t max_rows = 20;
+  int max_rows = 20;
   bool stats = false;
   bool saturate = false;
 };
@@ -66,6 +68,7 @@ int Usage(const char* argv0) {
                "binary]\n"
                "          [--max-in-flight=N] [--max-rows=N] [--stats]\n"
                "          [--saturate]\n"
+               "N is an integer >= 1, S a number >= 0 (0: no deadline).\n"
                "Queries are read from stdin, separated by blank lines.\n"
                "Exit: 0 ok, %d all failures retryable, 1 fatal, 2 usage.\n",
                argv0, kExitRetryable);
@@ -81,31 +84,28 @@ bool ParseArgs(int argc, char** argv, ServeOptions* opts) {
       return arg.c_str() + prefix.size();
     };
     const char* v = nullptr;
+    bool ok = true;
     if ((v = value("--data")) != nullptr) {
       opts->data_path = v;
     } else if ((v = value("--algorithm")) != nullptr) {
       opts->algorithm = v;
     } else if ((v = value("--nodes")) != nullptr) {
-      if (!parqo::ParsePositiveInt(v, &opts->nodes)) {
-        std::fprintf(stderr, "--nodes wants an integer >= 1: %s\n", v);
-        return false;
-      }
+      ok = parqo::ParsePositiveInt(v, &opts->nodes);
     } else if ((v = value("--deadline")) != nullptr) {
-      opts->deadline = std::atof(v);
+      ok = parqo::ParseNonNegativeDouble(v, &opts->deadline);
     } else if ((v = value("--max-in-flight")) != nullptr) {
-      if (!parqo::ParsePositiveInt(v, &opts->max_in_flight)) {
-        std::fprintf(stderr, "--max-in-flight wants an integer >= 1: %s\n",
-                     v);
-        return false;
-      }
+      ok = parqo::ParsePositiveInt(v, &opts->max_in_flight);
     } else if ((v = value("--max-rows")) != nullptr) {
-      opts->max_rows = static_cast<std::size_t>(std::atoll(v));
+      ok = parqo::ParsePositiveInt(v, &opts->max_rows);
     } else if (arg == "--stats") {
       opts->stats = true;
     } else if (arg == "--saturate") {
       opts->saturate = true;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad flag: %s\n", arg.c_str());
       return false;
     }
   }
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
 
   parqo::ServerConfig config;
   config.algorithm = algorithm;
-  config.query_deadline_seconds = opts.deadline;
+  if (opts.deadline >= 0) config.query_deadline_seconds = opts.deadline;
   config.max_in_flight = opts.max_in_flight;
   parqo::QueryServer server(graph, cluster, partitioner, config);
 
@@ -228,7 +228,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
     const parqo::Dictionary& dict = graph.dict();
     std::size_t shown = 0;
-    for (std::size_t row = 0; row < r.rows.NumRows() && shown < opts.max_rows;
+    const auto max_rows = static_cast<std::size_t>(opts.max_rows);
+    for (std::size_t row = 0; row < r.rows.NumRows() && shown < max_rows;
          ++row, ++shown) {
       for (std::size_t k = 0; k < r.var_names.size(); ++k) {
         int c = r.rows.ColumnOf(static_cast<parqo::VarId>(k));

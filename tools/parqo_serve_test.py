@@ -8,8 +8,9 @@ A wrapping script must be able to tell "back off and re-submit" from
   75  every failure was retryable (kOverloaded / kUnavailable), with a
       one-line retry hint on stderr
   1   at least one fatal failure (e.g. a parse error)
-  2   usage, including a --nodes or --max-in-flight that is not an
-      integer >= 1
+  2   usage, including a count (--nodes, --max-in-flight, --max-rows)
+      that is not an integer >= 1 or a --deadline that is not a number
+      >= 0
 
 Usage: parqo_serve_test.py --serve=/path/to/parqo_serve
 """
@@ -94,20 +95,33 @@ def main():
         if r.returncode != 2:
             failures.append(f"usage exited {r.returncode}, want 2")
 
-        # 6. A count below 1 or not a number is usage (2), never a crash
-        #    and never a silent clamp. parqo_cli and parqo_report, built
-        #    next to parqo_serve, check --nodes the same way.
+        # 6. A count below 1, a budget below 0, or anything that is not a
+        #    number in range is usage (2), never a crash and never a
+        #    silent clamp or default. parqo_cli and parqo_report, built
+        #    next to parqo_serve, check their numeric flags the same way.
         tools = os.path.dirname(serve)
+        cli = os.path.join(tools, "parqo_cli")
+        report = os.path.join(tools, "parqo_report")
         bad_counts = ["0", "-2", "abc", "4x", ""]
-        cases = [(serve, base[:1], flag) for flag in ("--nodes",
-                                                      "--max-in-flight")]
-        cases.append((os.path.join(tools, "parqo_cli"), base[:1], "--nodes"))
-        cases.append((os.path.join(tools, "parqo_report"), [], "--nodes"))
-        for binary, args, flag in cases:
+        bad_seconds = ["-1", "abc", "4x", "", "inf", "nan"]
+        cases = [
+            (serve, base[:1], "--nodes", bad_counts),
+            (serve, base[:1], "--max-in-flight", bad_counts),
+            (serve, base[:1], "--max-rows", bad_counts),
+            (serve, base[:1], "--deadline", bad_seconds),
+            (cli, base[:1], "--nodes", bad_counts),
+            (cli, base[:1], "--max-rows", bad_counts),
+            (cli, base[:1], "--timeout", bad_seconds),
+            (report, [], "--nodes", bad_counts),
+            (report, [], "--threads", bad_counts),
+            (report, [], "--scale", bad_counts),
+            (report, [], "--template", ["-1", "abc", "1.5", "124", ""]),
+        ]
+        for binary, args, flag, bad_values in cases:
             if not os.path.exists(binary):
                 failures.append(f"missing {binary}")
                 continue
-            for bad in bad_counts:
+            for bad in bad_values:
                 r = run(binary, args + [f"{flag}={bad}"], QUERY)
                 if r.returncode != 2:
                     failures.append(
