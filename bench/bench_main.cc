@@ -1,9 +1,9 @@
 // bench_main — the canonical end-to-end sweep: optimize AND execute every
 // benchmark query (LUBM L1-L10, UniProt U1-U5) plus a WatDiv template
 // subset against generated WatDiv data, then emit one machine-readable
-// BENCH_main.json with per-query optimize time, plan cost, and measured
-// traffic, and the process-wide metrics snapshot. CI's bench-smoke step
-// and EXPERIMENTS.md's trend tracking both read this file.
+// BENCH_main.json with each query's optimize time, plan cost, search and
+// execution counters, and their totals. CI's bench-smoke step and
+// EXPERIMENTS.md's trend tracking both read this file.
 //
 //   bench_main [--quick] [--nodes=N] [--timeout=S] [--json=PATH]
 //
@@ -14,11 +14,11 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/fault.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "exec/cluster.h"
@@ -46,16 +46,24 @@ struct Record {
   double plan_cost = 0;
   double measured_cost = 0;
   double total_work = 0;
+  double wall_seconds = 0;  ///< Fault-free execution wall time.
+  // OptimizeResult's counters.
   std::uint64_t enumerated = 0;
   /// Divisions TD-Auto's cost bound skipped (counted in `enumerated`).
   std::uint64_t bound_pruned = 0;
+  std::uint64_t memo_entries = 0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_misses = 0;
+  std::uint64_t local_short_circuits = 0;
+  // The fault-free run's ExecMetrics counters.
   std::uint64_t result_rows = 0;
   std::uint64_t rows_scanned = 0;
-  /// Index entries the scans decoded (ExecMetrics::rows_decoded).
   std::uint64_t rows_decoded = 0;
   std::uint64_t rows_transferred = 0;
   std::uint64_t bytes_shipped = 0;
   std::uint64_t distributed_joins = 0;
+  std::uint64_t merge_joins = 0;
+  std::uint64_t dedup_rows = 0;
   bool timed_out = false;
   bool executed = false;
   /// Synthetic dense/cycle stress queries (Table VII shapes) that are
@@ -76,7 +84,6 @@ struct Record {
   bool fault_run = false;
   bool fault_recovered = false;
   bool fault_rows_match = false;
-  double wall_seconds = 0;        ///< Fault-free execution wall time.
   double fault_wall_seconds = 0;  ///< Execution wall time under faults.
   std::uint64_t recovery_attempts = 0;
   std::uint64_t operators_reexecuted = 0;
@@ -84,6 +91,47 @@ struct Record {
   std::uint64_t shipments_dropped = 0;
   std::uint64_t node_crashes = 0;
 };
+
+/// The additive counters, in JSON order: each query record writes them and
+/// `totals` writes their sums.
+constexpr std::pair<const char*, std::uint64_t Record::*> kCounters[] = {
+    {"enumerated", &Record::enumerated},
+    {"bound_pruned", &Record::bound_pruned},
+    {"memo_entries", &Record::memo_entries},
+    {"memo_hits", &Record::memo_hits},
+    {"memo_misses", &Record::memo_misses},
+    {"local_short_circuits", &Record::local_short_circuits},
+    {"result_rows", &Record::result_rows},
+    {"rows_scanned", &Record::rows_scanned},
+    {"rows_decoded", &Record::rows_decoded},
+    {"rows_transferred", &Record::rows_transferred},
+    {"bytes_shipped", &Record::bytes_shipped},
+    {"distributed_joins", &Record::distributed_joins},
+    {"merge_joins", &Record::merge_joins},
+    {"dedup_rows", &Record::dedup_rows},
+};
+
+std::string CountersJson(const Record& r) {
+  std::string out;
+  for (const auto& [name, field] : kCounters) {
+    out += std::string("\"") + name + "\": " + std::to_string(r.*field) +
+           ", ";
+  }
+  return out;
+}
+
+/// Copies one Optimize() call's outcome into `rec`.
+void RecordOptimize(const OptimizeResult& best, Record& rec) {
+  rec.optimize_seconds = best.seconds;
+  rec.enumerated = best.enumerated;
+  rec.bound_pruned = best.bound_pruned;
+  rec.memo_entries = best.memo_entries;
+  rec.memo_hits = best.memo_hits;
+  rec.memo_misses = best.memo_misses;
+  rec.local_short_circuits = best.local_short_circuits;
+  rec.timed_out = best.timed_out;
+  if (!best.timed_out) rec.plan_cost = best.plan->total_cost;
+}
 
 /// Row-for-row equality up to order (both tables are deduplicated, so
 /// sorted row multisets coincide iff the results are identical).
@@ -124,16 +172,8 @@ std::string ToJson(const Record& r) {
   out += "\"plan_cost\": " + JsonNum(r.plan_cost) + ", ";
   out += "\"measured_cost\": " + JsonNum(r.measured_cost) + ", ";
   out += "\"total_work\": " + JsonNum(r.total_work) + ", ";
-  out += "\"enumerated\": " + std::to_string(r.enumerated) + ", ";
-  out += "\"bound_pruned\": " + std::to_string(r.bound_pruned) + ", ";
-  out += "\"result_rows\": " + std::to_string(r.result_rows) + ", ";
-  out += "\"rows_scanned\": " + std::to_string(r.rows_scanned) + ", ";
-  out += "\"rows_decoded\": " + std::to_string(r.rows_decoded) + ", ";
-  out += "\"rows_transferred\": " + std::to_string(r.rows_transferred) +
-         ", ";
-  out += "\"bytes_shipped\": " + std::to_string(r.bytes_shipped) + ", ";
-  out += "\"distributed_joins\": " + std::to_string(r.distributed_joins) +
-         ", ";
+  out += "\"wall_seconds\": " + JsonNum(r.wall_seconds) + ", ";
+  out += CountersJson(r);
   out += std::string("\"timed_out\": ") + (r.timed_out ? "true" : "false") +
          ", ";
   out += std::string("\"executed\": ") + (r.executed ? "true" : "false");
@@ -146,7 +186,6 @@ std::string ToJson(const Record& r) {
            (r.fault_recovered ? "true" : "false") + ", ";
     out += std::string("\"rows_match\": ") +
            (r.fault_rows_match ? "true" : "false") + ", ";
-    out += "\"wall_seconds\": " + JsonNum(r.wall_seconds) + ", ";
     out += "\"fault_wall_seconds\": " + JsonNum(r.fault_wall_seconds) +
            ", ";
     out += "\"recovery_attempts\": " +
@@ -298,12 +337,7 @@ Record RunOptimizeOnly(const std::string& workload, const std::string& name,
   in.query_graph = &qg;
   in.local_index = &index;
   in.estimator = &estimator;
-  OptimizeResult best = Optimize(Algorithm::kTdAuto, in, CallOptions(flags));
-  rec.optimize_seconds = best.seconds;
-  rec.enumerated = best.enumerated;
-  rec.bound_pruned = best.bound_pruned;
-  rec.timed_out = best.timed_out;
-  if (!best.timed_out) rec.plan_cost = best.plan->total_cost;
+  RecordOptimize(Optimize(Algorithm::kTdAuto, in, CallOptions(flags)), rec);
   return rec;
 }
 
@@ -320,12 +354,8 @@ Record RunQuery(const std::string& workload, const std::string& name,
   const OptimizeOptions options = CallOptions(flags);
   OptimizeResult best =
       Optimize(Algorithm::kTdAuto, prepared.inputs(), options);
-  rec.optimize_seconds = best.seconds;
-  rec.enumerated = best.enumerated;
-  rec.bound_pruned = best.bound_pruned;
-  rec.timed_out = best.timed_out;
+  RecordOptimize(best, rec);
   if (best.timed_out) return rec;
-  rec.plan_cost = best.plan->total_cost;
 
   // Wall time and traffic come from a plain run; the q-error study
   // below records per-operator cardinalities in a pass of its own
@@ -349,6 +379,8 @@ Record RunQuery(const std::string& workload, const std::string& name,
   rec.rows_transferred = metrics.rows_transferred;
   rec.bytes_shipped = metrics.bytes_shipped;
   rec.distributed_joins = metrics.distributed_joins;
+  rec.merge_joins = metrics.merge_joins;
+  rec.dedup_rows = metrics.dedup_rows;
   rec.wall_seconds = metrics.wall_seconds;
 
   // Cardinality-estimation study: per-operator estimated vs actual rows
@@ -404,7 +436,6 @@ Record RunQuery(const std::string& workload, const std::string& name,
 
 int Main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv);
-  SetMetricsEnabled(true);
 
   std::printf("=== bench_main: optimize + execute, all workloads ===\n\n");
   HashSoPartitioner hash;
@@ -563,14 +594,8 @@ int Main(int argc, char** argv) {
               WithThousandsSep(r.rows_transferred),
               WithThousandsSep(r.result_rows)});
     totals.optimize_seconds += r.optimize_seconds;
-    totals.enumerated += r.enumerated;
-    totals.rows_scanned += r.rows_scanned;
-    totals.rows_decoded += r.rows_decoded;
-    totals.rows_transferred += r.rows_transferred;
-    totals.bytes_shipped += r.bytes_shipped;
-    totals.result_rows += r.result_rows;
-    totals.distributed_joins += r.distributed_joins;
-    totals.total_work += r.total_work;
+    totals.wall_seconds += r.wall_seconds;
+    for (const auto& [name, field] : kCounters) totals.*field += r.*field;
     // Any execution failure flags the run; optimize-only stress queries
     // never execute by design.
     if (!r.executed && !r.optimize_only) totals.timed_out = true;
@@ -646,14 +671,8 @@ int Main(int argc, char** argv) {
   json += "\"queries\": " + std::to_string(records.size()) + ", ";
   json += "\"optimize_seconds\": " + JsonNum(totals.optimize_seconds) +
           ", ";
-  json += "\"enumerated\": " + std::to_string(totals.enumerated) + ", ";
-  json += "\"rows_scanned\": " + std::to_string(totals.rows_scanned) + ", ";
-  json += "\"rows_decoded\": " + std::to_string(totals.rows_decoded) + ", ";
-  json += "\"rows_transferred\": " +
-          std::to_string(totals.rows_transferred) + ", ";
-  json += "\"bytes_shipped\": " + std::to_string(totals.bytes_shipped) +
-          ", ";
-  json += "\"result_rows\": " + std::to_string(totals.result_rows) + ", ";
+  json += "\"wall_seconds\": " + JsonNum(totals.wall_seconds) + ", ";
+  json += CountersJson(totals);
   json += "\"all_executed\": ";
   json += totals.timed_out ? "false" : "true";
   if (fault_runs > 0) {
@@ -673,8 +692,6 @@ int Main(int argc, char** argv) {
           JsonNum(graph_index_bytes_per_triple) + ", ";
   json += "\"baseline_bytes_per_triple\": 24.0";
   json += "},\n  \"qerror\": " + QErrorJson(qerror);
-  json += ",\n  \"metrics\": ";
-  json += MetricsRegistry::Global().Snapshot().ToJson();
   json += "\n}\n";
 
   FILE* f = std::fopen(path.c_str(), "wb");

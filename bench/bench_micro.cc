@@ -16,7 +16,6 @@
 #include "common/arena.h"
 #include "common/fault.h"
 #include "common/flat_map.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "exec/binding_table.h"
 #include "exec/cluster.h"
@@ -328,42 +327,6 @@ void BM_UnorderedMemoProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnorderedMemoProbe)->Arg(16)->Arg(30);
-
-// Cost of one counter update with collection off vs. on. The metrics
-// contract (see common/metrics.h) is that a disabled update is a relaxed
-// load plus a predicted branch, so instrumenting hot paths is free; the
-// enabled side prices the relaxed fetch_add. Compare against
-// BM_MetricCounterBaseline (the empty loop) to read the per-update cost.
-void BM_MetricCounterBaseline(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(++i);
-  }
-}
-BENCHMARK(BM_MetricCounterBaseline);
-
-void BM_MetricCounterDisabled(benchmark::State& state) {
-  SetMetricsEnabled(false);
-  MetricCounter& c =
-      MetricsRegistry::Global().counter("bench.micro.disabled");
-  for (auto _ : state) {
-    c.Add();
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_MetricCounterDisabled);
-
-void BM_MetricCounterEnabled(benchmark::State& state) {
-  SetMetricsEnabled(true);
-  MetricCounter& c =
-      MetricsRegistry::Global().counter("bench.micro.enabled");
-  for (auto _ : state) {
-    c.Add();
-    benchmark::DoNotOptimize(c);
-  }
-  SetMetricsEnabled(false);
-}
-BENCHMARK(BM_MetricCounterEnabled);
 
 // The fault layer's contract (common/fault.h): with no FaultScope active
 // the executor's per-work-item probe is a single acquire load of a null

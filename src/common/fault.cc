@@ -3,8 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/metrics.h"
-
 namespace parqo {
 namespace {
 
@@ -116,20 +114,10 @@ bool RetryBudget::TryAcquire() {
   for (;;) {
     if (cur >= capacity_) {
       denied_.fetch_add(1, std::memory_order_relaxed);
-      if (MetricsEnabled()) {
-        MetricsRegistry::Global()
-            .counter("server.retry_budget.denied")
-            .Add(1);
-      }
       return false;
     }
     if (acquired_.compare_exchange_weak(cur, cur + 1,
                                         std::memory_order_relaxed)) {
-      if (MetricsEnabled()) {
-        MetricsRegistry::Global()
-            .counter("server.retry_budget.acquired")
-            .Add(1);
-      }
       return true;
     }
   }

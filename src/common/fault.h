@@ -206,8 +206,8 @@ class RetryBudget {
   RetryBudget(const RetryBudget&) = delete;
   RetryBudget& operator=(const RetryBudget&) = delete;
 
-  /// Claims one token; false when the budget is spent.
-  /// Exported as server.retry_budget.{acquired,denied} metrics.
+  /// Claims one token; false when the budget is spent (counted in
+  /// acquired() / denied()).
   bool TryAcquire();
 
   std::uint64_t capacity() const { return capacity_; }

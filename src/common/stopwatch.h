@@ -11,15 +11,12 @@
 #define PARQO_COMMON_STOPWATCH_H_
 
 #include <chrono>
-#include <limits>
 
 namespace parqo {
 
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
-
-  void Restart() { start_ = Clock::now(); }
 
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
@@ -49,17 +46,7 @@ class Deadline {
     return d;
   }
 
-  bool IsInfinite() const { return infinite_; }
-
   bool Expired() const { return !infinite_ && Clock::now() >= at_; }
-
-  /// Seconds until expiry: +infinity for the infinite deadline, clamped
-  /// at 0 once expired.
-  double RemainingSeconds() const {
-    if (infinite_) return std::numeric_limits<double>::infinity();
-    double s = std::chrono::duration<double>(at_ - Clock::now()).count();
-    return s > 0 ? s : 0;
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

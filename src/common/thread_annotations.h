@@ -23,7 +23,7 @@
 //
 // Usage contract (enforced by parqo_lint):
 //   - declare mutexes as parqo::Mutex with an explicit rank:
-//     `Mutex mu_{LockRank::kMetrics};` — raw std::mutex /
+//     `Mutex mu_{LockRank::kTrace};` — raw std::mutex /
 //     std::shared_mutex members are banned outside this header;
 //   - acquire only through the RAII guard MutexLock; naked
 //     Lock()/Unlock() calls are banned outside this header;
@@ -103,8 +103,8 @@ namespace parqo {
 // motivating case — must thread top-down through this order:
 //
 //   cache shards, then node health, then executor recovery, then the
-//   thread pool, then the leaf diagnostics locks (fault, trace,
-//   metrics). The admission front door takes no lock at all.
+//   thread pool, then the leaf diagnostics locks (fault, trace). The
+//   admission front door takes no lock at all.
 //
 // tools/parqo_lint.py parses this enum (names and values) and enforces
 // that every mutex declaration carries a registered rank and that
@@ -119,7 +119,6 @@ enum class LockRank : int {
   kPoolJoin = 52,        ///< ParallelFor completion latch (common/thread_pool.cc).
   kFault = 60,           ///< FaultPlan::drop_mu_ (common/fault.h).
   kTrace = 70,           ///< TraceRecorder::mu_ (common/trace.h).
-  kMetrics = 80,         ///< MetricsRegistry::mu_ (common/metrics.h).
   kLeaf = 90,            ///< Strict leaf: never held across any acquisition.
 };
 

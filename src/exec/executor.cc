@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/metrics.h"
 #include "common/morsel.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -448,44 +447,6 @@ void ResetMetrics(ExecMetrics& m, int n) {
   m.node_busy_seconds.assign(n, 0.0);
   m.node_ops.assign(n, 0);
   m.node_failures.assign(n, 0);
-}
-
-// Adds one query's outcome to the process-wide registry.
-void PublishMetrics(const ExecMetrics& m) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  if (m.failed) {
-    reg.counter("exec.failures").Add(1);
-    return;
-  }
-  reg.counter("exec.queries").Add(1);
-  reg.counter("exec.rows_scanned").Add(m.rows_scanned);
-  reg.counter("exec.rows_decoded").Add(m.rows_decoded);
-  reg.counter("exec.rows_transferred").Add(m.rows_transferred);
-  reg.counter("exec.dedup_rows").Add(m.dedup_rows);
-  reg.counter("exec.bytes_shipped").Add(m.bytes_shipped);
-  reg.counter("exec.distributed_joins").Add(m.distributed_joins);
-  if (m.merge_joins > 0) {
-    reg.counter("exec.merge_joins").Add(m.merge_joins);
-  }
-  reg.counter("exec.result_rows").Add(m.result_rows);
-  reg.histogram("exec.wall_seconds").Observe(m.wall_seconds);
-  reg.histogram("exec.measured_cost").Observe(m.measured_cost);
-  if (m.recovery_attempts > 0) {
-    reg.counter("exec.recovery_attempts").Add(m.recovery_attempts);
-    reg.counter("exec.operators_reexecuted").Add(m.operators_reexecuted);
-    reg.counter("exec.rows_reshipped").Add(m.rows_reshipped);
-    reg.counter("exec.shipments_dropped").Add(m.shipments_dropped);
-    reg.counter("exec.node_crashes")
-        .Add(static_cast<std::uint64_t>(m.degraded_nodes.size()));
-  }
-  if (m.hedged_ops > 0) {
-    reg.counter("server.health.hedged_ops").Add(m.hedged_ops);
-    reg.counter("server.health.hedge_wins").Add(m.hedge_wins);
-  }
-  if (!m.quarantined_nodes.empty()) {
-    reg.counter("server.health.nodes_quarantined")
-        .Add(static_cast<std::uint64_t>(m.quarantined_nodes.size()));
-  }
 }
 
 }  // namespace
@@ -965,9 +926,6 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
     m.failed = true;
     m.wall_seconds = wall;
   }
-  // A recording pass re-gathers every operator and runs unfiltered: its
-  // counts are not a query's, so it publishes none.
-  if (MetricsEnabled() && !record_op_cards_) PublishMetrics(m);
   if (!st.ok()) return st;
   return result;
 }

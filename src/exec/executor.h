@@ -191,7 +191,7 @@ class Executor {
   /// ExecMetrics::op_cards. Off by default: it adds one global gather +
   /// dedup per operator, which benches opt into but queries do not pay.
   /// A recording run evaluates unfiltered and in plan order, so its
-  /// counts are not a query's: it adds nothing to MetricsRegistry.
+  /// ExecMetrics counts are not a query's.
   void set_record_op_cardinalities(bool on) { record_op_cards_ = on; }
 
  private:

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
-
-#include "common/metrics.h"
 
 namespace parqo {
 namespace {
@@ -37,22 +34,12 @@ bool NodeHealthRegistry::AllowRoute(int node) {
         // This caller won the single half-open probe slot; its session
         // routes to the node and its outcome decides close-or-reopen.
         probes_started_.fetch_add(1, std::memory_order_relaxed);
-        if (MetricsEnabled()) {
-          MetricsRegistry::Global()
-              .counter("server.health.probes")
-              .Add(1);
-        }
         return true;
       }
     }
   }
   // Open inside cooldown, or half-open with the probe claimed elsewhere.
   routes_denied_.fetch_add(1, std::memory_order_relaxed);
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global()
-        .counter("server.health.routes_denied")
-        .Add(1);
-  }
   return false;
 }
 
@@ -67,11 +54,6 @@ void NodeHealthRegistry::Open(NodeHealth& n) {
   }
   n.opened_at.store(clock_.ElapsedSeconds(), std::memory_order_relaxed);
   breaker_opens_.fetch_add(1, std::memory_order_relaxed);
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global()
-        .counter("server.health.breaker_opens")
-        .Add(1);
-  }
 }
 
 void NodeHealthRegistry::Close(NodeHealth& n) {
@@ -81,11 +63,6 @@ void NodeHealthRegistry::Close(NodeHealth& n) {
     return;
   }
   breaker_closes_.fetch_add(1, std::memory_order_relaxed);
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global()
-        .counter("server.health.breaker_closes")
-        .Add(1);
-  }
 }
 
 void NodeHealthRegistry::RecordNodeFailure(int node) {
@@ -94,11 +71,6 @@ void NodeHealthRegistry::RecordNodeFailure(int node) {
   n.failures_total.fetch_add(1, std::memory_order_relaxed);
   int failures =
       n.consecutive_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global()
-        .counter("server.health.node_failures")
-        .Add(1);
-  }
   int s = n.state.load(std::memory_order_relaxed);
   if (s == kHalfOpen) {
     // The probe failed: straight back to open, cooldown restarts.
@@ -177,19 +149,8 @@ void NodeHealthRegistry::RecordSession(const ExecMetrics& m) {
                              static_cast<double>(ops));
   }
 
-  {
-    MutexLock lock(mu_);
-    RecomputeHedgeThreshold();
-  }
-
-  if (MetricsEnabled()) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.counter("server.health.sessions").Add(1);
-    double hedge = hedge_threshold_.load(std::memory_order_relaxed);
-    if (std::isfinite(hedge)) {
-      reg.gauge("server.health.hedge_threshold_seconds").Set(hedge);
-    }
-  }
+  MutexLock lock(mu_);
+  RecomputeHedgeThreshold();
 }
 
 }  // namespace parqo

@@ -1,6 +1,5 @@
 #include "optimizer/optimizer.h"
 
-#include "common/metrics.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "cost/cost_model.h"
@@ -40,21 +39,18 @@ OptimizeResult Dispatch(Algorithm algorithm, const OptimizerInputs& inputs,
   return OptimizeResult{};
 }
 
-/// Publishes one run's enumeration detail to the global registry so
-/// reports aggregate across queries without plumbing results around.
-void PublishMetrics(const OptimizeResult& result) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.counter("optimizer.runs").Add(1);
-  reg.counter("optimizer.cmds_enumerated").Add(result.enumerated);
-  reg.counter("optimizer.memo_entries").Add(result.memo_entries);
-  reg.counter("optimizer.memo_hits").Add(result.memo_hits);
-  reg.counter("optimizer.memo_misses").Add(result.memo_misses);
-  reg.counter("optimizer.local_short_circuits")
-      .Add(result.local_short_circuits);
-  reg.counter("optimizer.bound_pruned").Add(result.bound_pruned);
-  if (result.timed_out) reg.counter("optimizer.timeouts").Add(1);
-  if (result.fell_back_to_msc) reg.counter("optimizer.msc_fallbacks").Add(1);
-  reg.histogram("optimizer.seconds").Observe(result.seconds);
+// Static names, so a span that tracing leaves disabled allocates nothing.
+const char* SpanName(Algorithm algorithm) {
+  switch (algorithm) {
+    case Algorithm::kTdCmd: return "optimize/TD-CMD";
+    case Algorithm::kTdCmdp: return "optimize/TD-CMDP";
+    case Algorithm::kHgrTdCmd: return "optimize/HGR-TD-CMD";
+    case Algorithm::kTdAuto: return "optimize/TD-Auto";
+    case Algorithm::kMsc: return "optimize/MSC";
+    case Algorithm::kDpBushy: return "optimize/DP-Bushy";
+    case Algorithm::kBinaryDp: return "optimize/Binary-DP";
+  }
+  return "optimize/?";
 }
 
 }  // namespace
@@ -77,7 +73,7 @@ OptimizeResult Optimize(Algorithm algorithm, const OptimizerInputs& inputs,
   PARQO_CHECK(inputs.join_graph != nullptr);
   PARQO_CHECK(inputs.local_index != nullptr);
   PARQO_CHECK(inputs.estimator != nullptr);
-  TraceSpan span("optimize/" + ToString(algorithm), "optimizer");
+  TraceSpan span(SpanName(algorithm), "optimizer");
   OptimizeResult result = Dispatch(algorithm, inputs, options);
   if (result.plan == nullptr) {
     // The search stopped before it completed any plan. The caller still
@@ -92,6 +88,7 @@ OptimizeResult Optimize(Algorithm algorithm, const OptimizerInputs& inputs,
     result.plan = msc.plan;
     result.seconds += msc.seconds;
     result.fell_back_to_msc = result.plan != nullptr;
+    if (result.fell_back_to_msc) result.algorithm_used = Algorithm::kMsc;
   }
   if (options.validate && result.plan != nullptr) {
     // Algorithm-specific wiring already validated divisions and memo
@@ -102,7 +99,6 @@ OptimizeResult Optimize(Algorithm algorithm, const OptimizerInputs& inputs,
                             inputs.estimator, &cost_model);
     PARQO_CHECK_OK(validator.ValidatePlan(*result.plan));
   }
-  if (MetricsEnabled()) PublishMetrics(result);
   return result;
 }
 

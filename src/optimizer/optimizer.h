@@ -96,8 +96,9 @@ struct OptimizeResult {
   /// True when the search stopped before any complete plan existed and
   /// Optimize() substituted the MSC flat plan.
   bool fell_back_to_msc = false;
-  /// The algorithm that actually ran (differs from the request for
-  /// kTdAuto, which reports its decision-tree choice).
+  /// The algorithm whose plan this is: differs from the request for
+  /// kTdAuto, which reports its decision-tree choice, and is kMsc when
+  /// Optimize() substituted the MSC fallback.
   Algorithm algorithm_used = Algorithm::kTdCmd;
 
   /// TD-CMD-family enumeration detail (all zero for MSC / DP-Bushy).

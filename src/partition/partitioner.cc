@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "common/metrics.h"
-
 namespace parqo {
 
 PartitionAnalysis AnalyzeAssignment(const RdfGraph& graph,
@@ -48,15 +46,6 @@ PartitionAnalysis AnalyzeAssignment(const RdfGraph& graph,
     }
   }
 
-  if (MetricsEnabled()) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.gauge("partition.replication_factor").Set(out.replication_factor);
-    reg.gauge("partition.total_stored")
-        .Set(static_cast<double>(out.total_stored));
-    reg.gauge("partition.cut_edges").Set(static_cast<double>(out.cut_edges));
-    reg.gauge("partition.total_edges")
-        .Set(static_cast<double>(out.total_edges));
-  }
   return out;
 }
 

@@ -81,8 +81,7 @@ struct PartitionAnalysis {
   std::uint64_t total_edges = 0;
 };
 
-/// Computes the summary and, when metrics are enabled, publishes it to
-/// the global registry as partition.* gauges.
+/// Computes the summary of `assignment` over `graph`.
 PartitionAnalysis AnalyzeAssignment(const RdfGraph& graph,
                                     const PartitionAssignment& assignment);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "common/metrics.h"
-
 namespace parqo {
 
 PlanCache::PlanCache(int num_shards, std::size_t shard_capacity)
@@ -22,10 +20,6 @@ PlanCache::Shard& PlanCache::ShardFor(const std::string& key) {
 }
 
 std::optional<CachedPlan> PlanCache::Lookup(const std::string& key) {
-  static MetricCounter& m_hits =
-      MetricsRegistry::Global().counter("server.cache.hits");
-  static MetricCounter& m_misses =
-      MetricsRegistry::Global().counter("server.cache.misses");
   Shard& shard = ShardFor(key);
   std::optional<CachedPlan> out;
   {
@@ -38,21 +32,11 @@ std::optional<CachedPlan> PlanCache::Lookup(const std::string& key) {
       out = it->second->second;
     }
   }
-  if (out) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    m_hits.Add();
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    m_misses.Add();
-  }
+  (out ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 
 void PlanCache::Insert(const std::string& key, CachedPlan plan) {
-  static MetricCounter& m_inserts =
-      MetricsRegistry::Global().counter("server.cache.inserts");
-  static MetricCounter& m_evictions =
-      MetricsRegistry::Global().counter("server.cache.evictions");
   Shard& shard = ShardFor(key);
   std::uint64_t evicted = 0;
   {
@@ -68,11 +52,7 @@ void PlanCache::Insert(const std::string& key, CachedPlan plan) {
     }
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  m_inserts.Add();
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    m_evictions.Add(evicted);
-  }
+  if (evicted > 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
 }
 
 std::uint64_t PlanCache::EvictExcessLocked(Shard& shard) {

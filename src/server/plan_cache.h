@@ -86,7 +86,7 @@ class PlanCache {
  private:
   struct Shard {
     /// Leaf in practice: held only for the map/list surgery, never across
-    /// metric updates or the optimizer. size() locks the shards one at a
+    /// counter updates or the optimizer. size() locks the shards one at a
     /// time (sequentially, never nested), which a same-rank hierarchy
     /// permits because at most one shard lock is ever held.
     Mutex mu{LockRank::kCacheShard};
@@ -106,8 +106,8 @@ class PlanCache {
   std::size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Local mirrors of the server.cache.* registry counters, readable even
-  /// when global metrics collection is disabled (tests and benches).
+  /// The cache's only counts, read through hits()/misses()/inserts()/
+  /// evictions().
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> inserts_{0};

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/tp_set.h"
 #include "query/join_graph.h"
@@ -31,19 +30,10 @@ QueryServer::QueryServer(const RdfGraph& graph, const Cluster& cluster,
 
 ServeResult QueryServer::Serve(const std::vector<TriplePattern>& patterns,
                                double deadline_seconds) {
-  static MetricCounter& m_queries =
-      MetricsRegistry::Global().counter("server.queries");
-  static MetricCounter& m_overloaded =
-      MetricsRegistry::Global().counter("server.overloaded");
-  static MetricHistogram& m_latency =
-      MetricsRegistry::Global().histogram("server.latency_seconds");
-
-  m_queries.Add();
   Stopwatch total;
 
   AdmissionTicket ticket(admission_);
   if (!ticket) {
-    m_overloaded.Add();
     ServeResult out;
     out.status = Status::Overloaded(
         "server at in-flight capacity; back off and re-submit");
@@ -53,17 +43,11 @@ ServeResult QueryServer::Serve(const std::vector<TriplePattern>& patterns,
 
   ServeResult out = ServeAdmitted(patterns, deadline_seconds);
   out.total_seconds = total.ElapsedSeconds();
-  m_latency.Observe(out.total_seconds);
   return out;
 }
 
 ServeResult QueryServer::ServeAdmitted(
     const std::vector<TriplePattern>& patterns, double deadline_seconds) {
-  static MetricCounter& m_degraded =
-      MetricsRegistry::Global().counter("server.degraded_plans");
-  static MetricCounter& m_reoptimized =
-      MetricsRegistry::Global().counter("server.reoptimized_hits");
-
   ServeResult out;
   if (patterns.empty()) {
     out.status = Status::InvalidArgument("empty basic graph pattern");
@@ -114,10 +98,8 @@ ServeResult QueryServer::ServeAdmitted(
     entry.plan_cost = opt.plan->total_cost;
     entry.algorithm_used = opt.algorithm_used;
     entry.degraded = opt.timed_out;
-    if (entry.degraded) m_degraded.Add();
     if (reoptimizing_degraded) {
       out.reoptimized = true;
-      m_reoptimized.Add();
       if (entry.degraded) {
         // The upgrade attempt degraded too; keep the existing entry's
         // recency rather than churning the slot.
@@ -149,11 +131,6 @@ ServeResult QueryServer::ServeAdmitted(
   // mid-query (breakers trip on detection) and successes carry the
   // latency samples.
   if (health_ != nullptr) health_->RecordSession(out.exec_metrics);
-  if (retry_budget_ != nullptr && MetricsEnabled()) {
-    MetricsRegistry::Global()
-        .gauge("server.retry_budget.remaining")
-        .Set(static_cast<double>(retry_budget_->remaining()));
-  }
   if (!rows.ok()) {
     out.status = rows.status();
     return out;

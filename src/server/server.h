@@ -35,11 +35,11 @@
 // typed kUnavailable instead of a retry storm).
 //
 // Thread safety: Serve() is safe to call from any number of threads.
-// Shared state is the sharded cache, the lock-free admission counter,
-// the health registry, and the metrics registry; everything per-request
-// lives on the session's stack. Every lock a request can touch (cache
-// shards at LockRank::kCacheShard, health at kHealth, pool/metrics
-// leaves below them) sits in the static hierarchy of
+// Shared state is the sharded cache, the lock-free admission counter
+// and the health registry; everything per-request lives on the
+// session's stack. Every lock a request can touch (cache shards at
+// LockRank::kCacheShard, health at kHealth, pool/fault/trace leaves
+// below them) sits in the static hierarchy of
 // common/thread_annotations.h.
 
 #ifndef PARQO_SERVER_SERVER_H_

@@ -570,7 +570,8 @@ TEST(ChaosDeadlineTest, ExpiredDeadlineStillYieldsExecutablePlan) {
 TEST(ChaosDeadlineTest, MscFallbackCoversEveryAlgorithm) {
   // Every algorithm probes the deadline. Under an expired one each stops
   // before its first complete plan, and the Optimize() wrapper re-runs
-  // MSC with the deadline lifted so the caller still gets a plan.
+  // MSC with the deadline lifted so the caller still gets a plan, which
+  // the result names as MSC's.
   Rng rng(13);
   GeneratedQuery q = GenerateRandomQuery(QueryShape::kDense, 10, rng);
   testing::QueryFixture fixture(q, /*use_hash_locality=*/false);
@@ -585,6 +586,8 @@ TEST(ChaosDeadlineTest, MscFallbackCoversEveryAlgorithm) {
     OptimizeResult r = Optimize(a, fixture.inputs(), options);
     ASSERT_NE(r.plan, nullptr);
     EXPECT_TRUE(r.timed_out);
+    EXPECT_TRUE(r.fell_back_to_msc);
+    EXPECT_EQ(r.algorithm_used, Algorithm::kMsc);
     EXPECT_TRUE(PlanValidator(fixture.jg(), fixture.inputs().local_index)
                     .ValidatePlan(*r.plan)
                     .ok());

@@ -241,26 +241,18 @@ TEST(RngTest, SkewFavorsSmallIndexes) {
 
 TEST(DeadlineTest, InfiniteNeverExpires) {
   Deadline d;
-  EXPECT_TRUE(d.IsInfinite());
   EXPECT_FALSE(d.Expired());
-  EXPECT_EQ(d.RemainingSeconds(),
-            std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(Deadline::Infinite().IsInfinite());
+  EXPECT_FALSE(Deadline::Infinite().Expired());
 }
 
 TEST(DeadlineTest, ZeroBudgetExpiresImmediately) {
   Deadline d = Deadline::AfterSeconds(0);
-  EXPECT_FALSE(d.IsInfinite());
   EXPECT_TRUE(d.Expired());
-  EXPECT_EQ(d.RemainingSeconds(), 0.0);  // clamped, never negative
 }
 
 TEST(DeadlineTest, GenerousBudgetIsAlive) {
   Deadline d = Deadline::AfterSeconds(3600);
   EXPECT_FALSE(d.Expired());
-  double remaining = d.RemainingSeconds();
-  EXPECT_GT(remaining, 3500.0);
-  EXPECT_LE(remaining, 3600.0);
 }
 
 TEST(RetryTest, ZeroAttemptsForbidsEvenTheFirstTry) {

@@ -1,9 +1,8 @@
 // Concurrency stress for the annotated-lock subsystems, written for the
 // CI ThreadSanitizer job: a serving storm (QueryServer::ServeConcurrent)
-// races direct PlanCache eviction churn and a MetricsRegistry snapshot
-// loop, so every lock the wrappers in common/thread_annotations.h now
-// mediate — cache shards, pool queue, metrics maps — is hammered from
-// three directions at once. The second half exercises the runtime
+// races direct PlanCache eviction churn, so the cache shard and pool
+// queue locks of common/thread_annotations.h are hammered from two
+// directions at once. The second half exercises the runtime
 // LockRank checker itself: hierarchy-ordered nesting must pass, and
 // misordered or same-rank nesting must abort (death tests), proving the
 // dynamic layer of the lock discipline enforces what the linter and the
@@ -21,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "exec/cluster.h"
@@ -69,17 +67,13 @@ PlanNodePtr MakeScanPlan(int tp, double sentinel) {
 }
 
 // --------------------------------------------------------------------------
-// The three-way storm: serving sessions (which miss, optimize, insert,
-// and hit the cache through the pool), a dedicated eviction churner
-// driving the same tiny cache shards past capacity, and a metrics
-// snapshot loop copying the registry maps while serving threads create
-// and bump instruments. Run under TSan this covers every Mutex the
+// The storm: serving sessions (which miss, optimize, insert, and hit the
+// cache through the pool) and a dedicated eviction churner driving the
+// same tiny cache shards past capacity. Run under TSan this covers every Mutex the
 // refactor introduced; without TSan it is still a crash/consistency test
 // (every copied-out plan must stay whole, rows per signature must agree).
 
-TEST(ConcurrencyStressTest, ServingRacesEvictionChurnAndMetricsSnapshots) {
-  SetMetricsEnabled(true);
-
+TEST(ConcurrencyStressTest, ServingRacesEvictionChurn) {
   ServerConfig config;
   config.num_threads = 4;
   config.cache_shards = 2;
@@ -94,20 +88,6 @@ TEST(ConcurrencyStressTest, ServingRacesEvictionChurnAndMetricsSnapshots) {
   }
 
   std::atomic<bool> stop{false};
-
-  // Metrics snapshot loop: copies the registry maps (kMetrics lock)
-  // while serving threads call counter()/histogram() concurrently.
-  std::atomic<std::uint64_t> snapshots{0};
-  std::thread snapshotter([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-      // Touch the copy so the reads cannot be optimized away.
-      if (snap.CounterValue("server.cache.inserts") <
-          std::uint64_t{1} << 62) {
-        snapshots.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
 
   // Eviction churner: inserts/looks up synthetic entries in the same
   // cache the sessions use, so shard locks see foreign traffic and the
@@ -140,9 +120,7 @@ TEST(ConcurrencyStressTest, ServingRacesEvictionChurnAndMetricsSnapshots) {
 
   std::vector<ServeResult> results = server.ServeConcurrent(stream, 4);
   stop.store(true, std::memory_order_release);
-  snapshotter.join();
   churner.join();
-  SetMetricsEnabled(false);
 
   ASSERT_EQ(results.size(), stream.size());
   std::map<std::string, double> cost_by_signature;
@@ -160,7 +138,6 @@ TEST(ConcurrencyStressTest, ServingRacesEvictionChurnAndMetricsSnapshots) {
   }
   EXPECT_GT(server.cache().evictions(), 0u);
   EXPECT_GT(churn_validated.load(), 0u);
-  EXPECT_GT(snapshots.load(), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -170,10 +147,10 @@ TEST(LockRankCheckerTest, HierarchyOrderedNestingPasses) {
   bool prev = LockRankCheckingEnabled();
   SetLockRankCheckingEnabled(true);
   Mutex shard(LockRank::kCacheShard);
-  Mutex metrics(LockRank::kMetrics);
+  Mutex trace(LockRank::kTrace);
   {
     MutexLock outer(shard);
-    MutexLock inner(metrics);  // 20 -> 80 climbs the hierarchy
+    MutexLock inner(trace);  // 20 -> 70 climbs the hierarchy
   }
   {
     // Sequential reacquisition at a lower rank is fine once the higher
@@ -207,10 +184,10 @@ TEST(LockRankCheckerDeathTest, MisorderedNestingAborts) {
   EXPECT_DEATH(
       {
         SetLockRankCheckingEnabled(true);
-        Mutex metrics(LockRank::kMetrics);
+        Mutex trace(LockRank::kTrace);
         Mutex shard(LockRank::kCacheShard);
-        MutexLock outer(metrics);
-        MutexLock inner(shard);  // 80 -> 20 descends: abort
+        MutexLock outer(trace);
+        MutexLock inner(shard);  // 70 -> 20 descends: abort
       },
       "lock rank order");
 }

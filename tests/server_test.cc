@@ -230,6 +230,8 @@ TEST(ServerTest, DegradedEntryIsFlaggedAndUpgradedNotPoisoning) {
   ASSERT_TRUE(rushed.status.ok()) << rushed.status.ToString();
   ASSERT_TRUE(rushed.degraded);
   EXPECT_FALSE(rushed.cache_hit);
+  // The stopped search left no plan, so the cached one is MSC's.
+  EXPECT_EQ(rushed.algorithm_used, Algorithm::kMsc);
 
   // The next request has no deadline: it must not be served the degraded
   // plan as-is but re-optimize and upgrade the entry.

@@ -29,9 +29,9 @@ int DrainLocked(BoundedQueue& q) PARQO_REQUIRES(q.mu) {
 
 struct Layered {
   Mutex shard_mu{LockRank::kCacheShard};
-  /// Declared order: shard_mu first, stats_mu inside it (20 -> 80 also
+  /// Declared order: shard_mu first, stats_mu inside it (20 -> 70 also
   /// climbs the LockRank hierarchy, so all three checkers agree).
-  Mutex stats_mu PARQO_ACQUIRED_AFTER(shard_mu) = Mutex(LockRank::kMetrics);
+  Mutex stats_mu PARQO_ACQUIRED_AFTER(shard_mu) = Mutex(LockRank::kTrace);
   int entries PARQO_GUARDED_BY(shard_mu) = 0;
   int lookups PARQO_GUARDED_BY(stats_mu) = 0;
 };

@@ -33,10 +33,11 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         one-time materialization of a winner, a
                         single-group fallback — carry an allow().
 
-  metric-write          Metric state mutated outside the registry's atomic
-                        API (src/common/metrics.h). Hot paths share metric
-                        cache lines across worker threads; a non-atomic
-                        write is a data race TSan only catches when the
+  metric-write          A namespace-scope counter outside src/common. A
+                        count belongs in the per-call result struct
+                        (ExecMetrics, OptimizeResult) or in an atomic
+                        member of the object that owns it; a shared plain
+                        global is a data race TSan only catches when the
                         interleaving cooperates.
 
   exec-row-hot-path     Row-at-a-time constructs inside the vectorized
@@ -203,13 +204,8 @@ STD_FUNCTION_RE = re.compile(r"std::function\s*<")
 SHARED_PLAN_RE = re.compile(
     r"std::make_shared\s*<|[.>]\s*(?:Scan|Join|LocalJoinAll)\s*\("
 )
-METRIC_INTERNAL_RE = re.compile(r"\bmetrics_internal::")
-METRIC_RAW_WRITE_RE = re.compile(
-    r"\bMetric(?:Counter|Gauge|Histogram)\b[^;]*\bvalue_\b"
-)
-# A mutable namespace-scope accumulator named like a metric, declared
-# outside the registry: these are exactly the "I'll just bump a global"
-# writes the rule exists to keep atomic and inside src/common.
+# A mutable namespace-scope accumulator named like a metric: a count that
+# belongs in a per-call result struct or in the object that owns it.
 METRIC_GLOBAL_RE = re.compile(
     r"^\s*(?:static\s+)?(?:double|float|int|long|unsigned|std::u?int\d+_t|"
     r"u?int\d+_t|std::size_t|size_t)\s+g?_?\w*(?:metric|counter)\w*\s*[={;]"
@@ -616,20 +612,13 @@ class Linter:
         if rel.startswith("src/common/"):
             return
         for lineno, code in enumerate(code_lines, start=1):
-            msg = None
-            if METRIC_INTERNAL_RE.search(code):
-                msg = ("metrics_internal is private to src/common; go "
-                       "through MetricsEnabled()/the registry")
-            elif METRIC_RAW_WRITE_RE.search(code):
-                msg = ("direct access to a metric's value_; use "
-                       "Add()/Set()/Observe()")
-            elif METRIC_GLOBAL_RE.match(code):
-                msg = ("namespace-scope metric/counter accumulator outside "
-                       "src/common; register a MetricCounter instead (hot "
-                       "paths share these across threads)")
-            if msg is None or allowed(lineno, rule):
+            if not METRIC_GLOBAL_RE.match(code) or allowed(lineno, rule):
                 continue
-            self.report(rel, lineno, rule, msg)
+            self.report(rel, lineno, rule,
+                        "namespace-scope metric/counter accumulator outside "
+                        "src/common; count in the per-call result struct "
+                        "(ExecMetrics, OptimizeResult) or an atomic member "
+                        "of the object that owns the count")
 
     def check_naked_sleep(self, rel, code_lines, allowed):
         rule = "naked-sleep"

@@ -131,7 +131,7 @@ class ExistingRules(LintHarness):
             rel="src/exec/executor.cc")
         self.assert_clean(
             "metric-write", "static double g_probe_counter = 0;\n",
-            rel="src/common/metrics.cc")
+            rel="src/common/trace.cc")
 
     def test_naked_sleep(self):
         self.assert_fires(
@@ -175,9 +175,9 @@ class LockDisciplineRules(LintHarness):
         # The rank registry comes from the real thread_annotations.h; a
         # parse regression would silently disable two rules.
         self.assertIn("kPool", parqo_lint.LOCK_RANKS)
-        self.assertIn("kMetrics", parqo_lint.LOCK_RANKS)
+        self.assertIn("kTrace", parqo_lint.LOCK_RANKS)
         self.assertLess(parqo_lint.LOCK_RANKS["kCacheShard"],
-                        parqo_lint.LOCK_RANKS["kMetrics"])
+                        parqo_lint.LOCK_RANKS["kTrace"])
 
     def test_raw_std_mutex(self):
         self.assert_fires("raw-std-mutex", "std::mutex mu;\n")
@@ -250,7 +250,7 @@ class LockDisciplineRules(LintHarness):
 
     def test_lock_rank_order(self):
         bad = ("struct S {\n"
-               "  Mutex hi{LockRank::kMetrics};\n"
+               "  Mutex hi{LockRank::kTrace};\n"
                "  Mutex lo{LockRank::kCacheShard};\n"
                "};\n"
                "void F(S& s) {\n"
@@ -269,7 +269,7 @@ class LockDisciplineRules(LintHarness):
         self.assert_fires("lock-rank-order", same_rank)
         climbing = ("struct S {\n"
                     "  Mutex lo{LockRank::kCacheShard};\n"
-                    "  Mutex hi{LockRank::kMetrics};\n"
+                    "  Mutex hi{LockRank::kTrace};\n"
                     "};\n"
                     "void F(S& s) {\n"
                     "  MutexLock a(s.lo);\n"
@@ -277,7 +277,7 @@ class LockDisciplineRules(LintHarness):
                     "}\n")
         self.assert_clean("lock-rank-order", climbing)
         sequential = ("struct S {\n"
-                      "  Mutex hi{LockRank::kMetrics};\n"
+                      "  Mutex hi{LockRank::kTrace};\n"
                       "  Mutex lo{LockRank::kCacheShard};\n"
                       "};\n"
                       "void F(S& s) {\n"
@@ -288,7 +288,7 @@ class LockDisciplineRules(LintHarness):
 
     def test_lock_rank_order_uses_sibling_header(self):
         header = ("class C {\n"
-                  "  Mutex hi_{LockRank::kMetrics};\n"
+                  "  Mutex hi_{LockRank::kTrace};\n"
                   "  Mutex lo_{LockRank::kCacheShard};\n"
                   "};\n")
         source = ("void C::F() {\n"

@@ -9,7 +9,7 @@
 //                [--partitioner=hash|2f|path|mincut]
 //                [--algorithm=tdauto|tdcmd|tdcmdp|hgr|msc|dpbushy|binary]
 //                [--nodes=N] [--scale=N] [--threads=N] [--explain]
-//                [--json=FILE]             (metrics snapshot JSON)
+//                [--json=FILE]             (this run's counters as JSON)
 //                [--trace=FILE]            (Chrome trace-event JSON)
 //
 // --threads=N (N >= 1) only selects execution: 1 runs serially, and any
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -141,6 +140,64 @@ double Pct(std::uint64_t part, std::uint64_t whole) {
                                 static_cast<double>(whole);
 }
 
+// --json: one flat object of this run's numbers, read from the structs
+// that counted them: optimizer.* from the OptimizeResult, exec.* from the
+// timed run's ExecMetrics, partition.* from the PartitionAnalysis.
+std::string ReportJson(const OptimizeResult& opt, const ExecMetrics& m,
+                       const PartitionAnalysis& a) {
+  std::string out = "{";
+  auto key = [&](const char* name) {
+    out += out.size() > 1 ? ",\n  \"" : "\n  \"";
+    out += name;
+    out += "\": ";
+  };
+  auto count = [&](const char* name, std::uint64_t v) {
+    key(name);
+    out += std::to_string(v);
+  };
+  auto real = [&](const char* name, double v) {
+    key(name);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    out += buf;
+  };
+  auto per_node = [&](const char* name, const std::vector<std::uint64_t>& v) {
+    key(name);
+    out += "[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      out += (i > 0 ? ", " : "") + std::to_string(v[i]);
+    }
+    out += "]";
+  };
+  real("optimizer.seconds", opt.seconds);
+  count("optimizer.cmds_enumerated", opt.enumerated);
+  count("optimizer.memo_entries", opt.memo_entries);
+  count("optimizer.memo_hits", opt.memo_hits);
+  count("optimizer.memo_misses", opt.memo_misses);
+  count("optimizer.local_short_circuits", opt.local_short_circuits);
+  count("optimizer.bound_pruned", opt.bound_pruned);
+  count("optimizer.timeouts", opt.timed_out);
+  count("optimizer.msc_fallbacks", opt.fell_back_to_msc);
+  real("exec.wall_seconds", m.wall_seconds);
+  real("exec.measured_cost", m.measured_cost);
+  real("exec.total_work", m.total_work);
+  count("exec.result_rows", m.result_rows);
+  count("exec.rows_scanned", m.rows_scanned);
+  count("exec.rows_decoded", m.rows_decoded);
+  count("exec.rows_transferred", m.rows_transferred);
+  count("exec.bytes_shipped", m.bytes_shipped);
+  count("exec.distributed_joins", m.distributed_joins);
+  count("exec.merge_joins", m.merge_joins);
+  count("exec.dedup_rows", m.dedup_rows);
+  per_node("exec.node_rows_scanned", m.node_rows_scanned);
+  per_node("exec.node_rows_received", m.node_rows_received);
+  real("partition.replication_factor", a.replication_factor);
+  count("partition.total_stored", a.total_stored);
+  count("partition.cut_edges", a.cut_edges);
+  count("partition.total_edges", a.total_edges);
+  return out + "\n}\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -179,7 +236,6 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  SetMetricsEnabled(true);
   TraceRecorder::Global().SetEnabled(true);
 
   std::vector<std::pair<std::string, double>> phases;
@@ -460,8 +516,7 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.json_path.empty()) {
-    std::string json = MetricsRegistry::Global().Snapshot().ToJson();
-    if (!WriteFile(opts.json_path, json + "\n")) {
+    if (!WriteFile(opts.json_path, ReportJson(best, metrics, analysis))) {
       std::fprintf(stderr, "error: cannot write %s\n",
                    opts.json_path.c_str());
       return 1;
