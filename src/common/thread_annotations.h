@@ -119,7 +119,8 @@ enum class LockRank : int {
   kPoolJoin = 52,        ///< ParallelFor completion latch (common/thread_pool.cc).
   kFault = 60,           ///< FaultPlan::drop_mu_ (common/fault.h).
   kTrace = 70,           ///< TraceRecorder::mu_ (common/trace.h).
-  kLeaf = 90,            ///< Strict leaf: never held across any acquisition.
+  kLeaf = 90,            ///< Strict leaf: never held across any acquisition
+                         ///< (QueryServer's idle scratch list).
 };
 
 namespace lock_rank_internal {

@@ -31,8 +31,15 @@ void BindingTable::AppendFrom(const BindingTable& src) {
 }
 
 void BindingTable::Deduplicate(DedupScratch* scratch) {
-  const std::size_t rows = NumRows();
-  if (rows == 0) return;
+  Truncate(DeduplicateRows(0, NumRows(), 0, scratch));
+}
+
+std::size_t BindingTable::DeduplicateRows(std::size_t begin, std::size_t end,
+                                          std::size_t to,
+                                          DedupScratch* scratch) {
+  PARQO_DCHECK(to <= begin && begin <= end && end <= NumRows());
+  const std::size_t rows = end - begin;
+  if (rows == 0) return 0;
   DedupScratch local;
   DedupScratch& s = scratch != nullptr ? *scratch : local;
 
@@ -54,7 +61,7 @@ void BindingTable::Deduplicate(DedupScratch* scratch) {
     return true;
   };
 
-  for (std::uint32_t r = 0; r < rows; ++r) {
+  for (auto r = static_cast<std::uint32_t>(begin); r < end; ++r) {
     std::uint64_t h = HashRowAt(cols_, r);
     for (std::size_t i = h & mask;; i = (i + 1) & mask) {
       std::uint32_t slot = slots[i];
@@ -66,16 +73,17 @@ void BindingTable::Deduplicate(DedupScratch* scratch) {
       if (rows_equal(slot, r)) break;  // duplicate of an earlier row
     }
   }
-  if (keep.size() != rows) {
-    // keep is ascending with keep[i] >= i, so compacting front to back
-    // never reads a slot it has already overwritten.
+  const std::size_t kept = keep.size();
+  if (kept != rows || to != begin) {
+    // keep is ascending with keep[i] >= begin + i >= to + i, so compacting
+    // front to back never reads a row it has already overwritten.
     for (std::vector<TermId>& c : cols_) {
-      for (std::size_t i = 0; i < keep.size(); ++i) c[i] = c[keep[i]];
-      c.resize(keep.size());
+      for (std::size_t i = 0; i < kept; ++i) c[to + i] = c[keep[i]];
     }
   }
   ReleaseIfLarge(slots);
   ReleaseIfLarge(keep);
+  return kept;
 }
 
 BindingTable BindingTable::Project(const std::vector<VarId>& vars) const {

@@ -26,8 +26,13 @@ namespace parqo {
 inline constexpr std::size_t kScratchKeepBytes = std::size_t{64} << 10;
 
 template <typename T>
+std::size_t CapacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+template <typename T>
 void ReleaseIfLarge(std::vector<T>& v) {
-  if (v.capacity() * sizeof(T) > kScratchKeepBytes) std::vector<T>().swap(v);
+  if (CapacityBytes(v) > kScratchKeepBytes) std::vector<T>().swap(v);
 }
 
 /// Reusable buffers for BindingTable::Deduplicate: the open-addressed
@@ -35,6 +40,49 @@ void ReleaseIfLarge(std::vector<T>& v) {
 struct DedupScratch {
   std::vector<std::uint32_t> slots;
   std::vector<std::uint32_t> keep;
+};
+
+/// What a kernel wrote into its caller's columns: the rows, and the
+/// variable they are known sorted on (kInvalidVarId = unknown).
+struct RowsWritten {
+  std::size_t rows = 0;
+  VarId sorted_by = kInvalidVarId;
+};
+
+class BindingTable;
+
+/// Rows [begin, end) of columns laid out by `schema`, known sorted on
+/// `sorted_by`: how a node reads its share of an operator's table, and
+/// how a k-way join reads its previous step's output. A view: the
+/// columns must outlive it and must not grow while it is read.
+struct RowRange {
+  RowRange(const std::vector<VarId>* schema_in,
+           const std::vector<TermId>* cols_in, std::size_t begin_in,
+           std::size_t end_in, VarId sorted_by_in)
+      : schema(schema_in),
+        cols(cols_in),
+        begin(begin_in),
+        end(end_in),
+        sorted_by(sorted_by_in) {}
+  /// Every row of `t`, with its sorted-by metadata.
+  RowRange(const BindingTable& t);  // NOLINT(google-explicit-constructor)
+
+  std::size_t NumRows() const { return end - begin; }
+  /// Column index of variable v, or -1 (BindingTable::ColumnOf).
+  int ColumnOf(VarId v) const {
+    for (std::size_t c = 0; c < schema->size(); ++c) {
+      if ((*schema)[c] == v) return static_cast<int>(c);
+    }
+    return -1;
+  }
+  /// Column `col`'s first row of the range.
+  const TermId* Column(int col) const { return cols[col].data() + begin; }
+
+  const std::vector<VarId>* schema;
+  const std::vector<TermId>* cols;  ///< cols[c] is column c
+  std::size_t begin;
+  std::size_t end;
+  VarId sorted_by;
 };
 
 class BindingTable {
@@ -63,6 +111,13 @@ class BindingTable {
   /// Whole-column access for batch kernels.
   const std::vector<TermId>& Column(int col) const { return cols_[col]; }
   std::vector<TermId>& MutableColumn(int col) { return cols_[col]; }
+  /// Every column, for kernels that write them all (num_cols() entries).
+  std::vector<TermId>* MutableColumns() { return cols_.data(); }
+
+  /// Rows [begin, end), known sorted on `sorted_by`.
+  RowRange Rows(std::size_t begin, std::size_t end, VarId sorted_by) const {
+    return {&schema_, cols_.data(), begin, end, sorted_by};
+  }
 
   void Reserve(std::size_t rows) {
     for (std::vector<TermId>& c : cols_) c.reserve(rows);
@@ -102,6 +157,19 @@ class BindingTable {
   /// holds the hash table and kept-row list.
   void Deduplicate(DedupScratch* scratch = nullptr);
 
+  /// Deduplicate over rows [begin, end) alone: keeps the first occurrence
+  /// of each row of the range, writes the kept rows in order from row
+  /// `to` (at most `begin`) and returns how many it kept. Rows outside
+  /// the range are not read, and the table keeps its size, so a caller
+  /// can compact several ranges front to back and Truncate once.
+  std::size_t DeduplicateRows(std::size_t begin, std::size_t end,
+                              std::size_t to, DedupScratch* scratch);
+
+  /// Drops every row from `rows` on.
+  void Truncate(std::size_t rows) {
+    for (std::vector<TermId>& c : cols_) c.resize(rows);
+  }
+
   /// Rows projected onto `vars` (each must be in the schema),
   /// deduplicated. Column-oriented: each projected column is copied
   /// wholesale, then duplicates are hashed out on the projected columns
@@ -119,6 +187,9 @@ class BindingTable {
   std::vector<std::vector<TermId>> cols_;  // cols_[c][r]
   VarId sorted_by_ = kInvalidVarId;        // known row order; not compared
 };
+
+inline RowRange::RowRange(const BindingTable& t)
+    : RowRange(t.Rows(0, t.NumRows(), t.sorted_by())) {}
 
 }  // namespace parqo
 

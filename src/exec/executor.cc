@@ -4,7 +4,6 @@
 #include <bitset>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <numeric>
 #include <span>
 #include <string>
@@ -73,57 +72,6 @@ struct KeyFilter {
   }
 };
 
-// Sorted distinct bindings of `var` over `tables`.
-std::vector<TermId> DistinctKeys(std::span<const BindingTable> tables,
-                                 VarId var) {
-  std::vector<TermId> keys;
-  for (const BindingTable& t : tables) {
-    const int col = t.ColumnOf(var);
-    PARQO_DCHECK(col >= 0);
-    const std::vector<TermId>& c = t.Column(col);
-    keys.insert(keys.end(), c.begin(), c.end());
-  }
-  // A scan sorted on `var` hands over a sorted column.
-  if (!std::is_sorted(keys.begin(), keys.end())) {
-    std::sort(keys.begin(), keys.end());
-  }
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
-}
-
-// The filter a join pushes into a child: on the variable of `shared`
-// with the fewest distinct keys in the sibling's `tables`, one key set
-// per node or one for all. No variable in `shared` means no filter
-// (var == kInvalidVarId).
-KeyFilter BuildFilter(const std::vector<BindingTable>& tables,
-                      const std::vector<VarId>& schema, const VarSet& shared,
-                      bool per_node) {
-  KeyFilter f;
-  std::vector<std::vector<TermId>> best;
-  std::size_t best_size = 0;
-  for (VarId v : schema) {
-    if (!shared.test(v)) continue;
-    std::vector<std::vector<TermId>> keys;
-    std::size_t size = 0;
-    if (per_node) {
-      for (const BindingTable& t : tables) {
-        keys.push_back(DistinctKeys({&t, 1}, v));
-        size += keys.back().size();
-      }
-    } else {
-      keys.push_back(DistinctKeys(tables, v));
-      size = keys.back().size();
-    }
-    if (f.var == kInvalidVarId || size < best_size) {
-      f.var = v;
-      best = std::move(keys);
-      best_size = size;
-    }
-  }
-  for (std::vector<TermId>& k : best) f.sets.emplace_back(std::move(k));
-  return f;
-}
-
 // Concurrency cap for simulated-node work: beyond this many workers the
 // extra threads only add scheduling overhead (cluster sizes in the
 // hundreds used to spawn one thread each).
@@ -131,14 +79,17 @@ constexpr int kMaxNodeWorkers = 32;
 
 // Runs fn(0..n-1); when parallel, the simulated cluster's nodes work
 // concurrently on the shared pool (bounded workers, no per-node thread
-// spawn). fn must only touch node-local state.
-void ForEachNode(int n, bool parallel,
-                 const std::function<void(int)>& fn) {
+// spawn). fn must only touch node-local state. A serial fan-out calls fn
+// directly; a parallel one hands the pool a one-reference wrapper, which
+// fits std::function's inline buffer.
+template <typename Fn>
+void ForEachNode(int n, bool parallel, Fn&& fn) {
   if (!parallel || n <= 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool::Global().ParallelFor(n, fn, kMaxNodeWorkers);
+  ThreadPool::Global().ParallelFor(
+      n, [&fn](int i) { fn(i); }, kMaxNodeWorkers);
 }
 
 // Per-run fault-recovery state. `host[p]` is the physical node currently
@@ -370,70 +321,173 @@ std::uint64_t RowBytes(const std::vector<VarId>& schema) {
   return static_cast<std::uint64_t>(schema.size()) * sizeof(TermId);
 }
 
-// Deduplicates `t` unless `distinct` proves it holds no duplicate row
-// (DESIGN.md section 13, "Dedup elision"). A keep-first dedup that
-// removes nothing leaves the table as it was, so skipping it changes no
-// row and no row order. Checked builds deduplicate a copy to prove it.
-// `dedup_rows` counts the rows actually hashed.
-void DedupUnlessDistinct(BindingTable& t, bool distinct,
-                         std::uint64_t& dedup_rows, DedupScratch& scratch) {
-  if (distinct) {
-#if PARQO_DCHECK_ENABLED
-    BindingTable copy = t;
-    copy.Deduplicate();
-    PARQO_DCHECK(copy.NumRows() == t.NumRows());
-#endif
-    return;
-  }
-  dedup_rows += t.NumRows();
-  t.Deduplicate(&scratch);
-}
-
-// One logical partition's reusable buffers for one Execute (DESIGN.md
-// section 13, "Scratch ownership"). Partition p's work items are the
-// only writers of scratch[p], whichever node hosts them and whichever
-// pool thread runs them: the nest-safe pool may run another node's item
-// on a waiting thread, so nothing here may be thread-local. Inside an
-// item, morsel workers write only their own morsel's slot. A crashed
-// item is probed before it starts, so a re-executed item finds the
-// scratch as the failed attempt left it: unused.
+// One logical partition's reusable buffers (DESIGN.md section 13,
+// "Scratch ownership"). Partition p's work items are the only writers of
+// parts[p], whichever node hosts them and whichever pool thread runs
+// them: the nest-safe pool may run another node's item on a waiting
+// thread, so nothing here may be thread-local. Inside an item, morsel
+// workers write only their own morsel's slot. A crashed item is probed
+// before it starts, so a re-executed item finds the scratch as the
+// failed attempt left it: unused.
 struct PartitionScratch {
   ScanScratch scan;
   JoinScratch join;
-  DedupScratch dedup;
-  /// Target node of each row of this partition's share of a
-  /// repartitioned input.
-  std::vector<std::uint32_t> route;
-  /// Joins of this partition that ran the merge kernel.
+  /// The item's output columns, which the driver appends to the
+  /// operator's table, and the two a k-way join alternates between for
+  /// its intermediate steps.
+  std::vector<std::vector<TermId>> out;
+  std::vector<std::vector<TermId>> steps[2];
+  /// What the item wrote into `out`.
+  RowsWritten written;
+  /// Joins of this partition that ran the merge kernel this run.
   std::uint64_t merge_joins = 0;
-  /// Index entries this partition's scans decoded.
+  /// Index entries this partition's scans decoded this run.
   std::uint64_t rows_decoded = 0;
-};
 
-// An operator's output, one table per node, and the measured Eq. 3 cost
-// of the subtree that produced it.
-struct DistTable {
-  std::vector<BindingTable> per_node;
-  std::vector<VarId> schema;
-  /// No row appears on two nodes. Every per-node table is duplicate-free
-  /// (node stores are sets and a join of sets is a set), so a disjoint
-  /// table's concatenation is already deduplicated.
-  bool disjoint = false;
-  double cost = 0;
-
-  std::uint64_t GlobalRows() const {
-    std::uint64_t sum = 0;
-    for (const BindingTable& t : per_node) sum += t.NumRows();
-    return sum;
+  /// Heap bytes the buffers hold.
+  std::size_t Bytes() const {
+    std::size_t b = scan.Bytes() + join.Bytes();
+    for (const std::vector<std::vector<TermId>>* cols :
+         {&out, &steps[0], &steps[1]}) {
+      b += CapacityBytes(*cols);
+      for (const std::vector<TermId>& c : *cols) b += CapacityBytes(c);
+    }
+    return b;
   }
 };
 
+// At least `n` columns, keeping every column's capacity.
+std::vector<TermId>* Columns(std::vector<std::vector<TermId>>& cols,
+                             std::size_t n) {
+  if (cols.size() < n) cols.resize(n);
+  return cols.data();
+}
+
+void ReleaseColumnsIfLarge(std::vector<std::vector<TermId>>& cols) {
+  for (std::vector<TermId>& c : cols) ReleaseIfLarge(c);
+}
+
+// An operator's output and the measured Eq. 3 cost of the subtree that
+// produced it. `rows` holds every node's rows, node 0's first.
+struct DistTable {
+  BindingTable rows;
+  /// Range r is rows [offsets[r], offsets[r + 1]), known sorted on
+  /// sorted_by[r]. Node p reads range p, or range 0 when there is one
+  /// range (a gathered table every node reads whole).
+  std::vector<std::size_t> offsets;
+  std::vector<VarId> sorted_by;
+  /// No row appears on two nodes. Every range is duplicate-free (node
+  /// stores are sets and a join of sets is a set), so a disjoint table
+  /// is already deduplicated.
+  bool disjoint = false;
+  double cost = 0;
+
+  std::uint64_t GlobalRows() const { return rows.NumRows(); }
+
+  RowRange Range(int node) const {
+    const std::size_t r = sorted_by.size() == 1 ? 0 : node;
+    return rows.Rows(offsets[r], offsets[r + 1], sorted_by[r]);
+  }
+
+  // Makes the table one range every node reads whole, in no known order
+  // (a gather concatenates the nodes' rows).
+  void AsOneRange() {
+    offsets.assign({0, rows.NumRows()});
+    sorted_by.assign(1, kInvalidVarId);
+  }
+};
+
+// Deduplicates each range of `t` in place, keep-first, and closes the
+// gaps between them, unless `t.disjoint` proves no range holds a
+// duplicate row (DESIGN.md section 13, "Dedup elision"). A keep-first
+// dedup that removes nothing leaves the table as it was, so skipping it
+// changes no row and no row order; checked builds run it to prove that.
+// `dedup_rows` counts the rows actually hashed.
+void DedupRanges(DistTable& t, std::uint64_t& dedup_rows,
+                 DedupScratch& scratch) {
+  std::vector<std::size_t>& at = t.offsets;
+  const std::size_t ranges = at.size() - 1;
+  if (t.disjoint) {
+#if PARQO_DCHECK_ENABLED
+    for (std::size_t r = 0; r < ranges; ++r) {
+      PARQO_DCHECK(t.rows.DeduplicateRows(at[r], at[r + 1], at[r],
+                                          &scratch) == at[r + 1] - at[r]);
+    }
+#endif
+    return;
+  }
+  std::size_t to = 0;
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const std::size_t begin = at[r];
+    const std::size_t end = at[r + 1];
+    dedup_rows += end - begin;
+    at[r] = to;
+    to += t.rows.DeduplicateRows(begin, end, to, &scratch);
+  }
+  at[ranges] = to;
+  t.rows.Truncate(to);
+}
+
+// Sorted distinct values of column `col` over rows [begin, end) of `t`.
+std::vector<TermId> DistinctKeys(const BindingTable& t, int col,
+                                 std::size_t begin, std::size_t end) {
+  const std::vector<TermId>& c = t.Column(col);
+  std::vector<TermId> keys(c.begin() + static_cast<std::ptrdiff_t>(begin),
+                           c.begin() + static_cast<std::ptrdiff_t>(end));
+  // A scan sorted on the column hands over sorted keys.
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    std::sort(keys.begin(), keys.end());
+  }
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// The filter a join pushes into a child: on the variable of `shared`
+// with the fewest distinct keys in the sibling `t`, one key set per node
+// or one for all. No variable in `shared` means no filter
+// (var == kInvalidVarId).
+KeyFilter BuildFilter(const DistTable& t, const VarSet& shared,
+                      bool per_node) {
+  KeyFilter f;
+  std::vector<std::vector<TermId>> best;
+  std::size_t best_size = 0;
+  const std::vector<VarId>& schema = t.rows.schema();
+  for (std::size_t col = 0; col < schema.size(); ++col) {
+    const VarId v = schema[col];
+    if (!shared.test(v)) continue;
+    const int c = static_cast<int>(col);
+    std::vector<std::vector<TermId>> keys;
+    keys.reserve(per_node ? t.offsets.size() - 1 : 1);
+    std::size_t size = 0;
+    if (per_node) {
+      for (std::size_t r = 0; r + 1 < t.offsets.size(); ++r) {
+        keys.push_back(
+            DistinctKeys(t.rows, c, t.offsets[r], t.offsets[r + 1]));
+        size += keys.back().size();
+      }
+    } else {
+      keys.push_back(DistinctKeys(t.rows, c, 0, t.rows.NumRows()));
+      size = keys.back().size();
+    }
+    if (f.var == kInvalidVarId || size < best_size) {
+      f.var = v;
+      best = std::move(keys);
+      best_size = size;
+    }
+  }
+  f.sets.reserve(best.size());
+  for (std::vector<TermId>& k : best) f.sets.emplace_back(std::move(k));
+  return f;
+}
+
 // What a join kind hands the operator boundary: the tables each node
-// joins, in join order, and whether the output rows are disjoint across
-// nodes. Input j of partition p is tables[j]->per_node[p], or
-// per_node[0] when one gathered table serves every node.
+// joins, in join order, the output schema of each step of that k-way
+// join (schemas[j - 1] after joining inputs 0..j; the last is the
+// operator's), and whether the output rows are disjoint across nodes.
+// Input j of partition p is tables[j]->Range(p).
 struct JoinInputs {
   std::vector<DistTable*> tables;
+  std::vector<std::vector<VarId>> schemas;
   bool disjoint = false;
 };
 
@@ -450,6 +504,25 @@ void ResetMetrics(ExecMetrics& m, int n) {
 }
 
 }  // namespace
+
+// Everything an ExecScratch keeps between Executes.
+struct ExecScratch::Buffers {
+  std::vector<PartitionScratch> parts;
+  /// The driver's: broadcast gathers, routed targets and the root.
+  DedupScratch dedup;
+  /// Target node of each row of the input being repartitioned, and each
+  /// target's write position while it is scattered.
+  std::vector<std::uint32_t> route;
+  std::vector<TermId*> cursor;
+  /// One per partition, reused by every operator's fan-out.
+  std::vector<Status> statuses;
+  std::vector<ItemRun> runs;
+};
+
+ExecScratch::ExecScratch() = default;
+ExecScratch::~ExecScratch() = default;
+ExecScratch::ExecScratch(ExecScratch&&) noexcept = default;
+ExecScratch& ExecScratch::operator=(ExecScratch&&) noexcept = default;
 
 ResolvedPattern BindPattern(const TriplePattern& pattern,
                             const JoinGraph& jg, const Dictionary& dict) {
@@ -506,20 +579,22 @@ Executor::Executor(const Cluster& cluster, const JoinGraph& jg,
       health_(health) {}
 
 // One Execute (DESIGN.md section 13, "Operator boundary"): the metrics,
-// fault recovery, each partition's scratch and the sideways-passing
-// annotations, with one member function per operator of Section II-D.
-// Every plan node goes through RunOperator. The recursion runs on the
-// driver thread; pool workers run only the per-partition items that
-// RunOperator fans out.
+// fault recovery, the scratch and the sideways-passing annotations, with
+// one member function per operator of Section II-D. Every plan node goes
+// through RunOperator. The recursion runs on the driver thread; pool
+// workers run only the per-partition items that RunOperator fans out.
 class Executor::Run {
  public:
-  Run(const Executor& ex, const PlanNode& plan, ExecMetrics& m)
-      : ex_(ex),
-        m_(m),
-        n_(ex.cluster_.num_nodes()),
-        scratch_(n_),
-        statuses_(n_),
-        runs_(n_) {
+  Run(const Executor& ex, const PlanNode& plan, ExecMetrics& m,
+      ExecScratch::Buffers& buf)
+      : ex_(ex), m_(m), n_(ex.cluster_.num_nodes()), buf_(buf) {
+    buf_.parts.resize(n_);
+    for (PartitionScratch& s : buf_.parts) {
+      s.merge_joins = 0;
+      s.rows_decoded = 0;
+    }
+    buf_.statuses.resize(n_);
+    buf_.runs.resize(n_);
     rec_.fault = ActiveFaultPlan();
     rec_.health = ex.health_;
     rec_.policy = ex.retry_;
@@ -554,8 +629,8 @@ class Executor::Run {
   // `at` into `out`, its scans filtered by `filters`, and stops at the
   // first unrecoverable fault. A join's children are evaluated first and
   // its kind picks each node's inputs; the boundary owns the span, the
-  // per-partition fan-out, the per-node row counts, the recorded
-  // cardinality and the Eq. 3 cost.
+  // per-partition fan-out, the operator's table, the per-node row
+  // counts, the recorded cardinality and the Eq. 3 cost.
   Status RunOperator(const PlanNode& node, std::size_t at,
                      std::span<const KeyFilter* const> filters,
                      DistTable& out) {
@@ -595,31 +670,43 @@ class Executor::Run {
           PARQO_RETURN_IF_ERROR(RepartitionJoin(node.join_var, children, in));
           break;
       }
+      PARQO_DCHECK(in.tables.size() >= 2);
+      in.schemas.reserve(in.tables.size() - 1);
+      for (std::size_t j = 1; j < in.tables.size(); ++j) {
+        std::vector<VarId> merged = MergeSchemas(
+            j == 1 ? in.tables[0]->rows.schema() : in.schemas.back(),
+            in.tables[j]->rows.schema());
+        in.schemas.push_back(std::move(merged));
+      }
     }
 
     // Every item runs through RunOnePartition: probed when a FaultScope
     // is active, timed into node_busy_seconds and counted in node_ops
-    // always.
-    out.per_node.resize(n_);
+    // always. It writes its rows into its partition's output columns.
     auto work = [&](int i) {
-      out.per_node[i] = scan ? Scan(rp, filters, i) : JoinCascade(in, i);
+      buf_.parts[i].written = scan ? Scan(rp, filters, i) : JoinCascade(in, i);
     };
     ForEachNode(n_, ex_.parallel_nodes_, [&](int i) {
-      statuses_[i] = RunOnePartition(rec_, m_, names.item, i, work, runs_[i]);
+      buf_.statuses[i] =
+          RunOnePartition(rec_, m_, names.item, i, work, buf_.runs[i]);
     });
-    for (Status& st : statuses_) {
+    for (Status& st : buf_.statuses) {
       if (!st.ok()) return std::move(st);
     }
-    for (const ItemRun& r : runs_) {
+    for (const ItemRun& r : buf_.runs) {
       m_.node_busy_seconds[r.host] += r.busy_seconds;
       ++m_.node_ops[r.host];
       if (r.reexecuted) ++m_.operators_reexecuted;
     }
-    out.schema = scan ? rp.schema : out.per_node[0].schema();
+    // The inputs are spent; free them before the output is assembled.
+    children.clear();
+    Assemble(scan ? rp.schema : in.schemas.back(), out);
     out.disjoint = in.disjoint;
     std::vector<std::uint64_t>& node_rows =
         scan ? m_.node_rows_scanned : m_.node_rows_joined;
-    for (int i = 0; i < n_; ++i) node_rows[i] += out.per_node[i].NumRows();
+    for (int i = 0; i < n_; ++i) {
+      node_rows[i] += out.offsets[i + 1] - out.offsets[i];
+    }
     if (scan) m_.rows_scanned += out.GlobalRows();
 
     // Opt-in estimated-vs-measured cardinality per operator.
@@ -628,7 +715,11 @@ class Executor::Run {
       oc.op = names.card;
       for (int tp : node.tps) oc.tps.push_back(tp);
       oc.estimated = node.cardinality;
-      oc.actual = Gather(out).NumRows();
+      oc.node_offsets.assign(out.offsets.begin(), out.offsets.end());
+      DistTable distinct = out;
+      distinct.AsOneRange();
+      DedupRanges(distinct, m_.dedup_rows, buf_.dedup);
+      oc.actual = distinct.GlobalRows();
       m_.op_cards.push_back(std::move(oc));
     }
     if (!scan) {
@@ -640,21 +731,30 @@ class Executor::Run {
     return Status::Ok();
   }
 
-  // The distinct rows of a distributed table, in node order.
-  BindingTable Gather(const DistTable& table) {
-    BindingTable g(table.schema);
-    g.Reserve(table.GlobalRows());
-    for (const BindingTable& t : table.per_node) g.AppendFrom(t);
-    DedupUnlessDistinct(g, table.disjoint, m_.dedup_rows, driver_dedup_);
-    return g;
+  // The distinct rows of the root's table, in node order, deduplicated
+  // in place: a disjoint root is the result as it stands.
+  BindingTable GatherRoot(DistTable& root) {
+    root.AsOneRange();
+    DedupRanges(root, m_.dedup_rows, buf_.dedup);
+    return std::move(root.rows);
   }
 
   // Merge-kernel picks and index entries decoded this run, summed over
   // partitions.
   void SumPartitionCounts() {
-    for (const PartitionScratch& s : scratch_) {
+    for (const PartitionScratch& s : buf_.parts) {
       m_.merge_joins += s.merge_joins;
       m_.rows_decoded += s.rows_decoded;
+    }
+  }
+
+  // Each buffer is at most kScratchKeepBytes after its use; a partition
+  // whose buffers hold more than that together drops them all when the
+  // run ends, so the scratch kept between runs is bounded by the
+  // cluster's size, not by the heaviest request.
+  void TrimPartitions() {
+    for (PartitionScratch& s : buf_.parts) {
+      if (s.Bytes() > kScratchKeepBytes) s = PartitionScratch{};
     }
   }
 
@@ -703,8 +803,7 @@ class Executor::Run {
           // Per-node key sets are exact for a local join whose child
           // keeps every row on its node; anything else needs one global
           // set.
-          own = BuildFilter(children[sib].per_node,
-                            children[sib].schema,
+          own = BuildFilter(children[sib],
                             info_[pos[c]].vars & info_[pos[sib]].vars,
                             node.method == JoinMethod::kLocal &&
                                 info_[pos[c]].node_local);
@@ -717,10 +816,34 @@ class Executor::Run {
     return Status::Ok();
   }
 
+  // The operator's table: every partition's output columns appended in
+  // node order, each node's rows one range. The columns are sized once;
+  // a partition's columns a heavy operator grew are released.
+  void Assemble(const std::vector<VarId>& schema, DistTable& out) {
+    out.rows = BindingTable(schema);
+    out.offsets.resize(n_ + 1);
+    out.sorted_by.resize(n_);
+    out.offsets[0] = 0;
+    for (int p = 0; p < n_; ++p) {
+      const RowsWritten& w = buf_.parts[p].written;
+      out.offsets[p + 1] = out.offsets[p] + w.rows;
+      out.sorted_by[p] = w.sorted_by;
+    }
+    for (int c = 0; c < static_cast<int>(schema.size()); ++c) {
+      std::vector<TermId>& dst = out.rows.MutableColumn(c);
+      dst.reserve(out.offsets[n_]);
+      for (PartitionScratch& s : buf_.parts) {
+        std::vector<TermId>& src = s.out[c];
+        dst.insert(dst.end(), src.begin(), src.end());
+        ReleaseIfLarge(src);
+      }
+    }
+  }
+
   // Partition `part`'s share of a scan. Several filters can reach one
   // leaf; the fewest keys prune the most.
-  BindingTable Scan(const ResolvedPattern& rp,
-                    std::span<const KeyFilter* const> filters, int part) {
+  RowsWritten Scan(const ResolvedPattern& rp,
+                   std::span<const KeyFilter* const> filters, int part) {
     ScanFilter sf;
     for (const KeyFilter* f : filters) {
       const KeySet& keys = f->For(part);
@@ -728,10 +851,10 @@ class Executor::Run {
         sf = {f->var, &keys};
       }
     }
-    PartitionScratch& s = scratch_[part];
-    return ex_.cluster_.node(part).Scan(rp, kDefaultMorselRows,
-                                        ex_.parallel_nodes_, sf, &s.scan,
-                                        &s.rows_decoded);
+    PartitionScratch& s = buf_.parts[part];
+    return ex_.cluster_.node(part).ScanInto(
+        rp, Columns(s.out, rp.schema.size()), kDefaultMorselRows,
+        ex_.parallel_nodes_, sf, &s.scan, &s.rows_decoded);
   }
 
   // Each node joins its own rows of every child, in plan order.
@@ -746,7 +869,8 @@ class Executor::Run {
 
   // Keeps the globally largest input partitioned and ships one copy of
   // each other input, gathered, to every node. Each node joins the kept
-  // input first, then the gathered ones in child order.
+  // input first, then the gathered ones in child order. A gathered input
+  // is its own table, deduplicated in place: one range every node reads.
   Status BroadcastJoin(std::vector<DistTable>& children, JoinInputs& in) {
     std::size_t largest = 0;
     for (std::size_t c = 1; c < children.size(); ++c) {
@@ -758,19 +882,18 @@ class Executor::Run {
     for (std::size_t c = 0; c < children.size(); ++c) {
       if (c == largest) continue;
       DistTable& t = children[c];
-      BindingTable g = Gather(t);
+      t.AsOneRange();
+      DedupRanges(t, m_.dedup_rows, buf_.dedup);
+      const std::uint64_t copy = t.GlobalRows();
       // Each node's copy is one shipment the flaky network may eat.
-      const std::uint64_t rows = g.NumRows() * static_cast<std::uint64_t>(n_);
-      const std::uint64_t bytes = rows * RowBytes(g.schema());
+      const std::uint64_t rows = copy * static_cast<std::uint64_t>(n_);
+      const std::uint64_t bytes = rows * RowBytes(t.rows.schema());
       for (int i = 0; i < n_; ++i) {
-        PARQO_RETURN_IF_ERROR(
-            DeliverBatch(rec_, m_, "broadcast", g.NumRows(), i));
+        PARQO_RETURN_IF_ERROR(DeliverBatch(rec_, m_, "broadcast", copy, i));
       }
       m_.rows_transferred += rows;
       m_.bytes_shipped += bytes;
       m_.edges.push_back({"broadcast", rows, bytes});
-      t.per_node.clear();
-      t.per_node.push_back(std::move(g));
       in.tables.push_back(&t);
     }
     // Every node joins the same gathered rows, so output rows are
@@ -783,64 +906,56 @@ class Executor::Run {
   // joins its routed share of every input, in plan order.
   Status RepartitionJoin(VarId var, std::vector<DistTable>& children,
                          JoinInputs& in) {
-    std::vector<std::size_t> counts(n_);
-    std::vector<TermId*> cursor(n_);
+    std::vector<std::uint32_t>& route = buf_.route;
+    std::vector<TermId*>& cursor = buf_.cursor;
+    cursor.resize(n_);
     for (DistTable& t : children) {
-      const int col = t.per_node[0].ColumnOf(var);
+      const int col = t.rows.ColumnOf(var);
       PARQO_CHECK(col >= 0);
-      // One counting-sort scatter: the target of every row and the rows
-      // per target, then each target's columns filled at their exact
-      // size. A target receives source 0's rows in row order, then
-      // source 1's, and so on.
-      std::fill(counts.begin(), counts.end(), 0);
-      for (int src = 0; src < n_; ++src) {
-        const std::vector<TermId>& keys = t.per_node[src].Column(col);
-        std::vector<std::uint32_t>& route = scratch_[src].route;
-        route.resize(keys.size());
-        for (std::size_t r = 0; r < keys.size(); ++r) {
-          const int target = HashToNode(keys[r], n_);
-          route[r] = static_cast<std::uint32_t>(target);
-          ++counts[target];
-        }
+      // One counting-sort scatter into one routed table: the target of
+      // every row and the rows per target, which are the routed table's
+      // node offsets, then every column filled once. The source table
+      // holds node 0's rows first, so a target receives source 0's rows
+      // in row order, then source 1's, and so on.
+      const std::size_t rows = t.rows.NumRows();
+      std::vector<std::size_t>& at = t.offsets;
+      at.assign(n_ + 1, 0);
+      const std::vector<TermId>& keys = t.rows.Column(col);
+      route.resize(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const int target = HashToNode(keys[r], n_);
+        route[r] = static_cast<std::uint32_t>(target);
+        ++at[target + 1];
       }
-      std::vector<BindingTable> routed(n_, BindingTable(t.schema));
-      for (int col_i = 0; col_i < static_cast<int>(t.schema.size());
-           ++col_i) {
+      for (int target = 0; target < n_; ++target) at[target + 1] += at[target];
+      BindingTable routed(t.rows.schema());
+      for (int col_i = 0; col_i < t.rows.num_cols(); ++col_i) {
+        std::vector<TermId>& dst = routed.MutableColumn(col_i);
+        dst.resize(rows);
         for (int target = 0; target < n_; ++target) {
-          std::vector<TermId>& dst = routed[target].MutableColumn(col_i);
-          dst.resize(counts[target]);
-          cursor[target] = dst.data();
+          cursor[target] = dst.data() + at[target];
         }
-        for (int src = 0; src < n_; ++src) {
-          const std::vector<TermId>& from = t.per_node[src].Column(col_i);
-          const std::vector<std::uint32_t>& route = scratch_[src].route;
-          for (std::size_t r = 0; r < from.size(); ++r) {
-            *cursor[route[r]]++ = from[r];
-          }
-        }
+        const std::vector<TermId>& from = t.rows.Column(col_i);
+        for (std::size_t r = 0; r < rows; ++r) *cursor[route[r]]++ = from[r];
       }
-      for (int src = 0; src < n_; ++src) ReleaseIfLarge(scratch_[src].route);
+      ReleaseIfLarge(route);
+      t.rows = std::move(routed);
+      t.sorted_by.assign(n_, kInvalidVarId);
       // Deliver (and count) at the receiving end so per-node sums
       // reproduce the totals exactly: every routed row has one target.
       // One target's batch is one shipment.
-      std::uint64_t edge_rows = 0;
       for (int target = 0; target < n_; ++target) {
-        const std::uint64_t batch = routed[target].NumRows();
-        PARQO_RETURN_IF_ERROR(
-            DeliverBatch(rec_, m_, "repartition", batch, target));
-        edge_rows += batch;
+        PARQO_RETURN_IF_ERROR(DeliverBatch(rec_, m_, "repartition",
+                                           at[target + 1] - at[target],
+                                           target));
       }
-      const std::uint64_t edge_bytes = edge_rows * RowBytes(t.schema);
-      m_.rows_transferred += edge_rows;
+      const std::uint64_t edge_bytes = rows * RowBytes(t.rows.schema());
+      m_.rows_transferred += rows;
       m_.bytes_shipped += edge_bytes;
-      m_.edges.push_back({"repartition", edge_rows, edge_bytes});
+      m_.edges.push_back({"repartition", rows, edge_bytes});
       // Replicated source rows can meet at the target; dedup there
       // unless the source had none.
-      for (int target = 0; target < n_; ++target) {
-        DedupUnlessDistinct(routed[target], t.disjoint, m_.dedup_rows,
-                            scratch_[target].dedup);
-      }
-      t.per_node = std::move(routed);
+      DedupRanges(t, m_.dedup_rows, buf_.dedup);
       in.tables.push_back(&t);
     }
     // Every output row lives on the node its join-variable binding
@@ -849,12 +964,12 @@ class Executor::Run {
     return Status::Ok();
   }
 
-  // The k-way join of partition `part`: the first two inputs read in
-  // place, each later one against the previous output. A per-node input
-  // belongs to this item alone, so it is freed once joined; a gathered
-  // input every node reads stays.
-  BindingTable JoinCascade(const JoinInputs& in, int part) {
-    PartitionScratch& s = scratch_[part];
+  // The k-way join of partition `part` into its output columns: the
+  // first two inputs read in place, each later one against the previous
+  // step's output, which alternates between the partition's two step
+  // buffers.
+  RowsWritten JoinCascade(const JoinInputs& in, int part) {
+    PartitionScratch& s = buf_.parts[part];
     BatchJoinOptions opts;
     opts.scratch = &s.join;
     // Morsel parallelism composes with the per-node ForEachNode fan-out:
@@ -863,59 +978,59 @@ class Executor::Run {
     // chunk (the output is the same either way).
     opts.parallel = ex_.parallel_nodes_;
     if (!ex_.parallel_nodes_) opts.morsel_rows = 0;
-    // Merge kernel when both inputs arrive sorted on the single shared
-    // variable (index scans establish the order; order-preserving
-    // operators propagate it). Bit-identical to the hash kernel.
-    auto join = [&](const BindingTable& left, const BindingTable& right) {
-      if (MergeJoinKey(left, right) != kInvalidVarId) {
+    const std::size_t k = in.tables.size();
+    RowRange acc = in.tables[0]->Range(part);
+    for (std::size_t j = 1; j < k; ++j) {
+      const std::vector<VarId>& schema = in.schemas[j - 1];
+      std::vector<TermId>* dst =
+          Columns(j + 1 == k ? s.out : s.steps[j % 2], schema.size());
+      const RowRange next = in.tables[j]->Range(part);
+      // Merge kernel when both inputs arrive sorted on the single shared
+      // variable (index scans establish the order; order-preserving
+      // operators propagate it). Bit-identical to the hash kernel.
+      RowsWritten w;
+      if (MergeJoinKey(acc, next) != kInvalidVarId) {
         ++s.merge_joins;
-        return BatchMergeJoin(left, right, opts);
+        w = BatchMergeJoinInto(acc, next, schema, dst, opts);
+      } else {
+        w = BatchHashJoinInto(acc, next, schema, dst, opts);
       }
-      return BatchHashJoin(left, right, opts);
-    };
-    auto input = [&](std::size_t j) -> const BindingTable& {
-      const std::vector<BindingTable>& t = in.tables[j]->per_node;
-      return t.size() == 1 ? t[0] : t[part];
-    };
-    BindingTable acc = join(input(0), input(1));
-    for (std::size_t j = 2; j < in.tables.size(); ++j) {
-      acc = join(acc, input(j));
+      acc = RowRange(&schema, dst, 0, w.rows, w.sorted_by);
     }
-    for (DistTable* t : in.tables) {
-      if (t->per_node.size() == static_cast<std::size_t>(n_)) {
-        t->per_node[part] = {};
-      }
-    }
-    return acc;
+    ReleaseColumnsIfLarge(s.steps[0]);
+    ReleaseColumnsIfLarge(s.steps[1]);
+    return {acc.NumRows(), acc.sorted_by};
   }
 
   const Executor& ex_;
   ExecMetrics& m_;
   const int n_;
+  ExecScratch::Buffers& buf_;
   Recovery rec_;
-  std::vector<PartitionScratch> scratch_;
-  DedupScratch driver_dedup_;  // for the gathers between operators
   std::vector<PlanInfo> info_;
-  // One per partition, reused per operator.
-  std::vector<Status> statuses_;
-  std::vector<ItemRun> runs_;
 };
 
 Result<BindingTable> Executor::Execute(const PlanNode& plan,
-                                       ExecMetrics* metrics) {
+                                       ExecMetrics* metrics,
+                                       ExecScratch* scratch) {
   Stopwatch watch;
   ExecMetrics local_metrics;
   ExecMetrics& m = metrics != nullptr ? *metrics : local_metrics;
   const int n = cluster_.num_nodes();
   ResetMetrics(m, n);
-  Run run(*this, plan, m);
+  ExecScratch local_scratch;
+  ExecScratch& sc = scratch != nullptr ? *scratch : local_scratch;
+  if (sc.buffers_ == nullptr) {
+    sc.buffers_ = std::make_unique<ExecScratch::Buffers>();
+  }
+  Run run(*this, plan, m, *sc.buffers_);
   DistTable root;
   Status st = run.RunOperator(plan, 0, {}, root);
   BindingTable result;
   if (st.ok()) {
     m.measured_cost = root.cost;
     run.SumPartitionCounts();
-    result = run.Gather(root);
+    result = run.GatherRoot(root);
     m.result_rows = result.NumRows();
     m.wall_seconds = watch.ElapsedSeconds();
   } else {
@@ -926,6 +1041,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
     m.failed = true;
     m.wall_seconds = wall;
   }
+  run.TrimPartitions();
   if (!st.ok()) return st;
   return result;
 }
@@ -935,18 +1051,23 @@ Result<BindingTable> ExecuteAndProject(Executor& executor,
                                        const ParsedQuery& query,
                                        const JoinGraph& jg,
                                        ExecMetrics* metrics) {
-  Result<BindingTable> full = executor.Execute(plan, metrics);
-  if (!full.ok()) return full;
-  if (query.select_all) return full;
   std::vector<VarId> vars;
-  for (const std::string& name : query.select_vars) {
-    VarId v = jg.FindVar(name);
-    if (v == kInvalidVarId) {
-      return Status::InvalidArgument("SELECT variable ?" + name +
-                                     " does not occur in the query body");
+  if (!query.select_all) {
+    for (const std::string& name : query.select_vars) {
+      VarId v = jg.FindVar(name);
+      if (v == kInvalidVarId) {
+        if (metrics != nullptr) {
+          *metrics = ExecMetrics{};
+          metrics->failed = true;
+        }
+        return Status::InvalidArgument("SELECT variable ?" + name +
+                                       " does not occur in the query body");
+      }
+      vars.push_back(v);
     }
-    vars.push_back(v);
   }
+  Result<BindingTable> full = executor.Execute(plan, metrics);
+  if (!full.ok() || query.select_all) return full;
   return full->Project(vars);
 }
 

@@ -13,6 +13,14 @@
 // (the paper's "query processing time" proxy in this reproduction — see
 // DESIGN.md), plus raw I/O and network row counts and wall time.
 //
+// Each operator's output is one table: every node's rows, node 0's
+// first, with per-node row offsets. A node's work item reads its inputs
+// as row ranges and writes into its partition's reusable output columns
+// (DESIGN.md section 13, "Operator boundary"). Those buffers live in an
+// ExecScratch; a caller that passes the same one to every Execute (the
+// serving layer keeps one per in-flight request) pays for them once, so
+// a warm work item allocates nothing.
+//
 // Failure semantics (DESIGN.md section 11): under an active FaultScope
 // (common/fault.h) a node can crash mid-operator and a shipment can be
 // dropped. The executor detects both, marks crashed nodes degraded for
@@ -24,13 +32,14 @@
 // silently wrong result. Every work item runs through that one recovery
 // path, faults or not: with no FaultScope it probes nothing, and each
 // item costs a timer and one short critical section on the run's
-// recovery lock (to read its host), and allocates nothing.
+// recovery lock (to read its host).
 
 #ifndef PARQO_EXEC_EXECUTOR_H_
 #define PARQO_EXEC_EXECUTOR_H_
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,6 +103,9 @@ struct ExecMetrics {
     std::vector<int> tps;  ///< Pattern indexes the subtree covers.
     double estimated = 0;  ///< PlanNode::cardinality at planning time.
     std::uint64_t actual = 0;
+    /// Node p's work item produced rows [node_offsets[p],
+    /// node_offsets[p + 1]) of the operator's table, before any dedup.
+    std::vector<std::uint64_t> node_offsets;
     /// max(estimated/actual, actual/estimated), or 0 where the q-error
     /// is undefined (no true rows, or no estimate).
     double QError() const;
@@ -164,6 +176,25 @@ enum class ExecEngine { kBatch };
 
 class NodeHealthRegistry;  // exec/health.h
 
+/// The buffers an Execute works in (DESIGN.md section 13, "Scratch
+/// ownership"): per partition, the join tables, match chunks and output
+/// columns, plus the driver's dedup slots and repartition routes. Buffers
+/// keep their capacity from one Execute to the next, except those a
+/// heavy operator grew past kScratchKeepBytes, which are freed after
+/// that use. One scratch serves one Execute at a time.
+class ExecScratch {
+ public:
+  ExecScratch();
+  ~ExecScratch();
+  ExecScratch(ExecScratch&&) noexcept;
+  ExecScratch& operator=(ExecScratch&&) noexcept;
+
+ private:
+  friend class Executor;
+  struct Buffers;  // defined in executor.cc
+  std::unique_ptr<Buffers> buffers_;
+};
+
 class Executor {
  public:
   /// All references must outlive the executor. With `parallel_nodes` the
@@ -184,8 +215,10 @@ class Executor {
 
   /// Executes `plan` and returns the deduplicated global result over all
   /// of the query's variables. Fills `metrics` if non-null; on error the
-  /// metrics are zeroed with `failed` set (never partial sums).
-  Result<BindingTable> Execute(const PlanNode& plan, ExecMetrics* metrics);
+  /// metrics are zeroed with `failed` set (never partial sums). Works in
+  /// `scratch`, or in a fresh one when null.
+  Result<BindingTable> Execute(const PlanNode& plan, ExecMetrics* metrics,
+                               ExecScratch* scratch = nullptr);
 
   /// Records per-operator estimated-vs-measured cardinality into
   /// ExecMetrics::op_cards. Off by default: it adds one global gather +
@@ -207,6 +240,8 @@ class Executor {
 };
 
 /// Convenience: executes and projects onto the query's SELECT variables.
+/// A SELECT variable the query body does not bind fails with
+/// kInvalidArgument before anything runs.
 Result<BindingTable> ExecuteAndProject(Executor& executor,
                                        const PlanNode& plan,
                                        const ParsedQuery& query,

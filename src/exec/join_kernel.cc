@@ -6,29 +6,29 @@
 namespace parqo {
 namespace {
 
-// Gathers the matched (probe, build) row pairs into output columns, one
-// gather per column, chunks in morsel order. Shared variables exist on
-// both sides with equal values; prefer the left source like the
+// Gathers the matched (probe, build) row pairs into the output columns,
+// one gather per column, chunks in morsel order. Shared variables exist
+// on both sides with equal values; prefer the left source like the
 // reference engine (the choice is value-neutral). Shared by the hash and
 // merge kernels, which therefore materialize byte-identically. The
 // first `morsels` chunks of `s` hold the matches; chunks a heavy join
 // grew are released afterwards.
-BindingTable MaterializeJoin(const BindingTable& left,
-                             const BindingTable& right, bool build_left,
-                             JoinScratch& s, std::size_t morsels,
-                             BindingTable out) {
+RowsWritten MaterializeJoin(const RowRange& left, const RowRange& right,
+                            bool build_left, JoinScratch& s,
+                            std::size_t morsels,
+                            const std::vector<VarId>& out_schema,
+                            std::vector<TermId>* out) {
   const std::span<MatchChunk> chunks(s.chunks.data(), morsels);
-  const std::vector<VarId>& out_schema = out.schema();
   std::size_t total = 0;
   for (const MatchChunk& c : chunks) total += c.probe_rows.size();
-  for (int i = 0; i < out.num_cols(); ++i) {
+  for (std::size_t i = 0; i < out_schema.size(); ++i) {
     int cl = left.ColumnOf(out_schema[i]);
     const bool use_left = cl >= 0;
-    const std::vector<TermId>& src =
-        use_left ? left.Column(cl)
-                 : right.Column(right.ColumnOf(out_schema[i]));
+    const TermId* src = use_left
+                            ? left.Column(cl)
+                            : right.Column(right.ColumnOf(out_schema[i]));
     const bool src_is_build = use_left == build_left;
-    std::vector<TermId>& dst = out.MutableColumn(i);
+    std::vector<TermId>& dst = out[i];
     dst.resize(total);
     std::size_t pos = 0;
     for (const MatchChunk& c : chunks) {
@@ -42,31 +42,29 @@ BindingTable MaterializeJoin(const BindingTable& left,
     ReleaseIfLarge(c.build_rows);
   }
   // Probe-major emit preserves the probe side's known row order.
-  const BindingTable& probe = build_left ? right : left;
-  out.SetSortedBy(probe.sorted_by());
-  return out;
+  return {total, (build_left ? right : left).sorted_by};
 }
 
 // Cross product, left-row-major: (l0,r0..rN), (l1,r0..rN), ... Only
 // arises inside constant-anchored local queries, so it stays serial.
-BindingTable CrossProduct(const BindingTable& left, const BindingTable& right,
-                          BindingTable out) {
+RowsWritten CrossProduct(const RowRange& left, const RowRange& right,
+                         const std::vector<VarId>& out_schema,
+                         std::vector<TermId>* out) {
   const std::size_t nl = left.NumRows();
   const std::size_t nr = right.NumRows();
-  const std::vector<VarId>& schema = out.schema();
-  for (int i = 0; i < out.num_cols(); ++i) {
-    std::vector<TermId>& dst = out.MutableColumn(i);
+  for (std::size_t i = 0; i < out_schema.size(); ++i) {
+    std::vector<TermId>& dst = out[i];
     dst.resize(nl * nr);
-    int cl = left.ColumnOf(schema[i]);
+    int cl = left.ColumnOf(out_schema[i]);
     std::size_t pos = 0;
     if (cl >= 0) {
-      const std::vector<TermId>& src = left.Column(cl);
+      const TermId* src = left.Column(cl);
       for (std::size_t lr = 0; lr < nl; ++lr) {
         TermId v = src[lr];
         for (std::size_t rr = 0; rr < nr; ++rr) dst[pos++] = v;
       }
     } else {
-      const std::vector<TermId>& src = right.Column(right.ColumnOf(schema[i]));
+      const TermId* src = right.Column(right.ColumnOf(out_schema[i]));
       for (std::size_t lr = 0; lr < nl; ++lr) {
         for (std::size_t rr = 0; rr < nr; ++rr) dst[pos++] = src[rr];
       }
@@ -74,8 +72,14 @@ BindingTable CrossProduct(const BindingTable& left, const BindingTable& right,
   }
   // Left-row-major: the left side's known order survives (each left row
   // is repeated contiguously).
-  out.SetSortedBy(left.sorted_by());
-  return out;
+  return {nl * nr, left.sorted_by};
+}
+
+// No rows: every output column emptied, order unknown.
+RowsWritten NoRows(const std::vector<VarId>& out_schema,
+                   std::vector<TermId>* out) {
+  for (std::size_t i = 0; i < out_schema.size(); ++i) out[i].clear();
+  return {};
 }
 
 // How many variables both schemas hold; `*first` is the first of them in
@@ -92,8 +96,19 @@ std::size_t CountShared(const std::vector<VarId>& a,
   return count;
 }
 
-[[maybe_unused]] bool ColumnIsNonDecreasing(const std::vector<TermId>& col) {
-  return std::is_sorted(col.begin(), col.end());
+[[maybe_unused]] bool ColumnIsNonDecreasing(const TermId* col,
+                                            std::size_t n) {
+  return std::is_sorted(col, col + n);
+}
+
+// A new table over `left` and `right`'s merged schema, filled by
+// `join(out_schema, out_columns)`.
+template <typename Join>
+BindingTable JoinIntoTable(const BindingTable& left, const BindingTable& right,
+                           Join&& join) {
+  BindingTable out(MergeSchemas(left.schema(), right.schema()));
+  out.SetSortedBy(join(out.schema(), out.MutableColumns()).sorted_by);
+  return out;
 }
 
 }  // namespace
@@ -120,19 +135,22 @@ std::vector<VarId> SharedSchema(const std::vector<VarId>& a,
   return out;
 }
 
-BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
-                           const BatchJoinOptions& opts) {
+RowsWritten BatchHashJoinInto(const RowRange& left, const RowRange& right,
+                              const std::vector<VarId>& out_schema,
+                              std::vector<TermId>* out,
+                              const BatchJoinOptions& opts) {
   VarId key = kInvalidVarId;
-  const std::size_t nkeys = CountShared(left.schema(), right.schema(), &key);
-  BindingTable out(MergeSchemas(left.schema(), right.schema()));
-  if (left.NumRows() == 0 || right.NumRows() == 0) return out;
-  if (nkeys == 0) return CrossProduct(left, right, std::move(out));
+  const std::size_t nkeys = CountShared(*left.schema, *right.schema, &key);
+  if (left.NumRows() == 0 || right.NumRows() == 0) {
+    return NoRows(out_schema, out);
+  }
+  if (nkeys == 0) return CrossProduct(left, right, out_schema, out);
 
   // Build on the smaller side (ties keep left, matching the reference
   // row engine so emit order agrees).
   const bool build_left = left.NumRows() <= right.NumRows();
-  const BindingTable& build = build_left ? left : right;
-  const BindingTable& probe = build_left ? right : left;
+  const RowRange& build = build_left ? left : right;
+  const RowRange& probe = build_left ? right : left;
 
   JoinScratch local;
   JoinScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
@@ -150,8 +168,8 @@ BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
     // Specialized single-key kernel: the key IS the column; matching is
     // a direct TermId compare inside the table.
     SingleKeyJoinTable& table = s.single;
-    table.Build(build.Column(build.ColumnOf(key)));
-    const std::vector<TermId>& pk = probe.Column(probe.ColumnOf(key));
+    table.Build(build.Column(build.ColumnOf(key)), build.NumRows());
+    const TermId* pk = probe.Column(probe.ColumnOf(key));
     ForEachMorsel(probe_rows, opts.morsel_rows, opts.parallel,
                   [&](std::size_t m, std::size_t begin, std::size_t end) {
                     MatchChunk& c = chunk(m);
@@ -167,18 +185,20 @@ BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
   } else {
     // Generic kernel: hash the build key columns column-at-a-time, probe
     // by hash, confirm on the actual key columns.
-    std::vector<const std::vector<TermId>*> build_key, probe_key;
-    build_key.reserve(nkeys);
-    probe_key.reserve(nkeys);
-    for (VarId v : SharedSchema(left.schema(), right.schema())) {
-      build_key.push_back(&build.Column(build.ColumnOf(v)));
-      probe_key.push_back(&probe.Column(probe.ColumnOf(v)));
+    std::vector<const TermId*>& build_key = s.build_key;
+    std::vector<const TermId*>& probe_key = s.probe_key;
+    build_key.clear();
+    probe_key.clear();
+    for (VarId v : *left.schema) {
+      if (right.ColumnOf(v) < 0) continue;
+      build_key.push_back(build.Column(build.ColumnOf(v)));
+      probe_key.push_back(probe.Column(probe.ColumnOf(v)));
     }
     std::vector<std::uint64_t>& hashes = s.hashes;
     hashes.assign(build.NumRows(), 1469598103934665603ULL);
-    for (const std::vector<TermId>* col : build_key) {
+    for (const TermId* col : build_key) {
       for (std::size_t r = 0; r < hashes.size(); ++r) {
-        hashes[r] ^= (*col)[r];
+        hashes[r] ^= col[r];
         hashes[r] *= 1099511628211ULL;
       }
     }
@@ -191,12 +211,12 @@ BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
                     tuple.resize(nkeys);
                     for (std::size_t r = begin; r < end; ++r) {
                       for (std::size_t i = 0; i < nkeys; ++i) {
-                        tuple[i] = (*probe_key[i])[r];
+                        tuple[i] = probe_key[i][r];
                       }
                       std::uint64_t h = JoinKeyHash(tuple.data(), nkeys);
                       table.ForEachHashMatch(h, [&](std::uint32_t b) {
                         for (std::size_t i = 0; i < nkeys; ++i) {
-                          if ((*build_key[i])[b] != tuple[i]) return;
+                          if (build_key[i][b] != tuple[i]) return;
                         }
                         c.probe_rows.push_back(
                             static_cast<std::uint32_t>(r));
@@ -208,38 +228,50 @@ BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
     ReleaseIfLarge(hashes);
   }
 
-  return MaterializeJoin(left, right, build_left, s, morsels, std::move(out));
+  return MaterializeJoin(left, right, build_left, s, morsels, out_schema,
+                         out);
 }
 
-VarId MergeJoinKey(const BindingTable& left, const BindingTable& right) {
+BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
+                           const BatchJoinOptions& opts) {
+  return JoinIntoTable(left, right, [&](const std::vector<VarId>& schema,
+                                        std::vector<TermId>* out) {
+    return BatchHashJoinInto(left, right, schema, out, opts);
+  });
+}
+
+VarId MergeJoinKey(const RowRange& left, const RowRange& right) {
   if (left.NumRows() == 0 || right.NumRows() == 0) return kInvalidVarId;
   VarId key = kInvalidVarId;
-  if (CountShared(left.schema(), right.schema(), &key) != 1) {
+  if (CountShared(*left.schema, *right.schema, &key) != 1) {
     return kInvalidVarId;
   }
-  if (left.sorted_by() != key || right.sorted_by() != key) {
+  if (left.sorted_by != key || right.sorted_by != key) {
     return kInvalidVarId;
   }
   return key;
 }
 
-BindingTable BatchMergeJoin(const BindingTable& left,
-                            const BindingTable& right,
-                            const BatchJoinOptions& opts) {
+RowsWritten BatchMergeJoinInto(const RowRange& left, const RowRange& right,
+                               const std::vector<VarId>& out_schema,
+                               std::vector<TermId>* out,
+                               const BatchJoinOptions& opts) {
   VarId key = kInvalidVarId;
-  PARQO_CHECK(CountShared(left.schema(), right.schema(), &key) == 1);
-  BindingTable out(MergeSchemas(left.schema(), right.schema()));
-  if (left.NumRows() == 0 || right.NumRows() == 0) return out;
+  PARQO_CHECK(CountShared(*left.schema, *right.schema, &key) == 1);
+  if (left.NumRows() == 0 || right.NumRows() == 0) {
+    return NoRows(out_schema, out);
+  }
 
   // Same side selection as the hash join: build = smaller, ties keep
   // left; output is probe-row-major.
   const bool build_left = left.NumRows() <= right.NumRows();
-  const BindingTable& build = build_left ? left : right;
-  const BindingTable& probe = build_left ? right : left;
-  const std::vector<TermId>& bk = build.Column(build.ColumnOf(key));
-  const std::vector<TermId>& pk = probe.Column(probe.ColumnOf(key));
-  PARQO_DCHECK(ColumnIsNonDecreasing(bk));
-  PARQO_DCHECK(ColumnIsNonDecreasing(pk));
+  const RowRange& build = build_left ? left : right;
+  const RowRange& probe = build_left ? right : left;
+  const TermId* bk = build.Column(build.ColumnOf(key));
+  const TermId* pk = probe.Column(probe.ColumnOf(key));
+  const std::size_t build_rows = build.NumRows();
+  PARQO_DCHECK(ColumnIsNonDecreasing(bk, build_rows));
+  PARQO_DCHECK(ColumnIsNonDecreasing(pk, probe.NumRows()));
 
   JoinScratch local;
   JoinScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
@@ -256,7 +288,7 @@ BindingTable BatchMergeJoin(const BindingTable& left,
         // cursors then only move forward, so a morsel's matching work is
         // O(run lengths) and independent of other morsels.
         std::size_t b_lo = static_cast<std::size_t>(
-            std::lower_bound(bk.begin(), bk.end(), pk[begin]) - bk.begin());
+            std::lower_bound(bk, bk + build_rows, pk[begin]) - bk);
         std::size_t b_hi = b_lo;
         TermId run_key = 0;
         bool have_run = false;
@@ -264,9 +296,9 @@ BindingTable BatchMergeJoin(const BindingTable& left,
           const TermId k = pk[r];
           if (!have_run || k != run_key) {
             b_lo = b_hi;
-            while (b_lo < bk.size() && bk[b_lo] < k) ++b_lo;
+            while (b_lo < build_rows && bk[b_lo] < k) ++b_lo;
             b_hi = b_lo;
-            while (b_hi < bk.size() && bk[b_hi] == k) ++b_hi;
+            while (b_hi < build_rows && bk[b_hi] == k) ++b_hi;
             run_key = k;
             have_run = true;
           }
@@ -279,7 +311,17 @@ BindingTable BatchMergeJoin(const BindingTable& left,
         }
       });
 
-  return MaterializeJoin(left, right, build_left, s, morsels, std::move(out));
+  return MaterializeJoin(left, right, build_left, s, morsels, out_schema,
+                         out);
+}
+
+BindingTable BatchMergeJoin(const BindingTable& left,
+                            const BindingTable& right,
+                            const BatchJoinOptions& opts) {
+  return JoinIntoTable(left, right, [&](const std::vector<VarId>& schema,
+                                        std::vector<TermId>* out) {
+    return BatchMergeJoinInto(left, right, schema, out, opts);
+  });
 }
 
 }  // namespace parqo

@@ -67,14 +67,14 @@ inline std::uint64_t JoinKeyHash(const TermId* key, std::size_t n) {
 /// tombstones; capacity is a power of two at <= 50% load.
 class SingleKeyJoinTable {
  public:
-  /// (Re)builds the table over `keys`; row r of the build side has key
-  /// keys[r]. Previous contents are discarded.
-  void Build(const std::vector<TermId>& keys) {
+  /// (Re)builds the table over the `rows` keys at `keys`; row r of the
+  /// build side has key keys[r]. Previous contents are discarded.
+  void Build(const TermId* keys, std::size_t rows) {
     std::size_t cap = 16;
-    while (cap < keys.size() * 2) cap <<= 1;
+    while (cap < rows * 2) cap <<= 1;
     slots_.assign(cap, Slot{});
     const std::size_t mask = cap - 1;
-    for (std::uint32_t r = 0; r < keys.size(); ++r) {
+    for (std::uint32_t r = 0; r < rows; ++r) {
       TermId k = keys[r];
       std::size_t i = JoinKeyHash(k) & mask;
       while (slots_[i].row_plus_1 != 0) i = (i + 1) & mask;
@@ -96,6 +96,7 @@ class SingleKeyJoinTable {
   }
 
   std::size_t capacity() const { return slots_.size(); }
+  std::size_t Bytes() const { return CapacityBytes(slots_); }
 
   /// Frees the slots when a heavy build grew them (ReleaseIfLarge).
   void ReleaseIfLarge() { parqo::ReleaseIfLarge(slots_); }
@@ -141,6 +142,7 @@ class MultiKeyJoinTable {
   }
 
   std::size_t capacity() const { return slots_.size(); }
+  std::size_t Bytes() const { return CapacityBytes(slots_); }
 
   /// Frees the slots when a heavy build grew them (ReleaseIfLarge).
   void ReleaseIfLarge() { parqo::ReleaseIfLarge(slots_); }
@@ -164,16 +166,30 @@ struct MatchChunk {
 };
 
 /// Reusable join buffers (DESIGN.md section 13, "Scratch ownership"): the
-/// build tables, the generic kernel's build-key hashes, and one match
-/// chunk per probe morsel. A join builds its table before the probe
-/// morsels start and morsel m's worker writes only chunks[m], so one
-/// scratch serves a whole join, but never two joins at once; the
-/// executor keeps one per partition.
+/// build tables, the generic kernel's build-key hashes and key-column
+/// pointers, and one match chunk per probe morsel. A join builds its
+/// table before the probe morsels start and morsel m's worker writes only
+/// chunks[m], so one scratch serves a whole join, but never two joins at
+/// once; the executor keeps one per partition.
 struct JoinScratch {
   SingleKeyJoinTable single;
   MultiKeyJoinTable multi;
   std::vector<std::uint64_t> hashes;
+  std::vector<const TermId*> build_key;
+  std::vector<const TermId*> probe_key;
   std::vector<MatchChunk> chunks;
+
+  /// Heap bytes the buffers hold.
+  std::size_t Bytes() const {
+    std::size_t b = single.Bytes() + multi.Bytes() + CapacityBytes(hashes) +
+                    CapacityBytes(build_key) + CapacityBytes(probe_key) +
+                    CapacityBytes(chunks);
+    for (const MatchChunk& c : chunks) {
+      b += CapacityBytes(c.probe_rows) + CapacityBytes(c.build_rows) +
+           CapacityBytes(c.key);
+    }
+    return b;
+  }
 };
 
 struct BatchJoinOptions {
@@ -189,11 +205,21 @@ struct BatchJoinOptions {
   JoinScratch* scratch = nullptr;
 };
 
-/// Hash join of two tables on all shared variables (cross product when
-/// none are shared). Build side is the smaller input (ties keep left);
-/// output rows are ordered probe-row-major with build matches ascending,
-/// columns materialized by batch gather. The output inherits the probe
-/// side's sorted-by metadata (probe-major emit preserves probe order).
+/// Hash join of two row ranges on all shared variables (cross product
+/// when none are shared). Build side is the smaller input (ties keep
+/// left); output rows are ordered probe-row-major with build matches
+/// ascending, columns materialized by batch gather into `out`: one
+/// column per entry of `out_schema`, which must be
+/// MergeSchemas(left schema, right schema). The columns are overwritten
+/// and keep their capacity, so a caller that reuses them pays for them
+/// once. The output inherits the probe side's sorted-by metadata
+/// (probe-major emit preserves probe order).
+RowsWritten BatchHashJoinInto(const RowRange& left, const RowRange& right,
+                              const std::vector<VarId>& out_schema,
+                              std::vector<TermId>* out,
+                              const BatchJoinOptions& opts);
+
+/// BatchHashJoinInto over whole tables, into a new table.
 BindingTable BatchHashJoin(const BindingTable& left,
                            const BindingTable& right,
                            const BatchJoinOptions& opts = BatchJoinOptions{});
@@ -202,16 +228,22 @@ BindingTable BatchHashJoin(const BindingTable& left,
 /// kInvalidVarId when the merge join does not apply (no/multiple shared
 /// variables, unknown order, or an empty input — the hash join handles
 /// those identically for free).
-VarId MergeJoinKey(const BindingTable& left, const BindingTable& right);
+VarId MergeJoinKey(const RowRange& left, const RowRange& right);
 
 /// Merge join on the single shared variable; both inputs MUST be sorted
 /// on it (MergeJoinKey != kInvalidVarId). Probe/build sides, emit order,
-/// and output columns are chosen exactly like BatchHashJoin — for sorted
-/// inputs the run-scan produces probe-ascending, build-ascending matches,
-/// so the output is BIT-IDENTICAL to the hash join's; only the matching
-/// work (two sorted cursors, no table build, no hashing) differs. Probe
-/// morsels locate their build run by binary search and reduce in morsel
-/// order, so parallel output equals serial output.
+/// and output columns are chosen exactly like BatchHashJoinInto — for
+/// sorted inputs the run-scan produces probe-ascending, build-ascending
+/// matches, so the output is BIT-IDENTICAL to the hash join's; only the
+/// matching work (two sorted cursors, no table build, no hashing)
+/// differs. Probe morsels locate their build run by binary search and
+/// reduce in morsel order, so parallel output equals serial output.
+RowsWritten BatchMergeJoinInto(const RowRange& left, const RowRange& right,
+                               const std::vector<VarId>& out_schema,
+                               std::vector<TermId>* out,
+                               const BatchJoinOptions& opts);
+
+/// BatchMergeJoinInto over whole tables, into a new table.
 BindingTable BatchMergeJoin(
     const BindingTable& left, const BindingTable& right,
     const BatchJoinOptions& opts = BatchJoinOptions{});

@@ -172,15 +172,29 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
                              const ScanFilter& filter, ScanScratch* scratch,
                              std::uint64_t* decoded) const {
   BindingTable out(pattern.schema);
+  const RowsWritten w = ScanInto(pattern, out.MutableColumns(), morsel_rows,
+                                 parallel, filter, scratch, decoded);
+  if (w.sorted_by != kInvalidVarId) out.SetSortedBy(w.sorted_by);
+  return out;
+}
+
+RowsWritten NodeStore::ScanInto(const ResolvedPattern& pattern,
+                                std::vector<TermId>* out,
+                                std::size_t morsel_rows, bool parallel,
+                                const ScanFilter& filter,
+                                ScanScratch* scratch,
+                                std::uint64_t* decoded) const {
+  const int ncols = static_cast<int>(pattern.schema.size());
+  for (int c = 0; c < ncols; ++c) out[c].clear();
   // A pattern with no variable binds no column, so it has no rows.
-  if (pattern.unmatchable || pattern.schema.empty()) return out;
+  if (pattern.unmatchable || ncols == 0) return {};
 
   const PermutationIndex::RangeChoice rc =
       PermutationIndex::ChooseRange(pattern.s, pattern.p, pattern.o);
   const CompressedKeyIndex& idx = index_.perm(rc.perm);
   const auto [first_page, end_page] = idx.PageSpan(rc.lo, rc.hi);
   const std::size_t num_pages = end_page - first_page;
-  if (num_pages == 0) return out;
+  if (num_pages == 0) return {};
 
   // Rows arrive in key order of the chosen permutation, so the first
   // free key component's column is non-decreasing — the ordered-scan
@@ -201,7 +215,6 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
   // columns. Parallel morsels decode into their own chunks, which are
   // concatenated in morsel order, so the output is byte-for-byte the
   // serial scan's.
-  const int ncols = out.num_cols();
   std::uint64_t entries = 0;
   auto run = [&](std::size_t work, std::size_t per_morsel, std::size_t rows,
                  auto&& decode) {
@@ -209,7 +222,7 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
     const std::size_t morsels = NumMorsels(work, per_morsel);
     if (!parallel || morsels <= 1) {
       std::vector<TermId>* cols[3] = {nullptr, nullptr, nullptr};
-      for (int c = 0; c < ncols; ++c) cols[c] = &out.MutableColumn(c);
+      for (int c = 0; c < ncols; ++c) cols[c] = &out[c];
       entries = decode(std::size_t{0}, work, cols, rows);
       return;
     }
@@ -233,7 +246,7 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
     std::size_t total = 0;
     for (std::size_t m = 0; m < morsels; ++m) total += chunks[m][0].size();
     for (int c = 0; c < ncols; ++c) {
-      std::vector<TermId>& dst = out.MutableColumn(c);
+      std::vector<TermId>& dst = out[c];
       dst.reserve(total);
       for (std::size_t m = 0; m < morsels; ++m) {
         dst.insert(dst.end(), chunks[m][c].begin(), chunks[m][c].end());
@@ -343,9 +356,8 @@ BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
           return n;
         });
   }
-  if (sorted_by != kInvalidVarId) out.SetSortedBy(sorted_by);
   if (decoded != nullptr) *decoded += entries;
-  return out;
+  return {out[0].size(), sorted_by};
 }
 
 }  // namespace parqo

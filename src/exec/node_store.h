@@ -80,6 +80,15 @@ struct ScanFilter {
 /// once.
 struct ScanScratch {
   std::vector<std::array<std::vector<TermId>, 3>> chunks;
+
+  /// Heap bytes the buffers hold.
+  std::size_t Bytes() const {
+    std::size_t b = CapacityBytes(chunks);
+    for (const std::array<std::vector<TermId>, 3>& c : chunks) {
+      for (const std::vector<TermId>& col : c) b += CapacityBytes(col);
+    }
+    return b;
+  }
 };
 
 class NodeStore {
@@ -124,6 +133,16 @@ class NodeStore {
                     const ScanFilter& filter = {},
                     ScanScratch* scratch = nullptr,
                     std::uint64_t* decoded = nullptr) const;
+
+  /// Scan into the caller's columns: `out` holds one column per entry of
+  /// `pattern.schema`, which the scan overwrites and whose capacity it
+  /// keeps, so a caller that reuses them (the executor keeps them per
+  /// partition) sizes them once. Returns the rows written and the
+  /// variable they are sorted on.
+  RowsWritten ScanInto(const ResolvedPattern& pattern,
+                       std::vector<TermId>* out, std::size_t morsel_rows,
+                       bool parallel, const ScanFilter& filter,
+                       ScanScratch* scratch, std::uint64_t* decoded) const;
 
   /// Compressed footprint of this node's four permutations, for the
   /// bytes-per-triple storage report (the dual-vector layout this

@@ -9,6 +9,23 @@
 
 namespace parqo {
 
+std::unique_ptr<ExecScratch> ScratchShelf::Borrow() {
+  {
+    MutexLock lock(mu_);
+    if (!idle_.empty()) {
+      std::unique_ptr<ExecScratch> scratch = std::move(idle_.back());
+      idle_.pop_back();
+      return scratch;
+    }
+  }
+  return std::make_unique<ExecScratch>();
+}
+
+void ScratchShelf::Return(std::unique_ptr<ExecScratch> scratch) {
+  MutexLock lock(mu_);
+  idle_.push_back(std::move(scratch));
+}
+
 QueryServer::QueryServer(const RdfGraph& graph, const Cluster& cluster,
                          const Partitioner& partitioner, ServerConfig config)
     : graph_(graph),
@@ -124,9 +141,12 @@ ServeResult QueryServer::ServeAdmitted(
   Executor executor(cluster_, jg, config_.options.cost_params,
                     config_.parallel_exec_nodes, retry, config_.engine,
                     health_.get());
+  std::unique_ptr<ExecScratch> scratch = scratch_.Borrow();
   Stopwatch exec_watch;
-  Result<BindingTable> rows = executor.Execute(*entry.plan, &out.exec_metrics);
+  Result<BindingTable> rows =
+      executor.Execute(*entry.plan, &out.exec_metrics, scratch.get());
   out.execute_seconds = exec_watch.ElapsedSeconds();
+  scratch_.Return(std::move(scratch));
   // Feed the health registry failed-or-not: failures already reached it
   // mid-query (breakers trip on detection) and successes carry the
   // latency samples.

@@ -34,13 +34,19 @@
 // TOTAL retries concurrent sessions may spend (exhaustion degrades to
 // typed kUnavailable instead of a retry storm).
 //
+// Execution scratch: the server keeps the executor's buffers
+// (exec/executor.h's ExecScratch) between requests. A request borrows an
+// idle scratch set for its Execute and returns it after, so the server
+// holds at most one per request it ever had in flight at once, which
+// admission bounds; a warm request's work items allocate nothing.
+//
 // Thread safety: Serve() is safe to call from any number of threads.
-// Shared state is the sharded cache, the lock-free admission counter
-// and the health registry; everything per-request lives on the
-// session's stack. Every lock a request can touch (cache shards at
-// LockRank::kCacheShard, health at kHealth, pool/fault/trace leaves
-// below them) sits in the static hierarchy of
-// common/thread_annotations.h.
+// Shared state is the sharded cache, the lock-free admission counter,
+// the health registry and the idle scratch list; everything else
+// per-request lives on the session's stack. Every lock a request can
+// touch (cache shards at LockRank::kCacheShard, health at kHealth,
+// pool/fault/trace below them, the scratch list at the kLeaf leaf) sits
+// in the static hierarchy of common/thread_annotations.h.
 
 #ifndef PARQO_SERVER_SERVER_H_
 #define PARQO_SERVER_SERVER_H_
@@ -53,6 +59,7 @@
 
 #include "common/fault.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "exec/binding_table.h"
 #include "exec/cluster.h"
@@ -128,6 +135,20 @@ struct ServeResult {
   ExecMetrics exec_metrics;
 };
 
+/// The idle execution scratch sets (exec/executor.h) of one server. A
+/// request borrows one for its Execute and returns it after; a new set
+/// is made only when every set is lent out, so the shelf never holds
+/// more than the most requests that were ever executing at once.
+class ScratchShelf {
+ public:
+  std::unique_ptr<ExecScratch> Borrow();
+  void Return(std::unique_ptr<ExecScratch> scratch);
+
+ private:
+  Mutex mu_{LockRank::kLeaf};
+  std::vector<std::unique_ptr<ExecScratch>> idle_ PARQO_GUARDED_BY(mu_);
+};
+
 class QueryServer {
  public:
   /// `graph`, `cluster`, and `partitioner` are borrowed and must outlive
@@ -181,6 +202,7 @@ class QueryServer {
   std::unique_ptr<RetryBudget> retry_budget_;
   PlanCache cache_;
   AdmissionController admission_;
+  ScratchShelf scratch_;
   /// Runs ServeConcurrent's sessions.
   ThreadPool pool_;
 };

@@ -8,11 +8,12 @@
 //     output columns, with no per-page buffer or staging.
 //   - A scan that returns one row of a full page sizes its columns by
 //     restart blocks, not by the page.
-//   - A warm Execute of fixed LUBM and WatDiv plans on ten nodes costs
-//     fewer than operators x 9 x 2 x (variables + 2) allocations more
-//     than on one node. Every (node, operator) pair reuses its partition's scratch
-//     instead of building fresh hash tables, match lists and route
-//     buckets, and sizes its output columns once.
+//   - A warm Execute of fixed LUBM and WatDiv plans on ten nodes, and a
+//     warm Serve of a light WatDiv text, cost at most a constant per
+//     operator more allocations than on one node, plus a few per node
+//     for each per-node key filter. A (node, operator) work item reads
+//     its inputs as row ranges of the operator's one table and writes
+//     into its partition's scratch, which outlives the request.
 //
 // Sanitizers that intercept operator new themselves (ASan, TSan, MSan)
 // would fight the replacement, so under them the counter is not compiled
@@ -37,6 +38,7 @@
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
+#include "server/server.h"
 #include "sparql/parser.h"
 #include "stats/data_stats.h"
 #include "storage/permutation_index.h"
@@ -202,6 +204,13 @@ TEST(AllocTest, OneRowScansSizeColumnsByRestartBlocks) {
 class WarmExecuteTest : public ::testing::Test {
  protected:
   static constexpr int kNodes = 10;
+  // What each operator may cost ten nodes beyond one: slack for a
+  // buffer that ten smaller partitions grow where one large one had
+  // room. Work items themselves allocate nothing once warm.
+  static constexpr std::uint64_t kPerOperator = 2;
+  // What a per-node key filter costs each node: its distinct keys and
+  // their hash slots.
+  static constexpr std::uint64_t kPerNodeFilter = 2;
 
   // A graph and its hash-SO clusters on one node and on kNodes nodes.
   struct World {
@@ -214,28 +223,48 @@ class WarmExecuteTest : public ::testing::Test {
     Cluster many;
   };
 
-  // Allocations of a warm Execute of `plan`: the second of two runs.
+  // What ten nodes may allocate beyond one for `plan`: kPerOperator per
+  // operator, with no term in operators x nodes, plus kPerNodeFilter per
+  // extra node for every key filter a local join can push per node (one
+  // per child after the first).
+  static std::uint64_t Slack(const PlanNode& plan) {
+    std::uint64_t ops = 0, per_node_filters = 0;
+    std::vector<const PlanNode*> stack{&plan};
+    while (!stack.empty()) {
+      const PlanNode* node = stack.back();
+      stack.pop_back();
+      ++ops;
+      if (node->kind != PlanNode::Kind::kScan &&
+          node->method == JoinMethod::kLocal) {
+        per_node_filters += node->children.size() - 1;
+      }
+      for (const PlanNodePtr& c : node->children) stack.push_back(c.get());
+    }
+    return ops * kPerOperator +
+           per_node_filters * (kNodes - 1) * kPerNodeFilter;
+  }
+
+  // Allocations of a warm Execute of `plan`: the second of two runs in
+  // one scratch.
   static std::uint64_t WarmAllocations(const Cluster& cluster,
                                        const JoinGraph& jg,
                                        const CostParams& params,
                                        const PlanNode& plan,
                                        std::uint64_t* rows) {
     Executor exec(cluster, jg, params);
+    ExecScratch scratch;
     ExecMetrics metrics;
-    EXPECT_TRUE(exec.Execute(plan, &metrics).ok());
+    EXPECT_TRUE(exec.Execute(plan, &metrics, &scratch).ok());
     const std::uint64_t allocations = Allocations([&] {
-      EXPECT_TRUE(exec.Execute(plan, &metrics).ok());
+      EXPECT_TRUE(exec.Execute(plan, &metrics, &scratch).ok());
     });
     *rows = metrics.result_rows;
     return allocations;
   }
 
-  // Plans `patterns` with TD-Auto and checks what the nodes beyond the
-  // first cost a warm Execute: fewer than operators x (kNodes - 1) x 2 x
-  // (variables + 2) allocations. A node's share of an operator builds at
-  // most two tables (a routed input and the join output, say), each its
-  // columns plus a schema and a column list; nothing may grow with rows
-  // or pages.
+  // Plans `patterns` with TD-Auto and checks that a warm Execute on
+  // kNodes nodes allocates at most Slack(plan) more than on one node:
+  // a (node, operator) work item allocates nothing.
   static void Check(const World& w,
                     const std::vector<TriplePattern>& patterns) {
     HashSoPartitioner hash;
@@ -244,26 +273,13 @@ class WarmExecuteTest : public ::testing::Test {
     options.cost_params.num_nodes = kNodes;
     PlanNodePtr plan = Optimize(Algorithm::kTdAuto, pq.inputs(), options).plan;
     ASSERT_NE(plan, nullptr);
-    std::uint64_t ops = 0;
-    std::vector<const PlanNode*> stack{plan.get()};
-    while (!stack.empty()) {
-      const PlanNode* node = stack.back();
-      stack.pop_back();
-      ++ops;
-      for (const PlanNodePtr& c : node->children) stack.push_back(c.get());
-    }
-    const std::uint64_t vars =
-        static_cast<std::uint64_t>(pq.join_graph().num_vars());
-    const std::uint64_t bound = ops * (kNodes - 1) * 2 * (vars + 2);
     std::uint64_t rows_one = 0, rows_many = 0;
     const std::uint64_t one = WarmAllocations(
         w.one, pq.join_graph(), options.cost_params, *plan, &rows_one);
     const std::uint64_t many = WarmAllocations(
         w.many, pq.join_graph(), options.cost_params, *plan, &rows_many);
     EXPECT_EQ(rows_one, rows_many);
-    EXPECT_LT(many, one + bound)
-        << ops << " operators, " << vars << " variables, " << one
-        << " allocations on one node";
+    EXPECT_LE(many, one + Slack(*plan)) << one << " allocations on one node";
   }
 };
 
@@ -294,6 +310,58 @@ TEST_F(WarmExecuteTest, WatdivPlansStayUnderTheBound) {
     SCOPED_TRACE(name);
     Check(w, t.patterns);
   }
+}
+
+// The serving path end to end: a warm Serve of a light WatDiv text on
+// ten nodes allocates at most Slack(plan) more than on one node. The
+// server lends each request a scratch it keeps between requests, so the
+// only difference left is the per-operator bookkeeping.
+TEST_F(WarmExecuteTest, WarmServeOfALightTextCostsNoPerNodeAllocations) {
+  SKIP_WITHOUT_COUNTER();
+  WatdivDataConfig config;
+  config.entities_per_class = 120;
+  config.density = 1.1;
+  config.seed = 7;
+  const World w(GenerateWatdivData(config));
+  Rng rng(2017);
+  std::string text;
+  for (const WatdivTemplate& t : GenerateWatdivTemplates(124, rng)) {
+    if (t.id != 3) continue;
+    ParsedQuery q;
+    q.select_all = true;
+    q.patterns = t.patterns;
+    text = q.ToString();
+  }
+  ASSERT_FALSE(text.empty());
+  Result<ParsedQuery> parsed = ParseSparql(text);
+  ASSERT_TRUE(parsed.ok());
+  HashSoPartitioner hash;
+  ServerConfig sc;
+  sc.options.cost_params.num_nodes = kNodes;
+  sc.num_threads = 1;
+  QueryServer on_one(w.graph, w.one, hash, sc);
+  QueryServer on_many(w.graph, w.many, hash, sc);
+  auto warm_serve = [&](QueryServer& server, std::uint64_t* rows,
+                        PlanNodePtr* plan) {
+    EXPECT_TRUE(server.Serve(parsed->patterns).status.ok());
+    ServeResult r;
+    const std::uint64_t allocations =
+        Allocations([&] { r = server.Serve(parsed->patterns); });
+    EXPECT_TRUE(r.status.ok());
+    EXPECT_TRUE(r.cache_hit);
+    *rows = r.rows.NumRows();
+    *plan = r.plan;
+    return allocations;
+  };
+  std::uint64_t rows_one = 0, rows_many = 0;
+  PlanNodePtr plan_one, plan_many;
+  const std::uint64_t one = warm_serve(on_one, &rows_one, &plan_one);
+  const std::uint64_t many = warm_serve(on_many, &rows_many, &plan_many);
+  EXPECT_EQ(rows_one, rows_many);
+  ASSERT_NE(plan_many, nullptr);
+  EXPECT_LE(rows_many, 2000u);  // light
+  EXPECT_LE(many, one + Slack(*plan_many))
+      << one << " allocations on one node";
 }
 
 }  // namespace

@@ -211,7 +211,8 @@ TEST(JoinKernelTest, SingleKeyCollisionsStaySeparate) {
   ASSERT_NE(k2, kInvalidTermId) << "no colliding TermId found";
 
   SingleKeyJoinTable table;
-  table.Build({k1, k2, k1});
+  const std::vector<TermId> keys{k1, k2, k1};
+  table.Build(keys.data(), keys.size());
   std::vector<std::uint32_t> hits;
   table.ForEachMatch(k1, [&](std::uint32_t r) { hits.push_back(r); });
   EXPECT_EQ(hits, (std::vector<std::uint32_t>{0, 2}));  // ascending
@@ -690,6 +691,23 @@ TEST_F(ExecutorTest, ProjectionSelectsQueryVariables) {
   EXPECT_EQ(result->NumRows(), 1u);
 }
 
+// A SELECT variable the body never binds is an invalid query: it fails
+// before anything is scanned, not after the whole query ran.
+TEST_F(ExecutorTest, UnknownSelectVariableFailsBeforeExecuting) {
+  PlanNodePtr plan = builder_->Join(
+      JoinMethod::kRepartition, jg_->FindVar("y"),
+      {builder_->Scan(0), builder_->Scan(1)});
+  Executor exec(*cluster_, *jg_, CostParams{});
+  ParsedQuery pq;
+  pq.select_vars = {"u", "zzz"};
+  ExecMetrics m;
+  auto result = ExecuteAndProject(exec, *plan, pq, *jg_, &m);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(m.rows_scanned, 0u);
+  EXPECT_TRUE(m.failed);
+}
+
 TEST_F(ExecutorTest, RecordingPassRecordsEveryOperator) {
   PlanNodePtr plan = builder_->Join(
       JoinMethod::kRepartition, jg_->FindVar("y"),
@@ -1104,6 +1122,72 @@ TEST_F(SipSweepTest, FaultReexecutionReusesPartitionScratch) {
         EXPECT_TRUE(*got == *want) << "seed " << seed;
         if (m.operators_reexecuted > 0) ++recovered;
       }
+    }
+  }
+  EXPECT_GT(recovered, 0u);
+}
+
+// An operator's output is one table holding node 0's rows, then node
+// 1's, and so on. The recording pass reports each operator's node
+// offsets: summed over the scans they must reproduce node_rows_scanned,
+// summed over the joins node_rows_joined, and a scan's range must hold
+// exactly what that partition's store returns for the pattern. Checked
+// fault-free and with crashed partitions re-executed on survivors.
+TEST_F(SipSweepTest, NodeOffsetsReproduceNodeRowCounts) {
+  const World& w = Lubm();
+  std::uint64_t recovered = 0;
+  for (const BenchmarkQuery& bq : AllBenchmarkQueries()) {
+    if (!bq.lubm) continue;
+    SCOPED_TRACE(bq.name);
+    Result<ParsedQuery> parsed = ParseSparql(bq.sparql);
+    ASSERT_TRUE(parsed.ok());
+    HashSoPartitioner hash;
+    PreparedQuery pq(parsed->patterns, hash, StatsFromData(*w.graph));
+    const JoinGraph& jg = pq.join_graph();
+    OptimizeOptions options;
+    options.cost_params.num_nodes = kSipNodes;
+    PlanNodePtr plan = Optimize(Algorithm::kTdAuto, pq.inputs(), options).plan;
+    ASSERT_NE(plan, nullptr);
+    RetryPolicy retry;
+    retry.max_attempts = 8;
+    FaultPlanConfig config;
+    config.crash_probability = 0.5;
+    // Seed 0 runs fault-free.
+    for (std::uint64_t seed = 0; seed <= 4; ++seed) {
+      SCOPED_TRACE(seed);
+      FaultPlan fault(seed, kSipNodes, config);
+      Executor exec(*w.cluster, jg, options.cost_params, false, retry);
+      exec.set_record_op_cardinalities(true);
+      ExecMetrics m;
+      Result<BindingTable> r = [&] {
+        if (seed == 0) return exec.Execute(*plan, &m);
+        FaultScope scope(&fault);
+        return exec.Execute(*plan, &m);
+      }();
+      if (!r.ok()) continue;
+      if (m.operators_reexecuted > 0) ++recovered;
+      std::vector<std::uint64_t> scanned(kSipNodes, 0), joined(kSipNodes, 0);
+      for (const ExecMetrics::OpCardinality& oc : m.op_cards) {
+        SCOPED_TRACE(oc.op);
+        ASSERT_EQ(oc.node_offsets.size(), kSipNodes + 1u);
+        EXPECT_EQ(oc.node_offsets[0], 0u);
+        const bool scan = oc.op == "scan";
+        for (int p = 0; p < kSipNodes; ++p) {
+          ASSERT_LE(oc.node_offsets[p], oc.node_offsets[p + 1]);
+          const std::uint64_t rows =
+              oc.node_offsets[p + 1] - oc.node_offsets[p];
+          (scan ? scanned : joined)[p] += rows;
+          if (scan) {
+            ASSERT_EQ(oc.tps.size(), 1u);
+            EXPECT_EQ(rows, w.cluster->node(p)
+                                .Scan(BindPattern(jg.pattern(oc.tps[0]), jg,
+                                                  w.graph->dict()))
+                                .NumRows());
+          }
+        }
+      }
+      EXPECT_EQ(scanned, m.node_rows_scanned);
+      EXPECT_EQ(joined, m.node_rows_joined);
     }
   }
   EXPECT_GT(recovered, 0u);

@@ -402,6 +402,36 @@ TEST(ServerTest, ConcurrentSessionsAgreeWithEachOtherPerSignature) {
   EXPECT_LE(server.cache().size(), 6u);
 }
 
+// Eight concurrent sessions share the server's kept execution scratch
+// and run their node work in parallel on the shared pool: every result
+// must equal, row for row and in order, what one client got from a
+// server that runs nodes serially.
+TEST(ServerTest, ConcurrentSessionsSharingScratchMatchSerialRowForRow) {
+  ServerConfig serial_config;
+  serial_config.num_threads = 1;
+  QueryServer serial(WatdivGraph(), WatdivCluster(), Part(), serial_config);
+  ServerConfig config;
+  config.num_threads = 8;
+  config.parallel_exec_nodes = true;
+  QueryServer server(WatdivGraph(), WatdivCluster(), Part(), config);
+
+  std::vector<WatdivTemplate> templates = Templates();
+  std::vector<std::vector<TriplePattern>> stream;
+  for (int i = 0; i < 48; ++i) stream.push_back(templates[i % 12].patterns);
+  std::vector<BindingTable> want;
+  for (const auto& q : stream) {
+    ServeResult r = serial.Serve(q);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    want.push_back(std::move(r.rows));
+  }
+  std::vector<ServeResult> got = server.ServeConcurrent(stream, 8);
+  ASSERT_EQ(got.size(), stream.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].status.ok()) << got[i].status.ToString();
+    EXPECT_TRUE(got[i].rows == want[i]) << "request " << i;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Chaos while serving: the PR 4 invariant, per session.
 
