@@ -22,8 +22,8 @@
 //   6. NodeStore::Scan, which decodes keys straight into columns,
 //      returns exactly the brute-force rows in the chosen permutation's
 //      key order for every constant mask, with and without a repeated
-//      variable, for every morsel size, serial and parallel; a
-//      key-filtered scan returns those rows restricted to the keys.
+//      variable; a key-filtered scan returns those rows restricted to
+//      the keys.
 //
 // Build: cmake -DPARQO_FUZZ=ON. Under clang this links libFuzzer;
 // under other compilers fuzz/standalone_main.cc replays the seed corpus.
@@ -237,17 +237,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
           }
         }
         std::sort(want_filtered.begin(), want_filtered.end());
-        for (std::size_t morsel_rows : {std::size_t{0}, std::size_t{1},
-                                        std::size_t{1024}}) {
-          for (bool parallel : {false, true}) {
-            PARQO_CHECK(rows_of(store.Scan(rp, morsel_rows, parallel)) ==
-                        want);
-            Rows got = rows_of(store.Scan(rp, morsel_rows, parallel,
-                                          {rp.schema[0], &set}));
-            std::sort(got.begin(), got.end());
-            PARQO_CHECK(got == want_filtered);
-          }
-        }
+        PARQO_CHECK(rows_of(store.Scan(rp)) == want);
+        Rows got = rows_of(store.Scan(rp, {rp.schema[0], &set}));
+        std::sort(got.begin(), got.end());
+        PARQO_CHECK(got == want_filtered);
       }
     }
   }

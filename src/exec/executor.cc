@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/morsel.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -72,14 +71,14 @@ struct KeyFilter {
   }
 };
 
-// Concurrency cap for simulated-node work: beyond this many workers the
-// extra threads only add scheduling overhead (cluster sizes in the
-// hundreds used to spawn one thread each).
+// At most this many threads, the caller included, run one fan-out's
+// node items; a larger cluster's nodes wait for one of them.
 constexpr int kMaxNodeWorkers = 32;
 
 // Runs fn(0..n-1); when parallel, the simulated cluster's nodes work
-// concurrently on the shared pool (bounded workers, no per-node thread
-// spawn). fn must only touch node-local state. A serial fan-out calls fn
+// concurrently on the shared pool. This is the executor's only parallel
+// fan-out: a node's item scans and joins in one pass on one thread. fn
+// must only touch node-local state. A serial fan-out calls fn
 // directly; a parallel one hands the pool a one-reference wrapper, which
 // fits std::function's inline buffer.
 template <typename Fn>
@@ -325,12 +324,10 @@ std::uint64_t RowBytes(const std::vector<VarId>& schema) {
 // "Scratch ownership"). Partition p's work items are the only writers of
 // parts[p], whichever node hosts them and whichever pool thread runs
 // them: the nest-safe pool may run another node's item on a waiting
-// thread, so nothing here may be thread-local. Inside an item, morsel
-// workers write only their own morsel's slot. A crashed item is probed
+// thread, so nothing here may be thread-local. A crashed item is probed
 // before it starts, so a re-executed item finds the scratch as the
 // failed attempt left it: unused.
 struct PartitionScratch {
-  ScanScratch scan;
   JoinScratch join;
   /// The item's output columns, which the driver appends to the
   /// operator's table, and the two a k-way join alternates between for
@@ -346,7 +343,7 @@ struct PartitionScratch {
 
   /// Heap bytes the buffers hold.
   std::size_t Bytes() const {
-    std::size_t b = scan.Bytes() + join.Bytes();
+    std::size_t b = join.Bytes();
     for (const std::vector<std::vector<TermId>>* cols :
          {&out, &steps[0], &steps[1]}) {
       b += CapacityBytes(*cols);
@@ -428,55 +425,70 @@ void DedupRanges(DistTable& t, std::uint64_t& dedup_rows,
   t.rows.Truncate(to);
 }
 
-// Sorted distinct values of column `col` over rows [begin, end) of `t`.
-std::vector<TermId> DistinctKeys(const BindingTable& t, int col,
-                                 std::size_t begin, std::size_t end) {
+// BuildFilter's reusable buffers, one vector per range: the distinct
+// keys of the variable it is looking at and of the fewest-key variable
+// so far.
+struct FilterScratch {
+  std::vector<std::vector<TermId>> candidate;
+  std::vector<std::vector<TermId>> kept;
+};
+
+// Sorted distinct values of column `col` over rows [begin, end) of `t`,
+// into `keys`.
+void DistinctKeys(const BindingTable& t, int col, std::size_t begin,
+                  std::size_t end, std::vector<TermId>& keys) {
   const std::vector<TermId>& c = t.Column(col);
-  std::vector<TermId> keys(c.begin() + static_cast<std::ptrdiff_t>(begin),
-                           c.begin() + static_cast<std::ptrdiff_t>(end));
+  keys.assign(c.begin() + static_cast<std::ptrdiff_t>(begin),
+              c.begin() + static_cast<std::ptrdiff_t>(end));
   // A scan sorted on the column hands over sorted keys.
   if (!std::is_sorted(keys.begin(), keys.end())) {
     std::sort(keys.begin(), keys.end());
   }
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
 }
 
 // The filter a join pushes into a child: on the variable of `shared`
 // with the fewest distinct keys in the sibling `t`, one key set per node
 // or one for all. No variable in `shared` means no filter
-// (var == kInvalidVarId).
+// (var == kInvalidVarId). The candidates' keys are built in `scratch`;
+// only the kept variable's are copied into key sets.
 KeyFilter BuildFilter(const DistTable& t, const VarSet& shared,
-                      bool per_node) {
+                      bool per_node, FilterScratch& scratch) {
   KeyFilter f;
-  std::vector<std::vector<TermId>> best;
+  const std::size_t ranges = per_node ? t.offsets.size() - 1 : 1;
+  if (scratch.candidate.size() < ranges) {
+    scratch.candidate.resize(ranges);
+    scratch.kept.resize(ranges);
+  }
   std::size_t best_size = 0;
   const std::vector<VarId>& schema = t.rows.schema();
   for (std::size_t col = 0; col < schema.size(); ++col) {
     const VarId v = schema[col];
     if (!shared.test(v)) continue;
-    const int c = static_cast<int>(col);
-    std::vector<std::vector<TermId>> keys;
-    keys.reserve(per_node ? t.offsets.size() - 1 : 1);
     std::size_t size = 0;
-    if (per_node) {
-      for (std::size_t r = 0; r + 1 < t.offsets.size(); ++r) {
-        keys.push_back(
-            DistinctKeys(t.rows, c, t.offsets[r], t.offsets[r + 1]));
-        size += keys.back().size();
-      }
-    } else {
-      keys.push_back(DistinctKeys(t.rows, c, 0, t.rows.NumRows()));
-      size = keys.back().size();
+    for (std::size_t r = 0; r < ranges; ++r) {
+      DistinctKeys(t.rows, static_cast<int>(col), t.offsets[r],
+                   per_node ? t.offsets[r + 1] : t.rows.NumRows(),
+                   scratch.candidate[r]);
+      size += scratch.candidate[r].size();
     }
     if (f.var == kInvalidVarId || size < best_size) {
       f.var = v;
-      best = std::move(keys);
       best_size = size;
+      for (std::size_t r = 0; r < ranges; ++r) {
+        scratch.kept[r].assign(scratch.candidate[r].begin(),
+                               scratch.candidate[r].end());
+      }
     }
   }
-  f.sets.reserve(best.size());
-  for (std::vector<TermId>& k : best) f.sets.emplace_back(std::move(k));
+  if (f.var == kInvalidVarId) return f;
+  f.sets.reserve(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const std::vector<TermId>& keys = scratch.kept[r];
+    f.sets.emplace_back(std::vector<TermId>(keys.begin(), keys.end()));
+  }
+  ReleaseColumnsIfLarge(scratch.candidate);
+  ReleaseColumnsIfLarge(scratch.kept);
   return f;
 }
 
@@ -514,6 +526,8 @@ struct ExecScratch::Buffers {
   /// target's write position while it is scattered.
   std::vector<std::uint32_t> route;
   std::vector<TermId*> cursor;
+  /// The key filters' candidate keys.
+  FilterScratch filter;
   /// One per partition, reused by every operator's fan-out.
   std::vector<Status> statuses;
   std::vector<ItemRun> runs;
@@ -806,7 +820,8 @@ class Executor::Run {
           own = BuildFilter(children[sib],
                             info_[pos[c]].vars & info_[pos[sib]].vars,
                             node.method == JoinMethod::kLocal &&
-                                info_[pos[c]].node_local);
+                                info_[pos[c]].node_local,
+                            buf_.filter);
           if (own.var != kInvalidVarId) child_filters.push_back(&own);
         }
       }
@@ -853,8 +868,7 @@ class Executor::Run {
     }
     PartitionScratch& s = buf_.parts[part];
     return ex_.cluster_.node(part).ScanInto(
-        rp, Columns(s.out, rp.schema.size()), kDefaultMorselRows,
-        ex_.parallel_nodes_, sf, &s.scan, &s.rows_decoded);
+        rp, Columns(s.out, rp.schema.size()), sf, &s.rows_decoded);
   }
 
   // Each node joins its own rows of every child, in plan order.
@@ -972,12 +986,6 @@ class Executor::Run {
     PartitionScratch& s = buf_.parts[part];
     BatchJoinOptions opts;
     opts.scratch = &s.join;
-    // Morsel parallelism composes with the per-node ForEachNode fan-out:
-    // both run on the same nest-safe pool. Morsels only spread a probe
-    // over threads, so a serial join probes as one morsel into one match
-    // chunk (the output is the same either way).
-    opts.parallel = ex_.parallel_nodes_;
-    if (!ex_.parallel_nodes_) opts.morsel_rows = 0;
     const std::size_t k = in.tables.size();
     RowRange acc = in.tables[0]->Range(part);
     for (std::size_t j = 1; j < k; ++j) {

@@ -1,52 +1,41 @@
 #include "exec/join_kernel.h"
 
 #include <algorithm>
-#include <span>
 
 namespace parqo {
 namespace {
 
-// Gathers the matched (probe, build) row pairs into the output columns,
-// one gather per column, chunks in morsel order. Shared variables exist
-// on both sides with equal values; prefer the left source like the
-// reference engine (the choice is value-neutral). Shared by the hash and
-// merge kernels, which therefore materialize byte-identically. The
-// first `morsels` chunks of `s` hold the matches; chunks a heavy join
-// grew are released afterwards.
+// Gathers the matched (probe, build) row pairs of `s` into the output
+// columns, one gather per column. Shared variables exist on both sides
+// with equal values; prefer the left source like the reference engine
+// (the choice is value-neutral). Shared by the hash and merge kernels,
+// which therefore materialize byte-identically. Match arrays a heavy
+// join grew are released afterwards.
 RowsWritten MaterializeJoin(const RowRange& left, const RowRange& right,
                             bool build_left, JoinScratch& s,
-                            std::size_t morsels,
                             const std::vector<VarId>& out_schema,
                             std::vector<TermId>* out) {
-  const std::span<MatchChunk> chunks(s.chunks.data(), morsels);
-  std::size_t total = 0;
-  for (const MatchChunk& c : chunks) total += c.probe_rows.size();
+  const std::size_t total = s.probe_rows.size();
   for (std::size_t i = 0; i < out_schema.size(); ++i) {
     int cl = left.ColumnOf(out_schema[i]);
     const bool use_left = cl >= 0;
     const TermId* src = use_left
                             ? left.Column(cl)
                             : right.Column(right.ColumnOf(out_schema[i]));
-    const bool src_is_build = use_left == build_left;
+    const std::vector<std::uint32_t>& idx =
+        use_left == build_left ? s.build_rows : s.probe_rows;
     std::vector<TermId>& dst = out[i];
     dst.resize(total);
-    std::size_t pos = 0;
-    for (const MatchChunk& c : chunks) {
-      const std::vector<std::uint32_t>& idx =
-          src_is_build ? c.build_rows : c.probe_rows;
-      for (std::uint32_t r : idx) dst[pos++] = src[r];
-    }
+    for (std::size_t pos = 0; pos < total; ++pos) dst[pos] = src[idx[pos]];
   }
-  for (MatchChunk& c : chunks) {
-    ReleaseIfLarge(c.probe_rows);
-    ReleaseIfLarge(c.build_rows);
-  }
+  ReleaseIfLarge(s.probe_rows);
+  ReleaseIfLarge(s.build_rows);
   // Probe-major emit preserves the probe side's known row order.
   return {total, (build_left ? right : left).sorted_by};
 }
 
 // Cross product, left-row-major: (l0,r0..rN), (l1,r0..rN), ... Only
-// arises inside constant-anchored local queries, so it stays serial.
+// arises inside constant-anchored local queries.
 RowsWritten CrossProduct(const RowRange& left, const RowRange& right,
                          const std::vector<VarId>& out_schema,
                          std::vector<TermId>* out) {
@@ -155,14 +144,8 @@ RowsWritten BatchHashJoinInto(const RowRange& left, const RowRange& right,
   JoinScratch local;
   JoinScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
   const std::size_t probe_rows = probe.NumRows();
-  const std::size_t morsels = NumMorsels(probe_rows, opts.morsel_rows);
-  if (s.chunks.size() < morsels) s.chunks.resize(morsels);
-  auto chunk = [&](std::size_t m) -> MatchChunk& {
-    MatchChunk& c = s.chunks[m];
-    c.probe_rows.clear();
-    c.build_rows.clear();
-    return c;
-  };
+  s.probe_rows.clear();
+  s.build_rows.clear();
 
   if (nkeys == 1 && !opts.force_generic_kernel) {
     // Specialized single-key kernel: the key IS the column; matching is
@@ -170,17 +153,12 @@ RowsWritten BatchHashJoinInto(const RowRange& left, const RowRange& right,
     SingleKeyJoinTable& table = s.single;
     table.Build(build.Column(build.ColumnOf(key)), build.NumRows());
     const TermId* pk = probe.Column(probe.ColumnOf(key));
-    ForEachMorsel(probe_rows, opts.morsel_rows, opts.parallel,
-                  [&](std::size_t m, std::size_t begin, std::size_t end) {
-                    MatchChunk& c = chunk(m);
-                    for (std::size_t r = begin; r < end; ++r) {
-                      table.ForEachMatch(pk[r], [&](std::uint32_t b) {
-                        c.probe_rows.push_back(
-                            static_cast<std::uint32_t>(r));
-                        c.build_rows.push_back(b);
-                      });
-                    }
-                  });
+    for (std::size_t r = 0; r < probe_rows; ++r) {
+      table.ForEachMatch(pk[r], [&](std::uint32_t b) {
+        s.probe_rows.push_back(static_cast<std::uint32_t>(r));
+        s.build_rows.push_back(b);
+      });
+    }
     table.ReleaseIfLarge();
   } else {
     // Generic kernel: hash the build key columns column-at-a-time, probe
@@ -204,32 +182,24 @@ RowsWritten BatchHashJoinInto(const RowRange& left, const RowRange& right,
     }
     MultiKeyJoinTable& table = s.multi;
     table.Build(hashes);
-    ForEachMorsel(probe_rows, opts.morsel_rows, opts.parallel,
-                  [&](std::size_t m, std::size_t begin, std::size_t end) {
-                    MatchChunk& c = chunk(m);
-                    std::vector<TermId>& tuple = c.key;
-                    tuple.resize(nkeys);
-                    for (std::size_t r = begin; r < end; ++r) {
-                      for (std::size_t i = 0; i < nkeys; ++i) {
-                        tuple[i] = probe_key[i][r];
-                      }
-                      std::uint64_t h = JoinKeyHash(tuple.data(), nkeys);
-                      table.ForEachHashMatch(h, [&](std::uint32_t b) {
-                        for (std::size_t i = 0; i < nkeys; ++i) {
-                          if (build_key[i][b] != tuple[i]) return;
-                        }
-                        c.probe_rows.push_back(
-                            static_cast<std::uint32_t>(r));
-                        c.build_rows.push_back(b);
-                      });
-                    }
-                  });
+    std::vector<TermId>& tuple = s.probe_tuple;
+    tuple.resize(nkeys);
+    for (std::size_t r = 0; r < probe_rows; ++r) {
+      for (std::size_t i = 0; i < nkeys; ++i) tuple[i] = probe_key[i][r];
+      std::uint64_t h = JoinKeyHash(tuple.data(), nkeys);
+      table.ForEachHashMatch(h, [&](std::uint32_t b) {
+        for (std::size_t i = 0; i < nkeys; ++i) {
+          if (build_key[i][b] != tuple[i]) return;
+        }
+        s.probe_rows.push_back(static_cast<std::uint32_t>(r));
+        s.build_rows.push_back(b);
+      });
+    }
     table.ReleaseIfLarge();
     ReleaseIfLarge(hashes);
   }
 
-  return MaterializeJoin(left, right, build_left, s, morsels, out_schema,
-                         out);
+  return MaterializeJoin(left, right, build_left, s, out_schema, out);
 }
 
 BindingTable BatchHashJoin(const BindingTable& left, const BindingTable& right,
@@ -275,44 +245,33 @@ RowsWritten BatchMergeJoinInto(const RowRange& left, const RowRange& right,
 
   JoinScratch local;
   JoinScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
-  const std::size_t probe_rows = probe.NumRows();
-  const std::size_t morsels = NumMorsels(probe_rows, opts.morsel_rows);
-  if (s.chunks.size() < morsels) s.chunks.resize(morsels);
-  ForEachMorsel(
-      probe_rows, opts.morsel_rows, opts.parallel,
-      [&](std::size_t m, std::size_t begin, std::size_t end) {
-        MatchChunk& c = s.chunks[m];
-        c.probe_rows.clear();
-        c.build_rows.clear();
-        // Anchor this morsel's build cursor by binary search; both
-        // cursors then only move forward, so a morsel's matching work is
-        // O(run lengths) and independent of other morsels.
-        std::size_t b_lo = static_cast<std::size_t>(
-            std::lower_bound(bk, bk + build_rows, pk[begin]) - bk);
-        std::size_t b_hi = b_lo;
-        TermId run_key = 0;
-        bool have_run = false;
-        for (std::size_t r = begin; r < end; ++r) {
-          const TermId k = pk[r];
-          if (!have_run || k != run_key) {
-            b_lo = b_hi;
-            while (b_lo < build_rows && bk[b_lo] < k) ++b_lo;
-            b_hi = b_lo;
-            while (b_hi < build_rows && bk[b_hi] == k) ++b_hi;
-            run_key = k;
-            have_run = true;
-          }
-          // Matching build rows are a contiguous ascending run — exactly
-          // the order the hash-join probe chain yields.
-          for (std::size_t b = b_lo; b < b_hi; ++b) {
-            c.probe_rows.push_back(static_cast<std::uint32_t>(r));
-            c.build_rows.push_back(static_cast<std::uint32_t>(b));
-          }
-        }
-      });
+  s.probe_rows.clear();
+  s.build_rows.clear();
+  // Both cursors only move forward, so the matching work is linear in
+  // the two inputs.
+  std::size_t b_lo = 0;
+  std::size_t b_hi = 0;
+  TermId run_key = 0;
+  bool have_run = false;
+  for (std::size_t r = 0; r < probe.NumRows(); ++r) {
+    const TermId k = pk[r];
+    if (!have_run || k != run_key) {
+      b_lo = b_hi;
+      while (b_lo < build_rows && bk[b_lo] < k) ++b_lo;
+      b_hi = b_lo;
+      while (b_hi < build_rows && bk[b_hi] == k) ++b_hi;
+      run_key = k;
+      have_run = true;
+    }
+    // Matching build rows are a contiguous ascending run — exactly the
+    // order the hash-join probe chain yields.
+    for (std::size_t b = b_lo; b < b_hi; ++b) {
+      s.probe_rows.push_back(static_cast<std::uint32_t>(r));
+      s.build_rows.push_back(static_cast<std::uint32_t>(b));
+    }
+  }
 
-  return MaterializeJoin(left, right, build_left, s, morsels, out_schema,
-                         out);
+  return MaterializeJoin(left, right, build_left, s, out_schema, out);
 }
 
 BindingTable BatchMergeJoin(const BindingTable& left,

@@ -4,10 +4,10 @@
 // of per TpSet: each slot holds one build-row entry, duplicates of a key
 // occupy later slots of the same probe chain, and linear probing
 // guarantees a probe encounters them in build-insertion (ascending row)
-// order. That property, plus morsel-order reduction of probe chunks,
-// makes the batch engine's output order canonical: probe rows ascending,
-// matching build rows ascending — independent of hashing, capacity, or
-// thread interleaving.
+// order. That property, plus a probe that runs over the probe rows in
+// order, makes the batch engine's output order canonical: probe rows
+// ascending, matching build rows ascending — independent of hashing or
+// capacity.
 //
 // Two kernels share the layout: SingleKeyJoinTable stores the TermId key
 // inline and matches by direct key comparison (no hash re-check, no key
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/morsel.h"
 #include "exec/binding_table.h"
 #include "query/join_graph.h"
 #include "rdf/term.h"
@@ -155,49 +154,31 @@ class MultiKeyJoinTable {
   std::vector<Slot> slots_;
 };
 
-/// One probe morsel's matches: parallel index arrays into the probe and
-/// build tables. Chunks are reduced in morsel-index order, which is what
-/// keeps the parallel probe's output order identical to the serial one.
-/// `key` is the generic kernel's probe-key buffer.
-struct MatchChunk {
-  std::vector<std::uint32_t> probe_rows;
-  std::vector<std::uint32_t> build_rows;
-  std::vector<TermId> key;
-};
-
 /// Reusable join buffers (DESIGN.md section 13, "Scratch ownership"): the
-/// build tables, the generic kernel's build-key hashes and key-column
-/// pointers, and one match chunk per probe morsel. A join builds its
-/// table before the probe morsels start and morsel m's worker writes only
-/// chunks[m], so one scratch serves a whole join, but never two joins at
-/// once; the executor keeps one per partition.
+/// build tables, the generic kernel's build-key hashes, key-column
+/// pointers and probe-key buffer, and the matches — parallel index
+/// arrays into the probe and build inputs, in probe order. One scratch
+/// serves one join at a time; the executor keeps one per partition.
 struct JoinScratch {
   SingleKeyJoinTable single;
   MultiKeyJoinTable multi;
   std::vector<std::uint64_t> hashes;
   std::vector<const TermId*> build_key;
   std::vector<const TermId*> probe_key;
-  std::vector<MatchChunk> chunks;
+  std::vector<TermId> probe_tuple;
+  std::vector<std::uint32_t> probe_rows;
+  std::vector<std::uint32_t> build_rows;
 
   /// Heap bytes the buffers hold.
   std::size_t Bytes() const {
-    std::size_t b = single.Bytes() + multi.Bytes() + CapacityBytes(hashes) +
-                    CapacityBytes(build_key) + CapacityBytes(probe_key) +
-                    CapacityBytes(chunks);
-    for (const MatchChunk& c : chunks) {
-      b += CapacityBytes(c.probe_rows) + CapacityBytes(c.build_rows) +
-           CapacityBytes(c.key);
-    }
-    return b;
+    return single.Bytes() + multi.Bytes() + CapacityBytes(hashes) +
+           CapacityBytes(build_key) + CapacityBytes(probe_key) +
+           CapacityBytes(probe_tuple) + CapacityBytes(probe_rows) +
+           CapacityBytes(build_rows);
   }
 };
 
 struct BatchJoinOptions {
-  /// Probe-side rows per morsel; 0 = one morsel (no splitting).
-  std::size_t morsel_rows = kDefaultMorselRows;
-  /// Dispatch probe morsels over the shared thread pool. Output is
-  /// identical either way (morsel-order reduction).
-  bool parallel = false;
   /// Forces the generic multi-key kernel even for single-key joins; for
   /// benchmarking the specialization, never for production use.
   bool force_generic_kernel = false;
@@ -236,8 +217,7 @@ VarId MergeJoinKey(const RowRange& left, const RowRange& right);
 /// sorted inputs the run-scan produces probe-ascending, build-ascending
 /// matches, so the output is BIT-IDENTICAL to the hash join's; only the
 /// matching work (two sorted cursors, no table build, no hashing)
-/// differs. Probe morsels locate their build run by binary search and
-/// reduce in morsel order, so parallel output equals serial output.
+/// differs.
 RowsWritten BatchMergeJoinInto(const RowRange& left, const RowRange& right,
                                const std::vector<VarId>& out_schema,
                                std::vector<TermId>* out,

@@ -1,11 +1,9 @@
 #include "exec/node_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 
 #include "common/check.h"
-#include "common/morsel.h"
 
 namespace parqo {
 namespace {
@@ -97,18 +95,16 @@ RowShape ShapeFor(const ResolvedPattern& pattern, Perm perm,
 }
 
 // Writes the row of every decoded key that passes the repeated-variable
-// equalities and the key filter's probe into `cols`, from row 0. The
+// equalities and the key filter's probe into the output columns `out`,
+// from row 0. The
 // columns are sized up front and doubled when full, so a row costs one
 // capacity check and a plain store per column; Finish() trims them to the
 // rows written.
 class RowWriter {
  public:
-  RowWriter(const RowShape& shape, std::vector<TermId>* const* cols,
+  RowWriter(const RowShape& shape, std::vector<TermId>* out,
             std::size_t rows, const KeySet* keys)
-      : shape_(shape),
-        cols_{cols[0], cols[1], cols[2]},
-        cap_(rows),
-        keys_(keys) {
+      : shape_(shape), out_(out), cap_(rows), keys_(keys) {
     Resize(cap_);
   }
 
@@ -134,13 +130,13 @@ class RowWriter {
  private:
   void Resize(std::size_t rows) {
     for (int c = 0; c < shape_.ncols; ++c) {
-      cols_[c]->resize(rows);
-      base_[c] = cols_[c]->data();
+      out_[c].resize(rows);
+      base_[c] = out_[c].data();
     }
   }
 
   const RowShape& shape_;
-  std::vector<TermId>* cols_[3];
+  std::vector<TermId>* out_;
   TermId* base_[3] = {nullptr, nullptr, nullptr};
   std::size_t n_ = 0;
   std::size_t cap_;
@@ -168,21 +164,18 @@ KeySet::KeySet(std::vector<TermId> sorted) : keys_(std::move(sorted)) {
 NodeStore::NodeStore(std::vector<Triple> triples) : index_(triples) {}
 
 BindingTable NodeStore::Scan(const ResolvedPattern& pattern,
-                             std::size_t morsel_rows, bool parallel,
-                             const ScanFilter& filter, ScanScratch* scratch,
+                             const ScanFilter& filter,
                              std::uint64_t* decoded) const {
   BindingTable out(pattern.schema);
-  const RowsWritten w = ScanInto(pattern, out.MutableColumns(), morsel_rows,
-                                 parallel, filter, scratch, decoded);
+  const RowsWritten w =
+      ScanInto(pattern, out.MutableColumns(), filter, decoded);
   if (w.sorted_by != kInvalidVarId) out.SetSortedBy(w.sorted_by);
   return out;
 }
 
 RowsWritten NodeStore::ScanInto(const ResolvedPattern& pattern,
                                 std::vector<TermId>* out,
-                                std::size_t morsel_rows, bool parallel,
                                 const ScanFilter& filter,
-                                ScanScratch* scratch,
                                 std::uint64_t* decoded) const {
   const int ncols = static_cast<int>(pattern.schema.size());
   for (int c = 0; c < ncols; ++c) out[c].clear();
@@ -193,8 +186,7 @@ RowsWritten NodeStore::ScanInto(const ResolvedPattern& pattern,
       PermutationIndex::ChooseRange(pattern.s, pattern.p, pattern.o);
   const CompressedKeyIndex& idx = index_.perm(rc.perm);
   const auto [first_page, end_page] = idx.PageSpan(rc.lo, rc.hi);
-  const std::size_t num_pages = end_page - first_page;
-  if (num_pages == 0) return {};
+  if (first_page == end_page) return {};
 
   // Rows arrive in key order of the chosen permutation, so the first
   // free key component's column is non-decreasing — the ordered-scan
@@ -207,54 +199,6 @@ RowsWritten NodeStore::ScanInto(const ResolvedPattern& pattern,
   PARQO_DCHECK(first_free < 3);
   VarId sorted_by = vars[fields[first_free]];
 
-  // run(work, per_morsel, rows, decode) fills the output from `decode(b,
-  // e, cols, rows)`, which writes the rows of work items [b, e) — pages of
-  // the range, or seek keys — to cols, sized first for `rows` rows, and
-  // returns the index entries it decoded. A serial scan, like a seek run
-  // (always one morsel), decodes everything straight into the output
-  // columns. Parallel morsels decode into their own chunks, which are
-  // concatenated in morsel order, so the output is byte-for-byte the
-  // serial scan's.
-  std::uint64_t entries = 0;
-  auto run = [&](std::size_t work, std::size_t per_morsel, std::size_t rows,
-                 auto&& decode) {
-    if (work == 0) return;
-    const std::size_t morsels = NumMorsels(work, per_morsel);
-    if (!parallel || morsels <= 1) {
-      std::vector<TermId>* cols[3] = {nullptr, nullptr, nullptr};
-      for (int c = 0; c < ncols; ++c) cols[c] = &out[c];
-      entries = decode(std::size_t{0}, work, cols, rows);
-      return;
-    }
-    ScanScratch local;
-    std::vector<std::array<std::vector<TermId>, 3>>& chunks =
-        (scratch != nullptr ? *scratch : local).chunks;
-    if (chunks.size() < morsels) chunks.resize(morsels);
-    std::atomic<std::uint64_t> morsel_entries{0};
-    ForEachMorsel(work, per_morsel, true,
-                  [&](std::size_t m, std::size_t b, std::size_t e) {
-                    std::vector<TermId>* cols[3];
-                    for (int c = 0; c < 3; ++c) {
-                      chunks[m][c].clear();
-                      cols[c] = &chunks[m][c];
-                    }
-                    morsel_entries.fetch_add(
-                        decode(b, e, cols, std::min(rows, kLeafEntries)),
-                        std::memory_order_relaxed);
-                  });
-    entries = morsel_entries.load(std::memory_order_relaxed);
-    std::size_t total = 0;
-    for (std::size_t m = 0; m < morsels; ++m) total += chunks[m][0].size();
-    for (int c = 0; c < ncols; ++c) {
-      std::vector<TermId>& dst = out[c];
-      dst.reserve(total);
-      for (std::size_t m = 0; m < morsels; ++m) {
-        dst.insert(dst.end(), chunks[m][c].begin(), chunks[m][c].end());
-        ReleaseIfLarge(chunks[m][c]);
-      }
-    }
-  };
-
   // The entries of the restart blocks the range spans bound both what a
   // decode of the range reads and the rows it returns. An unfiltered scan
   // with no repeated variable keeps nearly all of them, so its columns
@@ -262,11 +206,6 @@ RowsWritten NodeStore::ScanInto(const ResolvedPattern& pattern,
   // doubles.
   const std::size_t span = idx.BlockBound(first_page, end_page, rc.lo, rc.hi);
   const std::size_t some_rows = std::min(span, kBlockEntries);
-  // Pages are the scan morsels; a group of pages per morsel approximates
-  // the requested rows-per-morsel.
-  const std::size_t pages_per_morsel =
-      morsel_rows == 0 ? num_pages
-                       : std::max<std::size_t>(1, morsel_rows / kLeafEntries);
   const KeySet* keys = filter.keys;
   // A seek of one key decodes about half a restart block below its lower
   // bound, never more than the range, then its rows; a decode of the
@@ -280,6 +219,7 @@ RowsWritten NodeStore::ScanInto(const ResolvedPattern& pattern,
       keys != nullptr &&
       (sorted_by == filter.var ||
        keys->size() * std::min(span, kBlockEntries / 2) <= span);
+  std::uint64_t entries = 0;
   if (seek) {
     // Each key's range pins the key in every position the filter variable
     // occupies that the permutation's prefix can hold. Keys on the sort
@@ -315,46 +255,37 @@ RowsWritten NodeStore::ScanInto(const ResolvedPattern& pattern,
       }
       return r;
     };
-    const CompressedKeyIndex& sidx = index_.perm(base.perm);
-    const RowShape shape = ShapeFor(pattern, base.perm, kInvalidVarId);
+    // One cursor runs through every key's range, so it reads each block
+    // once.
     const std::vector<TermId>& k = keys->keys();
-    // A seek run is one morsel: its cursor reads each block once, while
-    // a morsel of its own would walk in again from the anchor of the
-    // block its neighbour was decoding.
-    run(k.size(), k.size(), some_rows,
-        [&](std::size_t kb, std::size_t ke, std::vector<TermId>* const* cols,
-            std::size_t rows) {
-          RowWriter writer(shape, cols, rows, nullptr);
-          CompressedKeyIndex::Seeker seeker(sidx);
-          for (std::size_t i = kb; i < ke && !seeker.done();) {
-            const PermutationIndex::RangeChoice r = range(k[i]);
-            seeker.Scan(r.lo, r.hi, writer);
-            // Keys whose range ends below the cursor have no rows left.
-            i = GallopPast(i + 1, ke, [&](std::size_t j) {
-              return !seeker.done() && range(k[j]).hi < seeker.key();
-            });
-          }
-          writer.Finish();
-          return seeker.decoded();
+    if (!k.empty()) {
+      const RowShape shape = ShapeFor(pattern, base.perm, kInvalidVarId);
+      RowWriter writer(shape, out, some_rows, nullptr);
+      CompressedKeyIndex::Seeker seeker(index_.perm(base.perm));
+      for (std::size_t i = 0; i < k.size() && !seeker.done();) {
+        const PermutationIndex::RangeChoice r = range(k[i]);
+        seeker.Scan(r.lo, r.hi, writer);
+        // Keys whose range ends below the cursor have no rows left.
+        i = GallopPast(i + 1, k.size(), [&](std::size_t j) {
+          return !seeker.done() && range(k[j]).hi < seeker.key();
         });
+      }
+      writer.Finish();
+      entries = seeker.decoded();
+    }
     sorted_by = filter.var;
   } else {
     // Decode path: the whole range once, dropping non-keys during decode
     // by a KeySet::Contains probe.
     const RowShape shape = ShapeFor(
         pattern, rc.perm, keys != nullptr ? filter.var : kInvalidVarId);
-    run(num_pages, pages_per_morsel,
-        keys == nullptr && shape.neq == 0 ? span : some_rows,
-        [&](std::size_t mb, std::size_t me, std::vector<TermId>* const* cols,
-            std::size_t rows) {
-          RowWriter writer(shape, cols, rows, keys);
-          std::size_t n = 0;
-          for (std::size_t page = mb; page < me; ++page) {
-            n += idx.ScanPage(first_page + page, rc.lo, rc.hi, writer);
-          }
-          writer.Finish();
-          return n;
-        });
+    RowWriter writer(shape, out,
+                     keys == nullptr && shape.neq == 0 ? span : some_rows,
+                     keys);
+    for (std::size_t page = first_page; page < end_page; ++page) {
+      entries += idx.ScanPage(page, rc.lo, rc.hi, writer);
+    }
+    writer.Finish();
   }
   if (decoded != nullptr) *decoded += entries;
   return {out[0].size(), sorted_by};

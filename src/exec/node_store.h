@@ -14,7 +14,6 @@
 #ifndef PARQO_EXEC_NODE_STORE_H_
 #define PARQO_EXEC_NODE_STORE_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -73,24 +72,6 @@ struct ScanFilter {
   const KeySet* keys = nullptr;
 };
 
-/// Reusable buffers for one caller's parallel scans, one scan at a time:
-/// morsel m decodes into chunks[m], one vector per output column, and
-/// only morsel m's worker writes it. A caller that keeps one across
-/// scans (the executor keeps one per partition) pays for the buffers
-/// once.
-struct ScanScratch {
-  std::vector<std::array<std::vector<TermId>, 3>> chunks;
-
-  /// Heap bytes the buffers hold.
-  std::size_t Bytes() const {
-    std::size_t b = CapacityBytes(chunks);
-    for (const std::array<std::vector<TermId>, 3>& c : chunks) {
-      for (const std::vector<TermId>& col : c) b += CapacityBytes(col);
-    }
-    return b;
-  }
-};
-
 class NodeStore {
  public:
   explicit NodeStore(std::vector<Triple> triples);
@@ -102,15 +83,12 @@ class NodeStore {
 
   /// Scans this node's triples for `pattern` matches via the permutation
   /// index whose prefix pins every constant; only repeated-variable
-  /// equality is filtered during page decode. Each decoded key is written
-  /// straight into the output columns: there is no page buffer and no
-  /// per-row staging. A serial scan is one pass over its pages. With
-  /// `parallel`, groups of ~`morsel_rows` entries decode over the shared
-  /// pool into `scratch`'s morsel buffers (a local one when null) and are
-  /// concatenated in page order, so output row order is index-key order
-  /// regardless of morseling (morsel_rows == 0 means one morsel). The
-  /// result carries sorted-by metadata for the first free key component,
-  /// which is what lets the batch engine merge-join co-ordered inputs.
+  /// equality is filtered during page decode. A scan is one pass over its
+  /// pages, writing each decoded key straight into the output columns:
+  /// there is no page buffer and no per-row staging, and rows come out in
+  /// index-key order. The result carries sorted-by metadata for the first
+  /// free key component, which is what lets the batch engine merge-join
+  /// co-ordered inputs.
   ///
   /// With a `filter`, the result is the unfiltered scan restricted to
   /// rows whose `filter.var` binding is a key. The access path is the one
@@ -120,18 +98,14 @@ class NodeStore {
   /// the range that drops non-keys by a KeySet::Contains probe. A seek
   /// costs about half a restart block; keys on the range's sort
   /// component always seek, since their seeks continue from one cursor
-  /// and read no block the decode would not. A run of seeks is one
-  /// morsel even with `parallel`, so it decodes what the serial scan
-  /// does.
+  /// and read no block the decode would not.
   ///
   /// Columns start at the entries of the restart blocks the range spans
   /// when that bounds the rows (an unfiltered scan with no repeated
   /// variable), else at one block's worth, doubling. With `decoded`, the
   /// index entries the scan decoded are added to *decoded.
   BindingTable Scan(const ResolvedPattern& pattern,
-                    std::size_t morsel_rows = 0, bool parallel = false,
                     const ScanFilter& filter = {},
-                    ScanScratch* scratch = nullptr,
                     std::uint64_t* decoded = nullptr) const;
 
   /// Scan into the caller's columns: `out` holds one column per entry of
@@ -140,9 +114,8 @@ class NodeStore {
   /// partition) sizes them once. Returns the rows written and the
   /// variable they are sorted on.
   RowsWritten ScanInto(const ResolvedPattern& pattern,
-                       std::vector<TermId>* out, std::size_t morsel_rows,
-                       bool parallel, const ScanFilter& filter,
-                       ScanScratch* scratch, std::uint64_t* decoded) const;
+                       std::vector<TermId>* out, const ScanFilter& filter,
+                       std::uint64_t* decoded) const;
 
   /// Compressed footprint of this node's four permutations, for the
   /// bytes-per-triple storage report (the dual-vector layout this

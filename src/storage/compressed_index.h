@@ -59,7 +59,7 @@ inline TermId KeyAt(const IndexKey& k, int i) {
 }
 
 /// Entries per compressed leaf page. Pages are the unit of the page
-/// directory and the natural morsels of a parallel scan.
+/// directory and the unit a range decode reads.
 inline constexpr std::size_t kLeafEntries = 1024;
 
 /// Entries per restart block: a seek decodes at most one block of keys

@@ -128,19 +128,14 @@ TEST(AllocTest, ScanAllocationsDoNotGrowWithPagesDecoded) {
   ASSERT_GE(pages(kLarge), 20u);
 
   const NodeStore store(triples);
-  for (std::size_t morsel_rows : {std::size_t{0}, kDefaultMorselRows}) {
-    SCOPED_TRACE(morsel_rows);
-    std::size_t rows[2] = {0, 0};
-    const std::uint64_t small = Allocations([&] {
-      rows[0] = store.Scan(XPY(kSmall), morsel_rows, false).NumRows();
-    });
-    const std::uint64_t large = Allocations([&] {
-      rows[1] = store.Scan(XPY(kLarge), morsel_rows, false).NumRows();
-    });
-    EXPECT_EQ(rows[0], 300u);
-    EXPECT_EQ(rows[1], 20 * kLeafEntries);
-    EXPECT_EQ(small, large);
-  }
+  std::size_t rows[2] = {0, 0};
+  const std::uint64_t small_unfiltered = Allocations(
+      [&] { rows[0] = store.Scan(XPY(kSmall)).NumRows(); });
+  const std::uint64_t large_unfiltered = Allocations(
+      [&] { rows[1] = store.Scan(XPY(kLarge)).NumRows(); });
+  EXPECT_EQ(rows[0], 300u);
+  EXPECT_EQ(rows[1], 20 * kLeafEntries);
+  EXPECT_EQ(small_unfiltered, large_unfiltered);
 
   // A decode-path key filter (more keys than pages) that keeps a few
   // rows of either range.
@@ -149,14 +144,10 @@ TEST(AllocTest, ScanAllocationsDoNotGrowWithPagesDecoded) {
   const KeySet keys(ks);
   const ScanFilter filter{0, &keys};
   const std::uint64_t small = Allocations([&] {
-    EXPECT_EQ(store.Scan(XPY(kSmall), kDefaultMorselRows, false, filter)
-                  .NumRows(),
-              30u);
+    EXPECT_EQ(store.Scan(XPY(kSmall), filter).NumRows(), 30u);
   });
   const std::uint64_t large = Allocations([&] {
-    EXPECT_EQ(store.Scan(XPY(kLarge), kDefaultMorselRows, false, filter)
-                  .NumRows(),
-              30u);
+    EXPECT_EQ(store.Scan(XPY(kLarge), filter).NumRows(), 30u);
   });
   EXPECT_EQ(small, large);
 }
@@ -182,7 +173,7 @@ TEST(AllocTest, OneRowScansSizeColumnsByRestartBlocks) {
     // A key filter that keeps one row: one block per column at most.
     const KeySet one(std::vector<TermId>{s});
     const std::uint64_t filtered = AllocatedBytes([&] {
-      EXPECT_EQ(store.Scan(xpy, 0, false, {0, &one}).NumRows(), 1u);
+      EXPECT_EQ(store.Scan(xpy, {0, &one}).NumRows(), 1u);
     });
     EXPECT_LE(filtered, empty + 2 * block);
     // A bound subject: one row, one column, sized to the restart blocks

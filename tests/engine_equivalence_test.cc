@@ -65,6 +65,7 @@ void ExpectSameMetrics(const ExecMetrics& a, const ExecMetrics& b) {
   EXPECT_EQ(a.measured_cost, b.measured_cost);
   EXPECT_EQ(a.total_work, b.total_work);
   EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+  EXPECT_EQ(a.rows_decoded, b.rows_decoded);
   EXPECT_EQ(a.rows_transferred, b.rows_transferred);
   EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
   EXPECT_EQ(a.distributed_joins, b.distributed_joins);

@@ -169,32 +169,6 @@ TEST(JoinKernelTest, MultiKeyJoinMatchesReference) {
   EXPECT_EQ(batch.NumRows(), 3u);
 }
 
-TEST(JoinKernelTest, MorselBoundaryRowCounts) {
-  // Probe-side row counts around the morsel size: 0, 1, m-1, m, m+1.
-  // Build side has 2 rows so any probe >= 2 keeps sides fixed; the
-  // serial single-morsel result is the order oracle.
-  constexpr std::size_t kMorsel = 4;
-  const std::size_t kCounts[] = {0, 1, kMorsel - 1, kMorsel, kMorsel + 1};
-  for (std::size_t probe_rows : kCounts) {
-    SCOPED_TRACE(probe_rows);
-    BindingTable left = MakeTable({0, 1}, {{1, 100}, {2, 200}});
-    BindingTable right({0, 2});
-    for (std::size_t r = 0; r < probe_rows; ++r) {
-      // Keys cycle 1,2,3: some rows match each build row, some none.
-      right.AppendRow(std::vector<TermId>{static_cast<TermId>(r % 3 + 1),
-                                          static_cast<TermId>(r)});
-    }
-    BindingTable oracle = testing::ReferenceHashJoin(left, right);
-    for (bool parallel : {false, true}) {
-      BatchJoinOptions opts;
-      opts.morsel_rows = kMorsel;
-      opts.parallel = parallel;
-      EXPECT_EQ(BatchHashJoin(left, right, opts), oracle)
-          << (parallel ? "parallel" : "serial");
-    }
-  }
-}
-
 TEST(JoinKernelTest, SingleKeyCollisionsStaySeparate) {
   // Regression for the single-key fast path: two distinct TermIds whose
   // hashes collide under the table mask must never cross-match. With a
@@ -279,36 +253,6 @@ TEST(NodeStoreTest, ScansByPatternShape) {
   EXPECT_EQ(store.Scan(unmatch).NumRows(), 0u);
 }
 
-TEST(NodeStoreTest, MorselScanMatchesSingleMorsel) {
-  // Scan output must be identical (including row order) for any morsel
-  // size, serial or parallel.
-  std::vector<Triple> triples;
-  for (TermId s = 1; s <= 200; ++s) {
-    triples.push_back({s, 5, s % 7 + 1});
-  }
-  NodeStore store(std::move(triples));
-  ResolvedPattern pat;  // ?x <5> ?y
-  pat.p = 5;
-  pat.var_s = 0;
-  pat.var_o = 1;
-  pat.schema = {0, 1};
-  BindingTable oracle = store.Scan(pat);
-  ASSERT_EQ(oracle.NumRows(), 200u);
-  for (std::size_t morsel : {1u, 7u, 64u, 1024u}) {
-    for (bool parallel : {false, true}) {
-      EXPECT_EQ(store.Scan(pat, morsel, parallel), oracle)
-          << morsel << (parallel ? " parallel" : " serial");
-    }
-  }
-
-  // Constant-object filter pushed into the scan, morseled.
-  ResolvedPattern with_o = pat;
-  with_o.o = 3;
-  with_o.var_o = kInvalidVarId;
-  with_o.schema = {0};
-  EXPECT_EQ(store.Scan(with_o, 16, true), store.Scan(with_o));
-}
-
 TEST(NodeStoreTest, RepeatedVariableFiltersRows) {
   Dictionary d;
   TermId a = d.EncodeIri("a"), b = d.EncodeIri("b"),
@@ -381,21 +325,13 @@ class FilteredScanTest : public ::testing::Test {
     return r;
   }
 
-  // Filtered == restricted unfiltered (multiset); every morsel size and
-  // parallel run == the serial single-morsel filtered scan, row for row.
-  // Returns the serial filtered table.
+  // Filtered == restricted unfiltered (multiset). Returns the filtered
+  // table.
   BindingTable Check(const ResolvedPattern& pat, VarId var,
                      std::vector<TermId> keys) {
     const KeySet set(keys);
-    const ScanFilter f{var, &set};
-    BindingTable filtered = store_.Scan(pat, 0, false, f);
+    BindingTable filtered = store_.Scan(pat, {var, &set});
     EXPECT_EQ(Multiset(filtered), Restrict(store_.Scan(pat), var, keys));
-    for (std::size_t morsel : {1u, 1024u, 4096u}) {
-      for (bool parallel : {false, true}) {
-        EXPECT_EQ(store_.Scan(pat, morsel, parallel, f), filtered)
-            << morsel << (parallel ? " parallel" : " serial");
-      }
-    }
     return filtered;
   }
 

@@ -523,22 +523,10 @@ TEST(NodeStoreTest, VariablePredicateScansUseThePermutations) {
   EXPECT_EQ(loops.NumRows(), brute);
 }
 
-TEST(NodeStoreTest, MorselScanMatchesSerialScan) {
-  std::vector<Triple> triples = RandomTriples(9, 10000, 40, 5, 60);
-  NodeStore store(triples);
-  const ResolvedPattern rp = Pattern(kInvalidTermId, 3, kInvalidTermId,
-                                     /*vs=*/0, kInvalidVarId, /*vo=*/1);
-  BindingTable serial = store.Scan(rp);
-  BindingTable morsel = store.Scan(rp, /*morsel_rows=*/512,
-                                   /*parallel=*/true);
-  EXPECT_TRUE(serial == morsel);
-  EXPECT_EQ(serial.sorted_by(), morsel.sorted_by());
-}
-
 // Scans decode each key straight into the output columns. Every path —
 // the four permutations, repeated variables, bound seeks, and the merge
 // and probe decode filters — must emit exactly the brute-force rows in
-// the brute-force order, for every morsel size, serial or parallel.
+// the brute-force order.
 
 // Brute force: the rows of `triples` matching `rp` in the order of `perm`
 // keys (then by filter key when `seek_var` is set: a seek scan's order),
@@ -647,46 +635,34 @@ TEST(NodeStoreTest, DecodeIntoColumnsMatchesBruteForce) {
       filters.push_back({v, few});
       filters.push_back({v, many});
     }
-    for (std::size_t morsel_rows : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{1024}}) {
-      for (bool parallel : {false, true}) {
-        SCOPED_TRACE(std::to_string(morsel_rows) +
-                     (parallel ? " parallel" : " serial"));
-        ScanScratch scratch;
-        const BindingTable got =
-            store.Scan(c.rp, morsel_rows, parallel, {}, &scratch);
-        EXPECT_TRUE(got == want);
-        for (const auto& [var, keys] : filters) {
-          const KeySet set(keys);
-          const BindingTable filtered =
-              store.Scan(c.rp, morsel_rows, parallel, {var, &set}, &scratch);
-          // Keys on the sort variable seek in the range's permutation;
-          // other keys seek in ChooseRange's when their walk-ins, half a
-          // block each but no more than the range, cost no more than the
-          // entries the range spans.
-          const bool sorted = got.sorted_by() == var;
-          const bool seek =
-              sorted ||
-              keys.size() * std::min(span, kBlockEntries / 2) <= span;
-          const TermId any = 1;
-          const Perm perm =
-              seek && !sorted ? PermutationIndex::ChooseRange(
-                                    c.rp.var_s == var ? any : c.rp.s,
-                                    c.rp.var_p == var ? any : c.rp.p,
-                                    c.rp.var_o == var ? any : c.rp.o)
-                                    .perm
-                              : rc.perm;
-          EXPECT_TRUE(filtered ==
-                      BruteScan(triples, c.rp, perm, var, keys, seek))
-              << "filter on " << var << ", " << keys.size() << " keys";
-          if (seek) {
-            EXPECT_EQ(filtered.sorted_by(), var);
-          } else {
-            EXPECT_EQ(filtered.sorted_by(), got.sorted_by());
-          }
-          ++paths[sorted ? 0 : seek ? 1 : 2];
-        }
+    const BindingTable got = store.Scan(c.rp);
+    EXPECT_TRUE(got == want);
+    for (const auto& [var, keys] : filters) {
+      const KeySet set(keys);
+      const BindingTable filtered = store.Scan(c.rp, {var, &set});
+      // Keys on the sort variable seek in the range's permutation; other
+      // keys seek in ChooseRange's when their walk-ins, half a block each
+      // but no more than the range, cost no more than the entries the
+      // range spans.
+      const bool sorted = got.sorted_by() == var;
+      const bool seek =
+          sorted || keys.size() * std::min(span, kBlockEntries / 2) <= span;
+      const TermId any = 1;
+      const Perm perm = seek && !sorted
+                            ? PermutationIndex::ChooseRange(
+                                  c.rp.var_s == var ? any : c.rp.s,
+                                  c.rp.var_p == var ? any : c.rp.p,
+                                  c.rp.var_o == var ? any : c.rp.o)
+                                  .perm
+                            : rc.perm;
+      EXPECT_TRUE(filtered == BruteScan(triples, c.rp, perm, var, keys, seek))
+          << "filter on " << var << ", " << keys.size() << " keys";
+      if (seek) {
+        EXPECT_EQ(filtered.sorted_by(), var);
+      } else {
+        EXPECT_EQ(filtered.sorted_by(), got.sorted_by());
       }
+      ++paths[sorted ? 0 : seek ? 1 : 2];
     }
   }
   for (int n : paths) EXPECT_GT(n, 0);
@@ -721,16 +697,11 @@ class ScanDecodeTest : public ::testing::Test {
 
   // The filtered scan's rows and the index entries it decoded.
   std::pair<std::size_t, std::uint64_t> Decode(VarId var,
-                                               std::vector<TermId> keys,
-                                               std::size_t morsel_rows = 0,
-                                               bool parallel = false) {
+                                               std::vector<TermId> keys) {
     const KeySet set(std::move(keys));
     std::uint64_t decoded = 0;
     const std::size_t rows =
-        store_
-            .Scan(XPY(), morsel_rows, parallel, {var, &set}, nullptr,
-                  &decoded)
-            .NumRows();
+        store_.Scan(XPY(), {var, &set}, &decoded).NumRows();
     return {rows, decoded};
   }
 
@@ -791,27 +762,10 @@ TEST_F(ScanDecodeTest, KeysPastTheLastRowDecodeNothing) {
   EXPECT_LE(decoded, 2 * kBlockEntries + 2);
 }
 
-TEST_F(ScanDecodeTest, ParallelSeekRunDecodesWhatSerialDoes) {
-  // Every third subject of all twenty pages: 6,827 seeks in one run.
-  // Split into morsels, each morsel's cursor would walk in again from the
-  // anchor of a block its neighbour decodes; one morsel reads each block
-  // once, parallel or not.
-  std::vector<TermId> xs;
-  for (TermId s = 1; s <= kSubjects; s += 3) xs.push_back(s);
-  const auto [rows, decoded] = Decode(0, xs);
-  EXPECT_EQ(rows, xs.size());
-  for (std::size_t morsel_rows : {std::size_t{64}, std::size_t{1024}}) {
-    const auto [par_rows, par_decoded] = Decode(0, xs, morsel_rows, true);
-    EXPECT_EQ(par_rows, rows) << morsel_rows;
-    EXPECT_EQ(par_decoded, decoded) << morsel_rows;
-  }
-}
-
 TEST_F(ScanDecodeTest, DecodedCountsEveryPath) {
   std::uint64_t decoded = 0;
   // Unfiltered: every entry of the range, which fills its pages.
-  EXPECT_EQ(store_.Scan(XPY(), 0, false, {}, nullptr, &decoded).NumRows(),
-            kSubjects);
+  EXPECT_EQ(store_.Scan(XPY(), {}, &decoded).NumRows(), kSubjects);
   EXPECT_EQ(decoded, kSubjects);
   // Half the objects: their walk-ins would cost more than the range, so
   // one decode of the range probes every entry.
@@ -846,12 +800,6 @@ TEST(MergeJoinTest, BitIdenticalToHashJoinIncludingDuplicates) {
   EXPECT_TRUE(merged == hashed);
   EXPECT_TRUE(merged == testing::ReferenceHashJoin(left, right));
   EXPECT_EQ(merged.sorted_by(), hashed.sorted_by());
-
-  // Parallel morsels with a tiny morsel size cross run boundaries.
-  BatchJoinOptions opts;
-  opts.morsel_rows = 2;
-  opts.parallel = true;
-  EXPECT_TRUE(BatchMergeJoin(left, right, opts) == hashed);
 }
 
 TEST(MergeJoinTest, RandomizedSweepAgainstHashJoin) {

@@ -44,8 +44,9 @@ Four rule families, each guarding an invariant the compiler cannot see:
                         per-node execution hot path (DESIGN.md §13):
                         std::unordered_multimap join state, or per-row
                         AppendRow calls. The batch engine's contract is
-                        one hash probe and one gather per morsel, not a
-                        node allocation or a row copy per tuple; the
+                        one hash probe per probe row and one gather per
+                        output column, not a node allocation or a row
+                        copy per tuple; the
                         test-only tests/reference_join.cc, the kernels'
                         row-at-a-time oracle, is outside the listed
                         files. Cold paths carry an allow().
