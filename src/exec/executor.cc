@@ -4,6 +4,7 @@
 #include <bitset>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -20,11 +21,13 @@
 namespace parqo {
 namespace {
 
-// Sideways information passing (DESIGN.md section 13): a join builds a
-// key filter for a later child only when the sibling feeding it has at
-// most 1/kFilterRatio of the child's estimated rows. A filter from a
-// sibling of comparable size tends to remove nothing and still costs a
-// probe per scanned row.
+// Sideways information passing (DESIGN.md section 13): a sibling lends
+// a later child a key filter on a variable only when the sibling has at
+// most 1/kFilterRatio of the rows of the largest scan in the child that
+// binds the variable. Scan estimates are exact (Eq. 11 on one pattern
+// reads DatasetIndex's counts), where the child's join estimate can be
+// off by orders of magnitude. A filter from a sibling of comparable size
+// tends to remove nothing and still costs a probe per scanned row.
 constexpr double kFilterRatio = 4;
 
 // A query's variables as a bitmask over VarIds (at most three per
@@ -37,35 +40,54 @@ struct PlanInfo {
   VarSet vars;              // every variable the subtree binds
   bool node_local = true;   // only scans and local joins: rows never move
   std::size_t size = 1;     // plan nodes in the subtree
+  double min_scan = 0;      // the subtree's smallest scan estimate
 };
 
+// Annotates the subtree of `node` into `info`, and into
+// largest_scan[i * jg.num_vars() + v] the largest scan estimate in plan
+// node i's subtree among the scans that bind v (0 when none does).
 void Annotate(const PlanNode& node, const JoinGraph& jg,
-              std::vector<PlanInfo>& info) {
+              std::vector<PlanInfo>& info, std::vector<double>& largest_scan) {
+  const std::size_t nv = static_cast<std::size_t>(jg.num_vars());
   const std::size_t at = info.size();
   info.emplace_back();
+  largest_scan.resize(info.size() * nv, 0.0);
   if (node.kind == PlanNode::Kind::kScan) {
-    for (VarId v : jg.VarsOf(node.tp)) info[at].vars.set(v);
+    info[at].min_scan = node.cardinality;
+    for (VarId v : jg.VarsOf(node.tp)) {
+      info[at].vars.set(v);
+      largest_scan[at * nv + v] = node.cardinality;
+    }
     return;
   }
   bool node_local = node.method == JoinMethod::kLocal;
   VarSet vars;
+  double min_scan = std::numeric_limits<double>::infinity();
   for (const PlanNodePtr& c : node.children) {
     const std::size_t child = info.size();
-    Annotate(*c, jg, info);
+    Annotate(*c, jg, info, largest_scan);
     vars |= info[child].vars;
     node_local = node_local && info[child].node_local;
+    min_scan = std::min(min_scan, info[child].min_scan);
+    for (std::size_t v = 0; v < nv; ++v) {
+      largest_scan[at * nv + v] =
+          std::max(largest_scan[at * nv + v], largest_scan[child * nv + v]);
+    }
   }
   info[at].vars = vars;
   info[at].node_local = node_local;
   info[at].size = info.size() - at;
+  info[at].min_scan = min_scan;
 }
 
 // A key filter pushed from a join into a child subtree: rows whose `var`
 // binding is not a key can never reach the join's output. One set for
-// every node, or one per node when rows cannot move between nodes.
+// every node, or one per node when rows cannot move between nodes. The
+// sets live in the ExecScratch (FilterScratch::slots).
 struct KeyFilter {
   VarId var = kInvalidVarId;
-  std::vector<KeySet> sets;
+  std::span<const KeySet> sets;
+  std::size_t keys = 0;  // summed over the sets
   const KeySet& For(int node) const {
     return sets.size() == 1 ? sets[0] : sets[node];
   }
@@ -425,13 +447,25 @@ void DedupRanges(DistTable& t, std::uint64_t& dedup_rows,
   t.rows.Truncate(to);
 }
 
-// BuildFilter's reusable buffers, one vector per range: the distinct
-// keys of the variable it is looking at and of the fewest-key variable
-// so far.
+// The key filters' reusable buffers. `candidate` and `kept` hold, one
+// vector per range, the distinct keys of the variable BuildFilter is
+// looking at and of the fewest-key variable so far. slots[i] holds the
+// key sets of the filters the join at pre-order index i builds, so a
+// warm filter is rebuilt in the sets the same join used on the last run.
 struct FilterScratch {
   std::vector<std::vector<TermId>> candidate;
   std::vector<std::vector<TermId>> kept;
+  std::vector<std::vector<KeySet>> slots;
 };
+
+// Frees a join's key sets once its children ran when together they hold
+// more than kScratchKeepBytes, so the key sets a scratch keeps between
+// runs are bounded by the plan's size, not by the heaviest request.
+void ReleaseKeySetsIfLarge(std::vector<KeySet>& sets) {
+  std::size_t bytes = 0;
+  for (const KeySet& k : sets) bytes += k.Bytes();
+  if (bytes > kScratchKeepBytes) std::vector<KeySet>().swap(sets);
+}
 
 // Sorted distinct values of column `col` over rows [begin, end) of `t`,
 // into `keys`.
@@ -449,11 +483,12 @@ void DistinctKeys(const BindingTable& t, int col, std::size_t begin,
 
 // The filter a join pushes into a child: on the variable of `shared`
 // with the fewest distinct keys in the sibling `t`, one key set per node
-// or one for all. No variable in `shared` means no filter
-// (var == kInvalidVarId). The candidates' keys are built in `scratch`;
-// only the kept variable's are copied into key sets.
+// or one for all, rebuilt in `sets`. No variable in `shared` means no
+// filter (var == kInvalidVarId). The candidates' keys are built in
+// `scratch`; only the kept variable's are copied into key sets.
 KeyFilter BuildFilter(const DistTable& t, const VarSet& shared,
-                      bool per_node, FilterScratch& scratch) {
+                      bool per_node, FilterScratch& scratch,
+                      std::vector<KeySet>& sets) {
   KeyFilter f;
   const std::size_t ranges = per_node ? t.offsets.size() - 1 : 1;
   if (scratch.candidate.size() < ranges) {
@@ -476,17 +511,15 @@ KeyFilter BuildFilter(const DistTable& t, const VarSet& shared,
       f.var = v;
       best_size = size;
       for (std::size_t r = 0; r < ranges; ++r) {
-        scratch.kept[r].assign(scratch.candidate[r].begin(),
-                               scratch.candidate[r].end());
+        scratch.candidate[r].swap(scratch.kept[r]);
       }
     }
   }
   if (f.var == kInvalidVarId) return f;
-  f.sets.reserve(ranges);
-  for (std::size_t r = 0; r < ranges; ++r) {
-    const std::vector<TermId>& keys = scratch.kept[r];
-    f.sets.emplace_back(std::vector<TermId>(keys.begin(), keys.end()));
-  }
+  if (sets.size() < ranges) sets.resize(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) sets[r].Assign(scratch.kept[r]);
+  f.sets = std::span<const KeySet>(sets.data(), ranges);
+  f.keys = best_size;
   ReleaseColumnsIfLarge(scratch.candidate);
   ReleaseColumnsIfLarge(scratch.kept);
   return f;
@@ -526,8 +559,13 @@ struct ExecScratch::Buffers {
   /// target's write position while it is scattered.
   std::vector<std::uint32_t> route;
   std::vector<TermId*> cursor;
-  /// The key filters' candidate keys.
+  /// The key filters' keys and key sets.
   FilterScratch filter;
+  /// Sideways information passing's plan annotations (see Annotate) and
+  /// the sizes a join orders its children by.
+  std::vector<PlanInfo> info;
+  std::vector<double> largest_scan;
+  std::vector<double> child_size;
   /// One per partition, reused by every operator's fan-out.
   std::vector<Status> statuses;
   std::vector<ItemRun> runs;
@@ -613,9 +651,18 @@ class Executor::Run {
     rec_.health = ex.health_;
     rec_.policy = ex.retry_;
     if (rec_.fault != nullptr) PARQO_CHECK(rec_.fault->num_nodes() >= n_);
-    // Sideways information passing needs each plan node's variables; the
-    // recording pass runs unfiltered, so it skips the annotation.
-    if (!ex.record_op_cards_) Annotate(plan, ex.jg_, info_);
+    // Sideways information passing needs each plan node's variables and
+    // scan estimates; the recording pass runs unfiltered, so it skips the
+    // annotation.
+    if (!ex.record_op_cards_) {
+      buf_.info.clear();
+      buf_.largest_scan.clear();
+      Annotate(plan, ex.jg_, buf_.info, buf_.largest_scan);
+      // Grown before any filter points into a slot.
+      if (buf_.filter.slots.size() < buf_.info.size()) {
+        buf_.filter.slots.resize(buf_.info.size());
+      }
+    }
     MutexLock lock(rec_.mu);
     rec_.alive.assign(n_, 1);
     rec_.host.resize(n_);
@@ -773,11 +820,15 @@ class Executor::Run {
   }
 
  private:
-  // Evaluates a join's children, smallest estimate first, each later
-  // child filtered by the keys of a smaller evaluated sibling. The join
-  // and Eq. 3 still see the children in plan order. The recording pass
-  // keeps plan order and runs unfiltered, so op_cards report the
-  // unreduced cardinalities the estimator predicts.
+  // Evaluates a join's children, smallest first, each later child
+  // filtered by the keys of a smaller evaluated sibling. A child's size
+  // is the smallest of its join estimate, the key count of every
+  // inherited filter that reaches it and its smallest scan estimate: the
+  // scan estimates are exact and the filters' keys are counted, where a
+  // join estimate compounds independence errors. Ties keep plan order.
+  // The join and Eq. 3 still see the children in plan order. The
+  // recording pass keeps plan order and runs unfiltered, so op_cards
+  // report the unreduced cardinalities the estimator predicts.
   Status EvalChildren(const PlanNode& node, std::size_t at,
                       std::span<const KeyFilter* const> filters,
                       std::vector<DistTable>& children) {
@@ -788,14 +839,24 @@ class Executor::Run {
     if (!ex_.record_op_cards_) {
       pos[0] = at + 1;
       for (std::size_t c = 1; c < k; ++c) {
-        pos[c] = pos[c - 1] + info_[pos[c - 1]].size;
+        pos[c] = pos[c - 1] + buf_.info[pos[c - 1]].size;
       }
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return node.children[a]->cardinality <
-                                node.children[b]->cardinality;
-                       });
+      std::vector<double>& size = buf_.child_size;
+      size.resize(k);
+      for (std::size_t c = 0; c < k; ++c) {
+        const PlanInfo& ci = buf_.info[pos[c]];
+        size[c] = std::min(node.children[c]->cardinality, ci.min_scan);
+        for (const KeyFilter* f : filters) {
+          if (ci.vars.test(f->var)) {
+            size[c] = std::min(size[c], static_cast<double>(f->keys));
+          }
+        }
+      }
+      std::stable_sort(
+          order.begin(), order.end(),
+          [&](std::size_t a, std::size_t b) { return size[a] < size[b]; });
     }
+    const std::size_t nv = static_cast<std::size_t>(ex_.jg_.num_vars());
     auto child_rows = [&](std::size_t c) { return children[c].GlobalRows(); };
     std::vector<const KeyFilter*> child_filters;
     for (std::size_t idx = 0; idx < k; ++idx) {
@@ -803,31 +864,43 @@ class Executor::Run {
       child_filters.clear();
       KeyFilter own;
       if (!ex_.record_op_cards_) {
+        const PlanInfo& ci = buf_.info[pos[c]];
         for (const KeyFilter* f : filters) {
-          if (info_[pos[c]].vars.test(f->var)) child_filters.push_back(f);
+          if (ci.vars.test(f->var)) child_filters.push_back(f);
         }
-        // The smallest evaluated sibling lends its keys when it is well
-        // below the child's estimate.
+        // The smallest evaluated sibling lends its keys on each shared
+        // variable that reaches a scan of at least kFilterRatio times its
+        // rows.
+        VarSet reach;
         std::size_t sib = order[0];
-        for (std::size_t e = 1; e < idx; ++e) {
-          if (child_rows(order[e]) < child_rows(sib)) sib = order[e];
+        if (idx > 0) {
+          for (std::size_t e = 1; e < idx; ++e) {
+            if (child_rows(order[e]) < child_rows(sib)) sib = order[e];
+          }
+          const double lent =
+              static_cast<double>(child_rows(sib)) * kFilterRatio;
+          const VarSet shared = ci.vars & buf_.info[pos[sib]].vars;
+          for (std::size_t v = 0; v < nv; ++v) {
+            if (shared.test(v) && lent <= buf_.largest_scan[pos[c] * nv + v]) {
+              reach.set(v);
+            }
+          }
         }
-        if (idx > 0 && static_cast<double>(child_rows(sib)) * kFilterRatio <=
-                           node.children[c]->cardinality) {
+        if (reach.any()) {
           // Per-node key sets are exact for a local join whose child
           // keeps every row on its node; anything else needs one global
           // set.
-          own = BuildFilter(children[sib],
-                            info_[pos[c]].vars & info_[pos[sib]].vars,
-                            node.method == JoinMethod::kLocal &&
-                                info_[pos[c]].node_local,
-                            buf_.filter);
+          own = BuildFilter(
+              children[sib], reach,
+              node.method == JoinMethod::kLocal && ci.node_local,
+              buf_.filter, buf_.filter.slots[at]);
           if (own.var != kInvalidVarId) child_filters.push_back(&own);
         }
       }
       PARQO_RETURN_IF_ERROR(
           RunOperator(*node.children[c], pos[c], child_filters, children[c]));
     }
+    if (!ex_.record_op_cards_) ReleaseKeySetsIfLarge(buf_.filter.slots[at]);
     return Status::Ok();
   }
 
@@ -1015,7 +1088,6 @@ class Executor::Run {
   const int n_;
   ExecScratch::Buffers& buf_;
   Recovery rec_;
-  std::vector<PlanInfo> info_;
 };
 
 Result<BindingTable> Executor::Execute(const PlanNode& plan,

@@ -178,7 +178,8 @@ class NodeHealthRegistry;  // exec/health.h
 
 /// The buffers an Execute works in (DESIGN.md section 13, "Scratch
 /// ownership"): per partition, the join tables, match chunks and output
-/// columns, plus the driver's dedup slots and repartition routes. Buffers
+/// columns, plus the driver's dedup slots, repartition routes, key
+/// filters and plan annotations. Buffers
 /// keep their capacity from one Execute to the next, except those a
 /// heavy operator grew past kScratchKeepBytes, which are freed after
 /// that use. One scratch serves one Execute at a time.

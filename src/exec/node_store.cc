@@ -146,6 +146,15 @@ class RowWriter {
 }  // namespace
 
 KeySet::KeySet(std::vector<TermId> sorted) : keys_(std::move(sorted)) {
+  Hash();
+}
+
+void KeySet::Assign(std::span<const TermId> sorted) {
+  keys_.assign(sorted.begin(), sorted.end());
+  Hash();
+}
+
+void KeySet::Hash() {
   PARQO_DCHECK(std::adjacent_find(keys_.begin(), keys_.end(),
                                   std::greater_equal<TermId>()) ==
                keys_.end());

@@ -15,6 +15,7 @@
 #define PARQO_EXEC_NODE_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "exec/binding_table.h"
@@ -42,15 +43,25 @@ struct ResolvedPattern {
 };
 
 /// A sorted, distinct set of TermIds with an open-addressed hash table
-/// for unordered membership probes. Immutable once built, so one set can
-/// be shared read-only by every node's scan.
+/// for unordered membership probes. Read-only between builds, so one set
+/// can be shared by every node's scan.
 class KeySet {
  public:
+  KeySet() = default;
   /// `sorted` must be ascending and duplicate-free.
   explicit KeySet(std::vector<TermId> sorted);
 
+  /// Rebuilds the set from `sorted` (ascending, duplicate-free) in the
+  /// buffers it already holds, so a set rebuilt no larger than before
+  /// allocates nothing.
+  void Assign(std::span<const TermId> sorted);
+
   const std::vector<TermId>& keys() const { return keys_; }
   std::size_t size() const { return keys_.size(); }
+  /// Heap bytes the set holds.
+  std::size_t Bytes() const {
+    return CapacityBytes(keys_) + CapacityBytes(slots_);
+  }
 
   bool Contains(TermId t) const {
     const std::size_t mask = slots_.size() - 1;
@@ -61,6 +72,8 @@ class KeySet {
   }
 
  private:
+  void Hash();
+
   std::vector<TermId> keys_;
   std::vector<TermId> slots_;  // kInvalidTermId marks a vacant slot
 };

@@ -197,11 +197,10 @@ class WarmExecuteTest : public ::testing::Test {
   static constexpr int kNodes = 10;
   // What each operator may cost ten nodes beyond one: slack for a
   // buffer that ten smaller partitions grow where one large one had
-  // room. Work items themselves allocate nothing once warm.
+  // room. Work items themselves allocate nothing once warm, and neither
+  // do key filters: a per-node filter is rebuilt in the key sets the
+  // scratch kept from the last run.
   static constexpr std::uint64_t kPerOperator = 2;
-  // What a per-node key filter costs each node: its distinct keys and
-  // their hash slots.
-  static constexpr std::uint64_t kPerNodeFilter = 2;
 
   // A graph and its hash-SO clusters on one node and on kNodes nodes.
   struct World {
@@ -215,24 +214,17 @@ class WarmExecuteTest : public ::testing::Test {
   };
 
   // What ten nodes may allocate beyond one for `plan`: kPerOperator per
-  // operator, with no term in operators x nodes, plus kPerNodeFilter per
-  // extra node for every key filter a local join can push per node (one
-  // per child after the first).
+  // operator, with no term in operators x nodes or filters x nodes.
   static std::uint64_t Slack(const PlanNode& plan) {
-    std::uint64_t ops = 0, per_node_filters = 0;
+    std::uint64_t ops = 0;
     std::vector<const PlanNode*> stack{&plan};
     while (!stack.empty()) {
       const PlanNode* node = stack.back();
       stack.pop_back();
       ++ops;
-      if (node->kind != PlanNode::Kind::kScan &&
-          node->method == JoinMethod::kLocal) {
-        per_node_filters += node->children.size() - 1;
-      }
       for (const PlanNodePtr& c : node->children) stack.push_back(c.get());
     }
-    return ops * kPerOperator +
-           per_node_filters * (kNodes - 1) * kPerNodeFilter;
+    return ops * kPerOperator;
   }
 
   // Allocations of a warm Execute of `plan`: the second of two runs in

@@ -805,6 +805,92 @@ TEST_F(DedupElisionTest, LocalAndBroadcastRootsOverScansStillDedup) {
   EXPECT_GT(mb.dedup_rows, mb.result_rows);
 }
 
+// ---------------------------------------------------------------------------
+// The evaluation order and the reach rule of sideways information passing
+// (DESIGN.md section 13) on one node, where every scanned row counts
+// once: 400 x_i knows y_(i mod 100), 100 y_j with a name, and two x of
+// type Rare.
+
+class SipOrderTest : public ::testing::Test {
+ protected:
+  SipOrderTest() {
+    std::string nt;
+    for (int i = 0; i < 400; ++i) {
+      nt += "<x" + std::to_string(i) + "> <knows> <y" +
+            std::to_string(i % 100) + "> .\n";
+    }
+    for (int j = 0; j < 100; ++j) {
+      nt += "<y" + std::to_string(j) + "> <name> <n" + std::to_string(j) +
+            "> .\n";
+    }
+    nt += "<x0> <type> <Rare> .\n<x1> <type> <Rare> .\n";
+    auto g = ParseNTriplesString(nt);
+    graph_ = std::make_unique<RdfGraph>(std::move(*g));
+    jg_ = std::make_unique<JoinGraph>(std::vector<TriplePattern>{
+        Tp("?x", "type", "Rare"), Tp("?x", "knows", "?y"),
+        Tp("?y", "name", "?n")});
+    cluster_ = std::make_unique<Cluster>(
+        *graph_, HashSoPartitioner().PartitionData(*graph_, 1));
+    estimator_ = std::make_unique<CardinalityEstimator>(
+        *jg_, ComputeStatisticsFromGraph(*jg_, *graph_));
+    builder_ = std::make_unique<PlanBuilder>(*estimator_,
+                                             CostModel(CostParams{}));
+  }
+
+  // Executes `plan`, checks its rows against MatchBgp and returns the
+  // rows its scans read.
+  std::uint64_t Scanned(const PlanNode& plan) {
+    Executor exec(*cluster_, *jg_, CostParams{});
+    ExecMetrics m;
+    Result<BindingTable> r = exec.Execute(plan, &m);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return 0;
+    EXPECT_EQ(testing::SortedRows(*r, *jg_), testing::MatchRows(*jg_, *graph_));
+    EXPECT_EQ(m.result_rows, 2u);
+    return m.rows_scanned;
+  }
+
+  VarId Var(const char* name) const { return jg_->FindVar(name); }
+
+  std::unique_ptr<RdfGraph> graph_;
+  std::unique_ptr<JoinGraph> jg_;
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<CardinalityEstimator> estimator_;
+  std::unique_ptr<PlanBuilder> builder_;
+};
+
+TEST_F(SipOrderTest, FewKeyFiltersAndExactScansOrderTheChildren) {
+  const PlanNodePtr rare = builder_->Scan(0);
+  const PlanNodePtr knows = builder_->Scan(1);
+  const PlanNodePtr name = builder_->Scan(2);
+  ASSERT_EQ(rare->cardinality, 2);
+  ASSERT_LT(name->cardinality, knows->cardinality);
+  const PlanNodePtr pairs =
+      builder_->Join(JoinMethod::kRepartition, Var("y"), {knows, name});
+
+  // The root evaluates the Rare scan first and pushes its two ?x keys
+  // into `pairs`. Only `knows` binds ?x, so with those keys it is the
+  // smaller child although its estimate is the larger: it runs first,
+  // and its two ?y keys filter `name`. Ordered by estimate, `name` would
+  // be scanned whole (2 + 100 + 2 rows).
+  EXPECT_EQ(Scanned(*builder_->Join(JoinMethod::kBroadcast, Var("x"),
+                                    {rare, pairs})),
+            6u);
+
+  // The same join estimated 100x too low. The two Rare keys are measured
+  // against the exact 400-row scan of `knows` they reach, not against
+  // the join's estimate, which would block them (2 x kFilterRatio rows
+  // above it) and leave both scans of `pairs` read whole (2 + 100 + 400
+  // rows).
+  auto low = std::make_shared<PlanNode>(*pairs);
+  low->cardinality = pairs->cardinality / 100;
+  ASSERT_LT(low->cardinality, 2 * 4);
+  ASSERT_GT(low->cardinality, rare->cardinality);
+  EXPECT_EQ(Scanned(*builder_->Join(JoinMethod::kBroadcast, Var("x"),
+                                    {rare, low})),
+            6u);
+}
+
 TEST(ClusterDeathTest, RejectsATripleTwiceOnOneNode) {
   auto g = ParseNTriplesString("<s> <p> <o> .\n<s> <p> <o2> .\n");
   ASSERT_TRUE(g.ok());
@@ -865,9 +951,9 @@ class SipSweepTest : public ::testing::Test {
   }
 
   // Runs every algorithm's plan serial and parallel, filtered and
-  // recording. Returns whether every filtered run scanned strictly fewer
-  // rows than its unfiltered twin.
-  bool Sweep(const std::vector<TriplePattern>& patterns, const World& w) {
+  // recording. Returns the largest share of its unfiltered twin's rows
+  // that a filtered run scanned.
+  double Sweep(const std::vector<TriplePattern>& patterns, const World& w) {
     HashSoPartitioner hash;
     PreparedQuery pq(patterns, hash, StatsFromData(*w.graph));
     const JoinGraph& jg = pq.join_graph();
@@ -877,7 +963,7 @@ class SipSweepTest : public ::testing::Test {
     options.cost_params.num_nodes = kSipNodes;
     std::map<std::vector<int>, std::uint64_t> sub_counts;
     std::set<std::string> seen_plans;
-    bool all_pruned = true;
+    double worst = 0;
     for (Algorithm algorithm : kAllAlgorithms) {
       options.deadline = Deadline::AfterSeconds(60);
       OptimizeResult r = Optimize(algorithm, pq.inputs(), options);
@@ -903,7 +989,10 @@ class SipSweepTest : public ::testing::Test {
         EXPECT_EQ(testing::SortedRows(*rf, jg), truth);
         EXPECT_EQ(testing::SortedRows(*rr, jg), truth);
         EXPECT_LE(mf.rows_scanned, mr.rows_scanned);
-        all_pruned = all_pruned && mf.rows_scanned < mr.rows_scanned;
+        if (mr.rows_scanned > 0) {
+          worst = std::max(worst, static_cast<double>(mf.rows_scanned) /
+                                      static_cast<double>(mr.rows_scanned));
+        }
         EXPECT_TRUE(mf.op_cards.empty());
         // Recording runs unfiltered: each operator's actual is the
         // distinct solution count of its sub-BGP.
@@ -918,7 +1007,7 @@ class SipSweepTest : public ::testing::Test {
         }
       }
     }
-    return all_pruned;
+    return worst;
   }
 };
 
@@ -928,11 +1017,19 @@ TEST_F(SipSweepTest, LubmQueriesMatchUnfilteredAndMatchBgp) {
     SCOPED_TRACE(bq.name);
     Result<ParsedQuery> parsed = ParseSparql(bq.sparql);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    const bool all_pruned = Sweep(parsed->patterns, Lubm());
+    const double worst = Sweep(parsed->patterns, Lubm());
     // The filters must fire where a tiny input meets big scans: every
-    // plan of L3 and L10, serial and parallel, scans strictly less.
-    if (bq.name == "L3" || bq.name == "L10") {
-      EXPECT_TRUE(all_pruned);
+    // plan of L3, L5, L6, L9 and L10, serial and parallel, scans
+    // strictly less.
+    if (bq.name == "L3" || bq.name == "L5" || bq.name == "L6" ||
+        bq.name == "L9" || bq.name == "L10") {
+      EXPECT_LT(worst, 1.0);
+    }
+    // L9's and L10's constants match nothing in LUBM-2. The empty scan
+    // that reads the constant is the smallest child wherever it sits, so
+    // its empty key set prunes every other scan.
+    if (bq.name == "L9" || bq.name == "L10") {
+      EXPECT_EQ(worst, 0.0);
     }
   }
 }
